@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from multifinsler.config import load_config
+from multifinsler.config import ConfigError, load_config
 from multifinsler.geodesic import integrate_geodesic, path_action, path_to_csv
 
 
@@ -30,17 +30,20 @@ def main():
     ap.add_argument("--out-dir", default="fan")
     args = ap.parse_args()
 
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+        thetas = [2.0 * math.pi * k / args.rays for k in range(args.rays)]
+        directions = [cfg.fiber_direction(th) for th in thetas]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        sys.exit(2)
     space = cfg.build_space()
     x0 = cfg.box_center() if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     worst_drift = 0.0
-    for k in range(args.rays):
-        th = 2.0 * math.pi * k / args.rays
-        y0 = np.zeros(cfg.dimension)
-        y0[0], y0[1 % cfg.dimension] = math.cos(th), math.sin(th)
+    for k, (th, y0) in enumerate(zip(thetas, directions)):
         path = integrate_geodesic(space, x0, y0, args.t_end, args.step)
         drift = float(np.max(np.abs(path.F - path.F[0])) / path.F[0])
         worst_drift = max(worst_drift, drift)

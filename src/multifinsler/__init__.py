@@ -63,7 +63,6 @@ from .riemann import (
     MetricField,
     NotPositiveDefiniteError,
     christoffels_and_spray,
-    evaluate_metric,
     gauss_curvature,
     symmetric_polynomials,
 )

@@ -7,17 +7,17 @@ floating-point values are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
+import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, SpaceConfig, load_config
+from .config import ConfigError, load_config
 from .dim2 import invariant_I, invariants_JK
 from .finsler import TangentSample, finsler_state
-from .geodesic import integrate_geodesic, path_action, path_to_csv
+from .geodesic import integrate_geodesic, path_action, path_to_csv, write_csv
 from .measure import busemann_hausdorff, holmes_thompson
 from .suites import run_suite
 
@@ -38,7 +38,8 @@ def dumps_stable(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{pad_in}"{k}": {dumps_stable(obj[k], indent + 1)}' for k in sorted(obj)
+            f"{pad_in}{json.dumps(str(k), ensure_ascii=False)}: {dumps_stable(obj[k], indent + 1)}"
+            for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -56,46 +57,28 @@ def dumps_stable(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if obj is None:
         return "null"
-    s = str(obj)
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
-def emit(obj, fmt: str, dest) -> None:
-    """Write a report (json) or a row table (csv) to dest ('-' for stdout)."""
-    if fmt == "json":
-        text = dumps_stable(obj) + "\n"
-        if dest in (None, "-"):
-            sys.stdout.write(text)
-        else:
-            Path(dest).write_text(text)
-        return
-    if fmt == "csv":
-        header, rows = obj
-        out = sys.stdout if dest in (None, "-") else open(dest, "w", newline="")
-        try:
-            writer = csv.writer(out)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([
-                    format(v, ".17g") if isinstance(v, float) else v for v in row
-                ])
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return
-    raise ValueError(f"unknown format '{fmt}'")
+def emit(obj, dest) -> None:
+    """Write a report as stable JSON to dest ('-' for stdout)."""
+    text = dumps_stable(obj) + "\n"
+    if dest in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        Path(dest).write_text(text)
 
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    emit({"valid": True, "config": cfg.to_dict()}, "json", args.out)
+    emit({"valid": True, "config": cfg.to_dict()}, args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     report = run_suite(cfg, args.suite, tol_scale=args.tol_scale, seed=args.seed)
-    emit(report, "json", args.out)
+    emit(report, args.out)
     return 0 if report["passed"] else 1
 
 
@@ -123,7 +106,7 @@ def _cmd_measure(args) -> int:
             "parts": bh.parts,
         },
     }
-    emit(report, "json", args.out)
+    emit(report, args.out)
     return 0
 
 
@@ -138,13 +121,7 @@ def _cmd_geodesic(args) -> int:
         y0 = np.array([float(v) for v in args.y0.split(",")])
     path = integrate_geodesic(space, x0, y0, args.t_end, args.step)
     if args.format == "csv":
-        if args.out in (None, "-"):
-            rows = [[path.t[k], *path.x[k], *path.y[k], path.F[k]] for k in range(len(path.t))]
-            header = ["t", *[f"x{i+1}" for i in range(cfg.dimension)],
-                      *[f"y{i+1}" for i in range(cfg.dimension)], "F"]
-            emit((header, [[float(v) for v in r] for r in rows]), "csv", args.out)
-        else:
-            path_to_csv(path, args.out, cfg.coordinates)
+        path_to_csv(path, args.out, cfg.coordinates)
     else:
         act = path_action(space, path)
         emit({
@@ -155,7 +132,7 @@ def _cmd_geodesic(args) -> int:
             "norm_drift": float(np.max(np.abs(path.F - path.F[0]))),
             "action": act.total,
             "action_per_sector": [float(v) for v in act.sector_totals],
-        }, "json", args.out)
+        }, args.out)
     return 0
 
 
@@ -166,6 +143,7 @@ def _cmd_sample(args) -> int:
     hi = np.array([b[1] for b in cfg.sampling.box])
     grid = [np.linspace(lo[i], hi[i], args.grid) for i in range(cfg.dimension)]
     thetas = np.linspace(0.0, 2.0 * math.pi, args.directions, endpoint=False)
+    directions = [cfg.fiber_direction(th) for th in thetas]
 
     is2d = cfg.dimension == 2
     header = [*cfg.coordinates, "theta", "F", "det_g"] + (["I", "J", "K"] if is2d else [])
@@ -173,9 +151,7 @@ def _cmd_sample(args) -> int:
     mesh = np.meshgrid(*grid, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
     for x in points:
-        for th in thetas:
-            y = np.zeros(cfg.dimension)
-            y[0], y[1 % cfg.dimension] = math.cos(th), math.sin(th)
+        for th, y in zip(thetas, directions):
             st = finsler_state(space, TangentSample(x, y))
             row = [*map(float, x), float(th), st.F, st.det_g]
             if is2d:
@@ -183,7 +159,7 @@ def _cmd_sample(args) -> int:
                 j_val, k_val = invariants_JK(space, s)
                 row += [invariant_I(space, s, "compact"), j_val, k_val]
             rows.append(row)
-    emit((header, rows), "csv", args.out)
+    write_csv(header, rows, args.out)
     return 0
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ class SpaceConfig:
     coordinates: tuple[str, ...]
     metrics: tuple[MetricSpec, ...]
     sampling: SamplingPolicy
-    tolerances: dict = field(default_factory=dict)
 
     def build_space(self) -> MultiMetricSpace:
         fields = [
@@ -49,6 +49,14 @@ class SpaceConfig:
 
     def box_center(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.sampling.box])
+
+    def fiber_direction(self, theta: float) -> np.ndarray:
+        """Unit fiber vector at angle theta in the (x1, x2) plane; needs dimension >= 2."""
+        if self.dimension < 2:
+            raise ConfigError(f"fiber directions need dimension >= 2, got dimension {self.dimension}")
+        y = np.zeros(self.dimension)
+        y[0], y[1] = math.cos(theta), math.sin(theta)
+        return y
 
     def to_dict(self) -> dict:
         return {
@@ -63,7 +71,6 @@ class SpaceConfig:
                 "count": self.sampling.count,
                 "box": [list(b) for b in self.sampling.box],
             },
-            "tolerances": dict(self.tolerances),
         }
 
 
@@ -72,8 +79,16 @@ def _expect(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _expect_keys(obj: dict, allowed: tuple[str, ...], where: str):
+    unknown = sorted(set(obj) - set(allowed))
+    _expect(not unknown, f"unknown key(s) {unknown} in {where}; accepted keys are {list(allowed)}")
+
+
 def parse_config(data: dict) -> SpaceConfig:
     _expect(isinstance(data, dict), "top level must be a JSON object")
+    _expect("tolerances" not in data,
+            "'tolerances' is not supported; scale every tolerance with `check --tol-scale`")
+    _expect_keys(data, ("dimension", "coordinates", "metrics", "sampling"), "top level")
     _expect("dimension" in data, "missing 'dimension'")
     dim = data["dimension"]
     _expect(isinstance(dim, int) and dim >= 1, f"'dimension' must be a positive integer, got {dim!r}")
@@ -91,6 +106,7 @@ def parse_config(data: dict) -> SpaceConfig:
     for idx, m in enumerate(raw_metrics):
         where = f"metrics[{idx}]"
         _expect(isinstance(m, dict), f"{where} must be an object")
+        _expect_keys(m, ("name", "components"), where)
         name = m.get("name", f"metric{idx}")
         comps = m.get("components")
         _expect(isinstance(comps, list) and len(comps) == dim,
@@ -104,6 +120,7 @@ def parse_config(data: dict) -> SpaceConfig:
 
     sampling = data.get("sampling", {})
     _expect(isinstance(sampling, dict), "'sampling' must be an object")
+    _expect_keys(sampling, ("seed", "count", "box"), "'sampling'")
     seed = sampling.get("seed", 42)
     count = sampling.get("count", 500)
     box = sampling.get("box", [[-1.0, 1.0]] * dim)
@@ -114,15 +131,11 @@ def parse_config(data: dict) -> SpaceConfig:
         _expect(isinstance(b, list) and len(b) == 2 and all(isinstance(v, (int, float)) for v in b)
                 and b[0] < b[1], f"invalid box interval {b!r}")
 
-    tolerances = data.get("tolerances", {})
-    _expect(isinstance(tolerances, dict), "'tolerances' must be an object")
-
     cfg = SpaceConfig(
         dimension=dim,
         coordinates=tuple(coords),
         metrics=tuple(metrics),
         sampling=SamplingPolicy(seed=seed, count=count, box=tuple(tuple(map(float, b)) for b in box)),
-        tolerances=dict(tolerances),
     )
 
     # parse all expressions and probe SPD at the box center

@@ -24,15 +24,25 @@ from .finsler import (
     _sym3,
     fd_fundamental_tensor,
     finsler_state,
+    sector_norms,
 )
 from .riemann import christoffels_and_spray
 
 FD_STEP = 1e-5
 MIXED_FD_STEP = 1e-4
 
-# Tolerance classes for reporting: analytic assembly, one finite difference,
-# nested finite differences.
-TOLERANCE_CLASSES = {"analytic": 1e-10, "fd": 1e-6, "nested-fd": 1e-4}
+
+def central_difference(f, v: np.ndarray, h) -> np.ndarray:
+    """D[i] = (f(v + h e_i) - f(v - h e_i)) / 2h for each coordinate i of v.
+
+    f may return a scalar or an array; the steps take the dtype of v.
+    """
+    out = []
+    for i in range(len(v)):
+        e = np.zeros_like(v)
+        e[i] = h
+        out.append((f(v + e) - f(v - e)) / (2.0 * h))
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -208,8 +218,7 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample):
 
     def f2(xx, yy) -> np.longdouble:
         a = np.stack([m.value(xx) for m in space.metrics]).astype(np.longdouble)
-        q = np.einsum("kij,i,j->k", a, yy, yy)
-        s = np.sqrt(q).sum()
+        s = sector_norms(a, yy).sum()
         return s * s
 
     x_ld = x.astype(np.longdouble)
@@ -236,11 +245,7 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample):
                 )
                 / (4.0 * hx * hy)
             )
-    dx_f2 = np.empty(n)
-    for k in range(n):
-        ek = np.zeros(n, dtype=np.longdouble)
-        ek[k] = hx
-        dx_f2[k] = float((f2(x_ld + ek, y_ld) - f2(x_ld - ek, y_ld)) / (2.0 * hx))
+    dx_f2 = central_difference(lambda xx: f2(xx, y_ld), x_ld, hx).astype(float)
 
     G = 0.5 * g_inv @ (y @ mixed - dx_f2)
     return G, G_mu
@@ -254,16 +259,9 @@ def nonlinear_connection(space: MultiMetricSpace, sample: TangentSample) -> np.n
 def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample, step: float | None = None) -> np.ndarray:
     """Oracle N = (1/2) dG/dy by central differences of the factorized spray."""
     x, y = sample.x, sample.y
-    n = space.dim
     h = step if step is not None else FD_STEP * float(np.linalg.norm(y))
-    out = np.empty((n, n))
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = h
-        gp = connection_state(space, TangentSample(x, y + ej)).G
-        gm = connection_state(space, TangentSample(x, y - ej)).G
-        out[:, j] = (gp - gm) / (2.0 * h)
-    return 0.5 * out
+    dG = central_difference(lambda yy: connection_state(space, TangentSample(x, yy)).G, y, h)
+    return 0.5 * dG.T
 
 
 def horizontal_compatibility_residual(space: MultiMetricSpace, sample: TangentSample) -> float:

@@ -13,20 +13,16 @@ from typing import Callable
 
 import numpy as np
 
-from .connection import (
-    ConnectionState,
-    FD_STEP,
-    _connection_from_state,
-    connection_state,
-    x_derivatives,
+from .connection import FD_STEP, ConnectionState, central_difference, connection_state
+from .finsler import (
+    FinslerState,
+    MultiMetricSpace,
+    TangentSample,
+    finsler_state,
+    require_2d,
+    sector_norms,
 )
-from .finsler import FinslerState, MultiMetricSpace, TangentSample, finsler_state
 from .riemann import gauss_curvature
-
-
-def _require_2d(space: MultiMetricSpace):
-    if space.dim != 2:
-        raise ValueError("this operation is defined for 2D spaces only")
 
 
 def _perp_down(vec_up: np.ndarray, scale: float) -> np.ndarray:
@@ -57,7 +53,7 @@ class Frame2D:
 
 
 def frame2d(space: MultiMetricSpace, sample: TangentSample) -> Frame2D:
-    _require_2d(space)
+    require_2d(space)
     state = finsler_state(space, sample)
     return _frame_from_state(state)
 
@@ -101,54 +97,36 @@ def invariant_I(space: MultiMetricSpace, sample: TangentSample, mode: str = "com
     (F / 2 det g) m^i d(det g)/dy_i with the fiber derivative by central
     differences of the assembled determinant.
     """
-    _require_2d(space)
+    require_2d(space)
     fr = frame2d(space, sample)
     if mode == "compact":
         return _compact_I(fr.state, fr.cross)
     if mode == "oracle":
         x, y = sample.x, sample.y
         h = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-        grad = np.empty(2)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            dp = finsler_state(space, TangentSample(x, y + e)).det_g
-            dm = finsler_state(space, TangentSample(x, y - e)).det_g
-            grad[i] = (dp - dm) / (2.0 * h)
+        grad = central_difference(lambda yy: finsler_state(space, TangentSample(x, yy)).det_g, y, h)
         return float(fr.state.F / (2.0 * fr.state.det_g) * fr.m_up @ grad)
     raise ValueError(f"unknown mode '{mode}'")
 
 
 def _delta_scalar(space, x, y, N, field: Callable, hx: float, hy: float) -> np.ndarray:
     """delta_i phi = d_i phi - N^j_i d phi/dy_j by central differences."""
-    n = len(x)
-    dx = np.empty(n)
-    dy = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = hx
-        dx[i] = (field(x + e, y) - field(x - e, y)) / (2.0 * hx)
-        e = np.zeros(n)
-        e[i] = hy
-        dy[i] = (field(x, y + e) - field(x, y - e)) / (2.0 * hy)
+    dx = central_difference(lambda xx: field(xx, y), x, hx)
+    dy = central_difference(lambda yy: field(x, yy), y, hy)
     return dx - np.einsum("ji,j->i", N, dy)
 
 
 def frame_apply(space: MultiMetricSpace, sample: TangentSample, field: Callable, which: str) -> float:
     """Apply a frame vector (e1 = m^i delta_i, e2 = l^i delta_i, e3 = F m^i d/dy_i)
     to a scalar field phi(x, y), derivatives by central differences."""
-    _require_2d(space)
+    require_2d(space)
     cs = connection_state(space, sample)
     fr = _frame_from_state(cs.state)
     x, y = sample.x, sample.y
     hx = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
     if which == "e3":
-        dy = np.empty(2)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = hy
-            dy[i] = (field(x, y + e) - field(x, y - e)) / (2.0 * hy)
+        dy = central_difference(lambda yy: field(x, yy), y, hy)
         return float(fr.state.F * fr.m_up @ dy)
     delta = _delta_scalar(space, x, y, cs.N, field, hx, hy)
     if which == "e1":
@@ -159,14 +137,8 @@ def frame_apply(space: MultiMetricSpace, sample: TangentSample, field: Callable,
 
 
 def _fiber_derivative_of_N(space, x, y, step: float) -> np.ndarray:
-    out = np.empty((2, 2, 2))  # [r, i, j] = dN^i_j / dy_r
-    for r in range(2):
-        e = np.zeros(2)
-        e[r] = step
-        np_ = connection_state(space, TangentSample(x, y + e)).N
-        nm_ = connection_state(space, TangentSample(x, y - e)).N
-        out[r] = (np_ - nm_) / (2.0 * step)
-    return out
+    """[r, i, j] = dN^i_j / dy_r by central differences."""
+    return central_difference(lambda yy: connection_state(space, TangentSample(x, yy)).N, y, step)
 
 
 def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float, float]:
@@ -176,7 +148,7 @@ def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float
     Gauss curvatures with frame-derivative corrections.  For a single metric,
     K reduces to the Gauss curvature.
     """
-    _require_2d(space)
+    require_2d(space)
     cs = connection_state(space, sample)
     fr = _frame_from_state(cs.state)
     st = cs.state
@@ -309,7 +281,7 @@ def cartan_structure_residuals(
     ``with_invariants=False`` skips the frame-derivative scalars J and K
     (reported as nan), which keeps the per-sample cost to the analytic parts.
     """
-    _require_2d(space)
+    require_2d(space)
     cs = connection_state(space, sample)
     fr = _frame_from_state(cs.state)
     st = cs.state
@@ -369,16 +341,10 @@ def cartan_structure_residuals(
         lhs_vec = (fr.cross[:, nu].sum() / F_mu[nu]) * fr.m
 
         def logratio(yy, nu=nu):
-            a = st.a_mu[nu]
-            fnu = np.sqrt(float(yy @ a @ yy))
-            f = sum(np.sqrt(float(yy @ st.a_mu[m] @ yy)) for m in range(space.n_metrics))
-            return np.log(f / fnu)
+            f_mu = sector_norms(st.a_mu, yy)
+            return np.log(f_mu.sum() / f_mu[nu])
 
-        rhs_vec = np.empty(2)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = hy
-            rhs_vec[j] = (logratio(st.y + e) - logratio(st.y - e)) / (2.0 * hy)
+        rhs_vec = central_difference(logratio, st.y, hy)
         a_rel = max(a_rel, float(np.max(np.abs(lhs_vec - rhs_vec))))
 
     return StructureReport(

@@ -60,9 +60,6 @@ _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
 class ScalarExpr:
     """Node of an immutable expression tree."""
 
-    def evaluate(self, x: Sequence[float]) -> float:
-        raise NotImplementedError
-
     def diff(self, coord: int) -> "ScalarExpr":
         raise NotImplementedError
 
@@ -88,9 +85,6 @@ def _finite(v: float, node: ScalarExpr) -> float:
 class Const(ScalarExpr):
     value: float
 
-    def evaluate(self, x):
-        return self.value
-
     def diff(self, coord):
         return Const(0.0)
 
@@ -103,13 +97,6 @@ class Coord(ScalarExpr):
     index: int
     name: str
 
-    def evaluate(self, x):
-        if self.index >= len(x):
-            raise DimensionMismatchError(
-                f"coordinate '{self.name}' (index {self.index}) out of range for point of length {len(x)}"
-            )
-        return float(x[self.index])
-
     def diff(self, coord):
         return Const(1.0 if coord == self.index else 0.0)
 
@@ -120,9 +107,6 @@ class Coord(ScalarExpr):
 @dataclass(frozen=True)
 class Neg(ScalarExpr):
     arg: ScalarExpr
-
-    def evaluate(self, x):
-        return -self.arg.evaluate(x)
 
     def diff(self, coord):
         return neg(self.arg.diff(coord))
@@ -136,9 +120,6 @@ class Add(ScalarExpr):
     a: ScalarExpr
     b: ScalarExpr
 
-    def evaluate(self, x):
-        return _finite(self.a.evaluate(x) + self.b.evaluate(x), self)
-
     def diff(self, coord):
         return add(self.a.diff(coord), self.b.diff(coord))
 
@@ -150,9 +131,6 @@ class Add(ScalarExpr):
 class Sub(ScalarExpr):
     a: ScalarExpr
     b: ScalarExpr
-
-    def evaluate(self, x):
-        return _finite(self.a.evaluate(x) - self.b.evaluate(x), self)
 
     def diff(self, coord):
         return sub(self.a.diff(coord), self.b.diff(coord))
@@ -166,9 +144,6 @@ class Mul(ScalarExpr):
     a: ScalarExpr
     b: ScalarExpr
 
-    def evaluate(self, x):
-        return _finite(self.a.evaluate(x) * self.b.evaluate(x), self)
-
     def diff(self, coord):
         da, db = self.a.diff(coord), self.b.diff(coord)
         return add(mul(da, self.b), mul(self.a, db))
@@ -181,12 +156,6 @@ class Mul(ScalarExpr):
 class Div(ScalarExpr):
     a: ScalarExpr
     b: ScalarExpr
-
-    def evaluate(self, x):
-        den = self.b.evaluate(x)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", self)
-        return _finite(self.a.evaluate(x) / den, self)
 
     def diff(self, coord):
         da, db = self.a.diff(coord), self.b.diff(coord)
@@ -214,9 +183,6 @@ def _pow_value(base: float, expo: float, node: ScalarExpr) -> float:
 class Pow(ScalarExpr):
     base: ScalarExpr
     exponent: float  # constant by construction
-
-    def evaluate(self, x):
-        return _pow_value(self.base.evaluate(x), self.exponent, self)
 
     def diff(self, coord):
         # d(u^c) = c*u^(c-1)*u'; for non-integer c this is the exp/log form,
@@ -256,9 +222,6 @@ def _fn_value(name: str, v: float, node: ScalarExpr) -> float:
 class Call(ScalarExpr):
     name: str
     arg: ScalarExpr
-
-    def evaluate(self, x):
-        return _fn_value(self.name, self.arg.evaluate(x), self)
 
     def diff(self, coord):
         u, du = self.arg, self.arg.diff(coord)
@@ -489,10 +452,14 @@ def parse_expression(text: str, coords: Sequence[str]) -> ScalarExpr:
 
 
 def evaluate(expr: ScalarExpr, x: Sequence[float], dim: int | None = None) -> float:
-    """IEEE double evaluation; non-finite intermediate results raise EvalDomainError."""
+    """IEEE double evaluation; non-finite intermediate results raise EvalDomainError.
+
+    Compiles ``expr`` on every call; callers that evaluate one expression
+    repeatedly keep the closure from ``compile_expression`` instead.
+    """
     if dim is not None and len(x) != dim:
         raise DimensionMismatchError(f"expected point of length {dim}, got {len(x)}")
-    return expr.evaluate(x)
+    return compile_expression(expr)(x)
 
 
 def differentiate(expr: ScalarExpr, coord_index: int, dim: int | None = None) -> ScalarExpr:
@@ -503,13 +470,22 @@ def differentiate(expr: ScalarExpr, coord_index: int, dim: int | None = None) ->
 
 
 def compile_expression(expr: ScalarExpr) -> Callable[[Sequence[float]], float]:
-    """Build a closure evaluating ``expr``; semantics identical to ``evaluate``."""
+    """Build a closure evaluating ``expr``; the package's only expression evaluator."""
     if isinstance(expr, Const):
         v = expr.value
         return lambda x: v
     if isinstance(expr, Coord):
-        i = expr.index
-        return lambda x: x[i]
+        i, name = expr.index, expr.name
+
+        def _coord(x):
+            try:
+                return x[i]
+            except IndexError:
+                raise DimensionMismatchError(
+                    f"coordinate '{name}' (index {i}) out of range for point of length {len(x)}"
+                ) from None
+
+        return _coord
     if isinstance(expr, Neg):
         f = compile_expression(expr.arg)
         return lambda x: -f(x)

@@ -81,6 +81,23 @@ class MultiMetricSpace:
             )
 
 
+def require_2d(space: MultiMetricSpace):
+    if space.dim != 2:
+        raise ValueError(f"this operation is defined for 2D spaces only, got dimension {space.dim}")
+
+
+def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sector norms F_mu = sqrt(y' a_mu y) over a stack a_mu of shape (N, n, n).
+
+    The norm is F = F_mu.sum().  The dtype follows the inputs, so the
+    extended-precision oracles evaluate the same definition in longdouble.
+    """
+    q = np.einsum("kij,i,j->k", a_mu, y, y)
+    if np.any(q <= 0.0):
+        raise NotPositiveDefiniteError(f"degenerate quadratic form y' a_mu y = {q.tolist()}")
+    return np.sqrt(q)
+
+
 @dataclass(frozen=True)
 class FinslerState:
     """All pointwise data of the norm at one tangent-bundle sample."""
@@ -118,10 +135,7 @@ def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerStat
     x, y = sample.x, sample.y
     a_mu, a_inv, a_det = space.metric_values(x)
 
-    q = np.einsum("kij,i,j->k", a_mu, y, y)
-    if np.any(q <= 0.0):
-        raise NotPositiveDefiniteError(f"degenerate quadratic form at x={x.tolist()}")
-    F_mu = np.sqrt(q)
+    F_mu = sector_norms(a_mu, y)
     F = float(F_mu.sum())
     l_mu = np.einsum("kij,j->ki", a_mu, y) / F_mu[:, None]
     l = l_mu.sum(axis=0)
@@ -159,19 +173,8 @@ def finsler_norm(space: MultiMetricSpace, sample: TangentSample) -> tuple[float,
     """The norm F and the per-sector values F_mu at a sample."""
     space.check_sample(sample)
     a_mu, _, _ = space.metric_values(sample.x)
-    q = np.einsum("kij,i,j->k", a_mu, sample.y, sample.y)
-    if np.any(q <= 0.0):
-        raise NotPositiveDefiniteError(f"degenerate quadratic form at x={sample.x.tolist()}")
-    F_mu = np.sqrt(q)
+    F_mu = sector_norms(a_mu, sample.y)
     return float(F_mu.sum()), F_mu
-
-
-def norm_squared(space: MultiMetricSpace, x, y) -> float:
-    """F^2 without slit/SPD validation; evaluation hook for FD oracles."""
-    a_mu = np.stack([m.value(x) for m in space.metrics])
-    q = np.einsum("kij,i,j->k", a_mu, y, y)
-    s = float(np.sqrt(q).sum())
-    return s * s
 
 
 def fd_fundamental_tensor(space: MultiMetricSpace, x, y, step: float | None = None) -> np.ndarray:
@@ -186,8 +189,7 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y, step: float | None = No
     a_ld = np.stack([m.value(x) for m in space.metrics]).astype(np.longdouble)
 
     def f2(yy: np.ndarray) -> np.longdouble:
-        q = np.einsum("kij,i,j->k", a_ld, yy, yy)
-        s = np.sqrt(q).sum()
+        s = sector_norms(a_ld, yy).sum()
         return s * s
 
     y_ld = y.astype(np.longdouble)

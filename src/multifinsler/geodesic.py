@@ -9,13 +9,14 @@ its drift is the integrator's self-check.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sciint
 
-from .connection import _connection_from_state
-from .finsler import MultiMetricSpace, TangentSample, finsler_norm, finsler_state
+from .connection import connection_state
+from .finsler import MultiMetricSpace, TangentSample, finsler_norm
 
 
 @dataclass(frozen=True)
@@ -28,11 +29,6 @@ class GeodesicPath:
     F: np.ndarray       # (K,)
     step: float
     method: str = "rk4"
-
-
-def _spray_rhs(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    state = finsler_state(space, TangentSample(x, y))
-    return _connection_from_state(space, state).G
 
 
 def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: float) -> GeodesicPath:
@@ -59,13 +55,13 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
 
     record(0, 0.0, x, y)
     for k in range(n_steps):
-        k1x, k1y = y, -_spray_rhs(space, x, y)
+        k1x, k1y = y, -connection_state(space, TangentSample(x, y)).G
         k2x = y + 0.5 * h * k1y
-        k2y = -_spray_rhs(space, x + 0.5 * h * k1x, k2x)
+        k2y = -connection_state(space, TangentSample(x + 0.5 * h * k1x, k2x)).G
         k3x = y + 0.5 * h * k2y
-        k3y = -_spray_rhs(space, x + 0.5 * h * k2x, k3x)
+        k3y = -connection_state(space, TangentSample(x + 0.5 * h * k2x, k3x)).G
         k4x = y + h * k3y
-        k4y = -_spray_rhs(space, x + h * k3x, k4x)
+        k4y = -connection_state(space, TangentSample(x + h * k3x, k4x)).G
         x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         space.check_sample(TangentSample(x, y))
@@ -85,55 +81,21 @@ class ActionResult:
         return abs(self.total - float(self.sector_totals.sum()))
 
 
-def _fd_velocities(t: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Second-order velocity estimates on a (possibly non-uniform) sample grid."""
-    k, n = xs.shape
-    if k < 2:
-        raise ValueError("need at least two samples")
-    v = np.empty_like(xs)
-    for i in range(k):
-        if 0 < i < k - 1:
-            h1, h2 = t[i] - t[i - 1], t[i + 1] - t[i]
-            v[i] = (
-                xs[i + 1] * h1 / (h2 * (h1 + h2))
-                - xs[i - 1] * h2 / (h1 * (h1 + h2))
-                + xs[i] * (h2 - h1) / (h1 * h2)
-            )
-        elif i == 0:
-            h1, h2 = t[1] - t[0], t[2] - t[1] if k > 2 else t[1] - t[0]
-            if k > 2:
-                v[0] = (
-                    -xs[0] * (2 * h1 + h2) / (h1 * (h1 + h2))
-                    + xs[1] * (h1 + h2) / (h1 * h2)
-                    - xs[2] * h1 / (h2 * (h1 + h2))
-                )
-            else:
-                v[0] = (xs[1] - xs[0]) / h1
-        else:
-            h1 = t[k - 1] - t[k - 2]
-            if k > 2:
-                h2 = t[k - 2] - t[k - 3]
-                v[i] = (
-                    xs[k - 1] * (2 * h1 + h2) / (h1 * (h1 + h2))
-                    - xs[k - 2] * (h1 + h2) / (h1 * h2)
-                    + xs[k - 3] * h1 / (h2 * (h1 + h2))
-                )
-            else:
-                v[i] = (xs[k - 1] - xs[k - 2]) / h1
-    return v
-
-
 def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
     """Integral of F(x, x') along a sampled curve, with the per-sector split.
 
     Velocities are taken from ``ys`` when given, otherwise estimated by
-    second-order finite differences of the position samples.
+    second-order finite differences of the position samples (first order
+    when there are only two).
     """
     t = np.asarray(t, dtype=float)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if len(t) != len(xs) or len(t) < 2:
         raise ValueError("need matching t and x arrays with at least two samples")
-    v = np.atleast_2d(np.asarray(ys, dtype=float)) if ys is not None else _fd_velocities(t, xs)
+    if ys is not None:
+        v = np.atleast_2d(np.asarray(ys, dtype=float))
+    else:
+        v = np.gradient(xs, t, axis=0, edge_order=2 if len(t) > 2 else 1)
 
     f_mu = np.empty((len(t), space.n_metrics))
     for k in range(len(t)):
@@ -152,12 +114,22 @@ def path_action(space: MultiMetricSpace, path: GeodesicPath) -> ActionResult:
     return action_of_path(space, path.t, path.x, path.y)
 
 
+def write_csv(header, rows, dest) -> None:
+    """Write a numeric table as CSV, values at 17 significant digits; dest '-' or None is stdout."""
+    out = sys.stdout if dest in (None, "-") else open(dest, "w", newline="")
+    try:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])
+    finally:
+        if out is not sys.stdout:
+            out.close()
+
+
 def path_to_csv(path: GeodesicPath, dest, coords) -> None:
     """Write a trajectory as CSV with columns t, x1..xn, y1..yn, F."""
-    with open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *[f"x{i+1}" for i in range(len(coords))],
-                         *[f"y{i+1}" for i in range(len(coords))], "F"])
-        for k in range(len(path.t)):
-            row = [path.t[k], *path.x[k], *path.y[k], path.F[k]]
-            writer.writerow([format(float(v), ".17g") for v in row])
+    n = len(coords)
+    header = ["t", *[f"x{i+1}" for i in range(n)], *[f"y{i+1}" for i in range(n)], "F"]
+    rows = ([path.t[k], *path.x[k], *path.y[k], path.F[k]] for k in range(len(path.t)))
+    write_csv(header, rows, dest)

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .finsler import MultiMetricSpace, TangentSample, fd_fundamental_tensor, finsler_state
+from .finsler import (
+    MultiMetricSpace,
+    TangentSample,
+    fd_fundamental_tensor,
+    finsler_state,
+    require_2d,
+)
+from .riemann import symmetric_polynomials
 
 AGM_TOL = 1e-15
 AGM_MAX_ITER = 40
@@ -49,13 +56,7 @@ class EllipticPair:
 
 def lambda_pair(A, B) -> EllipticPair:
     """Characteristic pair of det(A - lambda B) = 0 via symmetric polynomials."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != (2, 2) or B.shape != (2, 2):
-        raise ValueError("lambda_pair expects 2x2 matrices")
-    X = np.linalg.solve(A, B)
-    e1 = float(np.trace(X))
-    e2 = float(0.5 * (e1 * e1 - np.trace(X @ X)))
+    e1, e2 = symmetric_polynomials(A, B)
     disc = math.sqrt(max(0.0, e1 * e1 - 4.0 * e2))
     return EllipticPair((e1 + disc) / (2.0 * e2), (e1 - disc) / (2.0 * e2))
 
@@ -170,14 +171,11 @@ class MeasureReport:
     fallback: bool = False
 
 
-def _require_2d(space: MultiMetricSpace):
-    if space.dim != 2:
-        raise ValueError("measures are implemented for 2D spaces only")
-
-
-def _norm_on_circle(space: MultiMetricSpace, a_mu: np.ndarray, theta: float) -> float:
+def _norm_on_circle(a_mu: np.ndarray, theta: float) -> float:
+    # Not finsler.sector_norms: its einsum rounds differently from y @ a @ y,
+    # which moves the stored indicatrix-reduction residuals by ~1e-17.
     y = np.array([math.cos(theta), math.sin(theta)])
-    return float(sum(math.sqrt(float(y @ a_mu[k] @ y)) for k in range(space.n_metrics)))
+    return float(sum(math.sqrt(float(y @ a @ y)) for a in a_mu))
 
 
 def holmes_thompson(space: MultiMetricSpace, x, mode: str = "closed") -> MeasureReport:
@@ -189,7 +187,7 @@ def holmes_thompson(space: MultiMetricSpace, x, mode: str = "closed") -> Measure
     'circle_oracle' integrates det g / F^2 over the unit circle with det g
     from the finite-difference Hessian oracle.
     """
-    _require_2d(space)
+    require_2d(space)
     x = np.asarray(x, dtype=float)
     a_mu, _, a_det = space.metric_values(x)
     nm = space.n_metrics
@@ -236,7 +234,7 @@ def holmes_thompson(space: MultiMetricSpace, x, mode: str = "closed") -> Measure
         for i, th in enumerate(thetas):
             y = np.array([math.cos(th), math.sin(th)])
             g = fd_fundamental_tensor(space, x, y)
-            f = _norm_on_circle(space, a_mu, th)
+            f = _norm_on_circle(a_mu, th)
             vals[i] = float(np.linalg.det(g)) / f**2
         val = float(vals.mean())  # (1/pi) * (1/2) * integral = mean over the circle
         return MeasureReport(value=val, method="circle_oracle",
@@ -248,7 +246,7 @@ def _bh_quadrature_value(space: MultiMetricSpace, x) -> float:
     a_mu, _, _ = space.metric_values(x)
 
     def inv_f2(theta):
-        return 1.0 / _norm_on_circle(space, a_mu, theta) ** 2
+        return 1.0 / _norm_on_circle(a_mu, theta) ** 2
 
     val, _ = integrate.quad(inv_f2, 0.0, 2.0 * math.pi,
                             epsabs=1e-13, epsrel=1e-13, limit=400)
@@ -264,7 +262,7 @@ def busemann_hausdorff(space: MultiMetricSpace, x, mode: str = "auto") -> Measur
     'quadrature' integrates 2 pi / integral F^-2 dtheta; 'auto' tries the
     closed form and falls back to quadrature.
     """
-    _require_2d(space)
+    require_2d(space)
     x = np.asarray(x, dtype=float)
 
     if mode == "auto":
@@ -336,7 +334,7 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
     set of the norm in polar coordinates; the right side is the circle
     integral of f(det g)/F^2.
     """
-    _require_2d(space)
+    require_2d(space)
     if weight not in ("one", "det"):
         raise ValueError("weight must be 'one' or 'det'")
     x = np.asarray(x, dtype=float)
@@ -349,7 +347,7 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
         return finsler_state(space, TangentSample(x, y)).det_g
 
     def r_max(theta):
-        return 1.0 / _norm_on_circle(space, a_mu, theta)
+        return 1.0 / _norm_on_circle(a_mu, theta)
 
     disc, _ = integrate.dblquad(
         lambda r, theta: f_of(theta, r) * r, 0.0, 2.0 * math.pi, 0.0, r_max,

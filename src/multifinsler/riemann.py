@@ -61,8 +61,9 @@ class MetricField:
             for j in range(i + 1, n):
                 if rows[i][j].strip() == rows[j][i].strip():
                     continue
+                fa, fb = compile_expression(parsed[i][j]), compile_expression(parsed[j][i])
                 for p in probes:
-                    a, b = parsed[i][j].evaluate(p), parsed[j][i].evaluate(p)
+                    a, b = fa(p), fb(p)
                     if abs(a - b) > 1e-12 * (1.0 + abs(a)):
                         raise ValueError(
                             f"metric '{name}': components ({i},{j}) and ({j},{i}) are not symmetric"
@@ -143,20 +144,19 @@ class MetricField:
         return a, np.linalg.inv(a), float(np.linalg.det(a))
 
 
-def evaluate_metric(field: MetricField, x) -> tuple[np.ndarray, np.ndarray, float]:
-    """Metric matrix, its inverse and determinant at ``x`` (SPD enforced)."""
-    return field.spd_value(x)
+def _christoffel(inv: np.ndarray, dA: np.ndarray) -> np.ndarray:
+    """Gamma[i,j,k] = (1/2) inv[i,l] (d_j a_lk + d_k a_lj - d_l a_jk) from dA[s,i,j]."""
+    return 0.5 * (
+        np.einsum("il,jlk->ijk", inv, dA)
+        + np.einsum("il,klj->ijk", inv, dA)
+        - np.einsum("il,ljk->ijk", inv, dA)
+    )
 
 
 def christoffels_and_spray(field: MetricField, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Christoffel symbols Gamma[i,j,k], spray G^i = Gamma y y, and N^i_j = Gamma^i_jk y^k."""
     _, inv, _ = field.spd_value(x)
-    dA = field.derivative(x)
-    gamma = 0.5 * (
-        np.einsum("il,jlk->ijk", inv, dA)
-        + np.einsum("il,klj->ijk", inv, dA)
-        - np.einsum("il,ljk->ijk", inv, dA)
-    )
+    gamma = _christoffel(inv, field.derivative(x))
     y = np.asarray(y, dtype=float)
     nonlin = np.einsum("ijk,k->ij", gamma, y)
     spray = nonlin @ y
@@ -171,11 +171,7 @@ def gauss_curvature(field: MetricField, x) -> float:
     dA = field.derivative(x)
     d2A = field.second_derivative(x)
 
-    gamma = 0.5 * (
-        np.einsum("il,jlk->ijk", inv, dA)
-        + np.einsum("il,klj->ijk", inv, dA)
-        - np.einsum("il,ljk->ijk", inv, dA)
-    )
+    gamma = _christoffel(inv, dA)
     # d inv / d x_s = -inv dA_s inv
     dinv = -np.einsum("im,smn,nl->sil", inv, dA, inv)
     # T[j,l,k] = d_j a_lk + d_k a_lj - d_l a_jk and its x-derivative
@@ -206,5 +202,5 @@ def symmetric_polynomials(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
         raise ValueError("symmetric_polynomials expects 2x2 matrices")
     X = np.linalg.solve(A, B)
     e1 = float(np.trace(X))
-    e2 = float(0.5 * (np.trace(X) ** 2 - np.trace(X @ X)))
+    e2 = float(0.5 * (e1 * e1 - np.trace(X @ X)))
     return e1, e2

@@ -16,11 +16,10 @@ from .config import SpaceConfig
 from .connection import (
     connection_state,
     horizontal_compatibility_residual,
-    landsberg_berwald,
     nonlinear_connection_fd,
     variational_spray,
 )
-from .dim2 import cartan_structure_residuals, frame2d, invariant_I, invariants_JK, frame_apply
+from .dim2 import cartan_structure_residuals, frame2d, frame_apply, invariant_I
 from .finsler import (
     MultiMetricSpace,
     TangentSample,

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +68,55 @@ class TestConfig:
         assert cfg.sampling.count == 500
         assert cfg.sampling.box == ((-1.0, 1.0), (-1.0, 1.0))
 
+    def test_tolerances_rejected(self):
+        bad = {**BIMETRIC, "tolerances": {"fd": 1e-3}}
+        with pytest.raises(ConfigError, match="--tol-scale"):
+            parse_config(bad)
+
+    def test_unknown_keys_rejected(self):
+        bad = {**BIMETRIC, "samplng": BIMETRIC["sampling"]}
+        with pytest.raises(ConfigError, match="samplng"):
+            parse_config(bad)
+        bad = {**BIMETRIC, "sampling": {**BIMETRIC["sampling"], "cout": 10}}
+        with pytest.raises(ConfigError, match="cout"):
+            parse_config(bad)
+        bad = json.loads(json.dumps(BIMETRIC))
+        bad["metrics"][0]["component"] = bad["metrics"][0]["components"]
+        with pytest.raises(ConfigError, match="component"):
+            parse_config(bad)
+
 
 class TestCli:
     def test_validate(self, config_path, tmp_path, capsys):
         assert main(["validate", "--config", config_path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is True
+
+    def test_validate_round_trips_control_characters(self, tmp_path):
+        cfg = json.loads(json.dumps(BIMETRIC))
+        cfg["metrics"][0]["name"] = "al\npha\tone"
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "valid.json"
+        assert main(["validate", "--config", str(p), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"]["metrics"][0]["name"] == "al\npha\tone"
+
+    def test_fiber_directions_need_2d(self, tmp_path, capsys):
+        p = tmp_path / "line.json"
+        p.write_text(json.dumps({
+            "dimension": 1, "coordinates": ["t"],
+            "metrics": [{"name": "a", "components": [["1+t^2"]]}],
+            "sampling": {"box": [[-1, 1]]},
+        }))
+        assert main(["sample", "--config", str(p), "--grid", "2", "--directions", "2"]) == 2
+        assert "dimension 1" in capsys.readouterr().err
+        script = Path(__file__).resolve().parent.parent / "scripts" / "geodesic_fan.py"
+        proc = subprocess.run([sys.executable, str(script), str(p), "--rays", "2",
+                               "--out-dir", str(tmp_path / "fan")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "dimension 1" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -54,6 +54,12 @@ class TestParseEvaluate:
         with pytest.raises(DimensionMismatchError):
             evaluate(parse("x1"), [1.0, 2.0, 3.0], dim=2)
 
+    def test_coordinate_past_end_of_point(self):
+        with pytest.raises(DimensionMismatchError):
+            evaluate(parse("x2"), [1.0])
+        with pytest.raises(DimensionMismatchError):
+            compile_expression(parse("1 + x2"))([1.0])
+
     def test_syntax_error_carries_offset(self):
         with pytest.raises(ParseError) as exc:
             parse("1 + * 2")
@@ -192,13 +198,17 @@ def test_roundtrip_pretty_print_bulk():
             assert evaluate(e, x) == evaluate(e2, x)
 
 
-def test_compiled_matches_interpreted():
+def test_compiled_matches_python_eval():
+    # independent oracle: Python evaluates the same text, whose grammar
+    # (^ right-associative, binding above unary minus) is that of **
     rng = np.random.default_rng(11)
+    names = {name: getattr(math, name) for name in ("sin", "tanh", "sqrt")}
     for _ in range(100):
-        e = parse(_random_expr(rng, 3))
-        f = compile_expression(e)
+        text = _random_expr(rng, 3)
+        f = compile_expression(parse(text))
         x = rng.uniform(-1.0, 1.0, size=2)
-        assert f(x) == evaluate(e, x)
+        ref = eval(text.replace("^", "**"), {"__builtins__": {}}, {**names, "x1": x[0], "x2": x[1]})
+        assert abs(f(x) - ref) <= 1e-14 * abs(ref), text
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))

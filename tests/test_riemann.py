@@ -5,7 +5,6 @@ from multifinsler.riemann import (
     MetricField,
     NotPositiveDefiniteError,
     christoffels_and_spray,
-    evaluate_metric,
     gauss_curvature,
     symmetric_polynomials,
 )
@@ -16,14 +15,14 @@ from conftest import COORDS, const_field, field, random_spd
 class TestEvaluateMetric:
     def test_identity(self):
         f = const_field("id", np.eye(2))
-        a, inv, det = evaluate_metric(f, [0.3, -0.7])
+        a, inv, det = f.spd_value([0.3, -0.7])
         assert np.allclose(a, np.eye(2))
         assert np.allclose(inv, np.eye(2))
         assert det == pytest.approx(1.0)
 
     def test_diagonal_x_dependent(self):
         f = field("m", [["4", "0"], ["0", "1+x1^2"]])
-        a, inv, det = evaluate_metric(f, [1.0, 0.0])
+        a, inv, det = f.spd_value([1.0, 0.0])
         assert np.allclose(a, np.diag([4.0, 2.0]))
         assert np.allclose(inv, np.diag([0.25, 0.5]))
         assert det == pytest.approx(8.0)
@@ -32,13 +31,13 @@ class TestEvaluateMetric:
         rng = np.random.default_rng(3)
         for _ in range(20):
             f = const_field("r", random_spd(rng))
-            a, inv, _ = evaluate_metric(f, [0.0, 0.0])
+            a, inv, _ = f.spd_value([0.0, 0.0])
             assert np.max(np.abs(inv @ a - np.eye(2))) < 1e-12
 
     def test_not_positive_definite(self):
         f = field("bad", [["1", "0"], ["0", "0-1"]])
         with pytest.raises(NotPositiveDefiniteError):
-            evaluate_metric(f, [0.0, 0.0])
+            f.spd_value([0.0, 0.0])
 
     def test_asymmetric_components_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -78,7 +77,7 @@ class TestChristoffels:
         worst = 0.0
         for _ in range(200):
             x = rng.uniform(-1, 1, size=2)
-            _, inv, _ = evaluate_metric(f, x)
+            _, inv, _ = f.spd_value(x)
             dA = np.empty((2, 2, 2))
             for s in range(2):
                 xp, xm = x.copy(), x.copy()
