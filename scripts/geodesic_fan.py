@@ -16,6 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from multifinsler.cli import UsageError, parse_point, positive_float, positive_int
 from multifinsler.config import ConfigError, load_config
 from multifinsler.geodesic import integrate_geodesic, path_action, path_to_csv
 
@@ -23,9 +24,9 @@ from multifinsler.geodesic import integrate_geodesic, path_action, path_to_csv
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("config")
-    ap.add_argument("--rays", type=int, default=8)
-    ap.add_argument("--t-end", type=float, default=1.0)
-    ap.add_argument("--step", type=float, default=1e-3)
+    ap.add_argument("--rays", type=positive_int, default=8)
+    ap.add_argument("--t-end", type=positive_float, default=1.0)
+    ap.add_argument("--step", type=positive_float, default=1e-3)
     ap.add_argument("--x0", default=None, help="start point, comma-separated")
     ap.add_argument("--out-dir", default="fan")
     args = ap.parse_args()
@@ -34,11 +35,14 @@ def main():
         cfg = load_config(args.config)
         thetas = [2.0 * math.pi * k / args.rays for k in range(args.rays)]
         directions = [cfg.fiber_direction(th) for th in thetas]
+        x0 = cfg.box_center() if args.x0 is None else parse_point(args.x0, "--x0", cfg.dimension)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        sys.exit(2)
     space = cfg.build_space()
-    x0 = cfg.box_center() if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config
-from .dim2 import invariant_I, invariants_JK
+from .connection import connection_state
+from .dim2 import frame_from_state, invariants_JK_from_state
 from .finsler import TangentSample, finsler_state
 from .geodesic import integrate_geodesic, path_action, path_to_csv, write_csv
 from .measure import busemann_hausdorff, holmes_thompson
@@ -60,6 +61,35 @@ def dumps_stable(obj, indent: int = 0) -> str:
     return json.dumps(str(obj), ensure_ascii=False)
 
 
+class UsageError(Exception):
+    """A command-line value the command cannot honour (exit status 2)."""
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
+def parse_point(text: str, flag: str, dimension: int) -> np.ndarray:
+    """A comma-separated point with one finite number per coordinate."""
+    try:
+        point = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        point = None
+    if point is None or len(point) != dimension or not np.all(np.isfinite(point)):
+        raise UsageError(f"{flag} needs {dimension} comma-separated finite numbers, got '{text}'")
+    return point
+
+
 def emit(obj, dest) -> None:
     """Write a report as stable JSON to dest ('-' for stdout)."""
     text = dumps_stable(obj) + "\n"
@@ -85,7 +115,7 @@ def _cmd_check(args) -> int:
 def _cmd_measure(args) -> int:
     cfg = load_config(args.config)
     space = cfg.build_space()
-    x = cfg.box_center() if args.at is None else np.array([float(v) for v in args.at.split(",")])
+    x = cfg.box_center() if args.at is None else parse_point(args.at, "--at", cfg.dimension)
     ht_closed = holmes_thompson(space, x, "closed")
     ht_disc = holmes_thompson(space, x, "disc_oracle")
     bh = busemann_hausdorff(space, x, "auto")
@@ -113,12 +143,12 @@ def _cmd_measure(args) -> int:
 def _cmd_geodesic(args) -> int:
     cfg = load_config(args.config)
     space = cfg.build_space()
-    x0 = cfg.box_center() if args.x0 is None else np.array([float(v) for v in args.x0.split(",")])
+    x0 = cfg.box_center() if args.x0 is None else parse_point(args.x0, "--x0", cfg.dimension)
     if args.y0 is None:
         y0 = np.zeros(cfg.dimension)
         y0[0] = 1.0
     else:
-        y0 = np.array([float(v) for v in args.y0.split(",")])
+        y0 = parse_point(args.y0, "--y0", cfg.dimension)
     path = integrate_geodesic(space, x0, y0, args.t_end, args.step)
     if args.format == "csv":
         path_to_csv(path, args.out, cfg.coordinates)
@@ -152,13 +182,14 @@ def _cmd_sample(args) -> int:
     points = np.stack([m.ravel() for m in mesh], axis=1)
     for x in points:
         for th, y in zip(thetas, directions):
-            st = finsler_state(space, TangentSample(x, y))
-            row = [*map(float, x), float(th), st.F, st.det_g]
+            s = TangentSample(x, y)
             if is2d:
-                s = TangentSample(x, y)
-                j_val, k_val = invariants_JK(space, s)
-                row += [invariant_I(space, s, "compact"), j_val, k_val]
-            rows.append(row)
+                cs = connection_state(space, s)
+                st, fr = cs.state, frame_from_state(cs.state)
+                ijk = [fr.I, *invariants_JK_from_state(space, cs, fr)]
+            else:
+                st, ijk = finsler_state(space, s), []
+            rows.append([*map(float, x), float(th), st.F, st.det_g, *ijk])
     write_csv(header, rows, args.out)
     return 0
 
@@ -182,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(c)
     c.add_argument("--suite", default="all", choices=["identities", "measures", "geodesics", "all"])
     c.add_argument("--seed", type=int, default=None, help="override the config seed")
-    c.add_argument("--tol-scale", type=float, default=1.0, help="scale all tolerances")
+    c.add_argument("--tol-scale", type=positive_float, default=1.0, help="scale all tolerances")
     c.set_defaults(func=_cmd_check)
 
     m = sub.add_parser("measure", help="measure densities at a point")
@@ -194,15 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(g)
     g.add_argument("--x0", default=None, help="start point, comma-separated")
     g.add_argument("--y0", default=None, help="start velocity, comma-separated")
-    g.add_argument("--t-end", type=float, default=1.0)
-    g.add_argument("--step", type=float, default=1e-3)
+    g.add_argument("--t-end", type=positive_float, default=1.0)
+    g.add_argument("--step", type=positive_float, default=1e-3)
     g.add_argument("--format", default="csv", choices=["csv", "json"])
     g.set_defaults(func=_cmd_geodesic)
 
     s = sub.add_parser("sample", help="grid evaluation of norm and invariants")
     common(s)
-    s.add_argument("--grid", type=int, default=8, help="grid points per axis")
-    s.add_argument("--directions", type=int, default=16, help="fiber directions per point")
+    s.add_argument("--grid", type=positive_int, default=8, help="grid points per axis")
+    s.add_argument("--directions", type=positive_int, default=16, help="fiber directions per point")
     s.set_defaults(func=_cmd_sample)
     return p
 
@@ -214,6 +245,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # infrastructure fault: diagnostics, nonzero exit
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -50,15 +50,16 @@ class Frame2D:
     cross: np.ndarray     # (N, N) antisymmetric cross terms A[mu, nu]
     sqrt_g: float
     det_identity_residual: float  # relative residual of det g / F^3 = sum det a_mu / F_mu^3
+    I: float              # main scalar, closed cross-term formula
 
 
 def frame2d(space: MultiMetricSpace, sample: TangentSample) -> Frame2D:
     require_2d(space)
-    state = finsler_state(space, sample)
-    return _frame_from_state(state)
+    return frame_from_state(finsler_state(space, sample))
 
 
-def _frame_from_state(state: FinslerState) -> Frame2D:
+def frame_from_state(state: FinslerState) -> Frame2D:
+    """The frame of an already evaluated 2D state; evaluates nothing at other points."""
     sqrt_g = float(np.sqrt(state.det_g))
     m = _perp_down(state.l_up, sqrt_g)
     m_up = _perp_up(state.l, 1.0 / sqrt_g)
@@ -78,16 +79,14 @@ def _frame_from_state(state: FinslerState) -> Frame2D:
     rhs = float(np.sum(state.a_det / state.F_mu**3))
     resid = abs(lhs - rhs) / abs(lhs)
 
+    w = state.a_det / state.F_mu**4
+    i_compact = float(1.5 * state.F**4 / state.det_g * np.einsum("n,mn->", w, cross))
+
     return Frame2D(
         state=state, l=state.l, l_up=state.l_up, m=m, m_up=m_up,
         l_mu=state.l_mu, m_mu=m_mu, m_mu_up=m_mu_up, cross=cross,
-        sqrt_g=sqrt_g, det_identity_residual=resid,
+        sqrt_g=sqrt_g, det_identity_residual=resid, I=i_compact,
     )
-
-
-def _compact_I(state: FinslerState, cross: np.ndarray) -> float:
-    w = state.a_det / state.F_mu**4
-    return float(1.5 * state.F**4 / state.det_g * np.einsum("n,mn->", w, cross))
 
 
 def invariant_I(space: MultiMetricSpace, sample: TangentSample, mode: str = "compact") -> float:
@@ -97,42 +96,51 @@ def invariant_I(space: MultiMetricSpace, sample: TangentSample, mode: str = "com
     (F / 2 det g) m^i d(det g)/dy_i with the fiber derivative by central
     differences of the assembled determinant.
     """
-    require_2d(space)
     fr = frame2d(space, sample)
     if mode == "compact":
-        return _compact_I(fr.state, fr.cross)
+        return fr.I
     if mode == "oracle":
-        x, y = sample.x, sample.y
-        h = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-        grad = central_difference(lambda yy: finsler_state(space, TangentSample(x, yy)).det_g, y, h)
-        return float(fr.state.F / (2.0 * fr.state.det_g) * fr.m_up @ grad)
+        return _oracle_I(space, fr)
     raise ValueError(f"unknown mode '{mode}'")
 
 
-def _delta_scalar(space, x, y, N, field: Callable, hx: float, hy: float) -> np.ndarray:
-    """delta_i phi = d_i phi - N^j_i d phi/dy_j by central differences."""
-    dx = central_difference(lambda xx: field(xx, y), x, hx)
-    dy = central_difference(lambda yy: field(x, yy), y, hy)
-    return dx - np.einsum("ji,j->i", N, dy)
+def _oracle_I(space: MultiMetricSpace, fr: Frame2D) -> float:
+    x, y = fr.state.x, fr.state.y
+    h = FD_STEP * (1.0 + float(np.linalg.norm(y)))
+    grad = central_difference(lambda yy: finsler_state(space, TangentSample(x, yy)).det_g, y, h)
+    return float(fr.state.F / (2.0 * fr.state.det_g) * fr.m_up @ grad)
 
 
-def frame_apply(space: MultiMetricSpace, sample: TangentSample, field: Callable, which: str) -> float:
-    """Apply a frame vector (e1 = m^i delta_i, e2 = l^i delta_i, e3 = F m^i d/dy_i)
-    to a scalar field phi(x, y), derivatives by central differences."""
-    require_2d(space)
-    cs = connection_state(space, sample)
-    fr = _frame_from_state(cs.state)
-    x, y = sample.x, sample.y
+def _horizontal_derivative(cs: ConnectionState, field: Callable) -> np.ndarray:
+    """delta_i phi = d_i phi - N^j_i d phi/dy_j at the sample of cs by central differences.
+
+    phi may be scalar- or array-valued; the result is (2, *phi.shape).
+    """
+    x, y = cs.state.x, cs.state.y
     hx = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
+    dx = central_difference(lambda xx: field(xx, y), x, hx)
+    dy = central_difference(lambda yy: field(x, yy), y, hy)
+    return dx - np.einsum("ji,j...->i...", cs.N, dy)
+
+
+def frame_apply(space: MultiMetricSpace, cs: ConnectionState, field: Callable, which: str):
+    """Apply a frame vector (e1 = m^i delta_i, e2 = l^i delta_i, e3 = F m^i d/dy_i)
+    at the sample of cs to a field phi(x, y), derivatives by central differences.
+
+    phi may be scalar- or array-valued; the result has the shape of phi.
+    """
+    require_2d(space)
+    fr = frame_from_state(cs.state)
     if which == "e3":
+        x, y = cs.state.x, cs.state.y
+        hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
         dy = central_difference(lambda yy: field(x, yy), y, hy)
-        return float(fr.state.F * fr.m_up @ dy)
-    delta = _delta_scalar(space, x, y, cs.N, field, hx, hy)
+        return fr.state.F * fr.m_up @ dy
     if which == "e1":
-        return float(fr.m_up @ delta)
+        return fr.m_up @ _horizontal_derivative(cs, field)
     if which == "e2":
-        return float(fr.l_up @ delta)
+        return fr.l_up @ _horizontal_derivative(cs, field)
     raise ValueError(f"unknown frame vector '{which}'")
 
 
@@ -150,9 +158,17 @@ def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float
     """
     require_2d(space)
     cs = connection_state(space, sample)
-    fr = _frame_from_state(cs.state)
+    return invariants_JK_from_state(space, cs, frame_from_state(cs.state))
+
+
+def invariants_JK_from_state(space: MultiMetricSpace, cs: ConnectionState, fr: Frame2D) -> tuple[float, float]:
+    """J and K (see invariants_JK) at the sample of cs, whose frame is fr.
+
+    The frame derivatives of all sectors come from one array-valued field, so
+    they evaluate 8 neighbours for any number of metrics.
+    """
     st = cs.state
-    x, y = sample.x, sample.y
+    x, y = st.x, st.y
     F, F_mu, det_g = st.F, st.F_mu, st.det_g
     w3 = (F / F_mu) ** 3 * st.a_det / det_g
 
@@ -169,31 +185,29 @@ def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float
         a_coeff += w3[k] * (float(vec @ u) - contr)
     J = -a_coeff
 
+    def sector_scalars(xx, yy):
+        """(s_mu, t_mu) for every sector: s_mu = F/F_mu^2 sqrt(det a_mu/det g) m.dN_mu.m^,
+        t_mu = F/F_mu sqrt(det a_mu/det g)."""
+        c = connection_state(space, TangentSample(xx, yy))
+        f = frame_from_state(c.state)
+        s = c.state
+        ratio = np.sqrt(s.a_det / s.det_g)
+        m_dn_m = np.array([float(f.m @ d @ f.m_up) for d in c.dN_mu])
+        return np.concatenate([s.F / s.F_mu**2 * ratio * m_dn_m, s.F / s.F_mu * ratio])
+
+    delta = _horizontal_derivative(cs, sector_scalars)
+    n = space.n_metrics
+    e2_s = fr.l_up @ delta[:, :n]
+    e1_t = fr.m_up @ delta[:, n:]
+
     K = 0.0
     sq = np.sqrt(st.a_det / det_g)
-    for k in range(space.n_metrics):
+    for k in range(n):
         K_k = gauss_curvature(space.metrics[k], x)
         K += K_k * (F / F_mu[k]) * (st.a_det[k] / det_g)
-
-        def s_field(xx, yy, k=k):
-            c = connection_state(space, TangentSample(xx, yy))
-            f = _frame_from_state(c.state)
-            s = c.state
-            return (
-                s.F / s.F_mu[k] ** 2
-                * np.sqrt(s.a_det[k] / s.det_g)
-                * float(f.m @ c.dN_mu[k] @ f.m_up)
-            )
-
-        def t_field(xx, yy, k=k):
-            s = finsler_state(space, TangentSample(xx, yy))
-            return s.F / s.F_mu[k] * np.sqrt(s.a_det[k] / s.det_g)
-
-        e2_s = frame_apply(space, sample, s_field, "e2")
         m_dn_l = float(fr.m @ cs.dN_mu[k] @ fr.l_up)
-        e1_t = frame_apply(space, sample, t_field, "e1")
-        K -= (F / F_mu[k]) * sq[k] * e2_s
-        K -= (F / F_mu[k] ** 2) * sq[k] * m_dn_l * e1_t
+        K -= (F / F_mu[k]) * sq[k] * e2_s[k]
+        K -= (F / F_mu[k] ** 2) * sq[k] * m_dn_l * e1_t[k]
     return float(J), float(K)
 
 
@@ -283,13 +297,13 @@ def cartan_structure_residuals(
     """
     require_2d(space)
     cs = connection_state(space, sample)
-    fr = _frame_from_state(cs.state)
+    fr = frame_from_state(cs.state)
     st = cs.state
     F, F_mu, det_g = st.F, st.F_mu, st.det_g
 
-    I_c = _compact_I(st, fr.cross)
-    I_o = invariant_I(space, sample, mode="oracle")
-    J, K = invariants_JK(space, sample) if with_invariants else (float("nan"), float("nan"))
+    I_c = fr.I
+    I_o = _oracle_I(space, fr)
+    J, K = invariants_JK_from_state(space, cs, fr) if with_invariants else (float("nan"), float("nan"))
 
     w3 = (F / F_mu) ** 3 * st.a_det / det_g           # (F/F_mu)^3 det a / det g
     w2 = F**2 / F_mu**3 * st.a_det / det_g

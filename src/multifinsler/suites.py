@@ -19,7 +19,7 @@ from .connection import (
     nonlinear_connection_fd,
     variational_spray,
 )
-from .dim2 import cartan_structure_residuals, frame2d, frame_apply, invariant_I
+from .dim2 import cartan_structure_residuals, frame_apply, frame_from_state, invariant_I
 from .finsler import (
     MultiMetricSpace,
     TangentSample,
@@ -116,7 +116,7 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
         )
         delta_f = max(delta_f, horizontal_compatibility_residual(space, s))
         if space.dim == 2:
-            fr = frame2d(space, s)
+            fr = frame_from_state(st)
             det_id = max(det_id, fr.det_identity_residual)
             frame_res = max(
                 frame_res,
@@ -124,10 +124,9 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
                 abs(st.l_up @ fr.m),
                 float(np.max(np.abs(st.h - np.outer(fr.m, fr.m)))),
             )
-            i_val = invariant_I(space, s, "compact")
             cartan_fact = max(
                 cartan_fact,
-                float(np.max(np.abs(st.F * st.C - i_val * np.einsum("i,j,k->ijk", fr.m, fr.m, fr.m)))),
+                float(np.max(np.abs(st.F * st.C - fr.I * np.einsum("i,j,k->ijk", fr.m, fr.m, fr.m)))),
             )
     out.append(_check("norm-homogeneity", hom, "analytic", n_full, tol_scale))
     out.append(_check("euler-contractions", euler, "analytic", n_full, tol_scale, tol=1e-8))
@@ -168,7 +167,7 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
             def i_field(xx, yy):
                 return invariant_I(space, TangentSample(xx, yy), "compact")
 
-            e2_i = frame_apply(space, s, i_field, "e2")
+            e2_i = frame_apply(space, cs, i_field, "e2")
             j_res = max(j_res, abs(r.J - e2_i) / (1.0 + abs(r.J)))
 
     out.append(_check("fundamental-tensor-vs-hessian-oracle", g_fd, "fd", n_fd, tol_scale))

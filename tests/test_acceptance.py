@@ -179,7 +179,7 @@ def test_criterion_06_invariants():
         def i_field(xx, yy):
             return invariant_I(sp, TangentSample(xx, yy), "compact")
 
-        e2_i = frame_apply(sp, s, i_field, "e2")
+        e2_i = frame_apply(sp, connection_state(sp, s), i_field, "e2")
         j_res = max(j_res, abs(j_val - e2_i))
     comp = "4/(1+x1^2+x2^2)^2"
     sphere = space_of(field("round", [[comp, "0"], ["0", comp]]))

@@ -192,6 +192,58 @@ class TestCli:
         assert lines[0] == "x1,x2,theta,F,det_g,I,J,K"
         assert len(lines) == 1 + 3 * 3 * 4
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_tol_scale_must_be_finite_and_positive(self, config_path, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", config_path, "--suite", "identities", "--tol-scale", scale])
+        assert exc.value.code == 2
+        assert "--tol-scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--grid", "0"],
+        ["sample", "--directions", "0"],
+        ["sample", "--grid", "-1"],
+        ["geodesic", "--step", "0"],
+        ["geodesic", "--t-end", "nan"],
+    ])
+    def test_counts_and_steps_must_be_positive(self, config_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", config_path, *argv[1:]])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--at", "0,0,0"],
+        ["measure", "--at", "0,x"],
+        ["geodesic", "--x0", "0.1"],
+        ["geodesic", "--y0", "1,nan"],
+    ])
+    def test_points_need_one_number_per_coordinate(self, config_path, argv, capsys):
+        assert main([argv[0], "--config", config_path, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert argv[1] in err and "Traceback" not in err
+
+    def test_fan_script_point_needs_one_number_per_coordinate(self, config_path, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "geodesic_fan.py"
+        proc = subprocess.run([sys.executable, str(script), config_path, "--x0", "0.1",
+                               "--out-dir", str(tmp_path / "fan")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "--x0" in proc.stderr and "Traceback" not in proc.stderr
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+def test_identity_reports_match_stored_references(name, tmp_path):
+    """check --suite identities at each config's own seed, byte for byte."""
+    out = tmp_path / "report.json"
+    assert main(["check", "--config", str(REPO / "configs" / f"{name}.json"),
+                 "--suite", "identities", "--out", str(out)]) == 0
+    reference = REPO / "perfbench" / "reference" / f"check-{name}-identities.json"
+    assert out.read_bytes() == reference.read_bytes()
+
 
 class TestStableJson:
     def test_sorted_keys_and_float_format(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multifinsler.connection import connection_state
 from multifinsler.dim2 import (
     cartan_structure_residuals,
     frame2d,
@@ -130,7 +131,73 @@ class TestInvariantI:
         assert np.max(np.abs(c_neg + c_pos)) < 1e-13
 
 
+class TestFrameApply:
+    """Closed forms on a constant metric pair, where N = 0."""
+
+    def test_constant_metric_closed_forms(self, bi_const):
+        cs = connection_state(bi_const, S)
+        fr = frame2d(bi_const, S)
+        assert np.max(np.abs(cs.N)) < 1e-14
+
+        def x1(xx, yy):
+            return xx[0]
+
+        def y1(xx, yy):
+            return yy[0]
+
+        def norm(xx, yy):
+            return finsler_state(bi_const, TangentSample(xx, yy)).F
+
+        assert frame_apply(bi_const, cs, x1, "e1") == pytest.approx(fr.m_up[0], abs=1e-10)
+        assert frame_apply(bi_const, cs, x1, "e2") == pytest.approx(fr.l_up[0], abs=1e-10)
+        assert frame_apply(bi_const, cs, y1, "e3") == pytest.approx(fr.state.F * fr.m_up[0], abs=1e-10)
+        assert abs(frame_apply(bi_const, cs, norm, "e3")) < 1e-9
+
+    def test_array_field_matches_scalar_fields(self, bi_x):
+        cs = connection_state(bi_x, S)
+
+        def fields(xx, yy):
+            st = finsler_state(bi_x, TangentSample(xx, yy))
+            return np.array([st.F, xx[0] * yy[1], st.det_g])
+
+        for which in ("e1", "e2", "e3"):
+            vec = frame_apply(bi_x, cs, fields, which)
+            assert vec.shape == (3,)
+            for k in range(3):
+                scalar = frame_apply(bi_x, cs, lambda xx, yy, k=k: fields(xx, yy)[k], which)
+                assert vec[k] == pytest.approx(scalar, rel=1e-14, abs=1e-15)
+
+    def test_unknown_frame_vector(self, bi_const):
+        with pytest.raises(ValueError, match="e4"):
+            frame_apply(bi_const, connection_state(bi_const, S), lambda xx, yy: 0.0, "e4")
+
+
 class TestInvariantsJK:
+    def test_neighbour_count_does_not_grow_with_metrics(self, monkeypatch, euclid, bi_x, tri_space):
+        import multifinsler.connection as connection_mod
+        import multifinsler.dim2 as dim2_mod
+
+        counts = {"connection_state": 0, "finsler_state": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (dim2_mod, connection_mod):
+            for name in counts:
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+
+        per_space = []
+        for sp in (euclid, bi_x, tri_space):
+            counts.update(connection_state=0, finsler_state=0)
+            invariants_JK(sp, S)
+            per_space.append(dict(counts))
+        assert per_space[0] == per_space[1] == per_space[2]
+        # the centre, 4 fiber neighbours for dN/dy and 8 neighbours for the frame derivatives
+        assert per_space[0]["connection_state"] == 13
+
     def test_constant_metrics(self, bi_const):
         j, k = invariants_JK(bi_const, S)
         assert abs(j) < 1e-10
@@ -153,7 +220,7 @@ class TestInvariantsJK:
         def i_field(xx, yy):
             return invariant_I(bi_x, TangentSample(xx, yy), "compact")
 
-        e2_i = frame_apply(bi_x, S, i_field, "e2")
+        e2_i = frame_apply(bi_x, connection_state(bi_x, S), i_field, "e2")
         assert abs(j) > 1e-3
         assert abs(j - e2_i) < 1e-5
 
