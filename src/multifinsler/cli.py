@@ -20,6 +20,7 @@ from .dim2 import frame_from_state, invariants_JK_from_state
 from .finsler import TangentSample, finsler_state
 from .geodesic import integrate_geodesic, path_action, path_to_csv, write_csv
 from .measure import busemann_hausdorff, holmes_thompson
+from .riemann import gauss_curvature
 from .suites import run_suite
 
 
@@ -69,6 +70,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -181,12 +189,13 @@ def _cmd_sample(args) -> int:
     mesh = np.meshgrid(*grid, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
     for x in points:
+        gauss = [gauss_curvature(m, x) for m in space.metrics] if is2d else None
         for th, y in zip(thetas, directions):
             s = TangentSample(x, y)
             if is2d:
                 cs = connection_state(space, s)
                 st, fr = cs.state, frame_from_state(cs.state)
-                ijk = [fr.I, *invariants_JK_from_state(space, cs, fr)]
+                ijk = [fr.I, *invariants_JK_from_state(space, cs, fr, gauss)]
             else:
                 st, ijk = finsler_state(space, s), []
             rows.append([*map(float, x), float(th), st.F, st.det_g, *ijk])
@@ -212,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run a verification suite")
     common(c)
     c.add_argument("--suite", default="all", choices=["identities", "measures", "geodesics", "all"])
-    c.add_argument("--seed", type=int, default=None, help="override the config seed")
+    c.add_argument("--seed", type=non_negative_int, default=None, help="override the config seed")
     c.add_argument("--tol-scale", type=positive_float, default=1.0, help="scale all tolerances")
     c.set_defaults(func=_cmd_check)
 

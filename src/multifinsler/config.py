@@ -79,6 +79,16 @@ def _expect(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; booleans are rejected although Python counts them as ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    """A finite JSON number; rejects booleans and the Infinity/NaN that json accepts."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _expect_keys(obj: dict, allowed: tuple[str, ...], where: str):
     unknown = sorted(set(obj) - set(allowed))
     _expect(not unknown, f"unknown key(s) {unknown} in {where}; accepted keys are {list(allowed)}")
@@ -91,7 +101,7 @@ def parse_config(data: dict) -> SpaceConfig:
     _expect_keys(data, ("dimension", "coordinates", "metrics", "sampling"), "top level")
     _expect("dimension" in data, "missing 'dimension'")
     dim = data["dimension"]
-    _expect(isinstance(dim, int) and dim >= 1, f"'dimension' must be a positive integer, got {dim!r}")
+    _expect(_is_int(dim) and dim >= 1, f"'dimension' must be a positive integer, got {dim!r}")
 
     coords = data.get("coordinates")
     _expect(isinstance(coords, list) and len(coords) == dim,
@@ -124,12 +134,12 @@ def parse_config(data: dict) -> SpaceConfig:
     seed = sampling.get("seed", 42)
     count = sampling.get("count", 500)
     box = sampling.get("box", [[-1.0, 1.0]] * dim)
-    _expect(isinstance(seed, int), "'sampling.seed' must be an integer")
-    _expect(isinstance(count, int) and count >= 1, "'sampling.count' must be a positive integer")
+    _expect(_is_int(seed) and seed >= 0, f"'sampling.seed' must be a non-negative integer, got {seed!r}")
+    _expect(_is_int(count) and count >= 1, f"'sampling.count' must be a positive integer, got {count!r}")
     _expect(isinstance(box, list) and len(box) == dim, f"'sampling.box' must have {dim} intervals")
     for b in box:
-        _expect(isinstance(b, list) and len(b) == 2 and all(isinstance(v, (int, float)) for v in b)
-                and b[0] < b[1], f"invalid box interval {b!r}")
+        _expect(isinstance(b, list) and len(b) == 2 and all(_is_finite_number(v) for v in b)
+                and b[0] < b[1], f"invalid box interval {b!r}: needs two finite numbers, low < high")
 
     cfg = SpaceConfig(
         dimension=dim,

@@ -26,7 +26,7 @@ from .finsler import (
     finsler_state,
     sector_norms,
 )
-from .riemann import christoffels_and_spray
+from .riemann import _christoffel
 
 FD_STEP = 1e-5
 MIXED_FD_STEP = 1e-4
@@ -146,11 +146,15 @@ def cartan_y_derivative(state: FinslerState) -> np.ndarray:
 
 
 def _sector_data(space: MultiMetricSpace, x, y):
+    """Per-sector Christoffels, sprays Gamma y y and connections Gamma y, from the
+    inverses that metric_values validated at x."""
+    _, a_inv, _ = space.metric_values(x)
     gammas, sprays, nonlins = [], [], []
-    for m in space.metrics:
-        gam, g_i, n_ij = christoffels_and_spray(m, x, y)
+    for inv, m in zip(a_inv, space.metrics):
+        gam = _christoffel(inv, m.derivative(x))
+        n_ij = np.einsum("ijk,k->ij", gam, y)
         gammas.append(gam)
-        sprays.append(g_i)
+        sprays.append(n_ij @ y)
         nonlins.append(n_ij)
     return np.stack(gammas), np.stack(sprays), np.stack(nonlins)
 

@@ -158,14 +158,19 @@ def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float
     """
     require_2d(space)
     cs = connection_state(space, sample)
-    return invariants_JK_from_state(space, cs, frame_from_state(cs.state))
+    gauss = [gauss_curvature(m, cs.state.x) for m in space.metrics]
+    return invariants_JK_from_state(space, cs, frame_from_state(cs.state), gauss)
 
 
-def invariants_JK_from_state(space: MultiMetricSpace, cs: ConnectionState, fr: Frame2D) -> tuple[float, float]:
+def invariants_JK_from_state(
+    space: MultiMetricSpace, cs: ConnectionState, fr: Frame2D, gauss: list[float]
+) -> tuple[float, float]:
     """J and K (see invariants_JK) at the sample of cs, whose frame is fr.
 
-    The frame derivatives of all sectors come from one array-valued field, so
-    they evaluate 8 neighbours for any number of metrics.
+    gauss holds the sector Gauss curvatures at the sample's x, which callers
+    evaluating many fiber directions at one x compute once.  The frame
+    derivatives of all sectors come from one array-valued field, so they
+    evaluate 8 neighbours for any number of metrics.
     """
     st = cs.state
     x, y = st.x, st.y
@@ -203,8 +208,7 @@ def invariants_JK_from_state(space: MultiMetricSpace, cs: ConnectionState, fr: F
     K = 0.0
     sq = np.sqrt(st.a_det / det_g)
     for k in range(n):
-        K_k = gauss_curvature(space.metrics[k], x)
-        K += K_k * (F / F_mu[k]) * (st.a_det[k] / det_g)
+        K += gauss[k] * (F / F_mu[k]) * (st.a_det[k] / det_g)
         m_dn_l = float(fr.m @ cs.dN_mu[k] @ fr.l_up)
         K -= (F / F_mu[k]) * sq[k] * e2_s[k]
         K -= (F / F_mu[k] ** 2) * sq[k] * m_dn_l * e1_t[k]
@@ -288,22 +292,25 @@ def _oneform_roundtrip(space, cs: ConnectionState, fr: Frame2D) -> float:
 
 
 def cartan_structure_residuals(
-    space: MultiMetricSpace, sample: TangentSample, with_invariants: bool = True
+    space: MultiMetricSpace, cs: ConnectionState, with_invariants: bool = True
 ) -> StructureReport:
-    """Residuals of the structure-equation coefficients at one sample.
+    """Residuals of the structure-equation coefficients at the sample of cs.
 
     ``with_invariants=False`` skips the frame-derivative scalars J and K
     (reported as nan), which keeps the per-sample cost to the analytic parts.
     """
     require_2d(space)
-    cs = connection_state(space, sample)
     fr = frame_from_state(cs.state)
     st = cs.state
     F, F_mu, det_g = st.F, st.F_mu, st.det_g
 
     I_c = fr.I
     I_o = _oracle_I(space, fr)
-    J, K = invariants_JK_from_state(space, cs, fr) if with_invariants else (float("nan"), float("nan"))
+    if with_invariants:
+        gauss = [gauss_curvature(m, st.x) for m in space.metrics]
+        J, K = invariants_JK_from_state(space, cs, fr, gauss)
+    else:
+        J, K = float("nan"), float("nan")
 
     w3 = (F / F_mu) ** 3 * st.a_det / det_g           # (F/F_mu)^3 det a / det g
     w2 = F**2 / F_mu**3 * st.a_det / det_g

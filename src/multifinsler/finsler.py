@@ -12,6 +12,7 @@ A finite-difference Hessian of F^2/2 is kept as an independent oracle.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,16 +56,32 @@ class MultiMetricSpace:
         self.dim = len(coords)
         self.n_metrics = len(self.metrics)
         self.eps_slit = float(eps_slit)
+        self._last_values: tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def metric_values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a_mu, inv_mu, det_mu) stacked over sectors, SPD-validated."""
+        """(a_mu, inv_mu, det_mu) stacked over sectors, SPD-validated.
+
+        The most recent point is remembered, keyed on its shape and bytes, so
+        the many evaluations at one x (fiber differences, quadrature over y)
+        validate it once.  The returned arrays are read-only.  A point that
+        fails the SPD check is not remembered.
+        """
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        last = self._last_values  # one read, so a concurrent caller cannot swap it in between
+        if last is not None and last[0] == key:
+            return last[1]
         mats, invs, dets = [], [], []
         for m in self.metrics:
             a, inv, det = m.spd_value(x)
             mats.append(a)
             invs.append(inv)
             dets.append(det)
-        return np.stack(mats), np.stack(invs), np.array(dets)
+        values = (np.stack(mats), np.stack(invs), np.array(dets))
+        for v in values:
+            v.flags.writeable = False
+        self._last_values = (key, values)
+        return values
 
     def metric_derivatives(self, x) -> np.ndarray:
         """dA[mu, s, i, j] = d a^mu_ij / d x_s."""
@@ -112,25 +129,42 @@ class FinslerState:
     h: np.ndarray             # (n, n) angular part, g - l (x) l
     h_mu: np.ndarray          # (N, n, n)
     g: np.ndarray             # (n, n) fundamental tensor
-    g_inv: np.ndarray
     det_g: float
-    C: np.ndarray             # (n, n, n) Cartan tensor
     a_mu: np.ndarray          # (N, n, n) sector metrics at x
     a_inv: np.ndarray
     a_det: np.ndarray
+
+    @functools.cached_property
+    def g_inv(self) -> np.ndarray:
+        """Inverse fundamental tensor, computed on first access."""
+        return np.linalg.inv(self.g)
+
+    @functools.cached_property
+    def C(self) -> np.ndarray:
+        """(n, n, n) Cartan tensor, computed on first access.
+
+        Closed form: 2C = sum_mu sym3(l, h_mu)/F_mu - sum_mu (F/F_mu^2) sym3(l_mu, h_mu).
+        """
+        n = len(self.l)
+        C = np.zeros((n, n, n))
+        for k in range(len(self.F_mu)):
+            C += _sym3(self.l, self.h_mu[k]) / self.F_mu[k]
+            C -= (self.F / self.F_mu[k] ** 2) * _sym3(self.l_mu[k], self.h_mu[k])
+        C *= 0.5
+        return C
 
 
 def _sym3(v: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Fully symmetric combination v_i H_jk + v_j H_ik + v_k H_ij."""
     return (
-        np.einsum("i,jk->ijk", v, H)
-        + np.einsum("j,ik->ijk", v, H)
-        + np.einsum("k,ij->ijk", v, H)
+        v[:, None, None] * H[None, :, :]
+        + v[None, :, None] * H[:, None, :]
+        + v[None, None, :] * H[:, :, None]
     )
 
 
 def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerState:
-    """Evaluate the norm, fundamental tensor and Cartan tensor at a sample."""
+    """Evaluate the norm and fundamental tensor at a sample; C and g_inv follow on access."""
     space.check_sample(sample)
     x, y = sample.x, sample.y
     a_mu, a_inv, a_det = space.metric_values(x)
@@ -149,23 +183,13 @@ def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerStat
             f"fundamental tensor not positive definite at x={x.tolist()}, y={y.tolist()} "
             f"(eigenvalues {w.tolist()})"
         )
-    g_inv = np.linalg.inv(g)
     det_g = float(np.linalg.det(g))
     h = g - np.outer(l, l)
     l_up = y / F
 
-    # Cartan tensor, closed form:
-    #   2C = sum_mu sym3(l, h_mu)/F_mu - sum_mu (F/F_mu^2) sym3(l_mu, h_mu)
-    n = space.dim
-    C = np.zeros((n, n, n))
-    for k in range(space.n_metrics):
-        C += _sym3(l, h_mu[k]) / F_mu[k]
-        C -= (F / F_mu[k] ** 2) * _sym3(l_mu[k], h_mu[k])
-    C *= 0.5
-
     return FinslerState(
         x=x, y=y, F=F, F_mu=F_mu, l=l, l_up=l_up, l_mu=l_mu, h=h, h_mu=h_mu,
-        g=g, g_inv=g_inv, det_g=det_g, C=C, a_mu=a_mu, a_inv=a_inv, a_det=a_det,
+        g=g, det_g=det_g, a_mu=a_mu, a_inv=a_inv, a_det=a_det,
     )
 
 
@@ -220,8 +244,7 @@ def fundamental_tensor(space: MultiMetricSpace, sample: TangentSample, mode: str
         if w[0] <= 0.0:
             raise ConvexityError(f"FD Hessian not positive definite (eigenvalues {w.tolist()})")
         return dataclasses.replace(
-            state, g=g, g_inv=np.linalg.inv(g), det_g=float(np.linalg.det(g)),
-            h=g - np.outer(state.l, state.l),
+            state, g=g, det_g=float(np.linalg.det(g)), h=g - np.outer(state.l, state.l),
         )
     raise ValueError(f"unknown mode '{mode}'")
 

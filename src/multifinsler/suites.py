@@ -137,19 +137,20 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
         out.append(_check("cartan-frame-factorization", cartan_fact, "analytic", n_full, tol_scale, tol=1e-8))
 
     fd_samples = draw_samples(cfg, rng, n_fd)
-    g_fd = spray_fd = n_fd_res = 0.0
+    g_fd = spray_fd = n_fd_res = c_max = 0.0
     i_modes = j_res = 0.0
     for s in fd_samples:
-        st = finsler_state(space, s)
+        cs = connection_state(space, s)
+        st = cs.state
         gh = fd_fundamental_tensor(space, s.x, s.y)
         g_fd = max(g_fd, float(np.max(np.abs(st.g - gh)) / np.max(np.abs(st.g))))
-        cs = connection_state(space, s)
+        c_max = max(c_max, float(np.max(np.abs(st.C))))
         gv, _ = variational_spray(space, s)
         spray_fd = max(spray_fd, float(np.max(np.abs(cs.G - gv)) / (1.0 + np.max(np.abs(cs.G)))))
         nf = nonlinear_connection_fd(space, s)
         n_fd_res = max(n_fd_res, float(np.max(np.abs(cs.N - nf))))
         if space.dim == 2:
-            r = cartan_structure_residuals(space, s)
+            r = cartan_structure_residuals(space, cs)
             struct["structure-eq1-coefficients"] = max(
                 struct["structure-eq1-coefficients"], r.eq1_A_plus_I, r.eq1_B_minus_1, r.eq1_C)
             struct["structure-eq2-coefficients"] = max(
@@ -181,9 +182,6 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
         out.append(_check("landsberg-scalar-vs-directional-derivative", j_res, "nested-fd", n_fd, tol_scale, tol=1e-5))
 
         verdict = riemannian_detect(space, [s.x for s in fd_samples])
-        c_max = max(
-            float(np.max(np.abs(finsler_state(space, s).C))) for s in fd_samples
-        )
         consistent = (c_max <= 1e-10) == verdict.riemannian
         out.append(_check(
             "riemannian-detection-vs-cartan", 0.0 if consistent else 1.0,

@@ -101,3 +101,16 @@ def random_samples(rng: np.random.Generator, count: int, box=1.0):
         theta = rng.uniform(0.0, 2 * np.pi)
         out.append(TangentSample(x, np.array([np.cos(theta), np.sin(theta)])))
     return out
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; returns the counter."""
+    original = getattr(owner, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -126,7 +126,7 @@ def test_criterion_04_connection_suite():
         sp = random_bimetric_space(rng)
         for s in random_samples(rng, 50):
             delta_f = max(delta_f, horizontal_compatibility_residual(sp, s))
-            r = cartan_structure_residuals(sp, s, with_invariants=False)
+            r = cartan_structure_residuals(sp, connection_state(sp, s), with_invariants=False)
             ident = max(ident, r.sector_l_dN, r.sector_m_dN_l, r.sector_m_dN_m, r.cross_dN_identity)
             a_rel = max(a_rel, r.cross_log_gradient)
     # FD-based spray and connection comparisons on a deterministic subset
@@ -153,7 +153,7 @@ def test_criterion_05_structure_equation_residuals():
     for _ in range(5):
         sp = random_bimetric_space(rng)
         for s in random_samples(rng, 40):
-            r = cartan_structure_residuals(sp, s, with_invariants=False)
+            r = cartan_structure_residuals(sp, connection_state(sp, s), with_invariants=False)
             worst = max(
                 worst,
                 r.eq1_A_plus_I, r.eq1_B_minus_1, r.eq1_C,

@@ -86,6 +86,41 @@ class TestConfig:
             parse_config(bad)
 
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        bad = {**BIMETRIC, "sampling": {**BIMETRIC["sampling"], "seed": -1}}
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(bad)
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(bad))
+        assert main(["check", "--config", str(p), "--suite", "identities"]) == 2
+        assert "sampling.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["-Infinity", "Infinity", "NaN"])
+    def test_non_finite_box_rejected(self, tmp_path, bound, capsys):
+        # Python's json accepts these tokens, so they reach parse_config as floats
+        text = json.dumps(BIMETRIC).replace("[[-1, 1], [-1, 1]]", f"[[{bound}, 1], [-1, 1]]")
+        p = tmp_path / "space.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(p)
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "box" in capsys.readouterr().err
+
+    def test_booleans_are_not_numbers(self):
+        one_d = {
+            "dimension": True,
+            "coordinates": ["x1"],
+            "metrics": [{"name": "a", "components": [["1"]]}],
+            "sampling": {"box": [[-1, 1]]},
+        }
+        with pytest.raises(ConfigError, match="dimension"):
+            parse_config(one_d)
+        for key, value in (("seed", True), ("count", True), ("box", [[False, 1], [-1, 1]])):
+            bad = {**BIMETRIC, "sampling": {**BIMETRIC["sampling"], key: value}}
+            with pytest.raises(ConfigError, match=key):
+                parse_config(bad)
+
+
 class TestCli:
     def test_validate(self, config_path, tmp_path, capsys):
         assert main(["validate", "--config", config_path]) == 0
@@ -192,6 +227,23 @@ class TestCli:
         assert lines[0] == "x1,x2,theta,F,det_g,I,J,K"
         assert len(lines) == 1 + 3 * 3 * 4
 
+    def test_sample_computes_gauss_curvature_once_per_point(self, config_path, tmp_path, monkeypatch):
+        import multifinsler.cli as cli
+        import multifinsler.dim2 as dim2
+
+        calls = [0]
+        original = dim2.gauss_curvature
+
+        def counted(field, x):
+            calls[0] += 1
+            return original(field, x)
+
+        for module in (cli, dim2):
+            monkeypatch.setattr(module, "gauss_curvature", counted, raising=False)
+        assert main(["sample", "--config", config_path, "--grid", "2", "--directions", "3",
+                     "--out", str(tmp_path / "grid.csv")]) == 0
+        assert calls[0] == 2 * 2 * 2  # grid points x sectors, independent of the directions
+
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
     def test_tol_scale_must_be_finite_and_positive(self, config_path, scale, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -211,6 +263,12 @@ class TestCli:
             main([argv[0], "--config", config_path, *argv[1:]])
         assert exc.value.code == 2
         assert argv[1] in capsys.readouterr().err
+
+    def test_check_seed_must_be_non_negative(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", config_path, "--suite", "identities", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["measure", "--at", "0,0,0"],
@@ -235,14 +293,24 @@ class TestCli:
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
-def test_identity_reports_match_stored_references(name, tmp_path):
-    """check --suite identities at each config's own seed, byte for byte."""
+@pytest.mark.parametrize("name, suite", [
+    *(pytest.param(name, "identities", id=name) for name in ("single", "bimetric", "trimetric")),
+    *(pytest.param(name, "measures", id=f"{name}-measures") for name in ("single", "bimetric", "trimetric")),
+])
+def test_identity_reports_match_stored_references(name, suite, tmp_path):
+    """check --suite identities and measures at each config's own seed, byte for byte."""
     out = tmp_path / "report.json"
     assert main(["check", "--config", str(REPO / "configs" / f"{name}.json"),
-                 "--suite", "identities", "--out", str(out)]) == 0
-    reference = REPO / "perfbench" / "reference" / f"check-{name}-identities.json"
+                 "--suite", suite, "--out", str(out)]) == 0
+    reference = REPO / "perfbench" / "reference" / f"check-{name}-{suite}.json"
     assert out.read_bytes() == reference.read_bytes()
+
+
+def test_benchmark_tracer_selftest():
+    """perfbench/selftest.py: self-time arithmetic, and traced output equals untraced output."""
+    proc = subprocess.run([sys.executable, str(REPO / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestStableJson:

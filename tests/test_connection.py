@@ -14,9 +14,9 @@ from multifinsler.connection import (
     x_derivatives,
 )
 from multifinsler.finsler import TangentSample, finsler_state
-from multifinsler.riemann import christoffels_and_spray
+from multifinsler.riemann import MetricField, christoffels_and_spray
 
-from conftest import const_field, field, random_bimetric_space, random_samples, space_of
+from conftest import count_calls, const_field, field, random_bimetric_space, random_samples, space_of
 
 S = TangentSample([0.3, -0.5], [0.8, 0.6])
 
@@ -57,6 +57,24 @@ class TestSpray:
         for lam in (0.5, 2.0, 3.0):
             g2, _ = spray(bi_x, TangentSample(S.x, lam * S.y))
             assert np.max(np.abs(g2 - lam**2 * g1)) <= 1e-12 * (1.0 + lam**2 * np.max(np.abs(g1)))
+
+
+@pytest.mark.parametrize("n_metrics", [1, 2, 3])
+def test_connection_state_validates_each_metric_once(monkeypatch, n_metrics):
+    fields = [
+        field("alpha", [["1+x2^2", "0"], ["0", "1"]]),
+        field("beta", [["4", "0"], ["0", "1+x1^2"]]),
+        field("gamma", [["2+x2^2", "0.3"], ["0.3", "3"]]),
+    ][:n_metrics]
+    sp = space_of(*fields)
+    calls = count_calls(monkeypatch, MetricField, "spd_value")
+    cs = connection_state(sp, S)
+    assert calls[0] == n_metrics
+    for k, f in enumerate(fields):
+        gamma, g_k, n_k = christoffels_and_spray(f, S.x, S.y)
+        assert np.array_equal(cs.gamma_mu[k], gamma)
+        assert np.array_equal(cs.G_mu[k], g_k)
+        assert np.array_equal(cs.N_mu[k], n_k)
 
 
 class TestNonlinearConnection:

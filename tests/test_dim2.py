@@ -235,14 +235,14 @@ class TestInvariantsJK:
 
 class TestStructureResiduals:
     def test_riemannian_collapse(self, sphere_space):
-        r = cartan_structure_residuals(sphere_space, S)
+        r = cartan_structure_residuals(sphere_space, connection_state(sphere_space, S))
         assert abs(r.I_compact) < 1e-12
         for v in (r.eq1_A_plus_I, r.eq1_B_minus_1, r.eq1_C, r.eq2_A_plus_1, r.eq2_C, r.eq3_B):
             assert v < 1e-10
         assert r.oneform_roundtrip < 1e-10
 
     def test_bimetric_coefficients(self, bi_x):
-        r = cartan_structure_residuals(bi_x, S, with_invariants=False)
+        r = cartan_structure_residuals(bi_x, connection_state(bi_x, S), with_invariants=False)
         assert r.eq1_A_plus_I < 1e-6
         assert r.eq1_B_minus_1 < 1e-10
         assert r.eq1_C < 1e-6
@@ -264,7 +264,7 @@ class TestStructureResiduals:
         assert worst < 1e-10
 
     def test_matrix_element_identities(self, tri_space):
-        r = cartan_structure_residuals(tri_space, S, with_invariants=False)
+        r = cartan_structure_residuals(tri_space, connection_state(tri_space, S), with_invariants=False)
         assert r.sector_l_dN < 1e-6
         assert r.sector_m_dN_l < 1e-6
         assert r.sector_m_dN_m < 1e-6
@@ -272,5 +272,5 @@ class TestStructureResiduals:
         assert r.cross_log_gradient < 1e-7
 
     def test_oneform_roundtrip_trimetric(self, tri_space):
-        r = cartan_structure_residuals(tri_space, S, with_invariants=False)
+        r = cartan_structure_residuals(tri_space, connection_state(tri_space, S), with_invariants=False)
         assert r.oneform_roundtrip < 1e-10

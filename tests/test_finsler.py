@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multifinsler.finsler as finsler_mod
 from multifinsler.finsler import (
     MultiMetricSpace,
     SlitViolationError,
@@ -15,8 +16,9 @@ from multifinsler.finsler import (
     fundamental_tensor,
     riemannian_detect,
 )
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 
-from conftest import const_field, field, random_bimetric_space, random_samples, space_of
+from conftest import count_calls, const_field, field, random_bimetric_space, random_samples, space_of
 
 
 class TestNorm:
@@ -119,6 +121,84 @@ class TestCartanTensor:
         for lam in (0.5, 2.0):
             c2 = cartan_tensor(bi_x, TangentSample(s.x, lam * s.y))
             assert np.max(np.abs(c2 - c1 / lam)) / np.max(np.abs(c1)) < 1e-10
+
+
+def _eager_cartan(st) -> np.ndarray:
+    """The Cartan tensor as finsler_state built it eagerly, with einsum outer products."""
+    def sym3(v, H):
+        return np.einsum("i,jk->ijk", v, H) + np.einsum("j,ik->ijk", v, H) + np.einsum("k,ij->ijk", v, H)
+
+    n = len(st.l)
+    C = np.zeros((n, n, n))
+    for k in range(len(st.F_mu)):
+        C += sym3(st.l, st.h_mu[k]) / st.F_mu[k]
+        C -= (st.F / st.F_mu[k] ** 2) * sym3(st.l_mu[k], st.h_mu[k])
+    C *= 0.5
+    return C
+
+
+class TestPointwiseEvaluation:
+    """Each base point is validated once, and C and g_inv are built only when read."""
+
+    def test_metric_values_validates_a_repeated_point_once(self, monkeypatch):
+        sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
+        calls = count_calls(monkeypatch, MetricField, "spd_value")
+        x = np.array([0.3, -0.5])
+        first = sp.metric_values(x)
+        assert calls[0] == 2
+        again = sp.metric_values([0.3, -0.5])
+        assert calls[0] == 2
+        for a, b in zip(first, again):
+            assert a is b
+        # one ulp away is another point, evaluated and validated again
+        sp.metric_values(np.array([np.nextafter(0.3, 1.0), -0.5]))
+        assert calls[0] == 4
+
+    def test_spd_failure_raises_on_every_call(self, monkeypatch):
+        sp = space_of(field("alpha", [["1-x1^2", "0"], ["0", "1"]]))
+        calls = count_calls(monkeypatch, MetricField, "spd_value")
+        good, bad = np.array([0.1, 0.0]), np.array([2.0, 0.0])
+        sp.metric_values(good)
+        for expected in (2, 3, 4):
+            with pytest.raises(NotPositiveDefiniteError):
+                sp.metric_values(bad)
+            assert calls[0] == expected
+        # the failing point did not displace the remembered one
+        sp.metric_values(good)
+        assert calls[0] == 4
+
+    def test_metric_values_are_read_only(self, bi_x):
+        for arr in bi_x.metric_values(np.array([0.2, 0.4])):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_cartan_tensor_is_built_only_when_read(self, monkeypatch, tri_space):
+        calls = count_calls(monkeypatch, finsler_mod, "_sym3")
+        st_ = finsler_state(tri_space, TangentSample([0.3, -0.5], [0.8, 0.6]))
+        _ = st_.F, st_.g, st_.det_g, st_.g_inv, st_.h
+        assert calls[0] == 0
+        _ = st_.C
+        assert calls[0] == 2 * tri_space.n_metrics
+        _ = st_.C
+        assert calls[0] == 2 * tri_space.n_metrics
+
+    def test_lazy_tensors_equal_the_eager_formulas_bitwise(self, tri_space):
+        rng = np.random.default_rng(41)
+        for s in random_samples(rng, 10):
+            st_ = finsler_state(tri_space, s)
+            assert "C" not in vars(st_) and "g_inv" not in vars(st_)
+            assert np.array_equal(st_.C, _eager_cartan(st_))
+            assert np.array_equal(st_.g_inv, np.linalg.inv(st_.g))
+
+    def test_hessian_oracle_inverse_belongs_to_its_own_g(self, bi_x):
+        s = TangentSample([0.3, -0.5], [0.8, 0.6])
+        assembled = fundamental_tensor(bi_x, s, "assembled")
+        oracle = fundamental_tensor(bi_x, s, "hessian_oracle")
+        assert "g_inv" not in vars(oracle)
+        assert np.allclose(oracle.g_inv @ oracle.g, np.eye(2), rtol=0.0, atol=1e-12)
+        assert np.array_equal(oracle.g_inv, np.linalg.inv(oracle.g))
+        assert not np.array_equal(oracle.g, assembled.g)
 
 
 class TestConvexity:
