@@ -13,15 +13,14 @@ from .connection import (
     chern_connection,
     connection_state,
     landsberg_berwald,
-    nonlinear_connection,
-    spray,
+    nonlinear_connection_fd,
     variational_spray,
 )
 from .dim2 import (
     Frame2D,
     cartan_structure_residuals,
-    frame2d,
-    invariant_I,
+    frame_from_state,
+    invariant_I_oracle,
     invariants_JK,
 )
 from .expr import (
@@ -40,11 +39,10 @@ from .finsler import (
     MultiMetricSpace,
     SlitViolationError,
     TangentSample,
-    cartan_tensor,
     convexity_check,
+    fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
-    fundamental_tensor,
     riemannian_detect,
 )
 from .geodesic import GeodesicPath, action_of_path, integrate_geodesic, path_action

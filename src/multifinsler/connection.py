@@ -71,13 +71,17 @@ class XDerivatives:
     dC: np.ndarray       # (n, n, n, n) [s, i, j, k]
 
 
+def _norm_x_derivatives(dA: np.ndarray, state: FinslerState) -> np.ndarray:
+    """dF_mu[mu, s] = d F_mu / d x_s from the metric derivatives dA[mu, s, i, j]."""
+    return 0.5 * np.einsum("ksij,i,j->ks", dA, state.y, state.y) / state.F_mu[:, None]
+
+
 def x_derivatives(space: MultiMetricSpace, state: FinslerState) -> XDerivatives:
     """Differentiate the assembled quantities in x via exact metric derivatives."""
-    x, y = state.x, state.y
-    n = space.dim
-    dA = space.metric_derivatives(x)  # (N, s, i, j)
+    y = state.y
+    dA = space.metric_derivatives(state.x)  # (N, s, i, j)
 
-    dF_mu = 0.5 * np.einsum("ksij,i,j->ks", dA, y, y) / state.F_mu[:, None]
+    dF_mu = _norm_x_derivatives(dA, state)
     dF = dF_mu.sum(axis=0)
     dl_mu = (
         np.einsum("ksij,j->ksi", dA, y) / state.F_mu[:, None, None]
@@ -92,22 +96,31 @@ def x_derivatives(space: MultiMetricSpace, state: FinslerState) -> XDerivatives:
 
     F, F_mu = state.F, state.F_mu
     dg = np.einsum("si,j->sij", dl, state.l) + np.einsum("i,sj->sij", state.l, dl)
-    dC2 = np.zeros((n, n, n, n))  # x-derivative of 2C
     for k in range(space.n_metrics):
         wk = dF / F_mu[k] - F * dF_mu[k] / F_mu[k] ** 2
         dg += np.einsum("s,ij->sij", wk, state.h_mu[k]) + (F / F_mu[k]) * dh_mu[k]
+    dC = _cartan_derivative(state, dF, dF_mu, dl, dl_mu, dh_mu)
+    return XDerivatives(dF_mu=dF_mu, dF=dF, dl_mu=dl_mu, dl=dl, dh_mu=dh_mu, dg=dg, dC=dC)
 
-        s3 = _sym3(state.l_mu[k], state.h_mu[k])
-        s3full = _sym3(state.l, state.h_mu[k])
-        ds3full = _dsym3(dl, state.h_mu[k], state.l, dh_mu[k])
-        ds3 = _dsym3(dl_mu[k], state.h_mu[k], state.l_mu[k], dh_mu[k])
+
+def _cartan_derivative(state: FinslerState, dF, dF_mu, dl, dl_mu, dh_mu) -> np.ndarray:
+    """Chain rule for the closed-form Cartan tensor: dC[s, i, j, k] from the
+    derivatives of F, F_mu, l, l_mu and h_mu, with s after any sector index."""
+    F, F_mu, l = state.F, state.F_mu, state.l
+    n = len(l)
+    dC2 = np.zeros((n, n, n, n))  # derivative of 2C
+    for k in range(len(F_mu)):
+        hk = state.h_mu[k]
         dC2 += (
-            -np.einsum("s,ijk->sijk", dF_mu[k] / F_mu[k] ** 2, s3full)
-            + ds3full / F_mu[k]
+            -np.einsum("s,ijk->sijk", dF_mu[k] / F_mu[k] ** 2, _sym3(l, hk))
+            + _dsym3(dl, hk, l, dh_mu[k]) / F_mu[k]
         )
         dw = dF / F_mu[k] ** 2 - 2.0 * F * dF_mu[k] / F_mu[k] ** 3
-        dC2 -= np.einsum("s,ijk->sijk", dw, s3) + (F / F_mu[k] ** 2) * ds3
-    return XDerivatives(dF_mu=dF_mu, dF=dF, dl_mu=dl_mu, dl=dl, dh_mu=dh_mu, dg=dg, dC=0.5 * dC2)
+        dC2 -= (
+            np.einsum("s,ijk->sijk", dw, _sym3(state.l_mu[k], hk))
+            + (F / F_mu[k] ** 2) * _dsym3(dl_mu[k], hk, state.l_mu[k], dh_mu[k])
+        )
+    return 0.5 * dC2
 
 
 def _dsym3(dv: np.ndarray, H: np.ndarray, v: np.ndarray, dH: np.ndarray) -> np.ndarray:
@@ -122,27 +135,22 @@ def _dsym3(dv: np.ndarray, H: np.ndarray, v: np.ndarray, dH: np.ndarray) -> np.n
     )
 
 
+def _fiber_dh(h: np.ndarray, l: np.ndarray, F: float) -> np.ndarray:
+    """[r, i, j] = d h_ij / dy_r for h = a - l (x) l of a norm F with covector l."""
+    return -(np.einsum("ri,j->rij", h, l) + np.einsum("i,rj->rij", l, h)) / F
+
+
 def cartan_y_derivative(state: FinslerState) -> np.ndarray:
-    """Closed-form fiber derivative dC[r,i,j,k] = dC_ijk / dy_r."""
-    F, F_mu = state.F, state.F_mu
-    l, l_mu, h, h_mu = state.l, state.l_mu, state.h, state.h_mu
-    n = len(l)
-    dl = h / F  # [r, i]
-    d2C = np.zeros((n, n, n, n))
-    for k in range(len(F_mu)):
-        dlk = h_mu[k] / F_mu[k]
-        dhk = -(
-            np.einsum("ri,j->rij", h_mu[k], l_mu[k]) + np.einsum("i,rj->rij", l_mu[k], h_mu[k])
-        ) / F_mu[k]
-        s3 = _sym3(l_mu[k], h_mu[k])
-        s3full = _sym3(l, h_mu[k])
-        d2C += (
-            -np.einsum("r,ijk->rijk", l_mu[k] / F_mu[k] ** 2, s3full)
-            + _dsym3(dl, h_mu[k], l, dhk) / F_mu[k]
-        )
-        dw = l / F_mu[k] ** 2 - 2.0 * F * l_mu[k] / F_mu[k] ** 3
-        d2C -= np.einsum("r,ijk->rijk", dw, s3) + (F / F_mu[k] ** 2) * _dsym3(dlk, h_mu[k], l_mu[k], dhk)
-    return 0.5 * d2C
+    """Closed-form fiber derivative dC[r,i,j,k] = dC_ijk / dy_r.
+
+    The x-derivative chain rule with dF -> l, dF_mu -> l_mu, dl -> h/F and
+    dl_mu -> h_mu/F_mu.
+    """
+    F_mu, l_mu, h_mu = state.F_mu, state.l_mu, state.h_mu
+    dh_mu = np.stack([_fiber_dh(h_mu[k], l_mu[k], F_mu[k]) for k in range(len(F_mu))])
+    return _cartan_derivative(
+        state, state.l, l_mu, state.h / state.F, h_mu / F_mu[:, None, None], dh_mu,
+    )
 
 
 def _sector_data(space: MultiMetricSpace, x, y):
@@ -162,13 +170,7 @@ def _sector_data(space: MultiMetricSpace, x, y):
 def connection_state(space: MultiMetricSpace, sample: TangentSample) -> ConnectionState:
     """Assemble the spray and the Cartan nonlinear connection at a sample."""
     state = finsler_state(space, sample)
-    return _connection_from_state(space, state)
-
-
-def _connection_from_state(space: MultiMetricSpace, state: FinslerState) -> ConnectionState:
-    x, y = state.x, state.y
-    n = space.dim
-    gamma_mu, G_mu, N_mu = _sector_data(space, x, y)
+    gamma_mu, G_mu, N_mu = _sector_data(space, state.x, state.y)
     F, F_mu = state.F, state.F_mu
     l, l_mu, h, h_mu = state.l, state.l_mu, state.h, state.h_mu
 
@@ -196,16 +198,6 @@ def _connection_from_state(space: MultiMetricSpace, state: FinslerState) -> Conn
         state=state, G=G, G_mu=G_mu, N=N, N_mu=N_mu,
         dN_mu=N[None, :, :] - N_mu, gamma_mu=gamma_mu,
     )
-
-
-def spray(space: MultiMetricSpace, sample: TangentSample, mode: str = "factorized"):
-    """Full spray and per-sector sprays; 'oracle' uses the variational formula via FD."""
-    if mode == "factorized":
-        cs = connection_state(space, sample)
-        return cs.G, cs.G_mu
-    if mode == "oracle":
-        return variational_spray(space, sample)
-    raise ValueError(f"unknown mode '{mode}'")
 
 
 def variational_spray(space: MultiMetricSpace, sample: TangentSample):
@@ -255,34 +247,24 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample):
     return G, G_mu
 
 
-def nonlinear_connection(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
-    """Cartan nonlinear connection N^i_j at a sample."""
-    return connection_state(space, sample).N
-
-
-def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample, step: float | None = None) -> np.ndarray:
+def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
     """Oracle N = (1/2) dG/dy by central differences of the factorized spray."""
     x, y = sample.x, sample.y
-    h = step if step is not None else FD_STEP * float(np.linalg.norm(y))
+    h = FD_STEP * float(np.linalg.norm(y))
     dG = central_difference(lambda yy: connection_state(space, TangentSample(x, yy)).G, y, h)
     return 0.5 * dG.T
 
 
-def horizontal_compatibility_residual(space: MultiMetricSpace, sample: TangentSample) -> float:
-    """Max |d_i F - N^j_i l_j|; zero for the Cartan nonlinear connection."""
-    cs = connection_state(space, sample)
-    xd = x_derivatives(space, cs.state)
-    resid = xd.dF - np.einsum("ji,j->i", cs.N, cs.state.l)
+def horizontal_compatibility_residual(space: MultiMetricSpace, cs: ConnectionState) -> float:
+    """Max |d_i F - N^j_i l_j| at the sample of cs; zero for the Cartan nonlinear connection."""
+    st = cs.state
+    dF = _norm_x_derivatives(space.metric_derivatives(st.x), st).sum(axis=0)
+    resid = dF - np.einsum("ji,j->i", cs.N, st.l)
     return float(np.max(np.abs(resid)))
 
 
-def chern_connection(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
-    """Chern connection coefficients [k, i, j], symmetric in (i, j)."""
-    cs = connection_state(space, sample)
-    return _chern_from_state(space, cs)
-
-
-def _chern_from_state(space: MultiMetricSpace, cs: ConnectionState) -> np.ndarray:
+def chern_connection(space: MultiMetricSpace, cs: ConnectionState) -> np.ndarray:
+    """Chern connection coefficients [k, i, j] at the sample of cs, symmetric in (i, j)."""
     state = cs.state
     xd = x_derivatives(space, state)
     # delta_s g_ij = d_s g_ij - N^r_s * 2 C_rij
@@ -305,7 +287,7 @@ def landsberg_berwald(space: MultiMetricSpace, sample: TangentSample) -> Landsbe
     cs = connection_state(space, sample)
     state = cs.state
     xd = x_derivatives(space, state)
-    chern = _chern_from_state(space, cs)
+    chern = chern_connection(space, cs)
     dyC = cartan_y_derivative(state)
 
     delta_C = xd.dC - np.einsum("rs,rijk->sijk", cs.N, dyC)  # [s, i, j, k]
@@ -333,8 +315,7 @@ def _pair_cubic_tensor(space: MultiMetricSpace, x, y, mu: int, nu: int) -> np.nd
     Fm, Fn = st.F_mu[mu], st.F_mu[nu]
     lm, ln = st.l_mu[mu], st.l_mu[nu]
     hm, hn = st.h_mu[mu], st.h_mu[nu]
-    dhm = -(np.einsum("ri,j->rij", hm, lm) + np.einsum("i,rj->rij", lm, hm)) / Fm
-    dhn = -(np.einsum("ri,j->rij", hn, ln) + np.einsum("i,rj->rij", ln, hn)) / Fn
+    dhm, dhn = _fiber_dh(hm, lm, Fm), _fiber_dh(hn, ln, Fn)
 
     termA = (
         np.einsum("r,st->rst", ln / Fm - Fn * lm / Fm**2, hm) + (Fn / Fm) * dhm

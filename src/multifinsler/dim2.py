@@ -53,13 +53,9 @@ class Frame2D:
     I: float              # main scalar, closed cross-term formula
 
 
-def frame2d(space: MultiMetricSpace, sample: TangentSample) -> Frame2D:
-    require_2d(space)
-    return frame_from_state(finsler_state(space, sample))
-
-
 def frame_from_state(state: FinslerState) -> Frame2D:
     """The frame of an already evaluated 2D state; evaluates nothing at other points."""
+    require_2d(len(state.y))
     sqrt_g = float(np.sqrt(state.det_g))
     m = _perp_down(state.l_up, sqrt_g)
     m_up = _perp_up(state.l, 1.0 / sqrt_g)
@@ -89,22 +85,11 @@ def frame_from_state(state: FinslerState) -> Frame2D:
     )
 
 
-def invariant_I(space: MultiMetricSpace, sample: TangentSample, mode: str = "compact") -> float:
-    """Main scalar of the 2D geometry; zero exactly for Riemannian spaces.
-
-    'compact' evaluates the closed cross-term formula; 'oracle' evaluates
+def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float:
+    """Oracle for the main scalar Frame2D.I at the sample of fr:
     (F / 2 det g) m^i d(det g)/dy_i with the fiber derivative by central
     differences of the assembled determinant.
     """
-    fr = frame2d(space, sample)
-    if mode == "compact":
-        return fr.I
-    if mode == "oracle":
-        return _oracle_I(space, fr)
-    raise ValueError(f"unknown mode '{mode}'")
-
-
-def _oracle_I(space: MultiMetricSpace, fr: Frame2D) -> float:
     x, y = fr.state.x, fr.state.y
     h = FD_STEP * (1.0 + float(np.linalg.norm(y)))
     grad = central_difference(lambda yy: finsler_state(space, TangentSample(x, yy)).det_g, y, h)
@@ -130,7 +115,6 @@ def frame_apply(space: MultiMetricSpace, cs: ConnectionState, field: Callable, w
 
     phi may be scalar- or array-valued; the result has the shape of phi.
     """
-    require_2d(space)
     fr = frame_from_state(cs.state)
     if which == "e3":
         x, y = cs.state.x, cs.state.y
@@ -144,11 +128,6 @@ def frame_apply(space: MultiMetricSpace, cs: ConnectionState, field: Callable, w
     raise ValueError(f"unknown frame vector '{which}'")
 
 
-def _fiber_derivative_of_N(space, x, y, step: float) -> np.ndarray:
-    """[r, i, j] = dN^i_j / dy_r by central differences."""
-    return central_difference(lambda yy: connection_state(space, TangentSample(x, yy)).N, y, step)
-
-
 def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float, float]:
     """Landsberg scalar J and the curvature scalar K of the third structure equation.
 
@@ -156,7 +135,7 @@ def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float
     Gauss curvatures with frame-derivative corrections.  For a single metric,
     K reduces to the Gauss curvature.
     """
-    require_2d(space)
+    require_2d(space.dim)
     cs = connection_state(space, sample)
     gauss = [gauss_curvature(m, cs.state.x) for m in space.metrics]
     return invariants_JK_from_state(space, cs, frame_from_state(cs.state), gauss)
@@ -178,7 +157,8 @@ def invariants_JK_from_state(
     w3 = (F / F_mu) ** 3 * st.a_det / det_g
 
     hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-    dN = _fiber_derivative_of_N(space, x, y, hy)
+    # dN[r, i, j] = dN^i_j / dy_r
+    dN = central_difference(lambda yy: connection_state(space, TangentSample(x, yy)).N, y, hy)
 
     a_coeff = 0.0
     for k in range(space.n_metrics):
@@ -221,8 +201,6 @@ class StructureReport:
 
     I_compact: float
     I_oracle: float
-    J: float
-    K: float
     eq1_A_plus_I: float     # omega^1: A vs -I (oracle route)
     eq1_B_minus_1: float
     eq1_C: float
@@ -291,26 +269,17 @@ def _oneform_roundtrip(space, cs: ConnectionState, fr: Frame2D) -> float:
     return worst
 
 
-def cartan_structure_residuals(
-    space: MultiMetricSpace, cs: ConnectionState, with_invariants: bool = True
-) -> StructureReport:
+def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> StructureReport:
     """Residuals of the structure-equation coefficients at the sample of cs.
 
-    ``with_invariants=False`` skips the frame-derivative scalars J and K
-    (reported as nan), which keeps the per-sample cost to the analytic parts.
+    J and K are not part of it; they come from invariants_JK_from_state.
     """
-    require_2d(space)
     fr = frame_from_state(cs.state)
     st = cs.state
     F, F_mu, det_g = st.F, st.F_mu, st.det_g
 
     I_c = fr.I
-    I_o = _oracle_I(space, fr)
-    if with_invariants:
-        gauss = [gauss_curvature(m, st.x) for m in space.metrics]
-        J, K = invariants_JK_from_state(space, cs, fr, gauss)
-    else:
-        J, K = float("nan"), float("nan")
+    I_o = invariant_I_oracle(space, fr)
 
     w3 = (F / F_mu) ** 3 * st.a_det / det_g           # (F/F_mu)^3 det a / det g
     w2 = F**2 / F_mu**3 * st.a_det / det_g
@@ -369,7 +338,7 @@ def cartan_structure_residuals(
         a_rel = max(a_rel, float(np.max(np.abs(lhs_vec - rhs_vec))))
 
     return StructureReport(
-        I_compact=I_c, I_oracle=I_o, J=J, K=K,
+        I_compact=I_c, I_oracle=I_o,
         eq1_A_plus_I=abs(eq1_A + I_o), eq1_B_minus_1=abs(eq1_B - 1.0), eq1_C=abs(eq1_C),
         eq2_A_plus_1=abs(eq2_A + 1.0), eq2_B=0.0, eq2_C=abs(eq2_C),
         eq3_B=abs(eq3_B),

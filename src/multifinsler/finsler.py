@@ -11,7 +11,6 @@ A finite-difference Hessian of F^2/2 is kept as an independent oracle.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,6 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .riemann import MetricField, NotPositiveDefiniteError
+
+EPS_SLIT = 1e-8          # |y| below this is on the zero section
+HESSIAN_REL_STEP = 1e-5  # FD Hessian oracle step, relative to |y|
 
 
 class SlitViolationError(Exception):
@@ -44,7 +46,7 @@ class TangentSample:
 class MultiMetricSpace:
     """An ordered family of Riemannian metrics on a shared coordinate patch."""
 
-    def __init__(self, metrics: Sequence[MetricField], eps_slit: float = 1e-8):
+    def __init__(self, metrics: Sequence[MetricField]):
         if len(metrics) < 1:
             raise ValueError("need at least one metric")
         coords = metrics[0].coords
@@ -55,7 +57,6 @@ class MultiMetricSpace:
         self.coords = coords
         self.dim = len(coords)
         self.n_metrics = len(self.metrics)
-        self.eps_slit = float(eps_slit)
         self._last_values: tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def metric_values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,15 +93,15 @@ class MultiMetricSpace:
             raise ValueError(f"point of length {len(sample.x)}, expected {self.dim}")
         if len(sample.y) != self.dim:
             raise ValueError(f"fiber vector of length {len(sample.y)}, expected {self.dim}")
-        if float(np.linalg.norm(sample.y)) < self.eps_slit:
+        if float(np.linalg.norm(sample.y)) < EPS_SLIT:
             raise SlitViolationError(
-                f"|y| = {np.linalg.norm(sample.y):.3e} below slit tolerance {self.eps_slit:.3e}"
+                f"|y| = {np.linalg.norm(sample.y):.3e} below slit tolerance {EPS_SLIT:.3e}"
             )
 
 
-def require_2d(space: MultiMetricSpace):
-    if space.dim != 2:
-        raise ValueError(f"this operation is defined for 2D spaces only, got dimension {space.dim}")
+def require_2d(dim: int):
+    if dim != 2:
+        raise ValueError(f"this operation is defined for 2D spaces only, got dimension {dim}")
 
 
 def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,16 +202,17 @@ def finsler_norm(space: MultiMetricSpace, sample: TangentSample) -> tuple[float,
     return float(F_mu.sum()), F_mu
 
 
-def fd_fundamental_tensor(space: MultiMetricSpace, x, y, step: float | None = None) -> np.ndarray:
+def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
     """Central-difference Hessian of F^2/2 in y; the independent oracle for g.
 
     Evaluated in extended precision so the second differences at the stated
-    step are not dominated by rounding.
+    step are not dominated by rounding.  It shares only the sector matrices
+    at x with the assembled route.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    h = step if step is not None else 1e-5 * float(np.linalg.norm(y))
-    a_ld = np.stack([m.value(x) for m in space.metrics]).astype(np.longdouble)
+    h = HESSIAN_REL_STEP * float(np.linalg.norm(y))
+    a_ld = space.metric_values(x)[0].astype(np.longdouble)
 
     def f2(yy: np.ndarray) -> np.longdouble:
         s = sector_norms(a_ld, yy).sum()
@@ -231,27 +233,6 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y, step: float | None = No
             ) / (4.0 * np.longdouble(h) ** 2)
             g[i, j] = g[j, i] = float(mixed / 2.0)
     return g
-
-
-def fundamental_tensor(space: MultiMetricSpace, sample: TangentSample, mode: str = "assembled") -> FinslerState:
-    """FinslerState with g from the factorized assembly or from the FD Hessian oracle."""
-    state = finsler_state(space, sample)
-    if mode == "assembled":
-        return state
-    if mode == "hessian_oracle":
-        g = fd_fundamental_tensor(space, sample.x, sample.y)
-        w = np.linalg.eigvalsh(g)
-        if w[0] <= 0.0:
-            raise ConvexityError(f"FD Hessian not positive definite (eigenvalues {w.tolist()})")
-        return dataclasses.replace(
-            state, g=g, det_g=float(np.linalg.det(g)), h=g - np.outer(state.l, state.l),
-        )
-    raise ValueError(f"unknown mode '{mode}'")
-
-
-def cartan_tensor(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
-    """Fully symmetric Cartan tensor C_ijk = (1/2) dg_jk/dy_i at a sample."""
-    return finsler_state(space, sample).C
 
 
 @dataclass(frozen=True)

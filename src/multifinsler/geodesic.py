@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate as _sciint
 
 from .connection import connection_state
-from .finsler import MultiMetricSpace, TangentSample, finsler_norm
+from .finsler import EPS_SLIT, MultiMetricSpace, TangentSample, finsler_norm
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
 
     f_mu = np.empty((len(t), space.n_metrics))
     for k in range(len(t)):
-        if float(np.linalg.norm(v[k])) < space.eps_slit:
+        if float(np.linalg.norm(v[k])) < EPS_SLIT:
             raise ValueError(f"zero-velocity segment at t={t[k]}")
         _, per = finsler_norm(space, TangentSample(xs[k], v[k]))
         f_mu[k] = per

@@ -187,7 +187,7 @@ def holmes_thompson(space: MultiMetricSpace, x, mode: str = "closed") -> Measure
     'circle_oracle' integrates det g / F^2 over the unit circle with det g
     from the finite-difference Hessian oracle.
     """
-    require_2d(space)
+    require_2d(space.dim)
     x = np.asarray(x, dtype=float)
     a_mu, _, a_det = space.metric_values(x)
     nm = space.n_metrics
@@ -262,7 +262,7 @@ def busemann_hausdorff(space: MultiMetricSpace, x, mode: str = "auto") -> Measur
     'quadrature' integrates 2 pi / integral F^-2 dtheta; 'auto' tries the
     closed form and falls back to quadrature.
     """
-    require_2d(space)
+    require_2d(space.dim)
     x = np.asarray(x, dtype=float)
 
     if mode == "auto":
@@ -334,7 +334,7 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
     set of the norm in polar coordinates; the right side is the circle
     integral of f(det g)/F^2.
     """
-    require_2d(space)
+    require_2d(space.dim)
     if weight not in ("one", "det"):
         raise ValueError("weight must be 'one' or 'det'")
     x = np.asarray(x, dtype=float)

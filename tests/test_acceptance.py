@@ -19,9 +19,9 @@ from multifinsler.connection import (
 )
 from multifinsler.dim2 import (
     cartan_structure_residuals,
-    frame2d,
     frame_apply,
-    invariant_I,
+    frame_from_state,
+    invariant_I_oracle,
     invariants_JK,
 )
 from multifinsler.finsler import (
@@ -100,8 +100,8 @@ def test_criterion_03_euler_frame_suite():
         sp = random_bimetric_space(rng)
         for s in random_samples(rng, 25):
             st = finsler_state(sp, s)
-            fr = frame2d(sp, s)
-            i_val = invariant_I(sp, s, "compact")
+            fr = frame_from_state(st)
+            i_val = fr.I
             mmm = np.einsum("i,j,k->ijk", fr.m, fr.m, fr.m)
             worst = max(
                 worst,
@@ -125,8 +125,9 @@ def test_criterion_04_connection_suite():
     for _ in range(10):
         sp = random_bimetric_space(rng)
         for s in random_samples(rng, 50):
-            delta_f = max(delta_f, horizontal_compatibility_residual(sp, s))
-            r = cartan_structure_residuals(sp, connection_state(sp, s), with_invariants=False)
+            cs = connection_state(sp, s)
+            delta_f = max(delta_f, horizontal_compatibility_residual(sp, cs))
+            r = cartan_structure_residuals(sp, cs)
             ident = max(ident, r.sector_l_dN, r.sector_m_dN_l, r.sector_m_dN_m, r.cross_dN_identity)
             a_rel = max(a_rel, r.cross_log_gradient)
     # FD-based spray and connection comparisons on a deterministic subset
@@ -153,7 +154,7 @@ def test_criterion_05_structure_equation_residuals():
     for _ in range(5):
         sp = random_bimetric_space(rng)
         for s in random_samples(rng, 40):
-            r = cartan_structure_residuals(sp, connection_state(sp, s), with_invariants=False)
+            r = cartan_structure_residuals(sp, connection_state(sp, s))
             worst = max(
                 worst,
                 r.eq1_A_plus_I, r.eq1_B_minus_1, r.eq1_C,
@@ -171,13 +172,14 @@ def test_criterion_06_invariants():
     for _ in range(5):
         sp = random_bimetric_space(rng)
         for s in random_samples(rng, 10):
-            i_res = max(i_res, abs(invariant_I(sp, s, "compact") - invariant_I(sp, s, "oracle")))
+            fr = frame_from_state(finsler_state(sp, s))
+            i_res = max(i_res, abs(fr.I - invariant_I_oracle(sp, fr)))
     sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
     for s in random_samples(np.random.default_rng(1060), 10):
         j_val, _ = invariants_JK(sp, s)
 
         def i_field(xx, yy):
-            return invariant_I(sp, TangentSample(xx, yy), "compact")
+            return frame_from_state(finsler_state(sp, TangentSample(xx, yy))).I
 
         e2_i = frame_apply(sp, connection_state(sp, s), i_field, "e2")
         j_res = max(j_res, abs(j_val - e2_i))
@@ -338,7 +340,7 @@ def test_criterion_12_classification():
     bi = space_of(const_field("a", np.eye(2)), const_field("b", np.diag([4.0, 1.0])))
     verdict_bi = riemannian_detect(bi, [s.x for s in samples])
     s0 = TangentSample([0.0, 0.0], [1.0, 1.0])
-    i_val = invariant_I(bi, s0, "compact")
+    i_val = frame_from_state(finsler_state(bi, s0)).I
     lb = landsberg_berwald(bi, s0)
     berwald_res = float(np.max(np.abs(lb.C_horizontal)))
     # constant non-proportional metrics are locally Minkowski: the main scalar

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -172,6 +173,17 @@ class TestCli:
         for c in rep["checks"]:
             assert c["tolerance_class"] in ("analytic", "fd", "nested-fd")
 
+    def test_sample_count_is_honoured(self, tmp_path):
+        cfg = {**BIMETRIC, "sampling": {**BIMETRIC["sampling"], "count": 501}}
+        path, out = tmp_path / "space.json", tmp_path / "report.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check", "--config", str(path), "--suite", "identities", "--out", str(out)]) == 0
+        samples = {c["check"]: c["samples"] for c in json.loads(out.read_text())["checks"]}
+        for name in ("norm-homogeneity", "euler-contractions", "horizontal-norm-compatibility",
+                     "determinant-identity", "frame-orthonormality", "cartan-frame-factorization"):
+            assert samples[name] == 501
+        assert samples["fundamental-tensor-vs-hessian-oracle"] == 40
+
     def test_reports_are_byte_stable(self, config_path, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         main(["check", "--config", config_path, "--suite", "identities", "--out", str(out1)])
@@ -304,6 +316,20 @@ def test_identity_reports_match_stored_references(name, suite, tmp_path):
                  "--suite", suite, "--out", str(out)]) == 0
     reference = REPO / "perfbench" / "reference" / f"check-{name}-{suite}.json"
     assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("workload", ["invariant_map", "geodesic_fan"])
+def test_benchmark_workload_outputs_pass_their_checks(workload, tmp_path, monkeypatch):
+    """The benchmark's sample and geodesic-fan items at seed 0: every oracle check
+    passes, and each sample CSV equals perfbench/reference/sample-*.csv byte for byte."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for item in workloads.WORKLOADS[workload](workloads.DEFAULT_SEED, tmp_path):
+        out = item.run(item.argv)
+        assert item.check(out) == [], item.label
+        if workload == "invariant_map":
+            reference = workloads.REFERENCE / f"sample-{item.config}.csv"
+            assert next(iter(out.files.values())) == reference.read_bytes(), item.label
 
 
 def test_benchmark_tracer_selftest():

@@ -7,9 +7,7 @@ from multifinsler.connection import (
     connection_state,
     horizontal_compatibility_residual,
     landsberg_berwald,
-    nonlinear_connection,
     nonlinear_connection_fd,
-    spray,
     variational_spray,
     x_derivatives,
 )
@@ -23,7 +21,8 @@ S = TangentSample([0.3, -0.5], [0.8, 0.6])
 
 class TestSpray:
     def test_constant_metrics_vanish(self, bi_const):
-        g, g_mu = spray(bi_const, S)
+        cs = connection_state(bi_const, S)
+        g, g_mu = cs.G, cs.G_mu
         assert np.max(np.abs(g)) < 1e-14
         assert np.max(np.abs(g_mu)) < 1e-14
 
@@ -31,14 +30,14 @@ class TestSpray:
         f = field("polar", [["1", "0"], ["0", "x1^2"]])
         sp = space_of(f)
         s = TangentSample([2.0, 0.0], [0.0, 1.0])
-        g, _ = spray(sp, s)
+        g = connection_state(sp, s).G
         _, g_r, _ = christoffels_and_spray(f, s.x, s.y)
         assert g[0] == pytest.approx(-2.0, abs=1e-12)
         assert np.max(np.abs(g - g_r)) < 1e-12
 
     def test_factorized_vs_variational_oracle(self, bi_x):
-        g, _ = spray(bi_x, S, "factorized")
-        gv, _ = spray(bi_x, S, "oracle")
+        g = connection_state(bi_x, S).G
+        gv, _ = variational_spray(bi_x, S)
         assert np.max(np.abs(g - gv)) / (1.0 + np.max(np.abs(g))) < 1e-6
 
     def test_oracle_bulk(self):
@@ -47,15 +46,15 @@ class TestSpray:
         for _ in range(10):
             sp = random_bimetric_space(rng)
             for s in random_samples(rng, 3):
-                g, _ = spray(sp, s)
+                g = connection_state(sp, s).G
                 gv, _ = variational_spray(sp, s)
                 worst = max(worst, np.max(np.abs(g - gv)) / (1.0 + np.max(np.abs(g))))
         assert worst < 1e-6
 
     def test_two_homogeneity(self, bi_x):
-        g1, _ = spray(bi_x, S)
+        g1 = connection_state(bi_x, S).G
         for lam in (0.5, 2.0, 3.0):
-            g2, _ = spray(bi_x, TangentSample(S.x, lam * S.y))
+            g2 = connection_state(bi_x, TangentSample(S.x, lam * S.y)).G
             assert np.max(np.abs(g2 - lam**2 * g1)) <= 1e-12 * (1.0 + lam**2 * np.max(np.abs(g1)))
 
 
@@ -79,26 +78,26 @@ def test_connection_state_validates_each_metric_once(monkeypatch, n_metrics):
 
 class TestNonlinearConnection:
     def test_constant_metrics_vanish(self, bi_const):
-        assert np.max(np.abs(nonlinear_connection(bi_const, S))) < 1e-14
+        assert np.max(np.abs(connection_state(bi_const, S).N)) < 1e-14
 
     def test_contraction_reproduces_spray(self, bi_x):
         cs = connection_state(bi_x, S)
         assert np.max(np.abs(cs.N @ S.y - cs.G)) < 1e-13
 
     def test_vs_fiber_derivative_of_spray(self, bi_x):
-        n = nonlinear_connection(bi_x, S)
+        n = connection_state(bi_x, S).N
         nf = nonlinear_connection_fd(bi_x, S)
         assert np.max(np.abs(n - nf)) < 1e-5
 
     def test_horizontal_norm_compatibility(self, bi_x):
         rng = np.random.default_rng(23)
         for s in random_samples(rng, 20):
-            assert horizontal_compatibility_residual(bi_x, s) < 1e-8
+            assert horizontal_compatibility_residual(bi_x, connection_state(bi_x, s)) < 1e-8
 
     def test_one_homogeneity(self, bi_x):
-        n1 = nonlinear_connection(bi_x, S)
+        n1 = connection_state(bi_x, S).N
         for lam in (0.5, 2.0):
-            n2 = nonlinear_connection(bi_x, TangentSample(S.x, lam * S.y))
+            n2 = connection_state(bi_x, TangentSample(S.x, lam * S.y)).N
             assert np.max(np.abs(n2 - lam * n1)) / np.max(np.abs(n1)) < 1e-10
 
     def test_euler_identity_for_connection(self, bi_x):
@@ -151,18 +150,18 @@ class TestChern:
         f = field("m", [["1+0.3*x1^2", "0.1*x2"], ["0.1*x2", "2+0.4*x2^2"]])
         sp = space_of(f)
         gamma, _, _ = christoffels_and_spray(f, S.x, S.y)
-        ch = chern_connection(sp, S)
+        ch = chern_connection(sp, connection_state(sp, S))
         assert np.max(np.abs(ch - gamma)) < 1e-8
 
     def test_symmetry(self, bi_x):
-        ch = chern_connection(bi_x, S)
+        ch = chern_connection(bi_x, connection_state(bi_x, S))
         assert np.max(np.abs(ch - ch.transpose(0, 2, 1))) < 1e-14
 
     def test_horizontal_metricity_fd_oracle(self, bi_x):
         # delta_k g_ij by finite differences of the assembled g, then the
         # covariant combination with the Chern coefficients must vanish
         cs = connection_state(bi_x, S)
-        ch = chern_connection(bi_x, S)
+        ch = chern_connection(bi_x, cs)
         h = 1e-6
         dg = np.empty((2, 2, 2))
         dgy = np.empty((2, 2, 2))
@@ -187,7 +186,7 @@ class TestChern:
 
     def test_spray_contraction(self, bi_x):
         cs = connection_state(bi_x, S)
-        ch = chern_connection(bi_x, S)
+        ch = chern_connection(bi_x, cs)
         assert np.max(np.abs(np.einsum("ijk,k->ij", ch, S.y) - cs.N)) < 1e-12
 
 
@@ -222,10 +221,10 @@ class TestLandsbergBerwald:
 
     def test_landsberg_frame_component_matches_scalar(self, bi_x):
         # the only frame component of the Landsberg tensor is the scalar J
-        from multifinsler.dim2 import frame2d, invariants_JK
+        from multifinsler.dim2 import frame_from_state, invariants_JK
 
         lb = landsberg_berwald(bi_x, S)
-        fr = frame2d(bi_x, S)
+        fr = frame_from_state(finsler_state(bi_x, S))
         j_val, _ = invariants_JK(bi_x, S)
         frame_component = float(np.einsum("ijk,i,j,k->", lb.C_dot, fr.m_up, fr.m_up, fr.m_up))
         assert abs(frame_component - j_val) < 1e-5

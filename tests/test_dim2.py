@@ -4,9 +4,9 @@ import pytest
 from multifinsler.connection import connection_state
 from multifinsler.dim2 import (
     cartan_structure_residuals,
-    frame2d,
     frame_apply,
-    invariant_I,
+    frame_from_state,
+    invariant_I_oracle,
     invariants_JK,
 )
 from multifinsler.finsler import TangentSample, finsler_state
@@ -19,12 +19,12 @@ S = TangentSample([0.3, -0.5], [0.8, 0.6])
 
 class TestFrame:
     def test_single_identity_axis_aligned(self, euclid):
-        fr = frame2d(euclid, TangentSample([0.0, 0.0], [1.0, 0.0]))
+        fr = frame_from_state(finsler_state(euclid, TangentSample([0.0, 0.0], [1.0, 0.0])))
         assert np.allclose(fr.l, [1.0, 0.0])
         assert np.allclose(fr.m, [0.0, -1.0])  # eps_12 = +1 orientation
 
     def test_orthonormality(self, bi_x):
-        fr = frame2d(bi_x, S)
+        fr = frame_from_state(finsler_state(bi_x, S))
         st = fr.state
         assert st.l @ st.l_up == pytest.approx(1.0, abs=1e-13)
         assert fr.m @ fr.m_up == pytest.approx(1.0, abs=1e-13)
@@ -32,17 +32,17 @@ class TestFrame:
         assert fr.m_up @ st.l == pytest.approx(0.0, abs=1e-13)
 
     def test_metric_splits_in_frame(self, bi_x):
-        fr = frame2d(bi_x, S)
+        fr = frame_from_state(finsler_state(bi_x, S))
         st = fr.state
         assert np.max(np.abs(st.g - np.outer(st.l, st.l) - np.outer(fr.m, fr.m))) < 1e-13
 
     def test_lowering_with_metric(self, bi_x):
-        fr = frame2d(bi_x, S)
+        fr = frame_from_state(finsler_state(bi_x, S))
         assert np.max(np.abs(fr.state.g @ fr.m_up - fr.m)) < 1e-13
 
     def test_fiber_derivative_of_l(self, bi_x):
         # dl_j/dy_i = m_i m_j / F
-        fr = frame2d(bi_x, S)
+        fr = frame_from_state(finsler_state(bi_x, S))
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
@@ -54,7 +54,7 @@ class TestFrame:
 
     def test_determinant_identity_exact_example(self, bi_const):
         # y = (1, 0): det g / F^3 = 1/1 + 4/8 = 3/2, so det g = 40.5
-        fr = frame2d(bi_const, TangentSample([0.0, 0.0], [1.0, 0.0]))
+        fr = frame_from_state(finsler_state(bi_const, TangentSample([0.0, 0.0], [1.0, 0.0])))
         assert fr.state.det_g == pytest.approx(40.5, rel=1e-14)
         assert fr.det_identity_residual < 1e-14
 
@@ -64,33 +64,41 @@ class TestFrame:
         for _ in range(20):
             sp = random_bimetric_space(rng)
             for s in random_samples(rng, 5):
-                worst = max(worst, frame2d(sp, s).det_identity_residual)
+                worst = max(worst, frame_from_state(finsler_state(sp, s)).det_identity_residual)
         assert worst < 1e-10
 
+    def test_frame_needs_a_2d_state(self):
+        coords = ("x1", "x2", "x3")
+        sp = space_of(const_field("a", np.eye(3), coords), const_field("b", np.diag([4.0, 1.0, 2.0]), coords))
+        st = finsler_state(sp, TangentSample([0.0, 0.0, 0.0], [0.8, 0.6, 0.5]))
+        with pytest.raises(ValueError, match="2D spaces only, got dimension 3"):
+            frame_from_state(st)
+
     def test_cross_terms_antisymmetric(self, tri_space):
-        fr = frame2d(tri_space, S)
+        fr = frame_from_state(finsler_state(tri_space, S))
         assert np.max(np.abs(fr.cross + fr.cross.T)) < 1e-15
         assert np.max(np.abs(np.diag(fr.cross))) == 0.0
 
     def test_cross_terms_vanish_iff_proportional(self, prop_space, bi_const):
-        fr_p = frame2d(prop_space, S)
+        fr_p = frame_from_state(finsler_state(prop_space, S))
         assert np.max(np.abs(fr_p.cross)) < 1e-14
-        fr_b = frame2d(bi_const, S)
+        fr_b = frame_from_state(finsler_state(bi_const, S))
         assert np.max(np.abs(fr_b.cross)) > 1e-3
 
 
 class TestInvariantI:
     def test_single_metric_zero(self, sphere_space):
-        assert abs(invariant_I(sphere_space, S, "compact")) < 1e-13
+        assert abs(frame_from_state(finsler_state(sphere_space, S)).I) < 1e-13
 
     def test_symmetry_axis_of_diagonal_constants(self, bi_const):
         # y along a common eigenvector of two diagonal metrics
-        assert abs(invariant_I(bi_const, TangentSample([0.0, 0.0], [1.0, 0.0]), "compact")) < 1e-14
+        assert abs(frame_from_state(finsler_state(bi_const, TangentSample([0.0, 0.0], [1.0, 0.0]))).I) < 1e-14
 
     def test_compact_vs_oracle(self, bi_const):
         s = TangentSample([0.0, 0.0], [1.0, 1.0])
-        ic = invariant_I(bi_const, s, "compact")
-        io = invariant_I(bi_const, s, "oracle")
+        fr = frame_from_state(finsler_state(bi_const, s))
+        ic = fr.I
+        io = invariant_I_oracle(bi_const, fr)
         assert abs(ic) > 0.01
         assert abs(ic - io) < 1e-6
 
@@ -100,31 +108,32 @@ class TestInvariantI:
         for _ in range(10):
             sp = random_bimetric_space(rng)
             for s in random_samples(rng, 3):
-                worst = max(worst, abs(invariant_I(sp, s, "compact") - invariant_I(sp, s, "oracle")))
+                fr = frame_from_state(finsler_state(sp, s))
+                worst = max(worst, abs(fr.I - invariant_I_oracle(sp, fr)))
         assert worst < 1e-6
 
     def test_cartan_frame_factorization(self, bi_x):
         # F C_ijk = I m_i m_j m_k
-        fr = frame2d(bi_x, S)
-        i_val = invariant_I(bi_x, S, "compact")
+        fr = frame_from_state(finsler_state(bi_x, S))
+        i_val = fr.I
         lhs = fr.state.F * fr.state.C
         rhs = i_val * np.einsum("i,j,k->ijk", fr.m, fr.m, fr.m)
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
     def test_zero_iff_cross_terms_zero(self, prop_space, bi_x):
-        assert abs(invariant_I(prop_space, S, "compact")) < 1e-13
-        assert abs(invariant_I(bi_x, S, "compact")) > 1e-3
+        assert abs(frame_from_state(finsler_state(prop_space, S)).I) < 1e-13
+        assert abs(frame_from_state(finsler_state(bi_x, S)).I) > 1e-3
 
     def test_parity_under_fiber_reflection(self, bi_x):
         # m is odd under y -> -y while g, F^2 and I are even; I being even is
         # forced by F C = I m x m x m with C odd
-        fr = frame2d(bi_x, S)
-        fr_neg = frame2d(bi_x, TangentSample(S.x, -S.y))
+        fr = frame_from_state(finsler_state(bi_x, S))
+        fr_neg = frame_from_state(finsler_state(bi_x, TangentSample(S.x, -S.y)))
         assert np.max(np.abs(fr_neg.m + fr.m)) < 1e-13
         assert np.max(np.abs(fr_neg.state.g - fr.state.g)) < 1e-13
         assert fr_neg.state.F == pytest.approx(fr.state.F, rel=1e-14)
-        i_pos = invariant_I(bi_x, S, "compact")
-        i_neg = invariant_I(bi_x, TangentSample(S.x, -S.y), "compact")
+        i_pos = fr.I
+        i_neg = fr_neg.I
         assert i_neg == pytest.approx(i_pos, rel=1e-12)
         c_pos = fr.state.C
         c_neg = fr_neg.state.C
@@ -136,7 +145,7 @@ class TestFrameApply:
 
     def test_constant_metric_closed_forms(self, bi_const):
         cs = connection_state(bi_const, S)
-        fr = frame2d(bi_const, S)
+        fr = frame_from_state(finsler_state(bi_const, S))
         assert np.max(np.abs(cs.N)) < 1e-14
 
         def x1(xx, yy):
@@ -218,7 +227,7 @@ class TestInvariantsJK:
         j, _ = invariants_JK(bi_x, S)
 
         def i_field(xx, yy):
-            return invariant_I(bi_x, TangentSample(xx, yy), "compact")
+            return frame_from_state(finsler_state(bi_x, TangentSample(xx, yy))).I
 
         e2_i = frame_apply(bi_x, connection_state(bi_x, S), i_field, "e2")
         assert abs(j) > 1e-3
@@ -242,7 +251,7 @@ class TestStructureResiduals:
         assert r.oneform_roundtrip < 1e-10
 
     def test_bimetric_coefficients(self, bi_x):
-        r = cartan_structure_residuals(bi_x, connection_state(bi_x, S), with_invariants=False)
+        r = cartan_structure_residuals(bi_x, connection_state(bi_x, S))
         assert r.eq1_A_plus_I < 1e-6
         assert r.eq1_B_minus_1 < 1e-10
         assert r.eq1_C < 1e-6
@@ -264,7 +273,7 @@ class TestStructureResiduals:
         assert worst < 1e-10
 
     def test_matrix_element_identities(self, tri_space):
-        r = cartan_structure_residuals(tri_space, connection_state(tri_space, S), with_invariants=False)
+        r = cartan_structure_residuals(tri_space, connection_state(tri_space, S))
         assert r.sector_l_dN < 1e-6
         assert r.sector_m_dN_l < 1e-6
         assert r.sector_m_dN_m < 1e-6
@@ -272,5 +281,5 @@ class TestStructureResiduals:
         assert r.cross_log_gradient < 1e-7
 
     def test_oneform_roundtrip_trimetric(self, tri_space):
-        r = cartan_structure_residuals(tri_space, connection_state(tri_space, S), with_invariants=False)
+        r = cartan_structure_residuals(tri_space, connection_state(tri_space, S))
         assert r.oneform_roundtrip < 1e-10

@@ -8,12 +8,10 @@ from multifinsler.finsler import (
     MultiMetricSpace,
     SlitViolationError,
     TangentSample,
-    cartan_tensor,
     convexity_check,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
-    fundamental_tensor,
     riemannian_detect,
 )
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError
@@ -46,7 +44,7 @@ class TestNorm:
 
 class TestFundamentalTensor:
     def test_single_identity(self, euclid):
-        st = fundamental_tensor(euclid, TangentSample([0.2, 0.1], [0.7, -0.7]))
+        st = finsler_state(euclid, TangentSample([0.2, 0.1], [0.7, -0.7]))
         assert np.max(np.abs(st.g - np.eye(2))) < 1e-14
 
     def test_proportional_pair_scales(self):
@@ -60,9 +58,9 @@ class TestFundamentalTensor:
 
     def test_assembled_matches_hessian_oracle(self, bi_const):
         s = TangentSample([0.0, 0.0], [1.0, 1.0])
-        st = fundamental_tensor(bi_const, s, "assembled")
-        so = fundamental_tensor(bi_const, s, "hessian_oracle")
-        assert np.max(np.abs(st.g - so.g)) / np.max(np.abs(st.g)) < 1e-6
+        st = finsler_state(bi_const, s)
+        gh = fd_fundamental_tensor(bi_const, s.x, s.y)
+        assert np.max(np.abs(st.g - gh)) / np.max(np.abs(st.g)) < 1e-6
 
     def test_oracle_bulk_random(self):
         rng = np.random.default_rng(99)
@@ -97,12 +95,12 @@ class TestFundamentalTensor:
 
 class TestCartanTensor:
     def test_single_metric_vanishes(self, sphere_space):
-        c = cartan_tensor(sphere_space, TangentSample([0.3, 0.1], [0.6, -0.8]))
+        c = finsler_state(sphere_space, TangentSample([0.3, 0.1], [0.6, -0.8])).C
         assert np.max(np.abs(c)) < 1e-12
 
     def test_full_symmetry_and_trace(self, bi_x):
         s = TangentSample([0.4, 0.2], [0.8, 0.6])
-        c = cartan_tensor(bi_x, s)
+        c = finsler_state(bi_x, s).C
         assert np.max(np.abs(c - c.transpose(1, 0, 2))) < 1e-14
         assert np.max(np.abs(c - c.transpose(0, 2, 1))) < 1e-14
         assert np.max(np.abs(np.einsum("ijk,k->ij", c, s.y))) < 1e-10
@@ -112,14 +110,14 @@ class TestCartanTensor:
         for _ in range(10):
             sp = random_bimetric_space(rng)
             for s in random_samples(rng, 5):
-                c = cartan_tensor(sp, s)
+                c = finsler_state(sp, s).C
                 assert np.max(np.abs(np.einsum("ijk,k->ij", c, s.y))) < 1e-10
 
     def test_inverse_homogeneity(self, bi_x):
         s = TangentSample([0.2, 0.1], [0.9, -0.4])
-        c1 = cartan_tensor(bi_x, s)
+        c1 = finsler_state(bi_x, s).C
         for lam in (0.5, 2.0):
-            c2 = cartan_tensor(bi_x, TangentSample(s.x, lam * s.y))
+            c2 = finsler_state(bi_x, TangentSample(s.x, lam * s.y)).C
             assert np.max(np.abs(c2 - c1 / lam)) / np.max(np.abs(c1)) < 1e-10
 
 
@@ -191,15 +189,6 @@ class TestPointwiseEvaluation:
             assert np.array_equal(st_.C, _eager_cartan(st_))
             assert np.array_equal(st_.g_inv, np.linalg.inv(st_.g))
 
-    def test_hessian_oracle_inverse_belongs_to_its_own_g(self, bi_x):
-        s = TangentSample([0.3, -0.5], [0.8, 0.6])
-        assembled = fundamental_tensor(bi_x, s, "assembled")
-        oracle = fundamental_tensor(bi_x, s, "hessian_oracle")
-        assert "g_inv" not in vars(oracle)
-        assert np.allclose(oracle.g_inv @ oracle.g, np.eye(2), rtol=0.0, atol=1e-12)
-        assert np.array_equal(oracle.g_inv, np.linalg.inv(oracle.g))
-        assert not np.array_equal(oracle.g, assembled.g)
-
 
 class TestConvexity:
     def test_identity_metric(self, euclid):
@@ -252,7 +241,7 @@ class TestRiemannianDetect:
         rng = np.random.default_rng(8)
         assert riemannian_detect(prop_space, [s.x for s in random_samples(rng, 5)]).riemannian
         for s in random_samples(rng, 20):
-            assert np.max(np.abs(cartan_tensor(prop_space, s))) <= 1e-10
+            assert np.max(np.abs(finsler_state(prop_space, s).C)) <= 1e-10
 
 
 @given(st.floats(min_value=0.3, max_value=3.0))

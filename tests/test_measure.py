@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifinsler.finsler import TangentSample
+from multifinsler.riemann import MetricField
 from multifinsler.measure import (
     DegeneratePairError,
     EllipticPair,
@@ -21,7 +22,7 @@ from multifinsler.measure import (
     pencil_integrals,
 )
 
-from conftest import const_field, field, random_spd, space_of
+from conftest import const_field, count_calls, field, random_spd, space_of
 
 # frozen from the defining-integral quadrature oracle
 K_SQRT3_2 = 2.1565156474996432
@@ -199,6 +200,19 @@ class TestHolmesThompson:
         scale = abs(vals[0])
         assert abs(vals[0] - vals[1]) / scale < 1e-6
         assert abs(vals[0] - vals[2]) / scale < 1e-6
+
+    @pytest.mark.parametrize("n_metrics", [1, 2, 3])
+    def test_circle_oracle_evaluates_the_metrics_once(self, monkeypatch, n_metrics):
+        # 512 FD Hessians at one x share the sector matrices of metric_values
+        fields = [
+            field("alpha", [["1+x2^2", "0"], ["0", "1"]]),
+            field("beta", [["4", "0"], ["0", "1+x1^2"]]),
+            field("gamma", [["2+x2^2", "0.3"], ["0.3", "3"]]),
+        ][:n_metrics]
+        sp = space_of(*fields)
+        calls = count_calls(monkeypatch, MetricField, "value")
+        holmes_thompson(sp, [0.4, -0.2], "circle_oracle")
+        assert calls[0] == n_metrics
 
     def test_trimetric_modes_agree(self, tri_space):
         x = [0.1, 0.3]
