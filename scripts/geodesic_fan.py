@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from multifinsler.cli import UsageError, parse_point, positive_float, positive_int
 from multifinsler.config import ConfigError, load_config
-from multifinsler.geodesic import integrate_geodesic, path_action, path_to_csv
+from multifinsler.geodesic import action_of_path, integrate_geodesic, path_to_csv
 
 
 def main():
@@ -51,7 +51,7 @@ def main():
         path = integrate_geodesic(space, x0, y0, args.t_end, args.step)
         drift = float(np.max(np.abs(path.F - path.F[0])) / path.F[0])
         worst_drift = max(worst_drift, drift)
-        act = path_action(space, path)
+        act = action_of_path(space, path.t, path.x, path.y)
         dest = out_dir / f"ray_{k:02d}.csv"
         path_to_csv(path, dest, cfg.coordinates)
         print(f"ray {k:2d}  theta={th:6.3f}  action={act.total:.9f}  drift={drift:.2e}  -> {dest}")

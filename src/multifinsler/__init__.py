@@ -45,17 +45,23 @@ from .finsler import (
     finsler_state,
     riemannian_detect,
 )
-from .geodesic import GeodesicPath, action_of_path, integrate_geodesic, path_action
+from .geodesic import GeodesicPath, action_of_path, integrate_geodesic
 from .measure import (
     DegeneratePairError,
     EllipticPair,
     MeasureReport,
     busemann_hausdorff,
-    complete_elliptic,
+    busemann_hausdorff_bimetric,
+    busemann_hausdorff_quadrature,
+    complete_elliptic_e,
+    complete_elliptic_k,
     holmes_thompson,
+    holmes_thompson_circle_oracle,
+    holmes_thompson_disc_oracle,
     indicatrix_reduction_check,
     lambda_pair,
     pencil_integrals,
+    pencil_integrals_quadrature,
 )
 from .riemann import (
     MetricField,

@@ -18,8 +18,8 @@ from .config import ConfigError, load_config
 from .connection import connection_state
 from .dim2 import frame_from_state, invariants_JK_from_state
 from .finsler import TangentSample, finsler_state
-from .geodesic import integrate_geodesic, path_action, path_to_csv, write_csv
-from .measure import busemann_hausdorff, holmes_thompson
+from .geodesic import action_of_path, integrate_geodesic, path_to_csv, write_csv
+from .measure import busemann_hausdorff, holmes_thompson, holmes_thompson_disc_oracle
 from .riemann import gauss_curvature
 from .suites import run_suite
 
@@ -124,18 +124,18 @@ def _cmd_measure(args) -> int:
     cfg = load_config(args.config)
     space = cfg.build_space()
     x = cfg.box_center() if args.at is None else parse_point(args.at, "--at", cfg.dimension)
-    ht_closed = holmes_thompson(space, x, "closed")
-    ht_disc = holmes_thompson(space, x, "disc_oracle")
-    bh = busemann_hausdorff(space, x, "auto")
+    ht_closed = holmes_thompson(space, x)
+    ht_disc = holmes_thompson_disc_oracle(space, x)
+    bh = busemann_hausdorff(space, x)
     report = {
         "point": [float(v) for v in x],
         "holmes_thompson": {
             "value": ht_closed.value,
             "diagonal_terms": list(ht_closed.diagonal_terms),
             "cross_terms": list(ht_closed.cross_terms),
-            "disc_oracle": ht_disc.value,
-            "abs_deviation": abs(ht_closed.value - ht_disc.value),
-            "rel_deviation": abs(ht_closed.value - ht_disc.value) / abs(ht_closed.value),
+            "disc_oracle": ht_disc,
+            "abs_deviation": abs(ht_closed.value - ht_disc),
+            "rel_deviation": abs(ht_closed.value - ht_disc) / abs(ht_closed.value),
         },
         "busemann_hausdorff": {
             "value": bh.value,
@@ -161,7 +161,7 @@ def _cmd_geodesic(args) -> int:
     if args.format == "csv":
         path_to_csv(path, args.out, cfg.coordinates)
     else:
-        act = path_action(space, path)
+        act = action_of_path(space, path.t, path.x, path.y)
         emit({
             "t_end": args.t_end, "step": path.step,
             "start": {"x": list(map(float, path.x[0])), "y": list(map(float, path.y[0]))},

@@ -265,10 +265,14 @@ def horizontal_compatibility_residual(space: MultiMetricSpace, cs: ConnectionSta
 
 def chern_connection(space: MultiMetricSpace, cs: ConnectionState) -> np.ndarray:
     """Chern connection coefficients [k, i, j] at the sample of cs, symmetric in (i, j)."""
+    return _chern_from_dg(cs, x_derivatives(space, cs.state).dg)
+
+
+def _chern_from_dg(cs: ConnectionState, dg: np.ndarray) -> np.ndarray:
+    """Chern coefficients from the x-derivatives dg[s, i, j] of the fundamental tensor."""
     state = cs.state
-    xd = x_derivatives(space, state)
     # delta_s g_ij = d_s g_ij - N^r_s * 2 C_rij
-    dgh = xd.dg - 2.0 * np.einsum("rs,rij->sij", cs.N, state.C)
+    dgh = dg - 2.0 * np.einsum("rs,rij->sij", cs.N, state.C)
     # T[i, s, j] = delta_i g_sj + delta_j g_si - delta_s g_ij
     inner = dgh + dgh.transpose(2, 1, 0) - dgh.transpose(1, 0, 2)
     return 0.5 * np.einsum("ks,isj->kij", state.g_inv, inner)
@@ -287,7 +291,7 @@ def landsberg_berwald(space: MultiMetricSpace, sample: TangentSample) -> Landsbe
     cs = connection_state(space, sample)
     state = cs.state
     xd = x_derivatives(space, state)
-    chern = chern_connection(space, cs)
+    chern = _chern_from_dg(cs, xd.dg)
     dyC = cartan_y_derivative(state)
 
     delta_C = xd.dC - np.einsum("rs,rijk->sijk", cs.N, dyC)  # [s, i, j, k]

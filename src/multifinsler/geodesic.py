@@ -28,7 +28,6 @@ class GeodesicPath:
     y: np.ndarray       # (K, n) velocities
     F: np.ndarray       # (K,)
     step: float
-    method: str = "rk4"
 
 
 def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: float) -> GeodesicPath:
@@ -108,10 +107,6 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
     ])
     total = float(_sciint.simpson(f_mu.sum(axis=1), x=t))
     return ActionResult(total=total, sector_totals=sectors)
-
-
-def path_action(space: MultiMetricSpace, path: GeodesicPath) -> ActionResult:
-    return action_of_path(space, path.t, path.x, path.y)
 
 
 def write_csv(header, rows, dest) -> None:

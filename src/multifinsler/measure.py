@@ -34,7 +34,7 @@ DEGENERACY_TOL = 1e-6
 
 
 class DegeneratePairError(Exception):
-    """Closed Busemann-Hausdorff form inapplicable; use the quadrature mode."""
+    """Closed Busemann-Hausdorff form inapplicable; use busemann_hausdorff_quadrature."""
 
 
 @dataclass(frozen=True)
@@ -91,11 +91,6 @@ def complete_elliptic_e(k: float) -> float:
     return math.pi / (2.0 * a) * (1.0 - csum)
 
 
-def complete_elliptic(k: float) -> tuple[float, float]:
-    """(K(k), E(k)) for k in [0, 1)."""
-    return complete_elliptic_k(k), complete_elliptic_e(k)
-
-
 def elliptic_k_quadrature(k: float) -> float:
     """Defining integral of K(k), adaptive quadrature; test oracle."""
     val, _ = integrate.quad(
@@ -114,18 +109,13 @@ def elliptic_e_quadrature(k: float) -> float:
     return val
 
 
-def _poly(M: np.ndarray, t: float) -> float:
-    """M_11 t^2 + 2 M_12 t + M_22."""
-    return M[0, 0] * t * t + 2.0 * M[0, 1] * t + M[1, 1]
-
-
 def _form(M: np.ndarray, theta: float) -> float:
     """Quadratic form at the unit vector (sin theta, cos theta)."""
     s, c = math.sin(theta), math.cos(theta)
     return M[0, 0] * s * s + 2.0 * M[0, 1] * s * c + M[1, 1] * c * c
 
 
-def pencil_integrals(A, B, mode: str = "closed") -> tuple[float, float]:
+def pencil_integrals(A, B) -> tuple[float, float]:
     """The two canonical pencil integrals over the real line:
 
         first  = integral dt / sqrt(a(t) b(t))
@@ -137,26 +127,28 @@ def pencil_integrals(A, B, mode: str = "closed") -> tuple[float, float]:
     det(A - lambda B) = 0 and k the pencil modulus.
     """
     A = np.asarray(A, dtype=float)
+    pair = lambda_pair(A, np.asarray(B, dtype=float))
+    k = pair.modulus
+    det_a = float(np.linalg.det(A))
+    first = 2.0 * math.sqrt(pair.lam_minus / det_a) * complete_elliptic_k(k)
+    second = 2.0 * pair.lam_plus * math.sqrt(pair.lam_minus / det_a) * complete_elliptic_e(k)
+    return first, second
+
+
+def pencil_integrals_quadrature(A, B) -> tuple[float, float]:
+    """The two pencil integrals by adaptive quadrature; oracle of pencil_integrals."""
+    A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if mode == "closed":
-        pair = lambda_pair(A, B)
-        k = pair.modulus
-        det_a = float(np.linalg.det(A))
-        first = 2.0 * math.sqrt(pair.lam_minus / det_a) * complete_elliptic_k(k)
-        second = 2.0 * pair.lam_plus * math.sqrt(pair.lam_minus / det_a) * complete_elliptic_e(k)
-        return first, second
-    if mode == "quadrature":
-        # t = tan(theta) removes the improper endpoints analytically
-        first, _ = integrate.quad(
-            lambda th: 1.0 / math.sqrt(_form(A, th) * _form(B, th)),
-            -math.pi / 2.0, math.pi / 2.0, epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400,
-        )
-        second, _ = integrate.quad(
-            lambda th: math.sqrt(_form(A, th)) / _form(B, th) ** 1.5,
-            -math.pi / 2.0, math.pi / 2.0, epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400,
-        )
-        return first, second
-    raise ValueError(f"unknown mode '{mode}'")
+    # t = tan(theta) removes the improper endpoints analytically
+    first, _ = integrate.quad(
+        lambda th: 1.0 / math.sqrt(_form(A, th) * _form(B, th)),
+        -math.pi / 2.0, math.pi / 2.0, epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400,
+    )
+    second, _ = integrate.quad(
+        lambda th: math.sqrt(_form(A, th)) / _form(B, th) ** 1.5,
+        -math.pi / 2.0, math.pi / 2.0, epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400,
+    )
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -178,72 +170,72 @@ def _norm_on_circle(a_mu: np.ndarray, theta: float) -> float:
     return float(sum(math.sqrt(float(y @ a @ y)) for a in a_mu))
 
 
-def holmes_thompson(space: MultiMetricSpace, x, mode: str = "closed") -> MeasureReport:
-    """Holmes-Thompson measure density at x.
+def holmes_thompson(space: MultiMetricSpace, x) -> MeasureReport:
+    """Holmes-Thompson measure density at x: the sector volume factors
+    sqrt(det a_mu) plus one elliptic cross term per ordered pair of sectors."""
+    require_2d(space.dim)
+    a_mu, _, a_det = space.metric_values(np.asarray(x, dtype=float))
+    nm = space.n_metrics
+    diag = tuple(float(np.sqrt(d)) for d in a_det)
+    cross = []
+    total = float(sum(diag))
+    for mu in range(nm):
+        for nu in range(nm):
+            if mu == nu:
+                continue
+            pair = lambda_pair(a_mu[nu], a_mu[mu])
+            e_val = complete_elliptic_e(pair.modulus)
+            term = (2.0 / math.pi) * math.sqrt(a_det[mu] * pair.lam_plus) * e_val
+            cross.append({
+                "mu": mu, "nu": nu, "lam_plus": pair.lam_plus,
+                "lam_minus": pair.lam_minus, "modulus": pair.modulus,
+                "E": e_val, "term": term,
+            })
+            total += term
+    return MeasureReport(value=total, method="closed",
+                         diagonal_terms=diag, cross_terms=tuple(cross))
 
-    'closed' sums the sector volume factors plus elliptic cross terms;
-    'disc_oracle' integrates det g over the unit sublevel set of the norm by
-    polar reduction with the radial integral done analytically per ray;
-    'circle_oracle' integrates det g / F^2 over the unit circle with det g
-    from the finite-difference Hessian oracle.
-    """
+
+def holmes_thompson_disc_oracle(space: MultiMetricSpace, x) -> float:
+    """Holmes-Thompson density as the integral of det g over the unit sublevel
+    set of the norm divided by pi, by polar reduction with the radial integral
+    done analytically per ray."""
     require_2d(space.dim)
     x = np.asarray(x, dtype=float)
-    a_mu, _, a_det = space.metric_values(x)
-    nm = space.n_metrics
 
-    if mode == "closed":
-        diag = tuple(float(np.sqrt(d)) for d in a_det)
-        cross = []
-        total = float(sum(diag))
-        for mu in range(nm):
-            for nu in range(nm):
-                if mu == nu:
-                    continue
-                pair = lambda_pair(a_mu[nu], a_mu[mu])
-                e_val = complete_elliptic_e(pair.modulus)
-                term = (2.0 / math.pi) * math.sqrt(a_det[mu] * pair.lam_plus) * e_val
-                cross.append({
-                    "mu": mu, "nu": nu, "lam_plus": pair.lam_plus,
-                    "lam_minus": pair.lam_minus, "modulus": pair.modulus,
-                    "E": e_val, "term": term,
-                })
-                total += term
-        return MeasureReport(value=total, method="closed",
-                             diagonal_terms=diag, cross_terms=tuple(cross))
+    # 0-homogeneity of det g makes the radial integral exact per ray:
+    # integral_{F<=1} det g = (1/2) integral det g(theta) / F(theta)^2 dtheta
+    def integrand(theta):
+        y = np.array([math.cos(theta), math.sin(theta)])
+        st = finsler_state(space, TangentSample(x, y))
+        return st.det_g / st.F**2
 
-    if mode == "disc_oracle":
-        # 0-homogeneity of det g makes the radial integral exact per ray:
-        # integral_{F<=1} det g = (1/2) integral det g(theta) / F(theta)^2 dtheta
-        def integrand(theta):
-            y = np.array([math.cos(theta), math.sin(theta)])
-            st = finsler_state(space, TangentSample(x, y))
-            return st.det_g / st.F**2
-
-        val, _ = integrate.quad(integrand, 0.0, 2.0 * math.pi,
-                                epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
-        val *= 0.5 / math.pi
-        return MeasureReport(value=float(val), method="disc_oracle",
-                             parts={"disc_integral_over_pi": float(val)})
-
-    if mode == "circle_oracle":
-        # periodic trapezoid on det(g_fd)/F^2; g from the FD Hessian oracle
-        m = 512
-        thetas = np.arange(m) * (2.0 * math.pi / m)
-        vals = np.empty(m)
-        for i, th in enumerate(thetas):
-            y = np.array([math.cos(th), math.sin(th)])
-            g = fd_fundamental_tensor(space, x, y)
-            f = _norm_on_circle(a_mu, th)
-            vals[i] = float(np.linalg.det(g)) / f**2
-        val = float(vals.mean())  # (1/pi) * (1/2) * integral = mean over the circle
-        return MeasureReport(value=val, method="circle_oracle",
-                             parts={"circle_integral_over_pi": val})
-    raise ValueError(f"unknown mode '{mode}'")
+    val, _ = integrate.quad(integrand, 0.0, 2.0 * math.pi,
+                            epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
+    return float(val * (0.5 / math.pi))
 
 
-def _bh_quadrature_value(space: MultiMetricSpace, x) -> float:
+def holmes_thompson_circle_oracle(space: MultiMetricSpace, x) -> float:
+    """Holmes-Thompson density as the circle integral of det g / F^2 divided by
+    2 pi, by the periodic trapezoid rule with g from the FD Hessian oracle."""
+    require_2d(space.dim)
+    x = np.asarray(x, dtype=float)
     a_mu, _, _ = space.metric_values(x)
+    m = 512
+    thetas = np.arange(m) * (2.0 * math.pi / m)
+    vals = np.empty(m)
+    for i, th in enumerate(thetas):
+        y = np.array([math.cos(th), math.sin(th)])
+        g = fd_fundamental_tensor(space, x, y)
+        f = _norm_on_circle(a_mu, th)
+        vals[i] = float(np.linalg.det(g)) / f**2
+    return float(vals.mean())  # (1/pi) * (1/2) * integral = mean over the circle
+
+
+def busemann_hausdorff_quadrature(space: MultiMetricSpace, x) -> float:
+    """Busemann-Hausdorff density 2 pi / integral F^-2 dtheta by adaptive quadrature."""
+    require_2d(space.dim)
+    a_mu, _, _ = space.metric_values(np.asarray(x, dtype=float))
 
     def inv_f2(theta):
         return 1.0 / _norm_on_circle(a_mu, theta) ** 2
@@ -253,78 +245,74 @@ def _bh_quadrature_value(space: MultiMetricSpace, x) -> float:
     return 2.0 * math.pi / val
 
 
-def busemann_hausdorff(space: MultiMetricSpace, x, mode: str = "auto") -> MeasureReport:
-    """Busemann-Hausdorff measure density at x.
+def busemann_hausdorff_bimetric(space: MultiMetricSpace, x) -> MeasureReport:
+    """Busemann-Hausdorff density of a two-metric space by the trace/elliptic
+    split in the difference metric alpha - beta.
 
-    'closed_bimetric' (two metrics only) uses the trace/elliptic split in the
-    difference metric alpha - beta and raises DegeneratePairError when that
-    difference is close to singular or the pair close to proportional;
-    'quadrature' integrates 2 pi / integral F^-2 dtheta; 'auto' tries the
-    closed form and falls back to quadrature.
+    Raises DegeneratePairError when that difference is close to singular or
+    indefinite, or the pair close to proportional.
     """
     require_2d(space.dim)
-    x = np.asarray(x, dtype=float)
+    if space.n_metrics != 2:
+        raise ValueError("busemann_hausdorff_bimetric requires exactly two metrics")
+    alpha, beta = space.metric_values(np.asarray(x, dtype=float))[0]
 
-    if mode == "auto":
-        if space.n_metrics == 2:
-            try:
-                return busemann_hausdorff(space, x, mode="closed_bimetric")
-            except DegeneratePairError:
-                rep = busemann_hausdorff(space, x, mode="quadrature")
-                return MeasureReport(value=rep.value, method=rep.method,
-                                     parts=rep.parts, fallback=True)
-        return busemann_hausdorff(space, x, mode="quadrature")
-
-    if mode == "quadrature":
-        val = _bh_quadrature_value(space, x)
-        return MeasureReport(value=float(val), method="quadrature",
-                             parts={"indicatrix_area_over_pi": float(math.pi / val)})
-
-    if mode == "closed_bimetric":
-        if space.n_metrics != 2:
-            raise ValueError("closed_bimetric mode requires exactly two metrics")
-        alpha, _, _ = space.metrics[0].spd_value(x)
-        beta, _, _ = space.metrics[1].spd_value(x)
-
-        pair = lambda_pair(alpha, beta)
-        near_unit = min(abs(pair.lam_plus - 1.0), abs(pair.lam_minus - 1.0))
-        scale = max(pair.lam_plus, 1.0)
-        if pair.lam_plus / pair.lam_minus - 1.0 < DEGENERACY_TOL or near_unit < DEGENERACY_TOL * scale:
-            raise DegeneratePairError(
-                "alpha - beta is singular or the pair is near proportional; "
-                "use the quadrature mode"
-            )
-        h_minus = alpha - beta
-        ev = np.linalg.eigvalsh(h_minus)
-        if ev[0] * ev[-1] <= 0.0:
-            raise DegeneratePairError(
-                "alpha - beta is indefinite; the closed split diverges, use the quadrature mode"
-            )
-        if ev[-1] < 0.0:  # negative definite: swap roles, the measure is symmetric
-            alpha, beta = beta, alpha
-            h_minus = -h_minus
-        h_plus = alpha + beta
-
-        det_hm = float(np.linalg.det(h_minus))
-        a_part = 0.5 * float(np.trace(h_plus @ np.linalg.inv(h_minus))) / math.sqrt(det_hm)
-
-        def integrand(theta):
-            return math.sqrt(_form(alpha, theta) * _form(beta, theta)) / _form(h_minus, theta) ** 2
-
-        # circle average: 1/F^2 = F_+^2/F_-^4 - 2 F_a F_b / F_-^4, and the
-        # second term integrates to exactly one copy of the line integral
-        # (cross-checked against quadrature; proportional pairs give the
-        # Riemannian value only with this normalization)
-        b_int, _ = integrate.quad(integrand, -math.pi / 2.0, math.pi / 2.0,
-                                  epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
-        b_part = -(2.0 / math.pi) * b_int
-        value = 1.0 / (a_part + b_part)
-        return MeasureReport(
-            value=float(value), method="closed_bimetric",
-            parts={"trace_part": float(a_part), "elliptic_part": float(b_part),
-                   "indicatrix_area_over_pi": float(a_part + b_part)},
+    pair = lambda_pair(alpha, beta)
+    near_unit = min(abs(pair.lam_plus - 1.0), abs(pair.lam_minus - 1.0))
+    scale = max(pair.lam_plus, 1.0)
+    if pair.lam_plus / pair.lam_minus - 1.0 < DEGENERACY_TOL or near_unit < DEGENERACY_TOL * scale:
+        raise DegeneratePairError(
+            "alpha - beta is singular or the pair is near proportional; "
+            "use busemann_hausdorff_quadrature"
         )
-    raise ValueError(f"unknown mode '{mode}'")
+    h_minus = alpha - beta
+    ev = np.linalg.eigvalsh(h_minus)
+    if ev[0] * ev[-1] <= 0.0:
+        raise DegeneratePairError(
+            "alpha - beta is indefinite; the closed split diverges, use busemann_hausdorff_quadrature"
+        )
+    if ev[-1] < 0.0:  # negative definite: swap roles, the measure is symmetric
+        alpha, beta = beta, alpha
+        h_minus = -h_minus
+    h_plus = alpha + beta
+
+    det_hm = float(np.linalg.det(h_minus))
+    a_part = 0.5 * float(np.trace(h_plus @ np.linalg.inv(h_minus))) / math.sqrt(det_hm)
+
+    def integrand(theta):
+        return math.sqrt(_form(alpha, theta) * _form(beta, theta)) / _form(h_minus, theta) ** 2
+
+    # circle average: 1/F^2 = F_+^2/F_-^4 - 2 F_a F_b / F_-^4, and the
+    # second term integrates to exactly one copy of the line integral
+    # (cross-checked against quadrature; proportional pairs give the
+    # Riemannian value only with this normalization)
+    b_int, _ = integrate.quad(integrand, -math.pi / 2.0, math.pi / 2.0,
+                              epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
+    b_part = -(2.0 / math.pi) * b_int
+    value = 1.0 / (a_part + b_part)
+    return MeasureReport(
+        value=float(value), method="closed_bimetric",
+        parts={"trace_part": float(a_part), "elliptic_part": float(b_part),
+               "indicatrix_area_over_pi": float(a_part + b_part)},
+    )
+
+
+def busemann_hausdorff(space: MultiMetricSpace, x) -> MeasureReport:
+    """Busemann-Hausdorff density at x.
+
+    Two metrics use busemann_hausdorff_bimetric; any other count, or a pair
+    that form rejects as degenerate, uses busemann_hausdorff_quadrature, and
+    the report's fallback flag records the rejected pair.
+    """
+    fallback = False
+    if space.n_metrics == 2:
+        try:
+            return busemann_hausdorff_bimetric(space, x)
+        except DegeneratePairError:
+            fallback = True
+    value = busemann_hausdorff_quadrature(space, x)
+    return MeasureReport(value=value, method="quadrature",
+                         parts={"indicatrix_area_over_pi": math.pi / value}, fallback=fallback)
 
 
 def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") -> dict:

@@ -36,9 +36,12 @@ from .finsler import (
 from .geodesic import action_of_path, integrate_geodesic
 from .measure import (
     busemann_hausdorff,
-    complete_elliptic,
+    busemann_hausdorff_quadrature,
     complete_elliptic_e,
+    complete_elliptic_k,
     holmes_thompson,
+    holmes_thompson_circle_oracle,
+    holmes_thompson_disc_oracle,
     indicatrix_reduction_check,
 )
 from .riemann import gauss_curvature
@@ -203,8 +206,8 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
 
 def _measure_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) -> list[CheckResult]:
     out = []
-    k_val, e_val = complete_elliptic(0.0)
-    anchor = max(abs(k_val - math.pi / 2.0), abs(e_val - math.pi / 2.0),
+    anchor = max(abs(complete_elliptic_k(0.0) - math.pi / 2.0),
+                 abs(complete_elliptic_e(0.0) - math.pi / 2.0),
                  abs(complete_elliptic_e(1.0) - 1.0))
     out.append(_check("elliptic-endpoint-anchors", anchor, "analytic", 3, tol_scale, tol=1e-14))
 
@@ -212,15 +215,15 @@ def _measure_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) -
     ht = bh = ind = 0.0
     positive = True
     for x in pts:
-        closed = holmes_thompson(space, x, "closed")
-        disc = holmes_thompson(space, x, "disc_oracle")
-        circ = holmes_thompson(space, x, "circle_oracle")
-        scale = abs(closed.value)
-        ht = max(ht, abs(closed.value - disc.value) / scale, abs(closed.value - circ.value) / scale)
-        positive = positive and closed.value > 0.0
-        rep = busemann_hausdorff(space, x, "auto")
-        quad = busemann_hausdorff(space, x, "quadrature")
-        bh = max(bh, abs(rep.value - quad.value) / quad.value)
+        closed = holmes_thompson(space, x).value
+        disc = holmes_thompson_disc_oracle(space, x)
+        circ = holmes_thompson_circle_oracle(space, x)
+        scale = abs(closed)
+        ht = max(ht, abs(closed - disc) / scale, abs(closed - circ) / scale)
+        positive = positive and closed > 0.0
+        rep = busemann_hausdorff(space, x)
+        quad = busemann_hausdorff_quadrature(space, x)
+        bh = max(bh, abs(rep.value - quad) / quad)
         positive = positive and rep.value > 0.0
         for w in ("one", "det"):
             r = indicatrix_reduction_check(space, x, w)

@@ -318,6 +318,16 @@ def test_identity_reports_match_stored_references(name, suite, tmp_path):
     assert out.read_bytes() == reference.read_bytes()
 
 
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+@pytest.mark.parametrize("point", ["centre", "0.3_-0.2"])
+def test_measure_output_matches_stored_bytes(name, point, tmp_path):
+    """multifinsler measure at the box centre and at 0.3,-0.2, byte for byte."""
+    out = tmp_path / "measure.json"
+    at = [] if point == "centre" else ["--at", point.replace("_", ",")]
+    assert main(["measure", "--config", str(REPO / "configs" / f"{name}.json"),
+                 *at, "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "data" / f"measure-{name}-{point}.json").read_bytes()
+
 @pytest.mark.parametrize("workload", ["invariant_map", "geodesic_fan"])
 def test_benchmark_workload_outputs_pass_their_checks(workload, tmp_path, monkeypatch):
     """The benchmark's sample and geodesic-fan items at seed 0: every oracle check

@@ -219,6 +219,14 @@ class TestLandsbergBerwald:
         assert np.max(np.abs(lb.C_dot)) > 1e-3
         assert lb.pair_residuals[0, 1] > 1e-3
 
+    def test_x_derivatives_computed_once(self, monkeypatch, bi_x):
+        # the Chern coefficients reuse the dg of the x-derivatives taken for dC
+        import multifinsler.connection as connection
+
+        calls = count_calls(monkeypatch, connection, "x_derivatives")
+        landsberg_berwald(bi_x, S)
+        assert calls[0] == 1
+
     def test_landsberg_frame_component_matches_scalar(self, bi_x):
         # the only frame component of the Landsberg tensor is the scalar J
         from multifinsler.dim2 import frame_from_state, invariants_JK

@@ -6,7 +6,6 @@ from multifinsler.geodesic import (
     GeodesicPath,
     action_of_path,
     integrate_geodesic,
-    path_action,
     path_to_csv,
 )
 
@@ -72,7 +71,7 @@ class TestAction:
 
     def test_sector_decomposition_identity(self, bi_x):
         p = integrate_geodesic(bi_x, [0.1, 0.1], [1.0, 0.3], 1.0, 0.01)
-        act = path_action(bi_x, p)
+        act = action_of_path(bi_x, p.t, p.x, p.y)
         assert act.decomposition_residual <= 1e-12
 
     def test_velocities_from_finite_differences(self, bi_x):

@@ -23,3 +23,36 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _module_level_private_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_no_unreferenced_private_definitions():
+    """Every module-level private def, class or assignment is read somewhere in the package."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    dead = sorted(
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name in _module_level_private_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+    assert not dead, f"private definitions nothing references: {dead}"

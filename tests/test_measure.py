@@ -11,15 +11,19 @@ from multifinsler.measure import (
     DegeneratePairError,
     EllipticPair,
     busemann_hausdorff,
-    complete_elliptic,
+    busemann_hausdorff_bimetric,
+    busemann_hausdorff_quadrature,
     complete_elliptic_e,
     complete_elliptic_k,
     elliptic_e_quadrature,
     elliptic_k_quadrature,
     holmes_thompson,
+    holmes_thompson_circle_oracle,
+    holmes_thompson_disc_oracle,
     indicatrix_reduction_check,
     lambda_pair,
     pencil_integrals,
+    pencil_integrals_quadrature,
 )
 
 from conftest import const_field, count_calls, field, random_spd, space_of
@@ -84,7 +88,7 @@ class TestLambdaPair:
 
 class TestCompleteElliptic:
     def test_zero_modulus(self):
-        k, e = complete_elliptic(0.0)
+        k, e = complete_elliptic_k(0.0), complete_elliptic_e(0.0)
         assert abs(k - math.pi / 2) <= 1e-14
         assert abs(e - math.pi / 2) <= 1e-14
 
@@ -96,13 +100,13 @@ class TestCompleteElliptic:
             complete_elliptic_k(1.0)
 
     def test_frozen_values(self):
-        k, e = complete_elliptic(math.sqrt(3) / 2)
+        k, e = complete_elliptic_k(math.sqrt(3) / 2), complete_elliptic_e(math.sqrt(3) / 2)
         assert k == pytest.approx(K_SQRT3_2, abs=1e-14)
         assert e == pytest.approx(E_SQRT3_2, abs=1e-14)
 
     @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, math.sqrt(3) / 2, 0.99, 0.99999])
     def test_agm_matches_defining_integrals(self, k):
-        kk, ee = complete_elliptic(k)
+        kk, ee = complete_elliptic_k(k), complete_elliptic_e(k)
         assert abs(kk - elliptic_k_quadrature(k)) <= 1e-12
         assert abs(ee - elliptic_e_quadrature(k)) <= 1e-12
 
@@ -116,7 +120,7 @@ class TestCompleteElliptic:
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_monotonicity_property(self, k):
         # K grows and E shrinks with the modulus
-        kk, ee = complete_elliptic(k)
+        kk, ee = complete_elliptic_k(k), complete_elliptic_e(k)
         assert kk >= math.pi / 2 - 1e-15
         assert 1.0 - 1e-15 <= ee <= math.pi / 2 + 1e-15
 
@@ -124,11 +128,11 @@ class TestCompleteElliptic:
 class TestPencilIntegrals:
     def test_equal_matrices_reduce_to_circle(self):
         a = np.array([[2.0, 0.5], [0.5, 1.5]])
-        first, second = pencil_integrals(a, a, "closed")
+        first, second = pencil_integrals(a, a)
         assert first == pytest.approx(math.pi / math.sqrt(np.linalg.det(a)), rel=1e-12)
 
     def test_reference_pair(self):
-        first, second = pencil_integrals(np.eye(2), np.diag([4.0, 1.0]), "closed")
+        first, second = pencil_integrals(np.eye(2), np.diag([4.0, 1.0]))
         assert first == pytest.approx(K_SQRT3_2, rel=1e-13)
         assert second == pytest.approx(E_SQRT3_2, rel=1e-13)
 
@@ -137,8 +141,8 @@ class TestPencilIntegrals:
         worst = 0.0
         for _ in range(100):
             a, b = random_spd(rng), random_spd(rng)
-            fc, sc = pencil_integrals(a, b, "closed")
-            fq, sq = pencil_integrals(a, b, "quadrature")
+            fc, sc = pencil_integrals(a, b)
+            fq, sq = pencil_integrals_quadrature(a, b)
             worst = max(worst, abs(fc - fq) / fc, abs(sc - sq) / sc)
         assert worst <= 1e-9
 
@@ -146,8 +150,8 @@ class TestPencilIntegrals:
         rng = np.random.default_rng(43)
         for _ in range(100):
             a, b = random_spd(rng), random_spd(rng)
-            f1, _ = pencil_integrals(a, b, "closed")
-            f2, _ = pencil_integrals(b, a, "closed")
+            f1, _ = pencil_integrals(a, b)
+            f2, _ = pencil_integrals(b, a)
             assert abs(f1 - f2) <= 1e-12 * f1
 
     def test_second_display_of_second_integral(self):
@@ -155,7 +159,7 @@ class TestPencilIntegrals:
         for _ in range(30):
             a, b = random_spd(rng), random_spd(rng)
             p = lambda_pair(a, b)
-            _, second = pencil_integrals(a, b, "closed")
+            _, second = pencil_integrals(a, b)
             alt = 2.0 * math.sqrt(p.lam_plus / np.linalg.det(b)) * complete_elliptic_e(p.modulus)
             assert abs(second - alt) <= 1e-12 * second
 
@@ -165,8 +169,8 @@ class TestPencilIntegrals:
         det_a = float(np.linalg.det(a))
         for s in (1e-2, 1e-4, 1e-6):
             b = a + s * np.array([[0.5, -0.1], [-0.1, 0.3]])
-            fc, sc = pencil_integrals(a, b, "closed")
-            fq, sq = pencil_integrals(a, b, "quadrature")
+            fc, sc = pencil_integrals(a, b)
+            fq, sq = pencil_integrals_quadrature(a, b)
             assert abs(fc - fq) <= 1e-7 * fc
             assert abs(sc - sq) <= 1e-7 * sc
         assert fc == pytest.approx(math.pi / math.sqrt(det_a), rel=1e-4)
@@ -176,27 +180,28 @@ class TestHolmesThompson:
     def test_single_metric_is_volume_density(self):
         a = np.array([[2.0, 0.4], [0.4, 1.5]])
         sp = space_of(const_field("a", a))
-        rep = holmes_thompson(sp, ORIGIN, "closed")
+        rep = holmes_thompson(sp, ORIGIN)
         assert rep.value == pytest.approx(math.sqrt(np.linalg.det(a)), rel=1e-12)
         assert rep.cross_terms == ()
 
     def test_doubled_identity(self):
         sp = space_of(const_field("a", np.eye(2)), const_field("b", np.eye(2)))
-        for mode in ("closed", "disc_oracle"):
-            assert holmes_thompson(sp, ORIGIN, mode).value == pytest.approx(4.0, rel=1e-10)
+        assert holmes_thompson(sp, ORIGIN).value == pytest.approx(4.0, rel=1e-10)
+        assert holmes_thompson_disc_oracle(sp, ORIGIN) == pytest.approx(4.0, rel=1e-10)
 
     def test_reference_bimetric_anchor(self, bi_const):
         # disc oracle fixes the anchor; closed form must match it and the
         # elliptic expression 3 + (8/pi) E(sqrt(3)/2)
-        closed = holmes_thompson(bi_const, ORIGIN, "closed")
-        disc = holmes_thompson(bi_const, ORIGIN, "disc_oracle")
+        closed = holmes_thompson(bi_const, ORIGIN)
+        disc = holmes_thompson_disc_oracle(bi_const, ORIGIN)
         anchor = 3.0 + (8.0 / math.pi) * E_SQRT3_2
-        assert disc.value == pytest.approx(anchor, rel=1e-10)
-        assert closed.value == pytest.approx(disc.value, rel=1e-10)
+        assert disc == pytest.approx(anchor, rel=1e-10)
+        assert closed.value == pytest.approx(disc, rel=1e-10)
 
     def test_three_modes_agree(self, bi_x):
         x = [0.4, -0.2]
-        vals = [holmes_thompson(bi_x, x, m).value for m in ("closed", "disc_oracle", "circle_oracle")]
+        vals = [holmes_thompson(bi_x, x).value, holmes_thompson_disc_oracle(bi_x, x),
+                holmes_thompson_circle_oracle(bi_x, x)]
         scale = abs(vals[0])
         assert abs(vals[0] - vals[1]) / scale < 1e-6
         assert abs(vals[0] - vals[2]) / scale < 1e-6
@@ -211,17 +216,17 @@ class TestHolmesThompson:
         ][:n_metrics]
         sp = space_of(*fields)
         calls = count_calls(monkeypatch, MetricField, "value")
-        holmes_thompson(sp, [0.4, -0.2], "circle_oracle")
+        holmes_thompson_circle_oracle(sp, [0.4, -0.2])
         assert calls[0] == n_metrics
 
     def test_trimetric_modes_agree(self, tri_space):
         x = [0.1, 0.3]
-        closed = holmes_thompson(tri_space, x, "closed").value
-        disc = holmes_thompson(tri_space, x, "disc_oracle").value
+        closed = holmes_thompson(tri_space, x).value
+        disc = holmes_thompson_disc_oracle(tri_space, x)
         assert abs(closed - disc) / closed < 1e-6
 
     def test_breakdown_sums_to_total(self, bi_const):
-        rep = holmes_thompson(bi_const, ORIGIN, "closed")
+        rep = holmes_thompson(bi_const, ORIGIN)
         total = sum(rep.diagonal_terms) + sum(t["term"] for t in rep.cross_terms)
         assert abs(total - rep.value) <= 1e-14 * abs(rep.value)
 
@@ -229,7 +234,7 @@ class TestHolmesThompson:
         x = [0.6, -0.1]
         phi = 1.0 + x[0] ** 2
         expect = (1.0 + math.sqrt(phi)) ** 2  # det alpha = 1
-        ht = holmes_thompson(prop_space, x, "closed").value
+        ht = holmes_thompson(prop_space, x).value
         assert ht == pytest.approx(expect, rel=1e-8)
         assert busemann_hausdorff(prop_space, x).value == pytest.approx(expect, rel=1e-8)
 
@@ -244,16 +249,16 @@ class TestBusemannHausdorff:
     def test_equal_pair_degenerates_and_falls_back(self):
         sp = space_of(const_field("a", np.eye(2)), const_field("b", np.eye(2)))
         with pytest.raises(DegeneratePairError):
-            busemann_hausdorff(sp, ORIGIN, "closed_bimetric")
-        rep = busemann_hausdorff(sp, ORIGIN, "auto")
+            busemann_hausdorff_bimetric(sp, ORIGIN)
+        rep = busemann_hausdorff(sp, ORIGIN)
         assert rep.fallback
         assert rep.value == pytest.approx(4.0, rel=1e-12)
 
     def test_singular_difference_routes_to_quadrature(self, bi_const):
         # alpha - beta = diag(-3, 0) is singular: the closed split diverges
         with pytest.raises(DegeneratePairError):
-            busemann_hausdorff(bi_const, ORIGIN, "closed_bimetric")
-        rep = busemann_hausdorff(bi_const, ORIGIN, "auto")
+            busemann_hausdorff_bimetric(bi_const, ORIGIN)
+        rep = busemann_hausdorff(bi_const, ORIGIN)
         assert rep.fallback and rep.value > 0
 
     def test_closed_vs_quadrature_definite_pairs(self):
@@ -265,10 +270,10 @@ class TestBusemannHausdorff:
             b = a + random_spd(rng)  # b - a positive definite
             sp = space_of(const_field("a", a), const_field("b", b))
             try:
-                c = busemann_hausdorff(sp, ORIGIN, "closed_bimetric").value
+                c = busemann_hausdorff_bimetric(sp, ORIGIN).value
             except DegeneratePairError:
                 continue
-            q = busemann_hausdorff(sp, ORIGIN, "quadrature").value
+            q = busemann_hausdorff_quadrature(sp, ORIGIN)
             worst = max(worst, abs(c - q) / q)
             checked += 1
         assert worst < 1e-6
@@ -276,7 +281,7 @@ class TestBusemannHausdorff:
     def test_breakdown_consistency(self):
         a = np.array([[5.0, 1.0], [1.0, 4.0]])
         sp = space_of(const_field("a", a), const_field("b", np.eye(2)))
-        rep = busemann_hausdorff(sp, ORIGIN, "closed_bimetric")
+        rep = busemann_hausdorff_bimetric(sp, ORIGIN)
         assert 1.0 / rep.value == pytest.approx(rep.parts["indicatrix_area_over_pi"], rel=1e-14)
         assert rep.parts["trace_part"] + rep.parts["elliptic_part"] == pytest.approx(
             rep.parts["indicatrix_area_over_pi"], rel=1e-14
@@ -284,10 +289,48 @@ class TestBusemannHausdorff:
 
     def test_proportional_with_x_dependent_factor(self, prop_space):
         x = [0.5, 0.2]
-        rep = busemann_hausdorff(prop_space, x, "auto")
+        rep = busemann_hausdorff(prop_space, x)
         expect = (1.0 + math.sqrt(1.0 + 0.25)) ** 2
         assert rep.fallback
         assert rep.value == pytest.approx(expect, rel=1e-10)
+
+
+    def test_bimetric_form_needs_two_metrics(self, tri_space):
+        with pytest.raises(ValueError, match="exactly two metrics"):
+            busemann_hausdorff_bimetric(tri_space, [0.1, 0.3])
+
+    @pytest.mark.parametrize("n_metrics", [1, 3])
+    def test_other_metric_counts_use_quadrature_without_fallback(self, n_metrics):
+        fields = [
+            field("alpha", [["1+x2^2", "0"], ["0", "1"]]),
+            field("beta", [["4", "0"], ["0", "1+x1^2"]]),
+            field("gamma", [["2+x2^2", "0.3"], ["0.3", "3"]]),
+        ][:n_metrics]
+        sp, x = space_of(*fields), [0.4, -0.2]
+        rep = busemann_hausdorff(sp, x)
+        assert rep.method == "quadrature"
+        assert not rep.fallback
+        assert rep.value == busemann_hausdorff_quadrature(sp, x)
+        assert rep.parts == {"indicatrix_area_over_pi": math.pi / rep.value}
+
+    def test_bimetric_form_reuses_the_validated_metrics(self, monkeypatch):
+        sp = space_of(field("a", [["5+x1^2", "1"], ["1", "4"]]), const_field("b", np.eye(2)))
+        x = [0.3, -0.2]
+        holmes_thompson(sp, x)
+        calls = count_calls(monkeypatch, MetricField, "spd_value")
+        rep = busemann_hausdorff(sp, x)
+        assert rep.method == "closed_bimetric"
+        assert calls[0] == 0
+
+
+@pytest.mark.parametrize("oracle", [
+    holmes_thompson_disc_oracle, holmes_thompson_circle_oracle, busemann_hausdorff_quadrature,
+])
+def test_oracles_need_a_2d_space(oracle):
+    coords = ("x1", "x2", "x3")
+    sp = space_of(const_field("a", np.eye(3), coords), const_field("b", np.diag([4.0, 1.0, 2.0]), coords))
+    with pytest.raises(ValueError, match="2D spaces only"):
+        oracle(sp, [0.0, 0.0, 0.0])
 
 
 class TestIndicatrixReduction:
