@@ -7,7 +7,6 @@ prints the worst norm drift plus the action of every leg.
     python scripts/geodesic_fan.py configs/bimetric.json --rays 8 --t-end 1.0 --out-dir fan/
 """
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -16,13 +15,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from multifinsler.cli import UsageError, parse_point, positive_float, positive_int
+from multifinsler.cli import ArgumentParser, UsageError, parse_point, positive_float, positive_int
 from multifinsler.config import ConfigError, load_config
 from multifinsler.geodesic import action_of_path, integrate_geodesic, path_to_csv
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = ArgumentParser(description=__doc__)
     ap.add_argument("config")
     ap.add_argument("--rays", type=positive_int, default=8)
     ap.add_argument("--t-end", type=positive_float, default=1.0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -85,6 +86,23 @@ def positive_float(text: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
     return value
+
+
+NEGATIVE_VALUE = re.compile(r"-\.?\d")  # "-1,2", "-.5,0", "-1e-3,4"
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse that reads a value such as '-0.1,0.25' as a value, not as an option.
+
+    argparse takes a token that starts with '-' for an option unless it is a
+    single negative number, so '--at -0.1,0.25' would need the '--at=' form.
+    Subparsers inherit the class.
+    """
+
+    def _parse_optional(self, arg_string):
+        if NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def parse_point(text: str, flag: str, dimension: int) -> np.ndarray:
@@ -204,7 +222,7 @@ def _cmd_sample(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = ArgumentParser(
         prog="multifinsler",
         description="Multimetric Finsler geometry: identity checks, measures, geodesics.",
     )

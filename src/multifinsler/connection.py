@@ -13,6 +13,7 @@ closed-form x-derivative.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +48,47 @@ def central_difference(f, v: np.ndarray, h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConnectionState:
-    """Spray and nonlinear-connection data at one sample."""
+    """Spray and nonlinear-connection data at one sample.
+
+    The spray G is computed up front; N and dN_mu are built on first access,
+    so a caller that reads only G (an RK4 stage) never builds the Cartan
+    tensor or the fiber derivatives of P.
+    """
 
     state: FinslerState
     G: np.ndarray        # (n,) full spray
     G_mu: np.ndarray     # (N, n) per-sector Riemannian sprays
-    N: np.ndarray        # (n, n) Cartan nonlinear connection N^i_j
     N_mu: np.ndarray     # (N, n, n) per-sector Riemannian connections
-    dN_mu: np.ndarray    # (N, n, n) N - N_mu
     gamma_mu: np.ndarray  # (N, n, n, n) per-sector Christoffels
+    P: np.ndarray        # (N, n, n) P_mu[r, j] = d(F l^mu_j)/dy_r
+    b: np.ndarray        # (n,) sum_mu P_mu G_mu, so that G = g^-1 b
+
+    @functools.cached_property
+    def N(self) -> np.ndarray:
+        """(n, n) Cartan nonlinear connection N^i_j, computed on first access."""
+        state = self.state
+        F, F_mu = state.F, state.F_mu
+        l, l_mu, h, h_mu = state.l, state.l_mu, state.h, state.h_mu
+
+        # dP[mu, k, r, j] = d P_mu[r, j] / dy_k
+        dP = (
+            np.einsum("kr,mj->mkrj", h / F, l_mu)
+            + np.einsum("r,mkj->mkrj", l, h_mu / F_mu[:, None, None])
+            + np.einsum("mk,mrj->mkrj", (np.outer(1.0 / F_mu, l) - F * l_mu / F_mu[:, None] ** 2), h_mu)
+            - np.einsum("m,mkr,mj->mkrj", F / F_mu**2, h_mu, l_mu)
+            - np.einsum("m,mr,mkj->mkrj", F / F_mu**2, l_mu, h_mu)
+        )
+
+        raised_C = np.einsum("is,rt,kst->kir", state.g_inv, state.g_inv, state.C)
+        term1 = -np.einsum("kir,r->ik", raised_C, self.b)
+        term2 = 0.5 * np.einsum("ir,mkrj,mj->ik", state.g_inv, dP, self.G_mu)
+        term3 = np.einsum("ir,mrj,mjk->ik", state.g_inv, self.P, self.N_mu)
+        return term1 + term2 + term3
+
+    @functools.cached_property
+    def dN_mu(self) -> np.ndarray:
+        """(N, n, n) N - N_mu, computed on first access."""
+        return self.N[None, :, :] - self.N_mu
 
 
 @dataclass(frozen=True)
@@ -168,36 +201,17 @@ def _sector_data(space: MultiMetricSpace, x, y):
 
 
 def connection_state(space: MultiMetricSpace, sample: TangentSample) -> ConnectionState:
-    """Assemble the spray and the Cartan nonlinear connection at a sample."""
+    """Assemble the spray at a sample; the Cartan nonlinear connection follows on access."""
     state = finsler_state(space, sample)
     gamma_mu, G_mu, N_mu = _sector_data(space, state.x, state.y)
     F, F_mu = state.F, state.F_mu
-    l, l_mu, h, h_mu = state.l, state.l_mu, state.h, state.h_mu
 
     # P_mu[r, j] = d(F l^mu_j)/dy_r = l_r l^mu_j + (F/F_mu) h^mu_rj
-    P = np.einsum("r,kj->krj", l, l_mu) + (F / F_mu)[:, None, None] * h_mu
+    P = np.einsum("r,kj->krj", state.l, state.l_mu) + (F / F_mu)[:, None, None] * state.h_mu
     b = np.einsum("krj,kj->r", P, G_mu)
     G = state.g_inv @ b
 
-    # dP[mu, k, r, j] = d P_mu[r, j] / dy_k
-    dP = (
-        np.einsum("kr,mj->mkrj", h / F, l_mu)
-        + np.einsum("r,mkj->mkrj", l, h_mu / F_mu[:, None, None])
-        + np.einsum("mk,mrj->mkrj", (np.outer(1.0 / F_mu, l) - F * l_mu / F_mu[:, None] ** 2), h_mu)
-        - np.einsum("m,mkr,mj->mkrj", F / F_mu**2, h_mu, l_mu)
-        - np.einsum("m,mr,mkj->mkrj", F / F_mu**2, l_mu, h_mu)
-    )
-
-    raised_C = np.einsum("is,rt,kst->kir", state.g_inv, state.g_inv, state.C)
-    term1 = -np.einsum("kir,r->ik", raised_C, b)
-    term2 = 0.5 * np.einsum("ir,mkrj,mj->ik", state.g_inv, dP, G_mu)
-    term3 = np.einsum("ir,mrj,mjk->ik", state.g_inv, P, N_mu)
-    N = term1 + term2 + term3
-
-    return ConnectionState(
-        state=state, G=G, G_mu=G_mu, N=N, N_mu=N_mu,
-        dN_mu=N[None, :, :] - N_mu, gamma_mu=gamma_mu,
-    )
+    return ConnectionState(state=state, G=G, G_mu=G_mu, N_mu=N_mu, gamma_mu=gamma_mu, P=P, b=b)
 
 
 def variational_spray(space: MultiMetricSpace, sample: TangentSample):

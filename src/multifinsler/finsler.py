@@ -111,7 +111,7 @@ def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
     extended-precision oracles evaluate the same definition in longdouble.
     """
     q = np.einsum("kij,i,j->k", a_mu, y, y)
-    if np.any(q <= 0.0):
+    if (q <= 0.0).any():
         raise NotPositiveDefiniteError(f"degenerate quadratic form y' a_mu y = {q.tolist()}")
     return np.sqrt(q)
 
@@ -177,7 +177,8 @@ def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerStat
     h_mu = a_mu - np.einsum("ki,kj->kij", l_mu, l_mu)
 
     ratio = F / F_mu
-    g = np.outer(l, l) + np.einsum("k,kij->ij", ratio, h_mu)
+    ll = np.outer(l, l)
+    g = ll + np.einsum("k,kij->ij", ratio, h_mu)
     w = np.linalg.eigvalsh(g)
     if w[0] <= 0.0:
         raise ConvexityError(
@@ -185,7 +186,7 @@ def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerStat
             f"(eigenvalues {w.tolist()})"
         )
     det_g = float(np.linalg.det(g))
-    h = g - np.outer(l, l)
+    h = g - ll
     l_up = y / F
 
     return FinslerState(

@@ -287,6 +287,8 @@ class TestCli:
         ["measure", "--at", "0,x"],
         ["geodesic", "--x0", "0.1"],
         ["geodesic", "--y0", "1,nan"],
+        ["measure", "--at", "-0.1,x"],
+        ["geodesic", "--x0", "-0.1,0.2,0.3"],
     ])
     def test_points_need_one_number_per_coordinate(self, config_path, argv, capsys):
         assert main([argv[0], "--config", config_path, *argv[1:]]) == 2
@@ -300,6 +302,28 @@ class TestCli:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert "--x0" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--at", "-0.1,0.25"],
+        ["geodesic", "--x0", "-0.1,0.2", "--t-end", "0.02", "--step", "0.01"],
+        ["geodesic", "--y0", "-1,0", "--t-end", "0.02", "--step", "0.01"],
+    ])
+    def test_negative_point_needs_no_equals_sign(self, config_path, argv, capsys):
+        flag, value, *rest = argv[1:]
+        assert main([argv[0], "--config", config_path, f"{flag}={value}", *rest]) == 0
+        expected = capsys.readouterr().out
+        assert main([argv[0], "--config", config_path, *argv[1:]]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_fan_script_negative_point_needs_no_equals_sign(self, config_path, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "geodesic_fan.py"
+        proc = subprocess.run([sys.executable, str(script), config_path, "--x0", "-0.5,0.1",
+                               "--rays", "1", "--t-end", "0.01", "--step", "0.01",
+                               "--out-dir", str(tmp_path / "fan")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        first = (tmp_path / "fan" / "ray_00.csv").read_text().splitlines()[1].split(",")
+        assert [float(v) for v in first[1:3]] == [-0.5, 0.1]
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -327,6 +351,20 @@ def test_measure_output_matches_stored_bytes(name, point, tmp_path):
     assert main(["measure", "--config", str(REPO / "configs" / f"{name}.json"),
                  *at, "--out", str(out)]) == 0
     assert out.read_bytes() == (REPO / "tests" / "data" / f"measure-{name}-{point}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+@pytest.mark.parametrize("start", ["centre", "offcentre"])
+def test_geodesic_output_matches_stored_bytes(name, start, tmp_path):
+    """multifinsler geodesic --t-end 0.05 --format json from the box centre along x1,
+    and from -0.1,0.2 along 0.6,-0.8, byte for byte."""
+    out = tmp_path / "geodesic.json"
+    at = [] if start == "centre" else ["--x0", "-0.1,0.2", "--y0", "0.6,-0.8"]
+    assert main(["geodesic", "--config", str(REPO / "configs" / f"{name}.json"), *at,
+                 "--t-end", "0.05", "--format", "json", "--out", str(out)]) == 0
+    suffix = "" if start == "centre" else "-offcentre"
+    assert out.read_bytes() == (REPO / "tests" / "data" / f"geodesic-{name}{suffix}.json").read_bytes()
+
 
 @pytest.mark.parametrize("workload", ["invariant_map", "geodesic_fan"])
 def test_benchmark_workload_outputs_pass_their_checks(workload, tmp_path, monkeypatch):

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import multifinsler.finsler as finsler
+from multifinsler.config import load_config
 from multifinsler.connection import (
     cartan_y_derivative,
     chern_connection,
@@ -12,6 +16,7 @@ from multifinsler.connection import (
     x_derivatives,
 )
 from multifinsler.finsler import TangentSample, finsler_state
+from multifinsler.geodesic import integrate_geodesic
 from multifinsler.riemann import MetricField, christoffels_and_spray
 
 from conftest import count_calls, const_field, field, random_bimetric_space, random_samples, space_of
@@ -117,6 +122,55 @@ class TestNonlinearConnection:
         cs = connection_state(bi_x, S)
         resid = np.einsum("ki,kij->j", cs.state.l_mu, cs.dN_mu)
         assert np.max(np.abs(resid)) < 1e-13
+
+
+def _eager_nonlinear_connection(cs):
+    """N as connection_state built it eagerly before N became lazy, term for term."""
+    state = cs.state
+    F, F_mu = state.F, state.F_mu
+    l, l_mu, h, h_mu = state.l, state.l_mu, state.h, state.h_mu
+    G_mu, N_mu = cs.G_mu, cs.N_mu
+    P = np.einsum("r,kj->krj", l, l_mu) + (F / F_mu)[:, None, None] * h_mu
+    b = np.einsum("krj,kj->r", P, G_mu)
+    dP = (
+        np.einsum("kr,mj->mkrj", h / F, l_mu)
+        + np.einsum("r,mkj->mkrj", l, h_mu / F_mu[:, None, None])
+        + np.einsum("mk,mrj->mkrj", (np.outer(1.0 / F_mu, l) - F * l_mu / F_mu[:, None] ** 2), h_mu)
+        - np.einsum("m,mkr,mj->mkrj", F / F_mu**2, h_mu, l_mu)
+        - np.einsum("m,mr,mkj->mkrj", F / F_mu**2, l_mu, h_mu)
+    )
+    raised_C = np.einsum("is,rt,kst->kir", state.g_inv, state.g_inv, state.C)
+    term1 = -np.einsum("kir,r->ik", raised_C, b)
+    term2 = 0.5 * np.einsum("ir,mkrj,mj->ik", state.g_inv, dP, G_mu)
+    term3 = np.einsum("ir,mrj,mjk->ik", state.g_inv, P, N_mu)
+    N = term1 + term2 + term3
+    return N, N[None, :, :] - N_mu
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestLazyConnection:
+    def test_geodesic_steps_build_no_cartan_tensor(self, monkeypatch, bi_x):
+        calls = count_calls(monkeypatch, finsler, "_sym3")
+        path = integrate_geodesic(bi_x, [0.1, 0.2], [0.6, -0.8], 0.005, 1e-3)
+        assert len(path.t) == 6
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+    def test_lazy_connection_equals_eager_formula_bitwise(self, name):
+        sp = load_config(CONFIGS / f"{name}.json").build_space()
+        rng = np.random.default_rng(31)
+        for s in random_samples(rng, 8, box=0.7):
+            N, dN_mu = _eager_nonlinear_connection(connection_state(sp, s))
+            cs = connection_state(sp, s)
+            assert np.array_equal(cs.N, N)
+            assert np.array_equal(cs.dN_mu, dN_mu)
+
+    def test_connection_is_built_once(self, bi_x):
+        cs = connection_state(bi_x, S)
+        assert cs.N is cs.N
+        assert cs.dN_mu is cs.dN_mu
 
 
 class TestXDerivatives:

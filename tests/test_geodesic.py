@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+import multifinsler.geodesic as geodesic
 
 from multifinsler.finsler import SlitViolationError, TangentSample
 from multifinsler.geodesic import (
@@ -54,6 +58,13 @@ class TestIntegration:
     def test_slit_guard(self, bi_const):
         with pytest.raises(SlitViolationError):
             integrate_geodesic(bi_const, [0.0, 0.0], [0.0, 0.0], 1.0, 0.1)
+
+    def test_step_onto_the_slit_raises(self, monkeypatch, bi_const):
+        # a constant spray y0/h takes the velocity to zero in one RK4 step
+        spray = SimpleNamespace(G=np.array([10.0, 0.0]))
+        monkeypatch.setattr(geodesic, "connection_state", lambda space, sample: spray)
+        with pytest.raises(SlitViolationError):
+            integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], 0.3, 0.1)
 
     def test_invalid_step(self, bi_const):
         with pytest.raises(ValueError):
