@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Integrate a fan of geodesics from one point and report norm conservation.
 
-Shoots trajectories in evenly spaced directions, exports each as CSV, and
-prints the worst norm drift plus the action of every leg.
+Shoots trajectories in evenly spaced directions, all rays in one lockstep
+integration, exports each as CSV, and prints the worst norm drift plus the
+action of every leg.  If a ray fails with a per-sample error (slit, loss of
+positive definiteness, convexity, expression domain, linear algebra), the
+rays before it are still written and printed, and its error is raised; any
+other exception stops the integration of all rays before a file is written.
 
     python scripts/geodesic_fan.py configs/bimetric.json --rays 8 --t-end 1.0 --out-dir fan/
 """
@@ -45,9 +49,10 @@ def main():
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    fan = integrate_geodesic(space, x0, np.array(directions), args.t_end, args.step)
     worst_drift = 0.0
-    for k, (th, y0) in enumerate(zip(thetas, directions)):
-        path = integrate_geodesic(space, x0, y0, args.t_end, args.step)
+    for k, th in enumerate(thetas):
+        path = fan.ray(k)  # raises the error that stopped ray k, after rays 0..k-1 are written
         drift = float(np.max(np.abs(path.F - path.F[0])) / path.F[0])
         worst_drift = max(worst_drift, drift)
         act = action_of_path(space, path.t, path.x, path.y)

@@ -52,7 +52,8 @@ class ConnectionState:
 
     The spray G is computed up front; N and dN_mu are built on first access,
     so a caller that reads only G (an RK4 stage) never builds the Cartan
-    tensor or the fiber derivatives of P.
+    tensor or the fiber derivatives of P.  For a batch of samples every
+    array gains a leading batch axis; N and dN_mu are built per sample only.
     """
 
     state: FinslerState
@@ -67,6 +68,8 @@ class ConnectionState:
     def N(self) -> np.ndarray:
         """(n, n) Cartan nonlinear connection N^i_j, computed on first access."""
         state = self.state
+        if state.y.ndim > 1:
+            raise ValueError("N is built per sample: call connection_state on one sample to read it")
         F, F_mu = state.F, state.F_mu
         l, l_mu, h, h_mu = state.l, state.l_mu, state.h, state.h_mu
 
@@ -188,28 +191,25 @@ def cartan_y_derivative(state: FinslerState) -> np.ndarray:
 
 def _sector_data(space: MultiMetricSpace, x, y):
     """Per-sector Christoffels, sprays Gamma y y and connections Gamma y, from the
-    inverses that metric_values validated at x."""
+    inverses that metric_values validated at x; x and y are (n,) or (B, n)."""
     _, a_inv, _ = space.metric_values(x)
-    gammas, sprays, nonlins = [], [], []
-    for inv, m in zip(a_inv, space.metrics):
-        gam = _christoffel(inv, m.derivative(x))
-        n_ij = np.einsum("ijk,k->ij", gam, y)
-        gammas.append(gam)
-        sprays.append(n_ij @ y)
-        nonlins.append(n_ij)
-    return np.stack(gammas), np.stack(sprays), np.stack(nonlins)
+    gamma_mu = _christoffel(a_inv, space.metric_derivatives(x))
+    y_mu = y[..., None, :]  # the same y for every sector
+    N_mu = np.einsum("...ijk,...k->...ij", gamma_mu, y_mu)
+    return gamma_mu, np.matvec(N_mu, y_mu), N_mu
 
 
 def connection_state(space: MultiMetricSpace, sample: TangentSample) -> ConnectionState:
-    """Assemble the spray at a sample; the Cartan nonlinear connection follows on access."""
+    """Assemble the spray at a sample, or at a batch of samples of shape (B, n);
+    the Cartan nonlinear connection follows on access."""
     state = finsler_state(space, sample)
     gamma_mu, G_mu, N_mu = _sector_data(space, state.x, state.y)
-    F, F_mu = state.F, state.F_mu
+    ratio = np.asarray(state.F)[..., None] / state.F_mu
 
     # P_mu[r, j] = d(F l^mu_j)/dy_r = l_r l^mu_j + (F/F_mu) h^mu_rj
-    P = np.einsum("r,kj->krj", state.l, state.l_mu) + (F / F_mu)[:, None, None] * state.h_mu
-    b = np.einsum("krj,kj->r", P, G_mu)
-    G = state.g_inv @ b
+    P = np.einsum("...r,...kj->...krj", state.l, state.l_mu) + ratio[..., None, None] * state.h_mu
+    b = np.einsum("...krj,...kj->...r", P, G_mu)
+    G = np.matvec(state.g_inv, b)
 
     return ConnectionState(state=state, G=G, G_mu=G_mu, N_mu=N_mu, gamma_mu=gamma_mu, P=P, b=b)
 

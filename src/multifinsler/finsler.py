@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .riemann import MetricField, NotPositiveDefiniteError
+from .expr import ExprError
+from .riemann import MetricField, NotPositiveDefiniteError, spd_inverse_det
 
 EPS_SLIT = 1e-8          # |y| below this is on the zero section
 HESSIAN_REL_STEP = 1e-5  # FD Hessian oracle step, relative to |y|
@@ -62,9 +63,15 @@ class MultiMetricSpace:
     def metric_values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a_mu, inv_mu, det_mu) stacked over sectors, SPD-validated.
 
-        The most recent point is remembered, keyed on its shape and bytes, so
+        x is one point (n,) or a batch (B, n); for a batch every array gains a
+        leading batch axis.  Components are evaluated point by point, and an
+        evaluation error is raised only if no earlier (point, metric) fails
+        the SPD check, so each point keeps the error it raises alone.  The
+        whole stack is then validated at once by `spd_inverse_det`.
+
+        The most recent x is remembered, keyed on its shape and bytes, so
         the many evaluations at one x (fiber differences, quadrature over y)
-        validate it once.  The returned arrays are read-only.  A point that
+        validate it once.  The returned arrays are read-only.  An x that
         fails the SPD check is not remembered.
         """
         x = np.asarray(x, dtype=float)
@@ -72,31 +79,48 @@ class MultiMetricSpace:
         last = self._last_values  # one read, so a concurrent caller cannot swap it in between
         if last is not None and last[0] == key:
             return last[1]
-        mats, invs, dets = [], [], []
-        for m in self.metrics:
-            a, inv, det = m.spd_value(x)
-            mats.append(a)
-            invs.append(inv)
-            dets.append(det)
-        values = (np.stack(mats), np.stack(invs), np.array(dets))
+        names = [m.name for m in self.metrics]
+        points = x.reshape(-1, x.shape[-1])
+        mats = np.empty((len(points), self.n_metrics, self.dim, self.dim))
+        for p, xp in enumerate(points):
+            for k, m in enumerate(self.metrics):
+                try:
+                    mats[p, k] = m.value(xp)
+                except ExprError:
+                    spd_inverse_det(mats[:p], points[:p], names)
+                    spd_inverse_det(mats[p, :k], xp, names)
+                    raise
+        invs, dets = spd_inverse_det(mats, points, names)
+        lead = x.shape[:-1]
+        values = (mats.reshape(lead + mats.shape[1:]), invs.reshape(lead + invs.shape[1:]),
+                  dets.reshape(lead + dets.shape[1:]))
         for v in values:
             v.flags.writeable = False
         self._last_values = (key, values)
         return values
 
     def metric_derivatives(self, x) -> np.ndarray:
-        """dA[mu, s, i, j] = d a^mu_ij / d x_s."""
-        return np.stack([m.derivative(x) for m in self.metrics])
+        """dA[..., mu, s, i, j] = d a^mu_ij / d x_s at one point (n,) or a batch (B, n)."""
+        x = np.asarray(x, dtype=float)
+        dA = np.array([[m.derivative(xp) for m in self.metrics] for xp in x.reshape(-1, x.shape[-1])])
+        return dA.reshape(x.shape[:-1] + dA.shape[1:])
 
     def check_sample(self, sample: TangentSample):
-        if len(sample.x) != self.dim:
-            raise ValueError(f"point of length {len(sample.x)}, expected {self.dim}")
-        if len(sample.y) != self.dim:
-            raise ValueError(f"fiber vector of length {len(sample.y)}, expected {self.dim}")
-        if float(np.linalg.norm(sample.y)) < EPS_SLIT:
-            raise SlitViolationError(
-                f"|y| = {np.linalg.norm(sample.y):.3e} below slit tolerance {EPS_SLIT:.3e}"
-            )
+        """Reject coordinate vectors of the wrong length, batches of x and y that
+        differ in shape, and fiber vectors on the slit; for a batch, the first
+        point on the slit raises."""
+        if sample.x.shape[-1] != self.dim:
+            raise ValueError(f"point of length {sample.x.shape[-1]}, expected {self.dim}")
+        if sample.y.shape[-1] != self.dim:
+            raise ValueError(f"fiber vector of length {sample.y.shape[-1]}, expected {self.dim}")
+        if sample.x.shape != sample.y.shape or sample.y.ndim > 2:
+            raise ValueError(f"x and y must both have shape (n,) or (B, n), "
+                             f"got {sample.x.shape} and {sample.y.shape}")
+        y = sample.y
+        for v in (y,) if y.ndim == 1 else y.reshape(-1, self.dim):
+            norm = float(np.linalg.norm(v))
+            if norm < EPS_SLIT:
+                raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
 
 
 def require_2d(dim: int):
@@ -105,20 +129,33 @@ def require_2d(dim: int):
 
 
 def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sector norms F_mu = sqrt(y' a_mu y) over a stack a_mu of shape (N, n, n).
+    """Per-sector norms F_mu = sqrt(y' a_mu y) over a stack a_mu of shape (N, n, n),
+    or over a batch: a_mu of shape (B, N, n, n) and y of shape (B, n).
 
-    The norm is F = F_mu.sum().  The dtype follows the inputs, so the
+    The norm is F = F_mu.sum(axis=-1).  The dtype follows the inputs, so the
     extended-precision oracles evaluate the same definition in longdouble.
     """
-    q = np.einsum("kij,i,j->k", a_mu, y, y)
+    if y.ndim == 1:
+        q = np.einsum("kij,i,j->k", a_mu, y, y)
+    else:
+        # einsum's summation order depends on the operand shapes (one 2D
+        # sector is summed row by row, a stack term by term), so each point
+        # of a batch is summed alone, as a single sample is
+        q = np.array([np.einsum("kij,i,j->k", a, v, v) for a, v in zip(a_mu, y)])
     if (q <= 0.0).any():
-        raise NotPositiveDefiniteError(f"degenerate quadratic form y' a_mu y = {q.tolist()}")
+        rows = q.reshape(-1, q.shape[-1])
+        first = rows[np.argmax((rows <= 0.0).any(axis=1))]
+        raise NotPositiveDefiniteError(f"degenerate quadratic form y' a_mu y = {first.tolist()}")
     return np.sqrt(q)
 
 
 @dataclass(frozen=True)
 class FinslerState:
-    """All pointwise data of the norm at one tangent-bundle sample."""
+    """All pointwise data of the norm at one tangent-bundle sample.
+
+    For a batch of samples every field gains a leading batch axis (F and
+    det_g become arrays of shape (B,)).
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -146,48 +183,58 @@ class FinslerState:
 
         Closed form: 2C = sum_mu sym3(l, h_mu)/F_mu - sum_mu (F/F_mu^2) sym3(l_mu, h_mu).
         """
-        n = len(self.l)
-        C = np.zeros((n, n, n))
-        for k in range(len(self.F_mu)):
-            C += _sym3(self.l, self.h_mu[k]) / self.F_mu[k]
-            C -= (self.F / self.F_mu[k] ** 2) * _sym3(self.l_mu[k], self.h_mu[k])
+        n = self.l.shape[-1]
+        C = np.zeros(self.l.shape + (n, n))
+        F = np.asarray(self.F)[..., None, None, None]
+        for k in range(self.F_mu.shape[-1]):
+            F_k = self.F_mu[..., k, None, None, None]
+            C += _sym3(self.l, self.h_mu[..., k, :, :]) / F_k
+            C -= (F / F_k ** 2) * _sym3(self.l_mu[..., k, :], self.h_mu[..., k, :, :])
         C *= 0.5
         return C
 
 
 def _sym3(v: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Fully symmetric combination v_i H_jk + v_j H_ik + v_k H_ij."""
+    """Fully symmetric combination v_i H_jk + v_j H_ik + v_k H_ij, over leading batch axes."""
     return (
-        v[:, None, None] * H[None, :, :]
-        + v[None, :, None] * H[:, None, :]
-        + v[None, None, :] * H[:, :, None]
+        v[..., :, None, None] * H[..., None, :, :]
+        + v[..., None, :, None] * H[..., :, None, :]
+        + v[..., None, None, :] * H[..., :, :, None]
     )
 
 
 def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerState:
-    """Evaluate the norm and fundamental tensor at a sample; C and g_inv follow on access."""
+    """Evaluate the norm and fundamental tensor at a sample, or at a batch of
+    samples with x and y of shape (B, n); C and g_inv follow on access.
+
+    A batch raises the error of its first failing sample for each check in
+    turn: slit, SPD, degenerate sector, convexity.
+    """
     space.check_sample(sample)
     x, y = sample.x, sample.y
     a_mu, a_inv, a_det = space.metric_values(x)
 
     F_mu = sector_norms(a_mu, y)
-    F = float(F_mu.sum())
-    l_mu = np.einsum("kij,j->ki", a_mu, y) / F_mu[:, None]
-    l = l_mu.sum(axis=0)
-    h_mu = a_mu - np.einsum("ki,kj->kij", l_mu, l_mu)
+    F_col = F_mu.sum(axis=-1, keepdims=True)
+    F = F_col[..., 0]
+    l_mu = np.einsum("...kij,...j->...ki", a_mu, y) / F_mu[..., None]
+    l = l_mu.sum(axis=-2)
+    h_mu = a_mu - l_mu[..., :, None] * l_mu[..., None, :]
 
-    ratio = F / F_mu
-    ll = np.outer(l, l)
-    g = ll + np.einsum("k,kij->ij", ratio, h_mu)
+    ll = l[..., :, None] * l[..., None, :]
+    g = ll + np.einsum("...k,...kij->...ij", F_col / F_mu, h_mu)
     w = np.linalg.eigvalsh(g)
-    if w[0] <= 0.0:
+    if w[..., 0].min() <= 0.0:
+        r = np.argmax(w.reshape(-1, w.shape[-1])[:, 0] <= 0.0)
         raise ConvexityError(
-            f"fundamental tensor not positive definite at x={x.tolist()}, y={y.tolist()} "
-            f"(eigenvalues {w.tolist()})"
+            f"fundamental tensor not positive definite at x={x.reshape(-1, x.shape[-1])[r].tolist()}, "
+            f"y={y.reshape(-1, y.shape[-1])[r].tolist()} (eigenvalues {w.reshape(-1, w.shape[-1])[r].tolist()})"
         )
-    det_g = float(np.linalg.det(g))
+    det_g = np.linalg.det(g)
     h = g - ll
-    l_up = y / F
+    l_up = y / F_col
+    if F.ndim == 0:
+        F, det_g = float(F), float(det_g)
 
     return FinslerState(
         x=x, y=y, F=F, F_mu=F_mu, l=l, l_up=l_up, l_mu=l_mu, h=h, h_mu=h_mu,
@@ -196,11 +243,13 @@ def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerStat
 
 
 def finsler_norm(space: MultiMetricSpace, sample: TangentSample) -> tuple[float, np.ndarray]:
-    """The norm F and the per-sector values F_mu at a sample."""
+    """The norm F and the per-sector values F_mu at a sample, or at a batch
+    (arrays of shape (B,) and (B, N))."""
     space.check_sample(sample)
     a_mu, _, _ = space.metric_values(sample.x)
     F_mu = sector_norms(a_mu, sample.y)
-    return float(F_mu.sum()), F_mu
+    F = F_mu.sum(axis=-1)
+    return (float(F) if F.ndim == 0 else F), F_mu
 
 
 def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:

@@ -3,12 +3,14 @@
 The trajectory solves x'' + G(x, x') = 0 with the factorized spray, by
 classical fixed-step fourth-order Runge-Kutta (no adaptivity, so runs are
 reproducible bit for bit).  The norm F(x(t), x'(t)) is a first integral and
-its drift is the integrator's self-check.
+its drift is the integrator's self-check.  A fan of rays advances in
+lockstep as one (B, n) state.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from dataclasses import dataclass
 
@@ -16,55 +18,154 @@ import numpy as np
 from scipy import integrate as _sciint
 
 from .connection import connection_state
-from .finsler import EPS_SLIT, MultiMetricSpace, TangentSample, finsler_norm
+from .expr import ExprError
+from .finsler import (
+    EPS_SLIT,
+    ConvexityError,
+    MultiMetricSpace,
+    SlitViolationError,
+    TangentSample,
+    finsler_norm,
+)
+from .riemann import NotPositiveDefiniteError
+
+# Errors that belong to one sample; a batch row that raises one is retired.
+# Any other exception ends the whole call, for every row.
+SAMPLE_ERRORS = (SlitViolationError, NotPositiveDefiniteError, ConvexityError, ExprError,
+                 np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Samples of a spray trajectory with the conserved-norm trace."""
+    """Samples of a spray trajectory with the conserved-norm trace.
+
+    A batch of rays shares t; x, y and F then carry a leading ray axis, and
+    errors holds per ray None or the exception that retired it.  A retired
+    ray's samples from the failing step on are NaN.
+    """
 
     t: np.ndarray       # (K,)
-    x: np.ndarray       # (K, n)
-    y: np.ndarray       # (K, n) velocities
-    F: np.ndarray       # (K,)
+    x: np.ndarray       # (K, n), or (B, K, n) for a batch
+    y: np.ndarray       # velocities, shaped as x
+    F: np.ndarray       # (K,), or (B, K) for a batch
     step: float
+    errors: tuple = ()  # (B,) for a batch
+
+    def ray(self, k: int) -> "GeodesicPath":
+        """Ray k of a batch as a path of its own; raises the exception that retired it."""
+        if not self.errors:
+            raise ValueError("ray() needs a batch of rays; this path has no ray axis")
+        if self.errors[k] is not None:
+            raise self.errors[k]
+        return GeodesicPath(t=self.t, x=self.x[k], y=self.y[k], F=self.F[k], step=self.step)
+
+
+def _by_row(fn, x: np.ndarray, y: np.ndarray):
+    """fn(x, y) on a batch of rows, and the rows that fail.
+
+    fn runs once on the whole batch.  If that raises a per-sample error, it
+    runs on each row alone, which raises exactly what that row raises alone.
+    A batch of one row runs as that row alone, on the cheaper unbatched path.
+    Returns the stacked values of the rows that evaluate and a dict from the
+    index of each failing row to its exception.
+    """
+    if len(x) > 1:
+        try:
+            return fn(x, y), {}
+        except SAMPLE_ERRORS:
+            pass
+    values, failed = [], {}
+    for i in range(len(x)):
+        try:
+            values.append(fn(x[i], y[i]))
+        except SAMPLE_ERRORS as exc:
+            failed[i] = exc
+    return np.array(values), failed
 
 
 def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: float) -> GeodesicPath:
-    """Integrate the spray equation from (x0, y0) for parameter time t_end."""
-    if step <= 0.0 or t_end <= 0.0:
-        raise ValueError("step and t_end must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
-    space.check_sample(TangentSample(x, y))
+    """Integrate the spray equation from (x0, y0) for parameter time t_end.
+
+    y0 of shape (B, n) shoots B rays from x0 of shape (n,) or (B, n) in one
+    RK4 loop and returns one GeodesicPath with a ray axis.  A ray that raises
+    a per-sample error (SAMPLE_ERRORS: slit, SPD loss, convexity, expression
+    domain, linear algebra) is retired with it; the others go on, bit for
+    bit as when shot alone.  Any other exception ends the call for all rays.
+    With y0 of shape (n,) the path is returned, or the error raised.
+    """
+    for name, value in (("t_end", t_end), ("step", step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    x = np.asarray(x0, dtype=float)
+    y = np.asarray(y0, dtype=float)
+    if y.ndim not in (1, 2) or x.ndim not in (1, y.ndim):
+        raise ValueError(f"y0 must have shape (n,) or (B, n) and x0 shape (n,) or that of y0, "
+                         f"got {y.shape} and {x.shape}")
+    batched = y.ndim == 2
+    y = np.atleast_2d(y).copy()
+    x = np.broadcast_to(x, (len(y), x.shape[-1])).copy()
 
     n_steps = max(1, int(round(t_end / step)))
     h = t_end / n_steps
 
-    ts = np.empty(n_steps + 1)
-    xs = np.empty((n_steps + 1, space.dim))
-    ys = np.empty((n_steps + 1, space.dim))
-    fs = np.empty(n_steps + 1)
+    rays = len(y)
+    xs = np.full((rays, n_steps + 1, space.dim), np.nan)
+    ys = np.full_like(xs, np.nan)
+    fs = np.full((rays, n_steps + 1), np.nan)
+    errors = [None] * rays
+    live = np.arange(rays)  # the rows still integrating
 
-    def record(k, t, xv, yv):
-        ts[k] = t
-        xs[k] = xv
-        ys[k] = yv
-        fs[k], _ = finsler_norm(space, TangentSample(xv, yv))  # rejects a step onto the slit
+    def evaluate(fn, xv, yv, shape):
+        """fn at the live rows and 0 at retired ones, as an array of the given
+        shape; a row that raises is retired."""
+        nonlocal live
+        if len(live) == rays:  # no row copies while every ray is live
+            values, failed = _by_row(fn, xv, yv)
+            if not failed:
+                return values
+        else:
+            values, failed = _by_row(fn, xv[live], yv[live])
+        if failed:
+            for i, exc in failed.items():
+                errors[live[i]] = exc
+            live = np.delete(live, list(failed))
+        out = np.zeros(shape)
+        if len(live):
+            out[live] = values
+        return out
 
-    record(0, 0.0, x, y)
+    def spray(xv, yv):
+        """-G at the live rows, 0 at retired ones."""
+        return evaluate(lambda a, b: -connection_state(space, TangentSample(a, b)).G,
+                        xv, yv, yv.shape)
+
+    def record(k, xv, yv):
+        F = evaluate(lambda a, b: finsler_norm(space, TangentSample(a, b))[0],
+                     xv, yv, (rays,))  # rejects a step onto the slit
+        rows = slice(None) if len(live) == rays else live
+        xs[rows, k], ys[rows, k], fs[rows, k] = xv[rows], yv[rows], F[rows]
+
+    record(0, x, y)
     for k in range(n_steps):
-        k1x, k1y = y, -connection_state(space, TangentSample(x, y)).G
+        if not len(live):
+            break
+        k1x, k1y = y, spray(x, y)
         k2x = y + 0.5 * h * k1y
-        k2y = -connection_state(space, TangentSample(x + 0.5 * h * k1x, k2x)).G
+        k2y = spray(x + 0.5 * h * k1x, k2x)
         k3x = y + 0.5 * h * k2y
-        k3y = -connection_state(space, TangentSample(x + 0.5 * h * k2x, k3x)).G
+        k3y = spray(x + 0.5 * h * k2x, k3x)
         k4x = y + h * k3y
-        k4y = -connection_state(space, TangentSample(x + h * k3x, k4x)).G
+        k4y = spray(x + h * k3x, k4x)
         x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        record(k + 1, (k + 1) * h, x, y)
-    return GeodesicPath(t=ts, x=xs, y=ys, F=fs, step=h)
+        record(k + 1, x, y)
+
+    t = h * np.arange(n_steps + 1)
+    if batched:
+        return GeodesicPath(t=t, x=xs, y=ys, F=fs, step=h, errors=tuple(errors))
+    if errors[0] is not None:
+        raise errors[0]
+    return GeodesicPath(t=t, x=xs[0], y=ys[0], F=fs[0], step=h)
 
 
 @dataclass(frozen=True)
@@ -95,12 +196,17 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
     else:
         v = np.gradient(xs, t, axis=0, edge_order=2 if len(t) > 2 else 1)
 
-    f_mu = np.empty((len(t), space.n_metrics))
-    for k in range(len(t)):
-        if float(np.linalg.norm(v[k])) < EPS_SLIT:
-            raise ValueError(f"zero-velocity segment at t={t[k]}")
-        _, per = finsler_norm(space, TangentSample(xs[k], v[k]))
-        f_mu[k] = per
+    # every sample before the first zero velocity is evaluated, in one call,
+    # so a failing earlier sample raises first, as in sample order
+    slow = [float(np.linalg.norm(vk)) < EPS_SLIT for vk in v]
+    stop = slow.index(True) if any(slow) else len(t)
+    if stop:
+        f_mu, failed = _by_row(lambda a, b: finsler_norm(space, TangentSample(a, b))[1],
+                               xs[:stop], v[:stop])
+        if failed:
+            raise failed[min(failed)]
+    if stop < len(t):
+        raise ValueError(f"zero-velocity segment at t={t[stop]}")
     sectors = np.array([
         float(_sciint.simpson(f_mu[:, m], x=t)) for m in range(space.n_metrics)
     ])

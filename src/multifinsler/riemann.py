@@ -135,21 +135,36 @@ class MetricField:
     def spd_value(self, x) -> tuple[np.ndarray, np.ndarray, float]:
         """Evaluate and validate SPD; returns (matrix, inverse, determinant)."""
         a = self.value(x)
-        w = np.linalg.eigvalsh(a)
-        if w[0] <= 0.0 or w[0] <= SPD_EIG_RATIO * w[-1]:
-            raise NotPositiveDefiniteError(
-                f"metric '{self.name}' is not positive definite at x={np.asarray(x).tolist()} "
-                f"(eigenvalues {w.tolist()})"
-            )
-        return a, np.linalg.inv(a), float(np.linalg.det(a))
+        inv, det = spd_inverse_det(a[None], x, (self.name,))
+        return a, inv[0], float(det[0])
+
+
+def spd_inverse_det(a: np.ndarray, x, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the matrices a[..., mu, :, :] of the metrics `names` at the points
+    x[..., :] as SPD; returns their inverses and determinants.
+
+    A matrix passes if its smallest eigenvalue is positive and above
+    SPD_EIG_RATIO times its largest.  The first failing (point, metric) in
+    C order raises.  The stack is decomposed by one eigvalsh, one inv and one
+    det call; each equals the per-matrix call bit for bit.
+    """
+    w = np.linalg.eigvalsh(a)
+    bad = (w[..., 0] <= 0.0) | (w[..., 0] <= SPD_EIG_RATIO * w[..., -1])
+    if bad.any():
+        *point, mu = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NotPositiveDefiniteError(
+            f"metric '{names[mu]}' is not positive definite at x={np.asarray(x)[tuple(point)].tolist()} "
+            f"(eigenvalues {w[(*point, mu)].tolist()})"
+        )
+    return np.linalg.inv(a), np.linalg.det(a)
 
 
 def _christoffel(inv: np.ndarray, dA: np.ndarray) -> np.ndarray:
-    """Gamma[i,j,k] = (1/2) inv[i,l] (d_j a_lk + d_k a_lj - d_l a_jk) from dA[s,i,j]."""
+    """Gamma[..., i,j,k] = (1/2) inv[i,l] (d_j a_lk + d_k a_lj - d_l a_jk) from dA[..., s,i,j]."""
     return 0.5 * (
-        np.einsum("il,jlk->ijk", inv, dA)
-        + np.einsum("il,klj->ijk", inv, dA)
-        - np.einsum("il,ljk->ijk", inv, dA)
+        np.einsum("...il,...jlk->...ijk", inv, dA)
+        + np.einsum("...il,...klj->...ijk", inv, dA)
+        - np.einsum("...il,...ljk->...ijk", inv, dA)
     )
 
 

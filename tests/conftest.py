@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import multifinsler.finsler as finsler_module
+import multifinsler.riemann as riemann_module
 from multifinsler.finsler import MultiMetricSpace, TangentSample
 from multifinsler.riemann import MetricField
 
@@ -114,3 +116,18 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_spd_validations(monkeypatch):
+    """Count the metric matrices that go through the SPD check (`spd_inverse_det`,
+    which both `MetricField.spd_value` and `metric_values` call); returns the counter."""
+    original = riemann_module.spd_inverse_det
+    matrices = [0]
+
+    def counted(a, x, names):
+        matrices[0] += int(np.prod(np.shape(a)[:-2]))
+        return original(a, x, names)
+
+    for module in (riemann_module, finsler_module):
+        monkeypatch.setattr(module, "spd_inverse_det", counted)
+    return matrices

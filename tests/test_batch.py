@@ -1,0 +1,207 @@
+"""A batch of samples evaluates each row as that sample alone, bit for bit.
+
+The spaces include near-proportional pencils and metrics whose eigenvalue
+ratio straddles the SPD threshold, so some batches carry failing rows.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from multifinsler.connection import connection_state
+from multifinsler.finsler import TangentSample, finsler_norm, finsler_state, sector_norms
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError
+
+from conftest import COORDS, space_of
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+STATE_FIELDS = ("x", "y", "F", "F_mu", "l", "l_up", "l_mu", "h", "h_mu", "g", "det_g",
+                "a_mu", "a_inv", "a_det", "g_inv", "C")
+CONNECTION_FIELDS = ("G", "G_mu", "N_mu", "gamma_mu", "P", "b")
+
+
+def num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def poly(c, a, b) -> str:
+    return f"{c:.17f} + {a:.17f}*x1 + {b:.17f}*x2"
+
+
+@st.composite
+def constant_spd(draw):
+    l11, l22, l21 = draw(num(0.5, 1.8)), draw(num(0.5, 1.8)), draw(num(-0.9, 0.9))
+    return np.array([[l11 * l11, l11 * l21], [l11 * l21, l21 * l21 + l22 * l22]]) + 0.2 * np.eye(2)
+
+
+@st.composite
+def linear_parts(draw):
+    return np.array(draw(st.lists(num(-0.05, 0.05), min_size=6, max_size=6))).reshape(3, 2)
+
+
+def field_of(name, const, lin) -> MetricField:
+    """const + lin[e] . x in the entries (0,0), (0,1), (1,1)."""
+    entries = {(0, 0): 0, (0, 1): 1, (1, 1): 2}
+    rows = [[None, None], [None, None]]
+    for (i, j), e in entries.items():
+        rows[i][j] = rows[j][i] = poly(const[i, j], *lin[e])
+    return MetricField.from_strings(name, rows, COORDS)
+
+
+@st.composite
+def spaces(draw):
+    kind = draw(st.sampled_from(["generic", "pencil", "boundary"]))
+    count = draw(st.integers(1, 3))
+    if kind == "generic":
+        fields = [field_of(f"m{k}", draw(constant_spd()), draw(linear_parts())) for k in range(count)]
+    elif kind == "pencil":
+        # s_k a_1 + eps (a symmetric perturbation): proportional up to eps
+        base, lin = draw(constant_spd()), draw(linear_parts())
+        eps = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-5]))
+        fields = []
+        for k in range(count):
+            s = draw(num(0.25, 4.0))
+            fields.append(field_of(f"m{k}", s * base + eps * draw(constant_spd()), s * lin))
+    else:
+        # [[1, r], [r, r^2 + d (1 + 0.9 x1)]]: eigenvalue ratio about d (1 + 0.9 x1) / (1 + r^2)^2
+        fields = []
+        for k in range(count):
+            r, d = draw(num(-1.0, 1.0)), 10.0 ** draw(num(-12.0, -8.0))
+            rows = [["1", f"{r:.17f}"], [f"{r:.17f}", f"{r * r:.17f} + {d:.20f}*(1 + 0.9*x1)"]]
+            fields.append(MetricField.from_strings(f"m{k}", rows, COORDS))
+    return space_of(*fields)
+
+
+@st.composite
+def batches(draw):
+    """x and y of shape (B, 2), B in {1, 3, 7}; now and then one y on the slit."""
+    size = draw(st.sampled_from([1, 3, 7]))
+    x = np.array([[draw(num(-1.0, 1.0)), draw(num(-1.0, 1.0))] for _ in range(size)])
+    y = []
+    for _ in range(size):
+        theta, radius = draw(num(0.0, 2.0 * np.pi)), draw(num(0.1, 10.0))
+        y.append([radius * np.cos(theta), radius * np.sin(theta)])
+    y = np.array(y)
+    if draw(st.integers(0, 7)) == 0:
+        y[draw(st.integers(0, size - 1))] = 0.0
+    return x, y
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return exc
+
+
+def same_error(a, b) -> bool:
+    return isinstance(a, Exception) and type(a) is type(b) and str(a) == str(b)
+
+
+def assert_row(batched, solo, r, fields):
+    for name in fields:
+        assert np.array_equal(np.asarray(getattr(batched, name))[r], getattr(solo, name)), name
+
+
+@SETTINGS
+@given(spaces(), batches())
+def test_metric_values_rows_equal_single_points(space, batch):
+    x, _ = batch
+    solo = [outcome(space.metric_values, xr) for xr in x]
+    batched = outcome(space.metric_values, x)
+    failed = [r for r, o in enumerate(solo) if isinstance(o, Exception)]
+    if failed:
+        first = failed[0]
+        assert same_error(batched, solo[first])
+        # the message is spd_value's for the first failing (row, sector)
+        spd = next(o for o in (outcome(m.spd_value, x[first]) for m in space.metrics)
+                   if isinstance(o, Exception))
+        assert same_error(batched, spd)
+        return
+    for r, values in enumerate(solo):
+        for b, s in zip(batched, values):
+            assert np.array_equal(b[r], s)
+    assert sector_norms_rows_match(batched[0], batch[1])
+
+
+def sector_norms_rows_match(a_mu, y) -> bool:
+    solo = [outcome(sector_norms, a, v) for a, v in zip(a_mu, y)]
+    batched = outcome(sector_norms, a_mu, y)
+    failed = [o for o in solo if isinstance(o, Exception)]
+    if failed:
+        return same_error(batched, failed[0])
+    return all(np.array_equal(batched[r], s) for r, s in enumerate(solo))
+
+
+@SETTINGS
+@given(spaces(), batches())
+def test_spray_path_rows_equal_single_samples(space, batch):
+    x, y = batch
+    for fn in (finsler_norm, finsler_state, connection_state):
+        solo = [outcome(fn, space, TangentSample(xr, yr)) for xr, yr in zip(x, y)]
+        batched = outcome(fn, space, TangentSample(x, y))
+        failed = [o for o in solo if isinstance(o, Exception)]
+        if failed:
+            # each check runs over the whole batch in turn; its first failing row raises
+            assert any(same_error(batched, e) for e in failed), fn.__name__
+            continue
+        for r, s in enumerate(solo):
+            if fn is finsler_norm:
+                assert np.array_equal(batched[0][r], s[0]) and np.array_equal(batched[1][r], s[1])
+            elif fn is finsler_state:
+                assert_row(batched, s, r, STATE_FIELDS)
+            else:
+                assert_row(batched, s, r, CONNECTION_FIELDS)
+                assert_row(batched.state, s.state, r, STATE_FIELDS)
+        if fn is connection_state:
+            for lazy in ("N", "dN_mu"):
+                with pytest.raises(ValueError, match="per sample"):
+                    getattr(batched, lazy)
+
+
+def test_batched_spd_error_names_the_first_failing_row_and_sector():
+    sp = space_of(MetricField.from_strings("alpha", [["1", "0"], ["0", "1"]], COORDS),
+                  MetricField.from_strings("beta", [["1+x1", "0"], ["0", "1"]], COORDS),
+                  MetricField.from_strings("gamma", [["1", "0"], ["0", "1+x2"]], COORDS))
+    x = np.array([[0.0, 0.0], [0.5, -1.5], [-2.0, -2.0]])
+    with pytest.raises(NotPositiveDefiniteError) as batched:
+        sp.metric_values(x)
+    with pytest.raises(NotPositiveDefiniteError) as single:
+        sp.metrics[2].spd_value(x[1])
+    assert str(batched.value) == str(single.value)
+    assert "metric 'gamma'" in str(batched.value) and "x=[0.5, -1.5]" in str(batched.value)
+
+
+def test_evaluation_error_after_an_spd_failure_keeps_point_order():
+    # alpha is not SPD at x1 < -1, and beta's log cannot be evaluated at x2 <= 0
+    sp = space_of(MetricField.from_strings("alpha", [["1+x1", "0"], ["0", "1"]], COORDS),
+                  MetricField.from_strings("beta", [["1+log(x2)", "0"], ["0", "1"]], COORDS))
+    spd_then_log, log_only = [-2.0, 1.0], [0.0, -1.0]
+    with pytest.raises(NotPositiveDefiniteError, match="metric 'alpha'"):
+        sp.metric_values(np.array([spd_then_log, log_only]))
+    single = outcome(sp.metric_values, np.array(log_only))
+    assert same_error(outcome(sp.metric_values, np.array([log_only, spd_then_log])), single)
+    # within one point, alpha's SPD check comes before beta's evaluation
+    both = np.array([-2.0, -1.0])
+    with pytest.raises(NotPositiveDefiniteError, match="metric 'alpha'"):
+        sp.metric_values(both)
+    with pytest.raises(NotPositiveDefiniteError, match="metric 'alpha'"):
+        sp.metric_values(np.array([[0.0, 1.0], both]))
+
+
+@pytest.mark.parametrize("fn", [finsler_norm, finsler_state, connection_state])
+@pytest.mark.parametrize("x, y", [
+    (np.zeros((3, 2)), np.ones((2, 2))),
+    (np.zeros((1, 2)), np.ones((3, 2))),
+    (np.zeros(2), np.ones((3, 2))),
+    (np.zeros((3, 2)), np.ones(2)),
+    (np.zeros((2, 2, 2)), np.ones((2, 2, 2))),
+])
+def test_batches_of_x_and_y_must_have_one_shape(fn, x, y):
+    sp = space_of(MetricField.from_strings("alpha", [["2+x1", "0"], ["0", "1"]], COORDS),
+                  MetricField.from_strings("beta", [["1", "0"], ["0", "3"]], COORDS))
+    with pytest.raises(ValueError, match=r"shape \(n,\) or \(B, n\)"):
+        fn(sp, TangentSample(x, y))

@@ -1,5 +1,7 @@
 import importlib
 import json
+import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 from multifinsler.cli import dumps_stable, main
 from multifinsler.config import ConfigError, load_config, parse_config
+from multifinsler.riemann import NotPositiveDefiniteError
 
 BIMETRIC = {
     "dimension": 2,
@@ -366,13 +369,72 @@ def test_geodesic_output_matches_stored_bytes(name, start, tmp_path):
     assert out.read_bytes() == (REPO / "tests" / "data" / f"geodesic-{name}{suffix}.json").read_bytes()
 
 
-@pytest.mark.parametrize("workload", ["invariant_map", "geodesic_fan"])
-def test_benchmark_workload_outputs_pass_their_checks(workload, tmp_path, monkeypatch):
-    """The benchmark's sample and geodesic-fan items at seed 0: every oracle check
-    passes, and each sample CSV equals perfbench/reference/sample-*.csv byte for byte."""
+FAN_SCRIPT = REPO / "scripts" / "geodesic_fan.py"
+
+
+def run_fan(argv, out_dir, monkeypatch, capsys):
+    """Run scripts/geodesic_fan.py in process.  Returns its stdout, with the output
+    directory cut from each '-> path', and the exception it raised (None if none)."""
+    monkeypatch.setattr(sys, "argv", [str(FAN_SCRIPT), *argv, "--out-dir", str(out_dir)])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    error = None
+    try:
+        runpy.run_path(str(FAN_SCRIPT), run_name="__main__")
+    except Exception as exc:
+        error = exc
+    return capsys.readouterr().out.replace(f"-> {out_dir}{os.sep}", "-> "), error
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+def test_fan_script_output_matches_stored_bytes(name, tmp_path, monkeypatch, capsys):
+    """geodesic_fan.py --rays 4 --t-end 0.05 --x0 -0.1,0.2: the ray CSVs and stdout
+    equal tests/data/fan-<config>/, written by the serial fan, byte for byte."""
+    stdout, error = run_fan([str(REPO / "configs" / f"{name}.json"), "--rays", "4", "--t-end", "0.05",
+                             "--x0", "-0.1,0.2"], tmp_path, monkeypatch, capsys)
+    stored = REPO / "tests" / "data" / f"fan-{name}"
+    assert error is None
+    assert stdout == (stored / "stdout.txt").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"ray_{k:02d}.csv" for k in range(4)]
+    for k in range(4):
+        assert (tmp_path / f"ray_{k:02d}.csv").read_bytes() == (stored / f"ray_{k:02d}.csv").read_bytes()
+
+
+def test_fan_script_ray_failure_matches_serial_fan(tmp_path, monkeypatch, capsys):
+    """A fan whose ray 2 runs into x1 = -1, where a_11 = 1 + x1 stops being SPD: rays 0
+    and 1 are written and printed as by the serial fan (tests/data/fan-spd-loss/),
+    ray 3 is not, and the script raises ray 2's NotPositiveDefiniteError."""
+    cfg = tmp_path / "edge.json"
+    cfg.write_text(json.dumps({
+        "dimension": 2, "coordinates": ["x1", "x2"],
+        "metrics": [{"name": "alpha", "components": [["1+x1", "0"], ["0", "1"]]},
+                    {"name": "beta", "components": [["1", "0"], ["0", "1+x2^2"]]}],
+        "sampling": {"seed": 1, "count": 10, "box": [[-1, 1], [-1, 1]]},
+    }))
+    out_dir = tmp_path / "fan"
+    stored = REPO / "tests" / "data" / "fan-spd-loss"
+    stdout, error = run_fan([str(cfg), "--rays", "4", "--t-end", "0.2", "--step", "0.01",
+                             "--x0", "-0.8,0.1"], out_dir, monkeypatch, capsys)
+    assert isinstance(error, NotPositiveDefiniteError)
+    assert f"{type(error).__module__}.{type(error).__name__}: {error}" == (stored / "error.txt").read_text().strip()
+    assert stdout == (stored / "stdout.txt").read_text()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["ray_00.csv", "ray_01.csv"]
+    for k in range(2):
+        assert (out_dir / f"ray_{k:02d}.csv").read_bytes() == (stored / f"ray_{k:02d}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param("invariant_map", 0, id="invariant_map"),
+    pytest.param("geodesic_fan", 0, id="geodesic_fan"),
+    pytest.param("geodesic_fan", 1, id="geodesic_fan-seed1"),
+])
+def test_benchmark_workload_outputs_pass_their_checks(workload, seed, tmp_path, monkeypatch):
+    """The benchmark's sample and geodesic-fan items: every oracle check passes, at
+    seed 0 also against the stored reference, where each sample CSV equals
+    perfbench/reference/sample-*.csv byte for byte.  Seed 1 shoots the fans from
+    another x0 and checks them against the oracles alone."""
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     workloads = importlib.import_module("workloads")
-    for item in workloads.WORKLOADS[workload](workloads.DEFAULT_SEED, tmp_path):
+    for item in workloads.WORKLOADS[workload](seed, tmp_path):
         out = item.run(item.argv)
         assert item.check(out) == [], item.label
         if workload == "invariant_map":

@@ -17,9 +17,9 @@ from multifinsler.connection import (
 )
 from multifinsler.finsler import TangentSample, finsler_state
 from multifinsler.geodesic import integrate_geodesic
-from multifinsler.riemann import MetricField, christoffels_and_spray
+from multifinsler.riemann import christoffels_and_spray
 
-from conftest import count_calls, const_field, field, random_bimetric_space, random_samples, space_of
+from conftest import count_calls, count_spd_validations, const_field, field, random_bimetric_space, random_samples, space_of
 
 S = TangentSample([0.3, -0.5], [0.8, 0.6])
 
@@ -71,7 +71,7 @@ def test_connection_state_validates_each_metric_once(monkeypatch, n_metrics):
         field("gamma", [["2+x2^2", "0.3"], ["0.3", "3"]]),
     ][:n_metrics]
     sp = space_of(*fields)
-    calls = count_calls(monkeypatch, MetricField, "spd_value")
+    calls = count_spd_validations(monkeypatch)
     cs = connection_state(sp, S)
     assert calls[0] == n_metrics
     for k, f in enumerate(fields):

@@ -14,9 +14,9 @@ from multifinsler.finsler import (
     finsler_state,
     riemannian_detect,
 )
-from multifinsler.riemann import MetricField, NotPositiveDefiniteError
+from multifinsler.riemann import NotPositiveDefiniteError
 
-from conftest import count_calls, const_field, field, random_bimetric_space, random_samples, space_of
+from conftest import count_calls, count_spd_validations, const_field, field, random_bimetric_space, random_samples, space_of
 
 
 class TestNorm:
@@ -140,7 +140,7 @@ class TestPointwiseEvaluation:
 
     def test_metric_values_validates_a_repeated_point_once(self, monkeypatch):
         sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
-        calls = count_calls(monkeypatch, MetricField, "spd_value")
+        calls = count_spd_validations(monkeypatch)
         x = np.array([0.3, -0.5])
         first = sp.metric_values(x)
         assert calls[0] == 2
@@ -154,7 +154,7 @@ class TestPointwiseEvaluation:
 
     def test_spd_failure_raises_on_every_call(self, monkeypatch):
         sp = space_of(field("alpha", [["1-x1^2", "0"], ["0", "1"]]))
-        calls = count_calls(monkeypatch, MetricField, "spd_value")
+        calls = count_spd_validations(monkeypatch)
         good, bad = np.array([0.1, 0.0]), np.array([2.0, 0.0])
         sp.metric_values(good)
         for expected in (2, 3, 4):

@@ -6,6 +6,7 @@ import pytest
 import multifinsler.geodesic as geodesic
 
 from multifinsler.finsler import SlitViolationError, TangentSample
+from multifinsler.riemann import NotPositiveDefiniteError
 from multifinsler.geodesic import (
     GeodesicPath,
     action_of_path,
@@ -13,7 +14,7 @@ from multifinsler.geodesic import (
     path_to_csv,
 )
 
-from conftest import const_field, field, space_of
+from conftest import const_field, count_calls, field, space_of
 
 
 class TestIntegration:
@@ -70,6 +71,101 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], 1.0, -0.1)
 
+    @pytest.mark.parametrize("name", ["t_end", "step"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_times_are_rejected(self, bi_const, name, value):
+        times = {"t_end": 1.0, "step": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], times["t_end"], times["step"])
+
+
+def edge_space():
+    """a_11 = 1 + x1 stops being SPD at x1 = -1."""
+    return space_of(field("alpha", [["1+x1", "0"], ["0", "1"]]),
+                    field("beta", [["1", "0"], ["0", "1+x2^2"]]))
+
+
+def assert_same_path(batch, k, solo):
+    ray = batch.ray(k)
+    for name in ("t", "x", "y", "F"):
+        assert np.array_equal(getattr(ray, name), getattr(solo, name)), name
+    assert ray.step == solo.step
+
+
+class TestLockstep:
+    """A (B, n) batch of rays advances in one RK4 loop, each row as when shot alone."""
+
+    def test_rays_equal_solo_runs_bitwise(self, tri_space):
+        thetas = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
+        y0 = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        x0 = np.array([[0.1, -0.2], [0.3, 0.1], [-0.4, 0.2], [0.0, 0.5], [0.2, 0.2]])
+        for start in (x0[0], x0):
+            fan = integrate_geodesic(tri_space, start, y0, 0.05, 0.01)
+            assert fan.x.shape == (5, 6, 2) and fan.F.shape == (5, 6)
+            assert fan.errors == (None,) * 5
+            for k in range(5):
+                xk = start if start.ndim == 1 else start[k]
+                assert_same_path(fan, k, integrate_geodesic(tri_space, xk, y0[k], 0.05, 0.01))
+
+    def test_one_connection_state_per_stage(self, monkeypatch, tri_space):
+        calls = count_calls(monkeypatch, geodesic, "connection_state")
+        integrate_geodesic(tri_space, [0.1, 0.2], np.eye(2).repeat(3, axis=0), 0.03, 0.01)
+        assert calls[0] == 3 * 4
+
+    def test_failing_row_is_retired_alone(self):
+        sp = edge_space()
+        y0 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        fan = integrate_geodesic(sp, [-0.8, 0.1], y0, 0.2, 0.01)
+        with pytest.raises(NotPositiveDefiniteError) as solo:
+            integrate_geodesic(sp, [-0.8, 0.1], y0[2], 0.2, 0.01)
+        error = fan.errors[2]
+        assert type(error) is NotPositiveDefiniteError and str(error) == str(solo.value)
+        with pytest.raises(NotPositiveDefiniteError):
+            fan.ray(2)
+        for k in (0, 1, 3):
+            assert fan.errors[k] is None
+            assert_same_path(fan, k, integrate_geodesic(sp, [-0.8, 0.1], y0[k], 0.2, 0.01))
+        # the retired ray keeps its samples up to the failing step, NaN after
+        done = np.isfinite(fan.F[2])
+        assert 1 < done.sum() < len(fan.t) and done[:done.sum()].all()
+        assert np.isnan(fan.x[2][~done]).all()
+
+    def test_ray_on_the_slit_is_retired_at_the_start(self, bi_x):
+        y0 = np.array([[0.6, 0.8], [0.0, 0.0]])
+        fan = integrate_geodesic(bi_x, [0.1, 0.1], y0, 0.02, 0.01)
+        assert isinstance(fan.errors[1], SlitViolationError)
+        assert np.isnan(fan.F[1]).all()
+        assert_same_path(fan, 0, integrate_geodesic(bi_x, [0.1, 0.1], y0[0], 0.02, 0.01))
+
+    def test_ray_of_a_single_path_is_refused(self, bi_x):
+        path = integrate_geodesic(bi_x, [0.1, 0.1], [0.6, 0.8], 0.02, 0.01)
+        with pytest.raises(ValueError, match="batch of rays"):
+            path.ray(0)
+
+    def test_linear_algebra_failure_retires_its_row(self, monkeypatch, bi_x):
+        # a ray whose y leaves the finite numbers makes the stacked eigvalsh raise
+        original = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            if not np.isfinite(a).all():
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        y0 = np.array([[0.6, 0.8], [np.inf, 1.0]])
+        fan = integrate_geodesic(bi_x, [0.1, 0.1], y0, 0.02, 0.01)
+        assert isinstance(fan.errors[1], np.linalg.LinAlgError)
+        assert_same_path(fan, 0, integrate_geodesic(bi_x, [0.1, 0.1], y0[0], 0.02, 0.01))
+
+    @pytest.mark.parametrize("x0, y0", [
+        ([0.0, 0.0], np.ones((2, 2, 2))),
+        (np.zeros((2, 2)), [1.0, 0.0]),
+        (np.zeros((3, 2)), np.ones((2, 2))),
+    ])
+    def test_shapes_are_checked(self, bi_x, x0, y0):
+        with pytest.raises(ValueError):
+            integrate_geodesic(bi_x, x0, y0, 0.02, 0.01)
+
 
 class TestAction:
     def test_straight_line_constant_norm(self, bi_const):
@@ -120,6 +216,24 @@ class TestAction:
         xs = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             action_of_path(bi_const, ts, xs, ys=np.zeros((3, 2)))
+
+    def test_samples_are_evaluated_in_one_call(self, monkeypatch, bi_x):
+        p = integrate_geodesic(bi_x, [0.1, 0.1], [1.0, 0.3], 0.1, 0.01)
+        calls = count_calls(monkeypatch, geodesic, "finsler_norm")
+        act = action_of_path(bi_x, p.t, p.x, p.y)
+        assert calls[0] == 1
+        assert act.decomposition_residual <= 1e-12
+
+    def test_first_failing_sample_raises_its_own_error(self):
+        # sample 1 leaves the SPD region before sample 2 stops: the SPD error comes first
+        sp = edge_space()
+        ts = np.array([0.0, 1.0, 2.0, 3.0])
+        xs = np.array([[0.0, 0.0], [-1.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        ys = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(NotPositiveDefiniteError):
+            action_of_path(sp, ts, xs, ys)
+        with pytest.raises(ValueError, match="zero-velocity segment at t=2.0"):
+            action_of_path(sp, ts, np.zeros((4, 2)), ys)
 
 
 class TestExport:
