@@ -26,9 +26,9 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class SamplingPolicy:
-    seed: int = 42
-    count: int = 500
-    box: tuple[tuple[float, float], ...] = ((-1.0, 1.0), (-1.0, 1.0))
+    seed: int
+    count: int
+    box: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)

@@ -98,11 +98,7 @@ class ConnectionState:
 class XDerivatives:
     """Exact x-derivatives of the assembled pointwise data (index s first)."""
 
-    dF_mu: np.ndarray    # (N, n)
     dF: np.ndarray       # (n,)
-    dl_mu: np.ndarray    # (N, n, n) [mu, s, i]
-    dl: np.ndarray       # (n, n)    [s, i]
-    dh_mu: np.ndarray    # (N, n, n, n) [mu, s, i, j]
     dg: np.ndarray       # (n, n, n) [s, i, j]
     dC: np.ndarray       # (n, n, n, n) [s, i, j, k]
 
@@ -136,7 +132,7 @@ def x_derivatives(space: MultiMetricSpace, state: FinslerState) -> XDerivatives:
         wk = dF / F_mu[k] - F * dF_mu[k] / F_mu[k] ** 2
         dg += np.einsum("s,ij->sij", wk, state.h_mu[k]) + (F / F_mu[k]) * dh_mu[k]
     dC = _cartan_derivative(state, dF, dF_mu, dl, dl_mu, dh_mu)
-    return XDerivatives(dF_mu=dF_mu, dF=dF, dl_mu=dl_mu, dl=dl, dh_mu=dh_mu, dg=dg, dC=dC)
+    return XDerivatives(dF=dF, dg=dg, dC=dC)
 
 
 def _cartan_derivative(state: FinslerState, dF, dF_mu, dl, dl_mu, dh_mu) -> np.ndarray:
@@ -349,23 +345,11 @@ def _pair_cubic_tensor(space: MultiMetricSpace, x, y, mu: int, nu: int) -> np.nd
 def _pair_cubic_residual(space, state, cs, chern_y, mu, nu) -> float:
     """Max-abs of the horizontal spray derivative of the pair cubic tensor."""
     x, y = state.x, state.y
-    n = space.dim
     hx = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-
-    acc = np.zeros((n, n, n))
-    for s in range(n):
-        es = np.zeros(n)
-        es[s] = hx
-        tp = _pair_cubic_tensor(space, x + es, y, mu, nu)
-        tm = _pair_cubic_tensor(space, x - es, y, mu, nu)
-        acc += y[s] * (tp - tm) / (2.0 * hx)
-    for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = hy
-        tp = _pair_cubic_tensor(space, x, y + ea, mu, nu)
-        tm = _pair_cubic_tensor(space, x, y - ea, mu, nu)
-        acc -= cs.G[a] * (tp - tm) / (2.0 * hy)
+    dx = central_difference(lambda xx: _pair_cubic_tensor(space, xx, y, mu, nu), x, hx)
+    dy = central_difference(lambda yy: _pair_cubic_tensor(space, x, yy, mu, nu), y, hy)
+    acc = np.einsum("s,s...->...", y, dx) - np.einsum("a,a...->...", cs.G, dy)
 
     t0 = _pair_cubic_tensor(space, x, y, mu, nu)
     acc -= (

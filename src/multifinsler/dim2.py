@@ -96,36 +96,24 @@ def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float:
     return float(fr.state.F / (2.0 * fr.state.det_g) * fr.m_up @ grad)
 
 
-def _horizontal_derivative(cs: ConnectionState, field: Callable) -> np.ndarray:
-    """delta_i phi = d_i phi - N^j_i d phi/dy_j at the sample of cs by central differences.
-
-    phi may be scalar- or array-valued; the result is (2, *phi.shape).
-    """
+def _horizontal_derivative(cs: ConnectionState, field: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_i phi = d_i phi - N^j_i d phi/dy_j, d phi/dy_i) at the sample of cs by central
+    differences; phi may be scalar- or array-valued, both results are (2, *phi.shape)."""
     x, y = cs.state.x, cs.state.y
     hx = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
     dx = central_difference(lambda xx: field(xx, y), x, hx)
     dy = central_difference(lambda yy: field(x, yy), y, hy)
-    return dx - np.einsum("ji,j...->i...", cs.N, dy)
+    return dx - np.einsum("ji,j...->i...", cs.N, dy), dy
 
 
-def frame_apply(space: MultiMetricSpace, cs: ConnectionState, field: Callable, which: str):
-    """Apply a frame vector (e1 = m^i delta_i, e2 = l^i delta_i, e3 = F m^i d/dy_i)
-    at the sample of cs to a field phi(x, y), derivatives by central differences.
-
-    phi may be scalar- or array-valued; the result has the shape of phi.
-    """
+def frame_derivatives(cs: ConnectionState, field: Callable) -> tuple:
+    """(e1 phi, e2 phi, e3 phi) at the sample of cs, e1 = m^i delta_i, e2 = l^i delta_i and
+    e3 = F m^i d/dy_i, from one x- and one y-stencil (8 evaluations of phi(x, y)).
+    phi may be scalar- or array-valued; each result has its shape."""
     fr = frame_from_state(cs.state)
-    if which == "e3":
-        x, y = cs.state.x, cs.state.y
-        hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-        dy = central_difference(lambda yy: field(x, yy), y, hy)
-        return fr.state.F * fr.m_up @ dy
-    if which == "e1":
-        return fr.m_up @ _horizontal_derivative(cs, field)
-    if which == "e2":
-        return fr.l_up @ _horizontal_derivative(cs, field)
-    raise ValueError(f"unknown frame vector '{which}'")
+    delta, dy = _horizontal_derivative(cs, field)
+    return fr.m_up @ delta, fr.l_up @ delta, fr.state.F * fr.m_up @ dy
 
 
 def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float, float]:
@@ -180,7 +168,7 @@ def invariants_JK_from_state(
         m_dn_m = np.array([float(f.m @ d @ f.m_up) for d in c.dN_mu])
         return np.concatenate([s.F / s.F_mu**2 * ratio * m_dn_m, s.F / s.F_mu * ratio])
 
-    delta = _horizontal_derivative(cs, sector_scalars)
+    delta, _ = _horizontal_derivative(cs, sector_scalars)
     n = space.n_metrics
     e2_s = fr.l_up @ delta[:, :n]
     e1_t = fr.m_up @ delta[:, n:]
@@ -205,7 +193,6 @@ class StructureReport:
     eq1_B_minus_1: float
     eq1_C: float
     eq2_A_plus_1: float     # omega^2
-    eq2_B: float
     eq2_C: float
     eq3_B: float            # omega^3
     oneform_roundtrip: float
@@ -340,7 +327,7 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
     return StructureReport(
         I_compact=I_c, I_oracle=I_o,
         eq1_A_plus_I=abs(eq1_A + I_o), eq1_B_minus_1=abs(eq1_B - 1.0), eq1_C=abs(eq1_C),
-        eq2_A_plus_1=abs(eq2_A + 1.0), eq2_B=0.0, eq2_C=abs(eq2_C),
+        eq2_A_plus_1=abs(eq2_A + 1.0), eq2_C=abs(eq2_C),
         eq3_B=abs(eq3_B),
         oneform_roundtrip=_oneform_roundtrip(space, cs, fr),
         sector_l_dN=sector_l_dN, sector_m_dN_l=sector_m_dN_l, sector_m_dN_m=sector_m_dN_m,

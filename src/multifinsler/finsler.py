@@ -292,7 +292,6 @@ class ConvexityReport:
     x: np.ndarray
     directions: np.ndarray      # (m, n) unit vectors
     min_eigenvalues: np.ndarray  # (m,)
-    all_positive: bool
     worst_index: int
 
     @property
@@ -305,7 +304,11 @@ class ConvexityReport:
 
 
 def convexity_check(space: MultiMetricSpace, x, y_grid) -> ConvexityReport:
-    """Smallest eigenvalue of g over a grid of unit fiber directions."""
+    """Smallest eigenvalue of g over a grid of unit fiber directions.
+
+    Every direction of a returned report has a positive definite g: a
+    direction where g is not raises ConvexityError from finsler_state.
+    """
     dirs = np.atleast_2d(np.asarray(y_grid, dtype=float))
     mins = np.empty(len(dirs))
     for k, y in enumerate(dirs):
@@ -313,8 +316,7 @@ def convexity_check(space: MultiMetricSpace, x, y_grid) -> ConvexityReport:
         mins[k] = float(np.linalg.eigvalsh(st.g)[0])
     worst = int(np.argmin(mins))
     return ConvexityReport(
-        x=np.asarray(x, dtype=float), directions=dirs, min_eigenvalues=mins,
-        all_positive=bool(np.all(mins > 0.0)), worst_index=worst,
+        x=np.asarray(x, dtype=float), directions=dirs, min_eigenvalues=mins, worst_index=worst,
     )
 
 

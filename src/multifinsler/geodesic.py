@@ -96,6 +96,8 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
     for name, value in (("t_end", t_end), ("step", step)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not math.isfinite(t_end / step):
+        raise ValueError(f"t_end / step must be finite, got t_end={t_end} and step={step}")
     x = np.asarray(x0, dtype=float)
     y = np.asarray(y0, dtype=float)
     if y.ndim not in (1, 2) or x.ndim not in (1, y.ndim):

@@ -44,10 +44,7 @@ class MetricField:
         self.components: tuple[tuple[ScalarExpr, ...], ...] = tuple(
             tuple(components[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
         )
-        self._fns = [[compile_expression(self.components[i][j]) for j in range(n)] for i in range(n)]
-        self._dexprs: list[list[list[ScalarExpr]]] | None = None
-        self._dfns = None
-        self._d2fns = None
+        self._tables: list[list[tuple]] = []  # see _table
 
     @classmethod
     def from_strings(cls, name: str, rows: Sequence[Sequence[str]], coords: Sequence[str]) -> "MetricField":
@@ -76,61 +73,43 @@ class MetricField:
         if len(x) != self.dim:
             raise ValueError(f"metric '{self.name}': point of length {len(x)}, expected {self.dim}")
 
-    def value(self, x) -> np.ndarray:
-        self._check_point(x)
-        n = self.dim
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                out[i, j] = out[j, i] = self._fns[i][j](x)
-        return out
+    def _table(self, order: int) -> list[tuple]:
+        """(expression, closure, flat slot, mirrored slot) per upper-triangle entry of the
+        order-th derivative array in the order (s, t, ..., i, j >= i); built on first
+        use, each order by differentiating the one below once per coordinate."""
+        n, nn = self.dim, self.dim * self.dim
+        while len(self._tables) <= order:
+            if not self._tables:
+                entries = [(self.components[i][j], i * n + j, j * n + i) for i in range(n) for j in range(i, n)]
+            else:
+                # entry (p..., i, j) of the order below, differentiated in x_t, fills (p..., t, i, j)
+                prev, per_index = self._tables[-1], n * (n + 1) // 2
+                entries = [
+                    (differentiate(e, t, n), (a // nn * n + t) * nn + a % nn, (b // nn * n + t) * nn + b % nn)
+                    for g in range(0, len(prev), per_index)
+                    for t in range(n)
+                    for e, _, a, b in prev[g:g + per_index]
+                ]
+            self._tables.append([(e, compile_expression(e), a, b) for e, a, b in entries])
+        return self._tables[order]
 
-    def _derivative_exprs(self):
-        if self._dexprs is None:
-            n = self.dim
-            self._dexprs = [
-                [[differentiate(self.components[i][j], s, self.dim) for j in range(n)] for i in range(n)]
-                for s in range(n)
-            ]
-            self._dfns = [
-                [[compile_expression(self._dexprs[s][i][j]) for j in range(n)] for i in range(n)]
-                for s in range(n)
-            ]
-        return self._dexprs
+    def _evaluate(self, order: int, x) -> np.ndarray:
+        self._check_point(x)
+        out = np.empty(self.dim ** (order + 2))
+        for _, fn, a, b in self._table(order):
+            out[a] = out[b] = fn(x)
+        return out.reshape((self.dim,) * (order + 2))
+
+    def value(self, x) -> np.ndarray:
+        return self._evaluate(0, x)
 
     def derivative(self, x) -> np.ndarray:
         """dA[s, i, j] = d a_ij / d x_s, from exact symbolic derivatives."""
-        self._check_point(x)
-        self._derivative_exprs()
-        n = self.dim
-        out = np.empty((n, n, n))
-        for s in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    out[s, i, j] = out[s, j, i] = self._dfns[s][i][j](x)
-        return out
+        return self._evaluate(1, x)
 
     def second_derivative(self, x) -> np.ndarray:
         """d2A[s, t, i, j] = d^2 a_ij / (d x_s d x_t)."""
-        self._check_point(x)
-        if self._d2fns is None:
-            dex = self._derivative_exprs()
-            n = self.dim
-            self._d2fns = [
-                [
-                    [[compile_expression(differentiate(dex[s][i][j], t, n)) for j in range(n)] for i in range(n)]
-                    for t in range(n)
-                ]
-                for s in range(n)
-            ]
-        n = self.dim
-        out = np.empty((n, n, n, n))
-        for s in range(n):
-            for t in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        out[s, t, i, j] = out[s, t, j, i] = self._d2fns[s][t][i][j](x)
-        return out
+        return self._evaluate(2, x)
 
     def spd_value(self, x) -> tuple[np.ndarray, np.ndarray, float]:
         """Evaluate and validate SPD; returns (matrix, inverse, determinant)."""

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,17 @@ class TestLandsbergBerwald:
         lb = landsberg_berwald(bi_x, S)
         assert np.max(np.abs(lb.C_dot)) > 1e-3
         assert lb.pair_residuals[0, 1] > 1e-3
+
+    @pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+    def test_matches_recorded_values(self, name):
+        # tests/data/landsberg-berwald.json holds 5 samples per config, recorded
+        # while the pair residual still ran its own difference loops
+        space = load_config(CONFIGS / f"{name}.json").build_space()
+        for row in json.loads((CONFIGS.parent / "tests" / "data" / "landsberg-berwald.json").read_text())[name]:
+            lb = landsberg_berwald(space, TangentSample(row["x"], row["y"]))
+            assert np.array_equal(lb.C_dot, row["C_dot"])
+            assert np.array_equal(lb.C_horizontal, row["C_horizontal"])
+            np.testing.assert_allclose(lb.pair_residuals, row["pair_residuals"], rtol=1e-12, atol=0.0)
 
     def test_x_derivatives_computed_once(self, monkeypatch, bi_x):
         # the Chern coefficients reuse the dg of the x-derivatives taken for dC

@@ -4,7 +4,7 @@ import pytest
 from multifinsler.connection import connection_state
 from multifinsler.dim2 import (
     cartan_structure_residuals,
-    frame_apply,
+    frame_derivatives,
     frame_from_state,
     invariant_I_oracle,
     invariants_JK,
@@ -157,10 +157,11 @@ class TestFrameApply:
         def norm(xx, yy):
             return finsler_state(bi_const, TangentSample(xx, yy)).F
 
-        assert frame_apply(bi_const, cs, x1, "e1") == pytest.approx(fr.m_up[0], abs=1e-10)
-        assert frame_apply(bi_const, cs, x1, "e2") == pytest.approx(fr.l_up[0], abs=1e-10)
-        assert frame_apply(bi_const, cs, y1, "e3") == pytest.approx(fr.state.F * fr.m_up[0], abs=1e-10)
-        assert abs(frame_apply(bi_const, cs, norm, "e3")) < 1e-9
+        e1, e2, _ = frame_derivatives(cs, x1)
+        assert e1 == pytest.approx(fr.m_up[0], abs=1e-10)
+        assert e2 == pytest.approx(fr.l_up[0], abs=1e-10)
+        assert frame_derivatives(cs, y1)[2] == pytest.approx(fr.state.F * fr.m_up[0], abs=1e-10)
+        assert abs(frame_derivatives(cs, norm)[2]) < 1e-9
 
     def test_array_field_matches_scalar_fields(self, bi_x):
         cs = connection_state(bi_x, S)
@@ -169,16 +170,23 @@ class TestFrameApply:
             st = finsler_state(bi_x, TangentSample(xx, yy))
             return np.array([st.F, xx[0] * yy[1], st.det_g])
 
-        for which in ("e1", "e2", "e3"):
-            vec = frame_apply(bi_x, cs, fields, which)
-            assert vec.shape == (3,)
-            for k in range(3):
-                scalar = frame_apply(bi_x, cs, lambda xx, yy, k=k: fields(xx, yy)[k], which)
+        vecs = frame_derivatives(cs, fields)
+        for k in range(3):
+            scalars = frame_derivatives(cs, lambda xx, yy, k=k: fields(xx, yy)[k])
+            for vec, scalar in zip(vecs, scalars):
+                assert vec.shape == (3,)
                 assert vec[k] == pytest.approx(scalar, rel=1e-14, abs=1e-15)
 
-    def test_unknown_frame_vector(self, bi_const):
-        with pytest.raises(ValueError, match="e4"):
-            frame_apply(bi_const, connection_state(bi_const, S), lambda xx, yy: 0.0, "e4")
+    def test_one_stencil_in_x_and_one_in_y(self, bi_x):
+        calls = []
+
+        def counted(xx, yy):
+            calls.append((xx.copy(), yy.copy()))
+            return xx[0] * yy[1]
+
+        frame_derivatives(connection_state(bi_x, S), counted)
+        assert len(calls) == 8
+        assert sum(np.array_equal(yy, S.y) for _, yy in calls) == 4
 
 
 class TestInvariantsJK:
@@ -229,7 +237,7 @@ class TestInvariantsJK:
         def i_field(xx, yy):
             return frame_from_state(finsler_state(bi_x, TangentSample(xx, yy))).I
 
-        e2_i = frame_apply(bi_x, connection_state(bi_x, S), i_field, "e2")
+        _, e2_i, _ = frame_derivatives(connection_state(bi_x, S), i_field)
         assert abs(j) > 1e-3
         assert abs(j - e2_i) < 1e-5
 

@@ -78,6 +78,11 @@ class TestIntegration:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], times["t_end"], times["step"])
 
+    def test_non_finite_step_count_is_rejected(self, bi_const):
+        # both times are finite, but their ratio, the step count, overflows
+        with pytest.raises(ValueError, match=r"^t_end / step must be finite, got t_end=1e\+300 and step=1e-300"):
+            integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], 1e300, 1e-300)
+
 
 def edge_space():
     """a_11 = 1 + x1 stops being SPD at x1 = -1."""

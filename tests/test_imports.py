@@ -56,3 +56,18 @@ def test_no_unreferenced_private_definitions():
         if name.startswith("_") and not name.startswith("__") and name not in read
     )
     assert not dead, f"private definitions nothing references: {dead}"
+
+
+def test_no_unread_parameters():
+    """Every parameter of a module-level package function is read in its body."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.stem}.{node.name}({p})" for p in params if p not in read]
+    assert not unread, f"parameters nothing reads: {unread}"

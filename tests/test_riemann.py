@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from multifinsler.config import load_config
+from multifinsler.expr import EvalDomainError, compile_expression, differentiate
 from multifinsler.riemann import (
     MetricField,
     NotPositiveDefiniteError,
@@ -10,6 +14,8 @@ from multifinsler.riemann import (
 )
 
 from conftest import COORDS, const_field, field, random_spd
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestEvaluateMetric:
@@ -165,3 +171,79 @@ class TestSymmetricPolynomials:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             symmetric_polynomials(np.eye(3), np.eye(3))
+
+
+def _loop_reference(f: MetricField):
+    """The component loops of value, derivative and second_derivative as written
+    before they shared one table: the reference the table must reproduce bit for bit."""
+    n = f.dim
+    fns = [[compile_expression(f.components[i][j]) for j in range(n)] for i in range(n)]
+    dex = [[[differentiate(f.components[i][j], s, n) for j in range(n)] for i in range(n)] for s in range(n)]
+    dfns = [[[compile_expression(dex[s][i][j]) for j in range(n)] for i in range(n)] for s in range(n)]
+    d2fns = [[[[compile_expression(differentiate(dex[s][i][j], t, n)) for j in range(n)] for i in range(n)]
+              for t in range(n)] for s in range(n)]
+
+    def value(x):
+        out = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                out[i, j] = out[j, i] = fns[i][j](x)
+        return out
+
+    def derivative(x):
+        out = np.empty((n, n, n))
+        for s in range(n):
+            for i in range(n):
+                for j in range(i, n):
+                    out[s, i, j] = out[s, j, i] = dfns[s][i][j](x)
+        return out
+
+    def second_derivative(x):
+        out = np.empty((n, n, n, n))
+        for s in range(n):
+            for t in range(n):
+                for i in range(n):
+                    for j in range(i, n):
+                        out[s, t, i, j] = out[s, t, j, i] = d2fns[s][t][i][j](x)
+        return out
+
+    return {"value": value, "derivative": derivative, "second_derivative": second_derivative}
+
+
+def _parity_fields():
+    fields = []
+    for name in ("single", "bimetric", "trimetric"):
+        fields += load_config(REPO / "configs" / f"{name}.json").build_space().metrics
+    xyz = ("x1", "x2", "x3")
+    fields.append(field("cubic", [["2+x1^2*x3", "sin(x2)*x1", "0.1*x3"],
+                                  ["sin(x2)*x1", "3+exp(x1*x2)", "x1*x2*x3"],
+                                  ["0.1*x3", "x1*x2*x3", "4+cos(x3)^2"]], coords=xyz))
+    return fields
+
+
+class TestComponentTable:
+    """value, derivative and second_derivative equal the hand-written loops bit for bit."""
+
+    @pytest.mark.parametrize("method", ["value", "derivative", "second_derivative"])
+    def test_table_equals_the_component_loops(self, method):
+        rng = np.random.default_rng(90)
+        for f in _parity_fields():
+            ref = _loop_reference(f)[method]
+            for _ in range(10):
+                x = rng.uniform(-0.9, 0.9, f.dim)
+                got = getattr(f, method)(x)
+                assert got.shape == (f.dim,) * got.ndim
+                assert np.array_equal(got, ref(x)), (f.name, x)
+
+    @pytest.mark.parametrize("method", ["value", "derivative", "second_derivative"])
+    def test_first_domain_error_is_the_loops_first(self, method):
+        # at x = (-1, 0) several components and derivatives fail, each with its own
+        # message; d/dx2 of a_00 fails too, so a table ordered by component first
+        # would raise another error than the loops
+        f = field("logs", [["2+sqrt(x2)", "log(x1+1)+x2"], ["log(x1+1)+x2", "sqrt(-x1-2)"]])
+        x = np.array([-1.0, 0.0])
+        with pytest.raises(EvalDomainError) as expected:
+            _loop_reference(f)[method](x)
+        with pytest.raises(EvalDomainError) as got:
+            getattr(f, method)(x)
+        assert str(got.value) == str(expected.value)
