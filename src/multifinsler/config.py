@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import ParseError, UnknownIdentifierError
+from .expr import ExprError
 from .finsler import MultiMetricSpace
 from .riemann import MetricField, NotPositiveDefiniteError
 
@@ -118,6 +118,8 @@ def parse_config(data: dict) -> SpaceConfig:
         _expect(isinstance(m, dict), f"{where} must be an object")
         _expect_keys(m, ("name", "components"), where)
         name = m.get("name", f"metric{idx}")
+        _expect(isinstance(name, str) and name, f"{where}.name must be a non-empty string, got {name!r}")
+        _expect(name not in [p.name for p in metrics], f"{where}: duplicate metric name {name!r}")
         comps = m.get("components")
         _expect(isinstance(comps, list) and len(comps) == dim,
                 f"{where}.components must have {dim} rows (dimension mismatch)")
@@ -126,7 +128,7 @@ def parse_config(data: dict) -> SpaceConfig:
                     f"{where}.components[{i}] must have {dim} entries (dimension mismatch)")
             _expect(all(isinstance(e, str) for e in row),
                     f"{where}.components[{i}] entries must be expression strings")
-        metrics.append(MetricSpec(name=str(name), components=tuple(tuple(r) for r in comps)))
+        metrics.append(MetricSpec(name=name, components=tuple(tuple(r) for r in comps)))
 
     sampling = data.get("sampling", {})
     _expect(isinstance(sampling, dict), "'sampling' must be an object")
@@ -148,14 +150,15 @@ def parse_config(data: dict) -> SpaceConfig:
         sampling=SamplingPolicy(seed=seed, count=count, box=tuple(tuple(map(float, b)) for b in box)),
     )
 
-    # parse all expressions and probe SPD at the box center
+    # parse all expressions, then probe SPD at the box center
     try:
         space = cfg.build_space()
+    except (ExprError, ValueError) as exc:
+        raise ConfigError(f"invalid metric component: {exc}") from exc
+    try:
         for m in space.metrics:
             m.spd_value(cfg.box_center())
-    except (ParseError, UnknownIdentifierError, ValueError) as exc:
-        raise ConfigError(f"invalid metric component: {exc}") from exc
-    except NotPositiveDefiniteError as exc:
+    except (NotPositiveDefiniteError, ExprError) as exc:
         raise ConfigError(f"SPD probe failed at box center: {exc}") from exc
     return cfg
 

@@ -32,6 +32,13 @@ class ConvexityError(Exception):
     """Fundamental tensor failed to be positive definite at a sample."""
 
 
+# Errors that belong to one sample: a batch that raises one may hold rows that
+# evaluate, and each row alone raises what that row raises.  Any other
+# exception belongs to the whole call.
+SAMPLE_ERRORS = (SlitViolationError, NotPositiveDefiniteError, ConvexityError, ExprError,
+                 np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class TangentSample:
     """A point (x, y) on the slit tangent bundle."""
@@ -257,32 +264,44 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
 
     Evaluated in extended precision so the second differences at the stated
     step are not dominated by rounding.  It shares only the sector matrices
-    at x with the assembled route.
+    at x with the assembled route.  y is one fiber vector (n,) or a batch
+    (B, n) at the one point x, giving (n, n) or (B, n, n); each row takes its
+    own step and stencil and is the single call's bits, and a batch raises
+    the error of the first stencil point that a loop of single calls would.
     """
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    h = HESSIAN_REL_STEP * float(np.linalg.norm(y))
+    rows = y.reshape(-1, y.shape[-1])
+    n = rows.shape[-1]
+    h = [HESSIAN_REL_STEP * float(np.linalg.norm(v)) for v in rows]
+    h2 = np.array([np.longdouble(step) ** 2 for step in h])
     a_ld = space.metric_values(x)[0].astype(np.longdouble)
 
-    def f2(yy: np.ndarray) -> np.longdouble:
-        s = sector_norms(a_ld, yy).sum()
-        return s * s
+    y_ld = rows.astype(np.longdouble)
+    e = np.eye(n, dtype=np.longdouble) * np.array(h, dtype=np.longdouble)[:, None, None]
 
-    y_ld = y.astype(np.longdouble)
-    g = np.empty((n, n))
-    f0 = f2(y_ld)
+    def stencil():
+        """Shifted fiber vectors, (B, n) each, in the order a single call evaluates them."""
+        yield y_ld
+        for i in range(n):
+            yield y_ld + e[:, i]
+            yield y_ld - e[:, i]
+            for j in range(i + 1, n):
+                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    yield y_ld + si * e[:, i] + sj * e[:, j]
+
+    points = np.stack(list(stencil()), axis=1)  # (B, P, n), row-major as evaluated
+    flat = points.reshape(-1, n)
+    s = sector_norms(np.broadcast_to(a_ld, (len(flat),) + a_ld.shape), flat).sum(axis=-1)
+    f2 = iter((s * s).reshape(points.shape[:2]).T)
+
+    g = np.empty((len(rows), n, n))
+    f0 = next(f2)
     for i in range(n):
-        ei = np.zeros(n, dtype=np.longdouble)
-        ei[i] = h
-        g[i, i] = float((f2(y_ld + ei) - 2.0 * f0 + f2(y_ld - ei)) / np.longdouble(h) ** 2 / 2.0)
+        g[:, i, i] = (next(f2) - 2.0 * f0 + next(f2)) / h2 / 2.0
         for j in range(i + 1, n):
-            ej = np.zeros(n, dtype=np.longdouble)
-            ej[j] = h
-            mixed = (
-                f2(y_ld + ei + ej) - f2(y_ld + ei - ej) - f2(y_ld - ei + ej) + f2(y_ld - ei - ej)
-            ) / (4.0 * np.longdouble(h) ** 2)
-            g[i, j] = g[j, i] = float(mixed / 2.0)
-    return g
+            mixed = (next(f2) - next(f2) - next(f2) + next(f2)) / (4.0 * h2)
+            g[:, i, j] = g[:, j, i] = mixed / 2.0
+    return g.reshape(y.shape + (n,))
 
 
 @dataclass(frozen=True)

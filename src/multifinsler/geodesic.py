@@ -18,21 +18,13 @@ import numpy as np
 from scipy import integrate as _sciint
 
 from .connection import connection_state
-from .expr import ExprError
 from .finsler import (
     EPS_SLIT,
-    ConvexityError,
+    SAMPLE_ERRORS,
     MultiMetricSpace,
-    SlitViolationError,
     TangentSample,
     finsler_norm,
 )
-from .riemann import NotPositiveDefiniteError
-
-# Errors that belong to one sample; a batch row that raises one is retired.
-# Any other exception ends the whole call, for every row.
-SAMPLE_ERRORS = (SlitViolationError, NotPositiveDefiniteError, ConvexityError, ExprError,
-                 np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)

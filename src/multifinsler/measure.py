@@ -17,6 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .finsler import (
+    SAMPLE_ERRORS,
     MultiMetricSpace,
     TangentSample,
     fd_fundamental_tensor,
@@ -28,6 +29,7 @@ from .riemann import symmetric_polynomials
 AGM_TOL = 1e-15
 AGM_MAX_ITER = 40
 QUAD_ABS = 1e-11
+RADIAL_TOL = 1e-10  # epsabs = epsrel of the sublevel-set (disc) integral
 # closed Busemann-Hausdorff form divides by powers of alpha - beta; route to
 # quadrature when the pencil is too close to lambda = 1 or to proportionality
 DEGENERACY_TOL = 1e-6
@@ -223,12 +225,9 @@ def holmes_thompson_circle_oracle(space: MultiMetricSpace, x) -> float:
     a_mu, _, _ = space.metric_values(x)
     m = 512
     thetas = np.arange(m) * (2.0 * math.pi / m)
-    vals = np.empty(m)
-    for i, th in enumerate(thetas):
-        y = np.array([math.cos(th), math.sin(th)])
-        g = fd_fundamental_tensor(space, x, y)
-        f = _norm_on_circle(a_mu, th)
-        vals[i] = float(np.linalg.det(g)) / f**2
+    y = np.array([[math.cos(th), math.sin(th)] for th in thetas])
+    f2 = np.array([_norm_on_circle(a_mu, th) ** 2 for th in thetas])
+    vals = np.linalg.det(fd_fundamental_tensor(space, x, y)) / f2
     return float(vals.mean())  # (1/pi) * (1/2) * integral = mean over the circle
 
 
@@ -315,12 +314,41 @@ def busemann_hausdorff(space: MultiMetricSpace, x) -> MeasureReport:
                          parts={"indicatrix_area_over_pi": math.pi / value}, fallback=fallback)
 
 
+def _radial_integral(weight_at, r_max: float) -> float:
+    """integral_0^r_max w(r) r dr by adaptive quadrature, where weight_at(r)
+    gives w at an array of radii, each radius as it gives w alone.
+
+    QUADPACK places the 21 nodes of its first Gauss-Kronrod rule by the
+    bounds alone, and a zero integrand stops after that rule, so a dry run
+    lists the nodes the real run asks for first.  They are evaluated in one
+    call, and the real run reads them back; a node of a later, bisected rule
+    is evaluated as a batch of one.  If the batch raises a per-sample error,
+    the nodes are evaluated one by one in the dry run's order, so the first
+    failing node raises what it raises alone.
+    """
+    nodes = []
+    integrate.quad(lambda r: nodes.append(r) or 0.0, 0.0, r_max, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL)
+    radii = np.array(nodes)
+    try:
+        table = dict(zip(nodes, weight_at(radii)))
+    except SAMPLE_ERRORS:
+        table = {r: weight_at(radii[k:k + 1])[0] for k, r in enumerate(nodes)}
+
+    def integrand(r):
+        w = table.get(r)
+        return (weight_at(np.array([r]))[0] if w is None else w) * r
+
+    val, _ = integrate.quad(integrand, 0.0, r_max, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL)
+    return val
+
+
 def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") -> dict:
     """Residual of the sublevel-set vs unit-circle reduction for f in {1, det g}.
 
     The left side is a genuine 2D adaptive quadrature over the unit sublevel
-    set of the norm in polar coordinates; the right side is the circle
-    integral of f(det g)/F^2.
+    set of the norm in polar coordinates, the nested quad calls of
+    scipy's dblquad with each radial rule's nodes evaluated in one batch;
+    the right side is the circle integral of f(det g)/F^2.
     """
     require_2d(space.dim)
     if weight not in ("one", "det"):
@@ -328,19 +356,18 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
     x = np.asarray(x, dtype=float)
     a_mu, _, _ = space.metric_values(x)
 
-    def f_of(theta, r):
-        y = np.array([r * math.cos(theta), r * math.sin(theta)])
+    def weight_along(theta):
+        unit = np.array([math.cos(theta), math.sin(theta)])
         if weight == "one":
-            return 1.0
-        return finsler_state(space, TangentSample(x, y)).det_g
+            return np.ones_like
+        return lambda r: finsler_state(
+            space, TangentSample(np.tile(x, (len(r), 1)), r[:, None] * unit)).det_g
 
     def r_max(theta):
         return 1.0 / _norm_on_circle(a_mu, theta)
 
-    disc, _ = integrate.dblquad(
-        lambda r, theta: f_of(theta, r) * r, 0.0, 2.0 * math.pi, 0.0, r_max,
-        epsabs=1e-10, epsrel=1e-10,
-    )
+    disc, _ = integrate.quad(lambda theta: _radial_integral(weight_along(theta), r_max(theta)),
+                             0.0, 2.0 * math.pi, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL)
 
     def circle_integrand(theta):
         y = np.array([math.cos(theta), math.sin(theta)])

@@ -10,7 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multifinsler.connection import connection_state
-from multifinsler.finsler import TangentSample, finsler_norm, finsler_state, sector_norms
+from multifinsler.finsler import (
+    TangentSample,
+    fd_fundamental_tensor,
+    finsler_norm,
+    finsler_state,
+    sector_norms,
+)
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 
 from conftest import COORDS, space_of
@@ -160,6 +166,23 @@ def test_spray_path_rows_equal_single_samples(space, batch):
             for lazy in ("N", "dN_mu"):
                 with pytest.raises(ValueError, match="per sample"):
                     getattr(batched, lazy)
+
+
+@SETTINGS
+@given(spaces(), batches())
+def test_fd_fundamental_tensor_rows_equal_single_calls(space, batch):
+    # the FD Hessian takes a batch of fiber vectors at one point
+    x, y = batch[0][0], batch[1]
+    solo = [outcome(fd_fundamental_tensor, space, x, yr) for yr in y]
+    batched = outcome(fd_fundamental_tensor, space, x, y)
+    failed = [o for o in solo if isinstance(o, Exception)]
+    if failed:
+        # a loop of single calls stops at its first failing row
+        assert same_error(batched, failed[0])
+        return
+    assert batched.shape == (len(y), 2, 2)
+    for r, s in enumerate(solo):
+        assert np.array_equal(batched[r], s)
 
 
 def test_batched_spd_error_names_the_first_failing_row_and_sector():

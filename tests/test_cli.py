@@ -61,6 +61,45 @@ class TestConfig:
         with pytest.raises(ConfigError, match="SPD"):
             parse_config(bad)
 
+    def test_domain_error_at_box_center_is_a_config_error(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(BIMETRIC))
+        bad["metrics"][1]["components"] = [["4", "0"], ["0", "1+log(x1)"]]
+        with pytest.raises(ConfigError, match="SPD probe failed at box center: log of a non-positive"):
+            parse_config(bad)
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(bad))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_domain_error_in_the_symmetry_probe_is_a_config_error(self, tmp_path, capsys):
+        # the (0,1) and (1,0) texts differ, so they are compared at probe points x1 < 0.2
+        bad = json.loads(json.dumps(BIMETRIC))
+        bad["metrics"][1]["components"] = [["4", "log(x1-0.2)"], ["log(x1 - 0.2)", "4"]]
+        with pytest.raises(ConfigError, match="invalid metric component: log of a non-positive"):
+            parse_config(bad)
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(bad))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", [["alpha", "alpha"], [None, "metric0"]])
+    def test_duplicate_metric_names_rejected(self, names):
+        bad = json.loads(json.dumps(BIMETRIC))
+        for m, name in zip(bad["metrics"], names):
+            if name is None:
+                del m["name"]  # the default name of metrics[0] is "metric0"
+            else:
+                m["name"] = name
+        with pytest.raises(ConfigError, match=r"metrics\[1\]: duplicate metric name"):
+            parse_config(bad)
+
+    @pytest.mark.parametrize("name", [5, 1.5, True, None, ["alpha"], ""])
+    def test_metric_names_must_be_non_empty_strings(self, name):
+        bad = json.loads(json.dumps(BIMETRIC))
+        bad["metrics"][1]["name"] = name
+        with pytest.raises(ConfigError, match=r"metrics\[1\]\.name must be a non-empty string"):
+            parse_config(bad)
+
     def test_defaults(self):
         minimal = {
             "dimension": 2,

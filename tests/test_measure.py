@@ -1,11 +1,17 @@
+import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from multifinsler.finsler import TangentSample
+import multifinsler.measure as measure
+from multifinsler.config import load_config
+from multifinsler.finsler import ConvexityError, TangentSample
 from multifinsler.riemann import MetricField
 from multifinsler.measure import (
     DegeneratePairError,
@@ -33,6 +39,7 @@ K_SQRT3_2 = 2.1565156474996432
 E_SQRT3_2 = 1.2110560275684594
 
 ORIGIN = [0.0, 0.0]
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestLambdaPair:
@@ -219,6 +226,11 @@ class TestHolmesThompson:
         holmes_thompson_circle_oracle(sp, [0.4, -0.2])
         assert calls[0] == n_metrics
 
+    def test_circle_oracle_makes_one_fd_hessian_call(self, monkeypatch, tri_space):
+        calls = count_calls(monkeypatch, measure, "fd_fundamental_tensor")
+        holmes_thompson_circle_oracle(tri_space, [0.4, -0.2])
+        assert calls[0] == 1
+
     def test_trimetric_modes_agree(self, tri_space):
         x = [0.1, 0.3]
         closed = holmes_thompson(tri_space, x).value
@@ -387,3 +399,90 @@ def test_circle_norm_weighted_integral_vs_closed_form():
         closed = 2.0 * math.sqrt(pair.lam_plus / np.linalg.det(a_mu)) * complete_elliptic_e(pair.modulus)
         worst = max(worst, abs(quad_val - closed))
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+def test_oracles_match_recorded_values(name):
+    # tests/data/measure-oracles.json holds each config's 4 `check --suite
+    # measures` points and 2 off-centre points, recorded while the oracles
+    # called finsler_state and fd_fundamental_tensor once per node; the
+    # report keeps only a max, which could hide a drift in one value
+    space = load_config(REPO / "configs" / f"{name}.json").build_space()
+    for row in json.loads((REPO / "tests" / "data" / "measure-oracles.json").read_text())[name]:
+        x = np.array(row["x"])
+        for w in ("one", "det"):
+            r = indicatrix_reduction_check(space, x, w)
+            assert r["disc"] == row[f"disc_{w}"] and r["circle"] == row[f"circle_{w}"], (x, w)
+        assert holmes_thompson_circle_oracle(space, x) == row["circle_oracle"], x
+
+
+class TestRadialBatches:
+    """The disc side of indicatrix_reduction_check evaluates the nodes of each
+    radial Gauss-Kronrod rule in one finsler_state call."""
+
+    @staticmethod
+    def record_shapes(monkeypatch, wrap=None):
+        """Replace measure.finsler_state by wrap (default the real one) and record each y shape."""
+        real = measure.finsler_state
+        wrap = wrap or real
+        shapes = []
+
+        def recorded(space, sample):
+            shapes.append(sample.y.shape)
+            return wrap(space, sample)
+
+        monkeypatch.setattr(measure, "finsler_state", recorded)
+        return real, shapes
+
+    @staticmethod
+    def scalar_disc(space, x, state):
+        """The disc integral as one dblquad with one state(...) call per node."""
+        a_mu = space.metric_values(np.asarray(x, dtype=float))[0]
+
+        def f(r, theta):
+            y = np.array([r * math.cos(theta), r * math.sin(theta)])
+            return state(space, TangentSample(x, y)).det_g * r
+
+        return integrate.dblquad(f, 0.0, 2.0 * math.pi, 0.0,
+                                 lambda theta: 1.0 / measure._norm_on_circle(a_mu, theta),
+                                 epsabs=1e-10, epsrel=1e-10)[0]
+
+    def test_one_batch_per_ray(self, monkeypatch, tri_space):
+        _, shapes = self.record_shapes(monkeypatch)
+        rays = count_calls(monkeypatch, measure, "_norm_on_circle")  # r_max, once per theta
+        indicatrix_reduction_check(tri_space, [0.1, 0.3], "det")
+        batches = [s for s in shapes if len(s) == 2]
+        assert rays[0] > 0
+        assert batches.count((21, 2)) == rays[0]
+        assert len(batches) - rays[0] <= 0.01 * 21 * rays[0]  # bisected rules, node by node
+
+    def test_bisected_rules_read_the_scalar_values(self, monkeypatch, euclid):
+        # a weight that decays fast along the ray makes QUADPACK bisect, so
+        # later rules ask for nodes outside the first batch
+        def varying(space, sample):
+            st = real(space, sample)
+            scale = [math.exp(-30.0 * math.hypot(*v)) for v in np.atleast_2d(sample.y)]
+            return SimpleNamespace(F=st.F, det_g=st.det_g * (scale[0] if sample.y.ndim == 1 else np.array(scale)))
+
+        real, shapes = self.record_shapes(monkeypatch, varying)
+        disc = indicatrix_reduction_check(euclid, ORIGIN, "det")["disc"]
+        assert shapes.count((1, 2)) > 0
+        assert disc == self.scalar_disc(euclid, np.array(ORIGIN), varying)
+
+    def test_a_failing_batch_raises_the_scalar_runs_error(self, monkeypatch, bi_const):
+        # nodes beyond r = 0.3 fail, and a batch reports its last failing row,
+        # as a batched check that names another row than a scalar run would
+        def failing(space, sample):
+            radii = [math.hypot(*v) for v in np.atleast_2d(sample.y)]
+            bad = [r for r in radii if r > 0.3]
+            if bad:
+                raise ConvexityError(f"node at r = {bad[-1]!r}")
+            return real(space, sample)
+
+        real, shapes = self.record_shapes(monkeypatch, failing)
+        with pytest.raises(ConvexityError) as batched:
+            indicatrix_reduction_check(bi_const, ORIGIN, "det")
+        assert (21, 2) in shapes
+        with pytest.raises(ConvexityError) as scalar:
+            self.scalar_disc(bi_const, np.array(ORIGIN), failing)
+        assert str(batched.value) == str(scalar.value)
