@@ -39,7 +39,6 @@ from .finsler import (
     MultiMetricSpace,
     SlitViolationError,
     TangentSample,
-    convexity_check,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,

@@ -185,21 +185,16 @@ def cartan_y_derivative(state: FinslerState) -> np.ndarray:
     )
 
 
-def _sector_data(space: MultiMetricSpace, x, y):
-    """Per-sector Christoffels, sprays Gamma y y and connections Gamma y, from the
-    inverses that metric_values validated at x; x and y are (n,) or (B, n)."""
-    _, a_inv, _ = space.metric_values(x)
-    gamma_mu = _christoffel(a_inv, space.metric_derivatives(x))
-    y_mu = y[..., None, :]  # the same y for every sector
-    N_mu = np.einsum("...ijk,...k->...ij", gamma_mu, y_mu)
-    return gamma_mu, np.matvec(N_mu, y_mu), N_mu
-
-
 def connection_state(space: MultiMetricSpace, sample: TangentSample) -> ConnectionState:
     """Assemble the spray at a sample, or at a batch of samples of shape (B, n);
     the Cartan nonlinear connection follows on access."""
     state = finsler_state(space, sample)
-    gamma_mu, G_mu, N_mu = _sector_data(space, state.x, state.y)
+    # per-sector Christoffels, connections Gamma y and sprays Gamma y y, from the
+    # inverses that metric_values validated at x
+    gamma_mu = _christoffel(state.a_inv, space.metric_derivatives(state.x))
+    y_mu = state.y[..., None, :]  # the same y for every sector
+    N_mu = np.einsum("...ijk,...k->...ij", gamma_mu, y_mu)
+    G_mu = np.matvec(N_mu, y_mu)
     ratio = np.asarray(state.F)[..., None] / state.F_mu
 
     # P_mu[r, j] = d(F l^mu_j)/dy_r = l_r l^mu_j + (F/F_mu) h^mu_rj
@@ -210,17 +205,17 @@ def connection_state(space: MultiMetricSpace, sample: TangentSample) -> Connecti
     return ConnectionState(state=state, G=G, G_mu=G_mu, N_mu=N_mu, gamma_mu=gamma_mu, P=P, b=b)
 
 
-def variational_spray(space: MultiMetricSpace, sample: TangentSample):
-    """Independent spray oracle from finite differences of F^2 alone.
+def variational_spray(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
+    """Independent spray oracle G from finite differences of F^2 alone.
 
     Computes 2 * (1/4) g^{il} (y^k d^2F^2/dx^k dy^l - dF^2/dx^l) with the
     Hessian g and all derivatives taken by central differences of F^2,
-    evaluated in extended precision.
+    evaluated in extended precision.  It shares only the sector matrices,
+    validated at x by fd_fundamental_tensor, with connection_state.
     """
     space.check_sample(sample)
     x, y = sample.x, sample.y
     n = space.dim
-    _, G_mu, _ = _sector_data(space, x, y)
 
     def f2(xx, yy) -> np.longdouble:
         a = np.stack([m.value(xx) for m in space.metrics]).astype(np.longdouble)
@@ -253,8 +248,7 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample):
             )
     dx_f2 = central_difference(lambda xx: f2(xx, y_ld), x_ld, hx).astype(float)
 
-    G = 0.5 * g_inv @ (y @ mixed - dx_f2)
-    return G, G_mu
+    return 0.5 * g_inv @ (y @ mixed - dx_f2)
 
 
 def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:

@@ -136,20 +136,31 @@ def invariants_JK_from_state(
 
     gauss holds the sector Gauss curvatures at the sample's x, which callers
     evaluating many fiber directions at one x compute once.  The frame
-    derivatives of all sectors come from one array-valued field, so they
-    evaluate 8 neighbours for any number of metrics.
+    derivatives of all sectors and the fiber derivative of N come from one
+    array-valued field, so J and K evaluate 8 neighbours for any number of
+    metrics.
     """
     st = cs.state
-    x, y = st.x, st.y
     F, F_mu, det_g = st.F, st.F_mu, st.det_g
-    w3 = (F / F_mu) ** 3 * st.a_det / det_g
+    n = space.n_metrics
 
-    hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
+    def sector_scalars(xx, yy):
+        """(s_mu, t_mu) for every sector, then N flattened: s_mu = F/F_mu^2 sqrt(det a_mu/det g)
+        m.dN_mu.m^, t_mu = F/F_mu sqrt(det a_mu/det g)."""
+        c = connection_state(space, TangentSample(xx, yy))
+        f = frame_from_state(c.state)
+        s = c.state
+        ratio = np.sqrt(s.a_det / s.det_g)
+        m_dn_m = np.array([float(f.m @ d @ f.m_up) for d in c.dN_mu])
+        return np.concatenate([s.F / s.F_mu**2 * ratio * m_dn_m, s.F / s.F_mu * ratio, c.N.ravel()])
+
+    delta, dy = _horizontal_derivative(cs, sector_scalars)
     # dN[r, i, j] = dN^i_j / dy_r
-    dN = central_difference(lambda yy: connection_state(space, TangentSample(x, yy)).N, y, hy)
+    dN = dy[:, 2 * n:].reshape(2, 2, 2)
 
+    w3 = (F / F_mu) ** 3 * st.a_det / det_g
     a_coeff = 0.0
-    for k in range(space.n_metrics):
+    for k in range(n):
         u = cs.dN_mu[k] @ fr.m_up
         vec = 1.5 * st.l_mu[k] / F_mu[k] - st.l / F
         gamma_t = cs.gamma_mu[k].transpose(2, 0, 1)  # [r, i, j] = Gamma^i_{jr}
@@ -158,20 +169,8 @@ def invariants_JK_from_state(
         a_coeff += w3[k] * (float(vec @ u) - contr)
     J = -a_coeff
 
-    def sector_scalars(xx, yy):
-        """(s_mu, t_mu) for every sector: s_mu = F/F_mu^2 sqrt(det a_mu/det g) m.dN_mu.m^,
-        t_mu = F/F_mu sqrt(det a_mu/det g)."""
-        c = connection_state(space, TangentSample(xx, yy))
-        f = frame_from_state(c.state)
-        s = c.state
-        ratio = np.sqrt(s.a_det / s.det_g)
-        m_dn_m = np.array([float(f.m @ d @ f.m_up) for d in c.dN_mu])
-        return np.concatenate([s.F / s.F_mu**2 * ratio * m_dn_m, s.F / s.F_mu * ratio])
-
-    delta, _ = _horizontal_derivative(cs, sector_scalars)
-    n = space.n_metrics
     e2_s = fr.l_up @ delta[:, :n]
-    e1_t = fr.m_up @ delta[:, n:]
+    e1_t = fr.m_up @ delta[:, n:2 * n]
 
     K = 0.0
     sq = np.sqrt(st.a_det / det_g)
@@ -311,18 +310,17 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
         an_rhs += w3[k] * float(vec @ cs.dN_mu[k] @ fr.l_up)
     cross_dN = abs(an_lhs - an_rhs)
 
-    # cross-term/log-gradient relation, FD on the right side
+    # cross-term/log-gradient relation, FD of log(F / F_mu) for all sectors on the right side
+    def log_ratios(yy):
+        f_mu = sector_norms(st.a_mu, yy)
+        return np.log(f_mu.sum() / f_mu)
+
     hy = FD_STEP * (1.0 + float(np.linalg.norm(st.y)))
+    rhs = central_difference(log_ratios, st.y, hy)  # [i, nu]
     a_rel = 0.0
     for nu in range(space.n_metrics):
         lhs_vec = (fr.cross[:, nu].sum() / F_mu[nu]) * fr.m
-
-        def logratio(yy, nu=nu):
-            f_mu = sector_norms(st.a_mu, yy)
-            return np.log(f_mu.sum() / f_mu[nu])
-
-        rhs_vec = central_difference(logratio, st.y, hy)
-        a_rel = max(a_rel, float(np.max(np.abs(lhs_vec - rhs_vec))))
+        a_rel = max(a_rel, float(np.max(np.abs(lhs_vec - rhs[:, nu]))))
 
     return StructureReport(
         I_compact=I_c, I_oracle=I_o,

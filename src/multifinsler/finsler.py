@@ -304,41 +304,6 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
     return g.reshape(y.shape + (n,))
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Eigenvalue scan of the fundamental tensor over fiber directions."""
-
-    x: np.ndarray
-    directions: np.ndarray      # (m, n) unit vectors
-    min_eigenvalues: np.ndarray  # (m,)
-    worst_index: int
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.min_eigenvalues[self.worst_index])
-
-    @property
-    def worst_direction(self) -> np.ndarray:
-        return self.directions[self.worst_index]
-
-
-def convexity_check(space: MultiMetricSpace, x, y_grid) -> ConvexityReport:
-    """Smallest eigenvalue of g over a grid of unit fiber directions.
-
-    Every direction of a returned report has a positive definite g: a
-    direction where g is not raises ConvexityError from finsler_state.
-    """
-    dirs = np.atleast_2d(np.asarray(y_grid, dtype=float))
-    mins = np.empty(len(dirs))
-    for k, y in enumerate(dirs):
-        st = finsler_state(space, TangentSample(x, y))
-        mins[k] = float(np.linalg.eigvalsh(st.g)[0])
-    worst = int(np.argmin(mins))
-    return ConvexityReport(
-        x=np.asarray(x, dtype=float), directions=dirs, min_eigenvalues=mins, worst_index=worst,
-    )
-
-
 PROPORTIONALITY_RTOL = 1e-10
 PIVOT_FLOOR = 1e-12
 

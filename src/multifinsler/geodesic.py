@@ -187,6 +187,8 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
         raise ValueError("need matching t and x arrays with at least two samples")
     if ys is not None:
         v = np.atleast_2d(np.asarray(ys, dtype=float))
+        if v.shape != xs.shape:
+            raise ValueError(f"ys has shape {v.shape}, expected the shape {xs.shape} of xs")
     else:
         v = np.gradient(xs, t, axis=0, edge_order=2 if len(t) > 2 else 1)
 

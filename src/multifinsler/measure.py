@@ -203,18 +203,23 @@ def holmes_thompson_disc_oracle(space: MultiMetricSpace, x) -> float:
     set of the norm divided by pi, by polar reduction with the radial integral
     done analytically per ray."""
     require_2d(space.dim)
-    x = np.asarray(x, dtype=float)
-
     # 0-homogeneity of det g makes the radial integral exact per ray:
     # integral_{F<=1} det g = (1/2) integral det g(theta) / F(theta)^2 dtheta
+    return float(_circle_integral(space, np.asarray(x, dtype=float), "det") * (0.5 / math.pi))
+
+
+def _circle_integral(space: MultiMetricSpace, x: np.ndarray, weight: str) -> float:
+    """integral over [0, 2 pi] of w / F^2 on the unit circle at x, w = 1 ('one') or det g ('det'),
+    by adaptive quadrature."""
+
     def integrand(theta):
         y = np.array([math.cos(theta), math.sin(theta)])
         st = finsler_state(space, TangentSample(x, y))
-        return st.det_g / st.F**2
+        return (1.0 if weight == "one" else st.det_g) / st.F**2
 
     val, _ = integrate.quad(integrand, 0.0, 2.0 * math.pi,
                             epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
-    return float(val * (0.5 / math.pi))
+    return val
 
 
 def holmes_thompson_circle_oracle(space: MultiMetricSpace, x) -> float:
@@ -369,15 +374,7 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
     disc, _ = integrate.quad(lambda theta: _radial_integral(weight_along(theta), r_max(theta)),
                              0.0, 2.0 * math.pi, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL)
 
-    def circle_integrand(theta):
-        y = np.array([math.cos(theta), math.sin(theta)])
-        st = finsler_state(space, TangentSample(x, y))
-        val = 1.0 if weight == "one" else st.det_g
-        return val / st.F**2
-
-    circ, _ = integrate.quad(circle_integrand, 0.0, 2.0 * math.pi,
-                             epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
-    circ *= 0.5
+    circ = _circle_integral(space, x, weight) * 0.5
     return {
         "disc": float(disc),
         "circle": float(circ),

@@ -155,7 +155,7 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
         gh = fd_fundamental_tensor(space, s.x, s.y)
         g_fd = max(g_fd, float(np.max(np.abs(st.g - gh)) / np.max(np.abs(st.g))))
         c_max = max(c_max, float(np.max(np.abs(st.C))))
-        gv, _ = variational_spray(space, s)
+        gv = variational_spray(space, s)
         spray_fd = max(spray_fd, float(np.max(np.abs(cs.G - gv)) / (1.0 + np.max(np.abs(cs.G)))))
         nf = nonlinear_connection_fd(space, s)
         n_fd_res = max(n_fd_res, float(np.max(np.abs(cs.N - nf))))

@@ -140,7 +140,7 @@ def test_criterion_04_connection_suite():
     rng2 = np.random.default_rng(1040)
     for s in random_samples(rng2, 40):
         cs = connection_state(sp, s)
-        gv, _ = variational_spray(sp, s)
+        gv = variational_spray(sp, s)
         spray_res = max(spray_res, float(np.max(np.abs(cs.G - gv)) / (1.0 + np.max(np.abs(cs.G)))))
         nf = nonlinear_connection_fd(sp, s)
         n_res = max(n_res, float(np.max(np.abs(cs.N - nf))))

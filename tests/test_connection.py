@@ -43,7 +43,7 @@ class TestSpray:
 
     def test_factorized_vs_variational_oracle(self, bi_x):
         g = connection_state(bi_x, S).G
-        gv, _ = variational_spray(bi_x, S)
+        gv = variational_spray(bi_x, S)
         assert np.max(np.abs(g - gv)) / (1.0 + np.max(np.abs(g))) < 1e-6
 
     def test_oracle_bulk(self):
@@ -53,9 +53,16 @@ class TestSpray:
             sp = random_bimetric_space(rng)
             for s in random_samples(rng, 3):
                 g = connection_state(sp, s).G
-                gv, _ = variational_spray(sp, s)
+                gv = variational_spray(sp, s)
                 worst = max(worst, np.max(np.abs(g - gv)) / (1.0 + np.max(np.abs(g))))
         assert worst < 1e-6
+
+    def test_variational_oracle_takes_no_metric_derivative(self, monkeypatch, bi_x):
+        # the oracle differences F^2 alone; it builds none of the route's sector data
+        calls = count_calls(monkeypatch, finsler.MultiMetricSpace, "metric_derivatives")
+        gv = variational_spray(bi_x, S)
+        assert calls[0] == 0
+        assert isinstance(gv, np.ndarray) and gv.shape == (2,)
 
     def test_two_homogeneity(self, bi_x):
         g1 = connection_state(bi_x, S).G

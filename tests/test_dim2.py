@@ -1,7 +1,13 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from multifinsler.connection import connection_state
+import multifinsler.dim2 as dim2
+from multifinsler.config import load_config
+from multifinsler.connection import connection_state, variational_spray
 from multifinsler.dim2 import (
     cartan_structure_residuals,
     frame_derivatives,
@@ -12,7 +18,9 @@ from multifinsler.dim2 import (
 from multifinsler.finsler import TangentSample, finsler_state
 from multifinsler.riemann import gauss_curvature
 
-from conftest import const_field, field, random_bimetric_space, random_samples, space_of
+from conftest import count_calls, const_field, field, random_bimetric_space, random_samples, space_of
+
+REPO = Path(__file__).resolve().parents[1]
 
 S = TangentSample([0.3, -0.5], [0.8, 0.6])
 
@@ -212,8 +220,8 @@ class TestInvariantsJK:
             invariants_JK(sp, S)
             per_space.append(dict(counts))
         assert per_space[0] == per_space[1] == per_space[2]
-        # the centre, 4 fiber neighbours for dN/dy and 8 neighbours for the frame derivatives
-        assert per_space[0]["connection_state"] == 13
+        # the centre and the 8 neighbours of the frame derivatives, whose y-stencil also gives dN/dy
+        assert per_space[0]["connection_state"] == 9
 
     def test_constant_metrics(self, bi_const):
         j, k = invariants_JK(bi_const, S)
@@ -291,3 +299,31 @@ class TestStructureResiduals:
     def test_oneform_roundtrip_trimetric(self, tri_space):
         r = cartan_structure_residuals(tri_space, connection_state(tri_space, S))
         assert r.oneform_roundtrip < 1e-10
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+def test_matches_recorded_values(name):
+    # tests/data/structure-values.json holds J, K, I, every StructureReport
+    # field and the variational spray at 10 samples per config, recorded while
+    # J and K differenced N over a stencil of their own and the log-gradient
+    # residual differenced each sector alone; the reports keep only maxima,
+    # which could hide a drift in one value
+    space = load_config(REPO / "configs" / f"{name}.json").build_space()
+    for row in json.loads((REPO / "tests" / "data" / "structure-values.json").read_text())[name]:
+        s = TangentSample(row["x"], row["y"])
+        cs = connection_state(space, s)
+        report = cartan_structure_residuals(space, cs)
+        assert list(invariants_JK(space, s)) == [row["J"], row["K"]], s
+        assert frame_from_state(cs.state).I == row["I"], s
+        assert {f.name: getattr(report, f.name) for f in dataclasses.fields(report)} == row["structure"], s
+        assert variational_spray(space, s).tolist() == row["G"], s
+
+
+@pytest.mark.parametrize("space_name", ["euclid", "bi_x", "tri_space"])
+def test_log_gradient_residual_differences_all_sectors_at_once(request, monkeypatch, space_name):
+    # one array-valued difference over the 4 fiber neighbours for any number of metrics
+    space = request.getfixturevalue(space_name)
+    cs = connection_state(space, S)
+    calls = count_calls(monkeypatch, dim2, "sector_norms")
+    cartan_structure_residuals(space, cs)
+    assert calls[0] == 4

@@ -186,6 +186,13 @@ class TestAction:
         act = action_of_path(bi_x, p.t, p.x, p.y)
         assert act.decomposition_residual <= 1e-12
 
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_velocity_rows_must_match_positions(self, bi_const, rows):
+        ts = np.linspace(0.0, 1.0, 3)
+        xs = np.outer(ts, [1.0, 0.0])
+        with pytest.raises(ValueError, match="ys"):
+            action_of_path(bi_const, ts, xs, np.tile([1.0, 0.0], (rows, 1)))
+
     def test_velocities_from_finite_differences(self, bi_x):
         p = integrate_geodesic(bi_x, [0.1, 0.1], [1.0, 0.3], 1.0, 0.005)
         with_v = action_of_path(bi_x, p.t, p.x, p.y)
