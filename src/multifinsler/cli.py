@@ -212,8 +212,8 @@ def _cmd_sample(args) -> int:
             s = TangentSample(x, y)
             if is2d:
                 cs = connection_state(space, s)
-                st, fr = cs.state, frame_from_state(cs.state)
-                ijk = [fr.I, *invariants_JK_from_state(space, cs, fr, gauss)]
+                st = cs.state
+                ijk = [frame_from_state(st).I, *invariants_JK_from_state(space, cs, gauss)]
             else:
                 st, ijk = finsler_state(space, s), []
             rows.append([*map(float, x), float(th), st.F, st.det_g, *ijk])

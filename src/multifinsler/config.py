@@ -41,8 +41,11 @@ class SpaceConfig:
     sampling: SamplingPolicy
 
     def build_space(self) -> MultiMetricSpace:
+        lo, hi = np.array(self.sampling.box).T
+        t = np.linspace(0.25, 0.75, self.dimension)  # symmetry probes: the centre, two points inside
+        probes = [self.box_center(), lo + t * (hi - lo), lo + t[::-1] * (hi - lo)]
         fields = [
-            MetricField.from_strings(m.name, [list(r) for r in m.components], self.coordinates)
+            MetricField.from_strings(m.name, [list(r) for r in m.components], self.coordinates, probes)
             for m in self.metrics
         ]
         return MultiMetricSpace(fields)

@@ -8,6 +8,7 @@ them reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,54 +36,45 @@ def _perp_up(vec_down: np.ndarray, inv_scale: float) -> np.ndarray:
     return inv_scale * np.array([vec_down[1], -vec_down[0]])
 
 
+def _sector_products(u: np.ndarray, dN_mu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . dN_mu . v for every sector mu."""
+    return np.array([float(u @ d @ v) for d in dN_mu])
+
+
 @dataclass(frozen=True)
 class Frame2D:
-    """Berwald zweibein data at a 2D sample."""
+    """Berwald zweibein at a 2D sample: l and l^ are state.l and state.l_up.  The
+    properties read the sector data of the state and are computed on first access."""
 
     state: FinslerState
-    l: np.ndarray
-    l_up: np.ndarray
     m: np.ndarray
     m_up: np.ndarray
-    l_mu: np.ndarray      # (N, 2)
-    m_mu: np.ndarray      # (N, 2) per-sector covectors
-    m_mu_up: np.ndarray   # (N, 2)
-    cross: np.ndarray     # (N, N) antisymmetric cross terms A[mu, nu]
-    sqrt_g: float
-    det_identity_residual: float  # relative residual of det g / F^3 = sum det a_mu / F_mu^3
-    I: float              # main scalar, closed cross-term formula
+
+    @functools.cached_property
+    def cross(self) -> np.ndarray:
+        """(N, N) antisymmetric cross terms A[mu, nu]."""
+        lm = self.state.l_mu
+        return (np.outer(lm[:, 0], lm[:, 1]) - np.outer(lm[:, 1], lm[:, 0])) / float(np.sqrt(self.state.det_g))
+
+    @functools.cached_property
+    def I(self) -> float:
+        """Main scalar, closed cross-term formula."""
+        st = self.state
+        return float(1.5 * st.F**4 / st.det_g * np.einsum("n,mn->", st.a_det / st.F_mu**4, self.cross))
+
+    @functools.cached_property
+    def det_identity_residual(self) -> float:
+        """Relative residual of det g / F^3 = sum det a_mu / F_mu^3."""
+        st = self.state
+        lhs = st.det_g / st.F**3
+        return abs(lhs - float(np.sum(st.a_det / st.F_mu**3))) / abs(lhs)
 
 
 def frame_from_state(state: FinslerState) -> Frame2D:
     """The frame of an already evaluated 2D state; evaluates nothing at other points."""
     require_2d(len(state.y))
     sqrt_g = float(np.sqrt(state.det_g))
-    m = _perp_down(state.l_up, sqrt_g)
-    m_up = _perp_up(state.l, 1.0 / sqrt_g)
-
-    sqrt_det = np.sqrt(state.a_det)
-    m_mu = np.stack([
-        _perp_down(state.y / state.F_mu[k], sqrt_det[k]) for k in range(len(state.F_mu))
-    ])
-    m_mu_up = np.stack([
-        _perp_up(state.l_mu[k], 1.0 / sqrt_det[k]) for k in range(len(state.F_mu))
-    ])
-
-    lm = state.l_mu
-    cross = (np.outer(lm[:, 0], lm[:, 1]) - np.outer(lm[:, 1], lm[:, 0])) / sqrt_g
-
-    lhs = state.det_g / state.F**3
-    rhs = float(np.sum(state.a_det / state.F_mu**3))
-    resid = abs(lhs - rhs) / abs(lhs)
-
-    w = state.a_det / state.F_mu**4
-    i_compact = float(1.5 * state.F**4 / state.det_g * np.einsum("n,mn->", w, cross))
-
-    return Frame2D(
-        state=state, l=state.l, l_up=state.l_up, m=m, m_up=m_up,
-        l_mu=state.l_mu, m_mu=m_mu, m_mu_up=m_mu_up, cross=cross,
-        sqrt_g=sqrt_g, det_identity_residual=resid, I=i_compact,
-    )
+    return Frame2D(state=state, m=_perp_down(state.l_up, sqrt_g), m_up=_perp_up(state.l, 1.0 / sqrt_g))
 
 
 def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float:
@@ -113,7 +105,7 @@ def frame_derivatives(cs: ConnectionState, field: Callable) -> tuple:
     phi may be scalar- or array-valued; each result has its shape."""
     fr = frame_from_state(cs.state)
     delta, dy = _horizontal_derivative(cs, field)
-    return fr.m_up @ delta, fr.l_up @ delta, fr.state.F * fr.m_up @ dy
+    return fr.m_up @ delta, cs.state.l_up @ delta, cs.state.F * fr.m_up @ dy
 
 
 def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float, float]:
@@ -125,14 +117,12 @@ def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float
     """
     require_2d(space.dim)
     cs = connection_state(space, sample)
-    gauss = [gauss_curvature(m, cs.state.x) for m in space.metrics]
-    return invariants_JK_from_state(space, cs, frame_from_state(cs.state), gauss)
+    return invariants_JK_from_state(space, cs, [gauss_curvature(m, cs.state.x) for m in space.metrics])
 
 
-def invariants_JK_from_state(
-    space: MultiMetricSpace, cs: ConnectionState, fr: Frame2D, gauss: list[float]
-) -> tuple[float, float]:
-    """J and K (see invariants_JK) at the sample of cs, whose frame is fr.
+def invariants_JK_from_state(space: MultiMetricSpace, cs: ConnectionState,
+                             gauss: list[float]) -> tuple[float, float]:
+    """J and K (see invariants_JK) at the sample of cs.
 
     gauss holds the sector Gauss curvatures at the sample's x, which callers
     evaluating many fiber directions at one x compute once.  The frame
@@ -141,6 +131,7 @@ def invariants_JK_from_state(
     metrics.
     """
     st = cs.state
+    fr = frame_from_state(st)
     F, F_mu, det_g = st.F, st.F_mu, st.det_g
     n = space.n_metrics
 
@@ -151,7 +142,7 @@ def invariants_JK_from_state(
         f = frame_from_state(c.state)
         s = c.state
         ratio = np.sqrt(s.a_det / s.det_g)
-        m_dn_m = np.array([float(f.m @ d @ f.m_up) for d in c.dN_mu])
+        m_dn_m = _sector_products(f.m, c.dN_mu, f.m_up)
         return np.concatenate([s.F / s.F_mu**2 * ratio * m_dn_m, s.F / s.F_mu * ratio, c.N.ravel()])
 
     delta, dy = _horizontal_derivative(cs, sector_scalars)
@@ -169,16 +160,16 @@ def invariants_JK_from_state(
         a_coeff += w3[k] * (float(vec @ u) - contr)
     J = -a_coeff
 
-    e2_s = fr.l_up @ delta[:, :n]
+    e2_s = st.l_up @ delta[:, :n]
     e1_t = fr.m_up @ delta[:, n:2 * n]
 
     K = 0.0
     sq = np.sqrt(st.a_det / det_g)
+    m_dn_l = _sector_products(fr.m, cs.dN_mu, st.l_up)
     for k in range(n):
         K += gauss[k] * (F / F_mu[k]) * (st.a_det[k] / det_g)
-        m_dn_l = float(fr.m @ cs.dN_mu[k] @ fr.l_up)
         K -= (F / F_mu[k]) * sq[k] * e2_s[k]
-        K -= (F / F_mu[k] ** 2) * sq[k] * m_dn_l * e1_t[k]
+        K -= (F / F_mu[k] ** 2) * sq[k] * m_dn_l[k] * e1_t[k]
     return float(J), float(K)
 
 
@@ -203,33 +194,36 @@ class StructureReport:
     cross_log_gradient: float
 
 
-def _oneform_roundtrip(space, cs: ConnectionState, fr: Frame2D) -> float:
+def _oneform_roundtrip(cs: ConnectionState, fr: Frame2D, m_dn_m: np.ndarray, m_dn_l: np.ndarray) -> float:
     """Sector coframes expressed in the full coframe and back; residual from identity.
 
-    Covers both the per-sector relations (their composition must be the 3x3
-    identity) and the sector-summed expressions for each full coframe element.
+    m_dn_m and m_dn_l hold m . dN_mu . m^ and m . dN_mu . l^ per sector; m_k is the
+    zweibein covector of sector k.  Covers both the per-sector relations (their
+    composition must be the 3x3 identity) and the sector-summed expressions for
+    each full coframe element.
     """
     st = cs.state
     F, F_mu, det_g = st.F, st.F_mu, st.det_g
+    sqrt_det = np.sqrt(st.a_det)
     worst = 0.0
     summed = np.zeros((3, 3))
-    for k in range(space.n_metrics):
+    for k in range(len(F_mu)):
         ratio = np.sqrt(st.a_det[k] / det_g)
         c1 = (F / F_mu[k]) * ratio
         c2 = (F / F_mu[k]) ** 2 * ratio
-        m_dn_m = float(fr.m @ cs.dN_mu[k] @ fr.m_up)
-        m_dn_l = float(fr.m @ cs.dN_mu[k] @ fr.l_up)
         a_col = float(fr.cross[:, k].sum())  # sum_nu A[nu, k]
+        m_k = _perp_down(st.y / F_mu[k], sqrt_det[k])
+        m_k_up = _perp_up(st.l_mu[k], 1.0 / sqrt_det[k])
 
         # rows: sector coframe (w_k^1, w_k^2, w_k^3) in the (w1, w2, w3) basis
         to_sector = np.array([
             [c1, 0.0, 0.0],
             [-a_col, F_mu[k] / F, 0.0],
-            [-c2 * m_dn_m / F, -c2 * m_dn_l / F, c2],
+            [-c2 * m_dn_m[k] / F, -c2 * m_dn_l[k] / F, c2],
         ])
         # rows: full coframe in the sector basis
-        mm_k = float(fr.m_mu[k] @ cs.dN_mu[k] @ fr.m_mu_up[k])
-        ml_k = float(fr.m_mu[k] @ cs.dN_mu[k] @ (st.y / F_mu[k]))
+        mm_k = float(m_k @ cs.dN_mu[k] @ m_k_up)
+        ml_k = float(m_k @ cs.dN_mu[k] @ (st.y / F_mu[k]))
         from_sector = np.array([
             [1.0 / c1, 0.0, 0.0],
             [a_col / ratio, F / F_mu[k], 0.0],
@@ -246,8 +240,8 @@ def _oneform_roundtrip(space, cs: ConnectionState, fr: Frame2D) -> float:
         summed[2] += c1 * (
             to_sector[2]
             + np.array([
-                float(fr.m_mu[k] @ cs.dN_mu[k] @ fr.m_up) / F_mu[k],
-                float(fr.m_mu[k] @ cs.dN_mu[k] @ fr.l_up) / F_mu[k],
+                float(m_k @ cs.dN_mu[k] @ fr.m_up) / F_mu[k],
+                float(m_k @ cs.dN_mu[k] @ st.l_up) / F_mu[k],
                 0.0,
             ])
         )
@@ -271,12 +265,12 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
     w2 = F**2 / F_mu**3 * st.a_det / det_g
     w4 = F**3 / F_mu**4 * st.a_det / det_g
 
-    l_dn_l = np.array([float(st.l @ cs.dN_mu[k] @ fr.l_up) for k in range(space.n_metrics)])
-    m_dn_l = np.array([float(fr.m @ cs.dN_mu[k] @ fr.l_up) for k in range(space.n_metrics)])
-    m_dn_m = np.array([float(fr.m @ cs.dN_mu[k] @ fr.m_up) for k in range(space.n_metrics)])
+    l_dn_l = _sector_products(st.l, cs.dN_mu, st.l_up)
+    m_dn_l = _sector_products(fr.m, cs.dN_mu, st.l_up)
+    m_dn_m = _sector_products(fr.m, cs.dN_mu, fr.m_up)
     cross_col = fr.cross.sum(axis=0)  # sum_nu A[nu, mu]
 
-    eq1_A = -1.5 * F**4 / det_g * float(np.einsum("m,nm->", st.a_det / F_mu**4, fr.cross))
+    eq1_A = -I_c
     eq1_B = float(w3.sum())
     eq1_C = float(
         -0.5 * np.sum(w2 * l_dn_l)
@@ -307,7 +301,7 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
     an_rhs = 0.0
     for k in range(space.n_metrics):
         vec = st.l / F - st.l_mu[k] / F_mu[k]
-        an_rhs += w3[k] * float(vec @ cs.dN_mu[k] @ fr.l_up)
+        an_rhs += w3[k] * float(vec @ cs.dN_mu[k] @ st.l_up)
     cross_dN = abs(an_lhs - an_rhs)
 
     # cross-term/log-gradient relation, FD of log(F / F_mu) for all sectors on the right side
@@ -327,7 +321,7 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
         eq1_A_plus_I=abs(eq1_A + I_o), eq1_B_minus_1=abs(eq1_B - 1.0), eq1_C=abs(eq1_C),
         eq2_A_plus_1=abs(eq2_A + 1.0), eq2_C=abs(eq2_C),
         eq3_B=abs(eq3_B),
-        oneform_roundtrip=_oneform_roundtrip(space, cs, fr),
+        oneform_roundtrip=_oneform_roundtrip(cs, fr, m_dn_m, m_dn_l),
         sector_l_dN=sector_l_dN, sector_m_dN_l=sector_m_dN_l, sector_m_dN_m=sector_m_dN_m,
         cross_dN_identity=cross_dN, cross_log_gradient=a_rel,
     )

@@ -123,11 +123,10 @@ class MultiMetricSpace:
         if sample.x.shape != sample.y.shape or sample.y.ndim > 2:
             raise ValueError(f"x and y must both have shape (n,) or (B, n), "
                              f"got {sample.x.shape} and {sample.y.shape}")
-        y = sample.y
-        for v in (y,) if y.ndim == 1 else y.reshape(-1, self.dim):
-            norm = float(np.linalg.norm(v))
-            if norm < EPS_SLIT:
-                raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
+        norms = np.linalg.norm(sample.y, axis=-1).reshape(-1)
+        if (norms < EPS_SLIT).any():
+            norm = float(norms[np.argmax(norms < EPS_SLIT)])
+            raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
 
 
 def require_2d(dim: int):

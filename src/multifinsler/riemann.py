@@ -47,13 +47,13 @@ class MetricField:
         self._tables: list[list[tuple]] = []  # see _table
 
     @classmethod
-    def from_strings(cls, name: str, rows: Sequence[Sequence[str]], coords: Sequence[str]) -> "MetricField":
+    def from_strings(cls, name: str, rows: Sequence[Sequence[str]], coords: Sequence[str],
+                     probes: Sequence[np.ndarray]) -> "MetricField":
         n = len(coords)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"metric '{name}': expected a {n}x{n} grid of expressions")
         parsed = [[parse_expression(rows[i][j], coords) for j in range(n)] for i in range(n)]
-        # symmetry: textual match or pointwise agreement at a few probe points
-        probes = [np.full(n, 0.1), np.linspace(-0.3, 0.3, n), np.linspace(0.2, 0.5, n)]
+        # symmetry: textual match or pointwise agreement at the probe points, taken where x is sampled
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j].strip() == rows[j][i].strip():

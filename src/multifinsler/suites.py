@@ -161,9 +161,8 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
         n_fd_res = max(n_fd_res, float(np.max(np.abs(cs.N - nf))))
         if space.dim == 2:
             r = cartan_structure_residuals(space, cs)
-            fr = frame_from_state(st)
             gauss = [gauss_curvature(m, s.x) for m in space.metrics]
-            j_val, _ = invariants_JK_from_state(space, cs, fr, gauss)
+            j_val, _ = invariants_JK_from_state(space, cs, gauss)
             struct["structure-eq1-coefficients"] = max(
                 struct["structure-eq1-coefficients"], r.eq1_A_plus_I, r.eq1_B_minus_1, r.eq1_C)
             struct["structure-eq2-coefficients"] = max(

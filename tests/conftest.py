@@ -16,11 +16,14 @@ def fmt(v: float) -> str:
 def const_field(name: str, m, coords=COORDS) -> MetricField:
     m = np.asarray(m, dtype=float)
     rows = [[fmt(m[i, j]) for j in range(m.shape[0])] for i in range(m.shape[0])]
-    return MetricField.from_strings(name, rows, coords)
+    return field(name, rows, coords)
 
 
 def field(name: str, rows, coords=COORDS) -> MetricField:
-    return MetricField.from_strings(name, rows, coords)
+    """A field outside any config, its symmetry probed at three fixed points."""
+    n = len(coords)
+    probes = [np.full(n, 0.1), np.linspace(-0.3, 0.3, n), np.linspace(0.2, 0.5, n)]
+    return MetricField.from_strings(name, rows, coords, probes)
 
 
 def space_of(*fields) -> MultiMetricSpace:
@@ -89,7 +92,7 @@ def random_poly_field(rng: np.random.Generator, name: str) -> MetricField:
     for i in range(2):
         for j in range(i, 2):
             rows[i][j] = rows[j][i] = random_poly_entry(rng, base[i, j])
-    return MetricField.from_strings(name, rows, COORDS)
+    return field(name, rows)
 
 
 def random_bimetric_space(rng: np.random.Generator) -> MultiMetricSpace:

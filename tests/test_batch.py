@@ -19,7 +19,7 @@ from multifinsler.finsler import (
 )
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 
-from conftest import COORDS, space_of
+from conftest import field, space_of
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -54,7 +54,7 @@ def field_of(name, const, lin) -> MetricField:
     rows = [[None, None], [None, None]]
     for (i, j), e in entries.items():
         rows[i][j] = rows[j][i] = poly(const[i, j], *lin[e])
-    return MetricField.from_strings(name, rows, COORDS)
+    return field(name, rows)
 
 
 @st.composite
@@ -77,7 +77,7 @@ def spaces(draw):
         for k in range(count):
             r, d = draw(num(-1.0, 1.0)), 10.0 ** draw(num(-12.0, -8.0))
             rows = [["1", f"{r:.17f}"], [f"{r:.17f}", f"{r * r:.17f} + {d:.20f}*(1 + 0.9*x1)"]]
-            fields.append(MetricField.from_strings(f"m{k}", rows, COORDS))
+            fields.append(field(f"m{k}", rows))
     return space_of(*fields)
 
 
@@ -186,9 +186,9 @@ def test_fd_fundamental_tensor_rows_equal_single_calls(space, batch):
 
 
 def test_batched_spd_error_names_the_first_failing_row_and_sector():
-    sp = space_of(MetricField.from_strings("alpha", [["1", "0"], ["0", "1"]], COORDS),
-                  MetricField.from_strings("beta", [["1+x1", "0"], ["0", "1"]], COORDS),
-                  MetricField.from_strings("gamma", [["1", "0"], ["0", "1+x2"]], COORDS))
+    sp = space_of(field("alpha", [["1", "0"], ["0", "1"]]),
+                  field("beta", [["1+x1", "0"], ["0", "1"]]),
+                  field("gamma", [["1", "0"], ["0", "1+x2"]]))
     x = np.array([[0.0, 0.0], [0.5, -1.5], [-2.0, -2.0]])
     with pytest.raises(NotPositiveDefiniteError) as batched:
         sp.metric_values(x)
@@ -200,8 +200,8 @@ def test_batched_spd_error_names_the_first_failing_row_and_sector():
 
 def test_evaluation_error_after_an_spd_failure_keeps_point_order():
     # alpha is not SPD at x1 < -1, and beta's log cannot be evaluated at x2 <= 0
-    sp = space_of(MetricField.from_strings("alpha", [["1+x1", "0"], ["0", "1"]], COORDS),
-                  MetricField.from_strings("beta", [["1+log(x2)", "0"], ["0", "1"]], COORDS))
+    sp = space_of(field("alpha", [["1+x1", "0"], ["0", "1"]]),
+                  field("beta", [["1+log(x2)", "0"], ["0", "1"]]))
     spd_then_log, log_only = [-2.0, 1.0], [0.0, -1.0]
     with pytest.raises(NotPositiveDefiniteError, match="metric 'alpha'"):
         sp.metric_values(np.array([spd_then_log, log_only]))
@@ -224,7 +224,7 @@ def test_evaluation_error_after_an_spd_failure_keeps_point_order():
     (np.zeros((2, 2, 2)), np.ones((2, 2, 2))),
 ])
 def test_batches_of_x_and_y_must_have_one_shape(fn, x, y):
-    sp = space_of(MetricField.from_strings("alpha", [["2+x1", "0"], ["0", "1"]], COORDS),
-                  MetricField.from_strings("beta", [["1", "0"], ["0", "3"]], COORDS))
+    sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]),
+                  field("beta", [["1", "0"], ["0", "3"]]))
     with pytest.raises(ValueError, match=r"shape \(n,\) or \(B, n\)"):
         fn(sp, TangentSample(x, y))

@@ -82,6 +82,24 @@ class TestConfig:
         assert main(["validate", "--config", str(p)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("texts", [["0.1*log(x1)", "log(x1)*0.1"], ["0.1*log(x1)", "0.1*log(x1)"]])
+    def test_symmetry_probe_stays_inside_the_box(self, tmp_path, texts):
+        # log(x1) is defined on the whole box, so differing texts validate as identical ones do
+        cfg = json.loads(json.dumps(BIMETRIC))
+        cfg["metrics"][1]["components"] = [["4", texts[0]], [texts[1], "4"]]
+        cfg["sampling"]["box"] = [[0.5, 1], [0.5, 1]]
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(p)]) == 0
+
+    def test_asymmetric_components_rejected(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(BIMETRIC))
+        bad["metrics"][1]["components"] = [["1", "x1"], ["x2", "1"]]
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(bad))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "are not symmetric" in capsys.readouterr().err
+
     @pytest.mark.parametrize("names", [["alpha", "alpha"], [None, "metric0"]])
     def test_duplicate_metric_names_rejected(self, names):
         bad = json.loads(json.dumps(BIMETRIC))

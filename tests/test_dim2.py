@@ -28,8 +28,18 @@ S = TangentSample([0.3, -0.5], [0.8, 0.6])
 class TestFrame:
     def test_single_identity_axis_aligned(self, euclid):
         fr = frame_from_state(finsler_state(euclid, TangentSample([0.0, 0.0], [1.0, 0.0])))
-        assert np.allclose(fr.l, [1.0, 0.0])
+        assert np.allclose(fr.state.l, [1.0, 0.0])
         assert np.allclose(fr.m, [0.0, -1.0])  # eps_12 = +1 orientation
+
+    def test_frame_is_the_zweibein_alone(self, bi_x):
+        # m and m^ need only det g, l and l^; the sector data are read when I is
+        st = finsler_state(bi_x, S)
+        fr = frame_from_state(st)
+        lean = frame_from_state(dataclasses.replace(st, l_mu=None, a_det=None, F_mu=None))
+        assert [f.name for f in dataclasses.fields(lean)] == ["state", "m", "m_up"]
+        assert np.array_equal(lean.m, fr.m) and np.array_equal(lean.m_up, fr.m_up)
+        with pytest.raises(TypeError):
+            lean.I
 
     def test_orthonormality(self, bi_x):
         fr = frame_from_state(finsler_state(bi_x, S))
@@ -167,7 +177,7 @@ class TestFrameApply:
 
         e1, e2, _ = frame_derivatives(cs, x1)
         assert e1 == pytest.approx(fr.m_up[0], abs=1e-10)
-        assert e2 == pytest.approx(fr.l_up[0], abs=1e-10)
+        assert e2 == pytest.approx(fr.state.l_up[0], abs=1e-10)
         assert frame_derivatives(cs, y1)[2] == pytest.approx(fr.state.F * fr.m_up[0], abs=1e-10)
         assert abs(frame_derivatives(cs, norm)[2]) < 1e-9
 

@@ -40,6 +40,15 @@ class TestNorm:
         with pytest.raises(SlitViolationError):
             finsler_norm(bi_const, TangentSample([0.0, 0.0], [0.0, 1e-12]))
 
+    def test_first_slit_row_of_a_batch_raises_its_own_message(self, bi_const):
+        x = np.zeros((4, 2))
+        y = np.array([[1.0, 0.0], [0.6, 0.8], [3e-9, 4e-9], [0.0, 1e-12]])
+        with pytest.raises(SlitViolationError) as alone:
+            bi_const.check_sample(TangentSample(x[2], y[2]))
+        with pytest.raises(SlitViolationError) as batch:
+            bi_const.check_sample(TangentSample(x, y))
+        assert str(batch.value) == str(alone.value) == "|y| = 5.000e-09 below slit tolerance 1.000e-08"
+
 
 class TestFundamentalTensor:
     def test_single_identity(self, euclid):

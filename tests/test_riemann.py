@@ -13,7 +13,7 @@ from multifinsler.riemann import (
     symmetric_polynomials,
 )
 
-from conftest import COORDS, const_field, field, random_spd
+from conftest import const_field, field, random_spd
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -47,7 +47,7 @@ class TestEvaluateMetric:
 
     def test_asymmetric_components_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            MetricField.from_strings("a", [["1", "x1"], ["x2", "1"]], COORDS)
+            field("a", [["1", "x1"], ["x2", "1"]])
 
 
 class TestChristoffels:
@@ -136,7 +136,7 @@ class TestGaussCurvature:
         assert gauss_curvature(f, [1.7, 0.4]) == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_2d(self):
-        f = MetricField.from_strings("one", [["1"]], ["t"])
+        f = field("one", [["1"]], ["t"])
         with pytest.raises(ValueError):
             gauss_curvature(f, [0.0])
 
