@@ -25,6 +25,7 @@ from .finsler import (
     _sym3,
     fd_fundamental_tensor,
     finsler_state,
+    rows_or_first_error,
     sector_norms,
 )
 from .riemann import _christoffel
@@ -34,16 +35,26 @@ MIXED_FD_STEP = 1e-4
 
 
 def central_difference(f, v: np.ndarray, h) -> np.ndarray:
-    """D[i] = (f(v + h e_i) - f(v - h e_i)) / 2h for each coordinate i of v.
+    """D[..., i, :] = (f(v + h_i e_i) - f(v - h_i e_i)) / 2 h_i for each coordinate i of v.
 
-    f may return a scalar or an array; the steps take the dtype of v.
+    v is one point (n,) or a batch (..., n); h is one step, one step per point
+    (...) or one per coordinate (..., n), and the steps take the dtype of v.
+    f is called once on the 2n shifted points of every point of v, stacked as
+    (P, n) in the order v + h_0 e_0, v - h_0 e_0, v + h_1 e_1, ..., and
+    returns one value per point, (P, *shape); each point keeps the error it
+    raises alone (see finsler.rows_or_first_error).  D has the shape
+    (..., n, *shape).
     """
-    out = []
-    for i in range(len(v)):
-        e = np.zeros_like(v)
-        e[i] = h
-        out.append((f(v + e) - f(v - e)) / (2.0 * h))
-    return np.array(out)
+    n = v.shape[-1]
+    h = np.asarray(h)
+    steps = np.broadcast_to(h if h.shape == v.shape else h[..., None], v.shape)
+    e = np.zeros(v.shape + (n,), dtype=v.dtype)
+    e[..., range(n), range(n)] = steps
+    shifted = np.stack([v[..., None, :] + e, v[..., None, :] - e], axis=-2)  # (..., n, 2, n)
+    out = rows_or_first_error(f, shifted.reshape(-1, n))
+    out = out.reshape(v.shape + (2,) + out.shape[1:])
+    step = (2.0 * steps).reshape(v.shape + (1,) * (out.ndim - v.ndim - 1))
+    return (np.take(out, 0, axis=v.ndim) - np.take(out, 1, axis=v.ndim)) / step
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ class ConnectionState:
     The spray G is computed up front; N and dN_mu are built on first access,
     so a caller that reads only G (an RK4 stage) never builds the Cartan
     tensor or the fiber derivatives of P.  For a batch of samples every
-    array gains a leading batch axis; N and dN_mu are built per sample only.
+    array gains a leading batch axis, N and dN_mu included.
     """
 
     state: FinslerState
@@ -68,30 +79,29 @@ class ConnectionState:
     def N(self) -> np.ndarray:
         """(n, n) Cartan nonlinear connection N^i_j, computed on first access."""
         state = self.state
-        if state.y.ndim > 1:
-            raise ValueError("N is built per sample: call connection_state on one sample to read it")
-        F, F_mu = state.F, state.F_mu
+        F, F_mu = np.asarray(state.F)[..., None], state.F_mu
         l, l_mu, h, h_mu = state.l, state.l_mu, state.h, state.h_mu
 
         # dP[mu, k, r, j] = d P_mu[r, j] / dy_k
         dP = (
-            np.einsum("kr,mj->mkrj", h / F, l_mu)
-            + np.einsum("r,mkj->mkrj", l, h_mu / F_mu[:, None, None])
-            + np.einsum("mk,mrj->mkrj", (np.outer(1.0 / F_mu, l) - F * l_mu / F_mu[:, None] ** 2), h_mu)
-            - np.einsum("m,mkr,mj->mkrj", F / F_mu**2, h_mu, l_mu)
-            - np.einsum("m,mr,mkj->mkrj", F / F_mu**2, l_mu, h_mu)
+            np.einsum("...kr,...mj->...mkrj", h / F[..., None], l_mu)
+            + np.einsum("...r,...mkj->...mkrj", l, h_mu / F_mu[..., None, None])
+            + np.einsum("...mk,...mrj->...mkrj",
+                        (1.0 / F_mu[..., None] * l[..., None, :] - F[..., None] * l_mu / F_mu[..., None] ** 2), h_mu)
+            - np.einsum("...m,...mkr,...mj->...mkrj", F / F_mu**2, h_mu, l_mu)
+            - np.einsum("...m,...mr,...mkj->...mkrj", F / F_mu**2, l_mu, h_mu)
         )
 
-        raised_C = np.einsum("is,rt,kst->kir", state.g_inv, state.g_inv, state.C)
-        term1 = -np.einsum("kir,r->ik", raised_C, self.b)
-        term2 = 0.5 * np.einsum("ir,mkrj,mj->ik", state.g_inv, dP, self.G_mu)
-        term3 = np.einsum("ir,mrj,mjk->ik", state.g_inv, self.P, self.N_mu)
+        raised_C = np.einsum("...is,...rt,...kst->...kir", state.g_inv, state.g_inv, state.C)
+        term1 = -np.einsum("...kir,...r->...ik", raised_C, self.b)
+        term2 = 0.5 * np.einsum("...ir,...mkrj,...mj->...ik", state.g_inv, dP, self.G_mu)
+        term3 = np.einsum("...ir,...mrj,...mjk->...ik", state.g_inv, self.P, self.N_mu)
         return term1 + term2 + term3
 
     @functools.cached_property
     def dN_mu(self) -> np.ndarray:
         """(N, n, n) N - N_mu, computed on first access."""
-        return self.N[None, :, :] - self.N_mu
+        return self.N[..., None, :, :] - self.N_mu
 
 
 @dataclass(frozen=True)
@@ -246,7 +256,7 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample) -> np.ndar
                 )
                 / (4.0 * hx * hy)
             )
-    dx_f2 = central_difference(lambda xx: f2(xx, y_ld), x_ld, hx).astype(float)
+    dx_f2 = central_difference(lambda xs: np.array([f2(xx, y_ld) for xx in xs]), x_ld, hx).astype(float)
 
     return 0.5 * g_inv @ (y @ mixed - dx_f2)
 
@@ -255,7 +265,8 @@ def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample) -> n
     """Oracle N = (1/2) dG/dy by central differences of the factorized spray."""
     x, y = sample.x, sample.y
     h = FD_STEP * float(np.linalg.norm(y))
-    dG = central_difference(lambda yy: connection_state(space, TangentSample(x, yy)).G, y, h)
+    dG = central_difference(lambda ys: connection_state(space, TangentSample(np.broadcast_to(x, ys.shape), ys)).G,
+                            y, h)
     return 0.5 * dG.T
 
 
@@ -341,8 +352,8 @@ def _pair_cubic_residual(space, state, cs, chern_y, mu, nu) -> float:
     x, y = state.x, state.y
     hx = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-    dx = central_difference(lambda xx: _pair_cubic_tensor(space, xx, y, mu, nu), x, hx)
-    dy = central_difference(lambda yy: _pair_cubic_tensor(space, x, yy, mu, nu), y, hy)
+    dx = central_difference(lambda xs: np.array([_pair_cubic_tensor(space, xx, y, mu, nu) for xx in xs]), x, hx)
+    dy = central_difference(lambda ys: np.array([_pair_cubic_tensor(space, x, yy, mu, nu) for yy in ys]), y, hy)
     acc = np.einsum("s,s...->...", y, dx) - np.einsum("a,a...->...", cs.G, dy)
 
     t0 = _pair_cubic_tensor(space, x, y, mu, nu)

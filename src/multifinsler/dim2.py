@@ -26,25 +26,46 @@ from .finsler import (
 from .riemann import gauss_curvature
 
 
-def _perp_down(vec_up: np.ndarray, scale: float) -> np.ndarray:
-    """m_i = scale * eps_ij v^j with eps_12 = +1."""
-    return scale * np.array([vec_up[1], -vec_up[0]])
+def _perp_down(vec_up: np.ndarray, scale) -> np.ndarray:
+    """m_i = scale * eps_ij v^j with eps_12 = +1, over leading batch axes."""
+    return np.asarray(scale)[..., None] * np.stack([vec_up[..., 1], -vec_up[..., 0]], axis=-1)
 
 
-def _perp_up(vec_down: np.ndarray, inv_scale: float) -> np.ndarray:
-    """m^i = inv_scale * eps^ij v_j with eps^12 = +1."""
-    return inv_scale * np.array([vec_down[1], -vec_down[0]])
+def _perp_up(vec_down: np.ndarray, inv_scale) -> np.ndarray:
+    """m^i = inv_scale * eps^ij v_j with eps^12 = +1, over leading batch axes."""
+    return np.asarray(inv_scale)[..., None] * np.stack([vec_down[..., 1], -vec_down[..., 0]], axis=-1)
 
 
 def _sector_products(u: np.ndarray, dN_mu: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u . dN_mu . v for every sector mu."""
-    return np.array([float(u @ d @ v) for d in dN_mu])
+    """u . dN_mu . v for every sector mu, over leading batch axes; u and v hold one
+    vector per sector (..., N, n) or one for all sectors (..., 1, n)."""
+    return np.vecdot(np.vecmat(u, dN_mu), v)
+
+
+def _power(a, p):
+    """a ** p as one sample takes it on a float.  numpy's array power rounds a few
+    per cent of values differently, so a batch takes it value by value."""
+    if np.ndim(a) == 0:
+        return float(a) ** p
+    return np.array([v ** p for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _scalar(a):
+    """A float for one sample, the array for a batch."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def _contract(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """u^i a_i over the coordinate axis of a, which holds one value (..., n) or
+    one vector (..., n, k) per coordinate."""
+    return np.vecdot(u, a) if a.ndim == u.ndim else np.vecmat(u, a)
 
 
 @dataclass(frozen=True)
 class Frame2D:
-    """Berwald zweibein at a 2D sample: l and l^ are state.l and state.l_up.  The
-    properties read the sector data of the state and are computed on first access."""
+    """Berwald zweibein at a 2D sample, or at a batch with a leading batch axis: l
+    and l^ are state.l and state.l_up.  The properties read the sector data of the
+    state and are computed on first access."""
 
     state: FinslerState
     m: np.ndarray
@@ -54,26 +75,29 @@ class Frame2D:
     def cross(self) -> np.ndarray:
         """(N, N) antisymmetric cross terms A[mu, nu]."""
         lm = self.state.l_mu
-        return (np.outer(lm[:, 0], lm[:, 1]) - np.outer(lm[:, 1], lm[:, 0])) / float(np.sqrt(self.state.det_g))
+        outer = lm[..., :, None, 0] * lm[..., None, :, 1] - lm[..., :, None, 1] * lm[..., None, :, 0]
+        return outer / np.sqrt(np.asarray(self.state.det_g))[..., None, None]
 
     @functools.cached_property
-    def I(self) -> float:
-        """Main scalar, closed cross-term formula."""
+    def I(self) -> float | np.ndarray:
+        """Main scalar, closed cross-term formula; a float for one sample."""
         st = self.state
-        return float(1.5 * st.F**4 / st.det_g * np.einsum("n,mn->", st.a_det / st.F_mu**4, self.cross))
+        return _scalar(1.5 * _power(st.F, 4) / st.det_g
+                       * np.einsum("...n,...mn->...", st.a_det / st.F_mu**4, self.cross))
 
     @functools.cached_property
     def det_identity_residual(self) -> float:
-        """Relative residual of det g / F^3 = sum det a_mu / F_mu^3."""
+        """Relative residual of det g / F^3 = sum det a_mu / F_mu^3 at one sample."""
         st = self.state
         lhs = st.det_g / st.F**3
         return abs(lhs - float(np.sum(st.a_det / st.F_mu**3))) / abs(lhs)
 
 
 def frame_from_state(state: FinslerState) -> Frame2D:
-    """The frame of an already evaluated 2D state; evaluates nothing at other points."""
-    require_2d(len(state.y))
-    sqrt_g = float(np.sqrt(state.det_g))
+    """The frame of an already evaluated 2D state or batch of states; evaluates
+    nothing at other points."""
+    require_2d(state.y.shape[-1])
+    sqrt_g = np.sqrt(state.det_g)
     return Frame2D(state=state, m=_perp_down(state.l_up, sqrt_g), m_up=_perp_up(state.l, 1.0 / sqrt_g))
 
 
@@ -84,28 +108,37 @@ def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float:
     """
     x, y = fr.state.x, fr.state.y
     h = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-    grad = central_difference(lambda yy: finsler_state(space, TangentSample(x, yy)).det_g, y, h)
+    grad = central_difference(
+        lambda ys: finsler_state(space, TangentSample(np.broadcast_to(x, ys.shape), ys)).det_g, y, h)
     return float(fr.state.F / (2.0 * fr.state.det_g) * fr.m_up @ grad)
 
 
 def _horizontal_derivative(cs: ConnectionState, field: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """(delta_i phi = d_i phi - N^j_i d phi/dy_j, d phi/dy_i) at the sample of cs by central
-    differences; phi may be scalar- or array-valued, both results are (2, *phi.shape)."""
+    """(delta_i phi = d_i phi - N^j_i d phi/dy_j, d phi/dy_i) at the samples of cs by central
+    differences, from one call of phi(xs, ys) on the 8 neighbours of every sample: the
+    x-stencil, then the y-stencil.  phi takes points (P, 2) and gives (P,) or (P, k); both
+    results are (..., 2) or (..., 2, k)."""
     x, y = cs.state.x, cs.state.y
-    hx = FD_STEP * (1.0 + float(np.linalg.norm(x)))
-    hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-    dx = central_difference(lambda xx: field(xx, y), x, hx)
-    dy = central_difference(lambda yy: field(x, yy), y, hy)
-    return dx - np.einsum("ji,j...->i...", cs.N, dy), dy
+    n = x.shape[-1]
+    hx = FD_STEP * (1.0 + np.sqrt(np.vecdot(x, x)))  # the bits of np.linalg.norm of one point
+    hy = FD_STEP * (1.0 + np.sqrt(np.vecdot(y, y)))
+    steps = np.repeat(np.stack([hx, hy], axis=-1), n, axis=-1)  # hx for each x_i, then hy for each y_i
+    d = central_difference(lambda v: field(v[:, :n].copy(), v[:, n:].copy()), np.concatenate([x, y], axis=-1), steps)
+    dx, dy = np.split(d, 2, axis=x.ndim - 1)
+    if dy.ndim == x.ndim:
+        return dx - np.einsum("...ji,...j->...i", cs.N, dy), dy
+    return dx - np.einsum("...ji,...jk->...ik", cs.N, dy), dy
 
 
 def frame_derivatives(cs: ConnectionState, field: Callable) -> tuple:
-    """(e1 phi, e2 phi, e3 phi) at the sample of cs, e1 = m^i delta_i, e2 = l^i delta_i and
-    e3 = F m^i d/dy_i, from one x- and one y-stencil (8 evaluations of phi(x, y)).
-    phi may be scalar- or array-valued; each result has its shape."""
-    fr = frame_from_state(cs.state)
+    """(e1 phi, e2 phi, e3 phi) at the samples of cs, e1 = m^i delta_i, e2 = l^i delta_i and
+    e3 = F m^i d/dy_i, from one x- and one y-stencil (one call of phi on 8 points per sample,
+    see _horizontal_derivative).  Each result has the shape of phi's value per sample."""
+    st = cs.state
+    fr = frame_from_state(st)
     delta, dy = _horizontal_derivative(cs, field)
-    return fr.m_up @ delta, cs.state.l_up @ delta, cs.state.F * fr.m_up @ dy
+    return (_contract(fr.m_up, delta), _contract(st.l_up, delta),
+            _contract(np.asarray(st.F)[..., None] * fr.m_up, dy))
 
 
 def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float, float]:
@@ -121,56 +154,62 @@ def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float
 
 
 def invariants_JK_from_state(space: MultiMetricSpace, cs: ConnectionState,
-                             gauss: list[float]) -> tuple[float, float]:
-    """J and K (see invariants_JK) at the sample of cs.
+                             gauss) -> tuple:
+    """J and K (see invariants_JK) at the sample of cs, or at each sample of a batch.
 
-    gauss holds the sector Gauss curvatures at the sample's x, which callers
-    evaluating many fiber directions at one x compute once.  The frame
+    gauss holds the sector Gauss curvatures at each sample's x, (..., N), which
+    callers evaluating many fiber directions at one x compute once.  The frame
     derivatives of all sectors and the fiber derivative of N come from one
-    array-valued field, so J and K evaluate 8 neighbours for any number of
-    metrics.
+    array-valued field on the 8 neighbours of every sample, so J and K take one
+    batched connection state for any number of metrics and samples.  Floats
+    for one sample, arrays of shape (...) for a batch.
     """
     st = cs.state
     fr = frame_from_state(st)
-    F, F_mu, det_g = st.F, st.F_mu, st.det_g
+    F, F_mu, det_g = np.asarray(st.F), st.F_mu, np.asarray(st.det_g)
+    F_c, det_g_c = F[..., None], det_g[..., None]  # against the sector axis
+    gauss = np.asarray(gauss)
     n = space.n_metrics
 
-    def sector_scalars(xx, yy):
+    def sector_scalars(xs, ys):
         """(s_mu, t_mu) for every sector, then N flattened: s_mu = F/F_mu^2 sqrt(det a_mu/det g)
         m.dN_mu.m^, t_mu = F/F_mu sqrt(det a_mu/det g)."""
-        c = connection_state(space, TangentSample(xx, yy))
+        c = connection_state(space, TangentSample(xs, ys))
         f = frame_from_state(c.state)
         s = c.state
-        ratio = np.sqrt(s.a_det / s.det_g)
-        m_dn_m = _sector_products(f.m, c.dN_mu, f.m_up)
-        return np.concatenate([s.F / s.F_mu**2 * ratio * m_dn_m, s.F / s.F_mu * ratio, c.N.ravel()])
+        F_s = s.F[:, None]
+        ratio = np.sqrt(s.a_det / s.det_g[:, None])
+        m_dn_m = _sector_products(f.m[:, None], c.dN_mu, f.m_up[:, None])
+        return np.concatenate([F_s / s.F_mu**2 * ratio * m_dn_m, F_s / s.F_mu * ratio, c.N.reshape(-1, 4)],
+                              axis=-1)
 
     delta, dy = _horizontal_derivative(cs, sector_scalars)
-    # dN[r, i, j] = dN^i_j / dy_r
-    dN = dy[:, 2 * n:].reshape(2, 2, 2)
+    # dN[..., r, i, j] = dN^i_j / dy_r
+    dN = dy[..., 2 * n:].reshape(dy.shape[:-1] + (2, 2))
 
-    w3 = (F / F_mu) ** 3 * st.a_det / det_g
+    w3 = (F_c / F_mu) ** 3 * st.a_det / det_g_c
     a_coeff = 0.0
     for k in range(n):
-        u = cs.dN_mu[k] @ fr.m_up
-        vec = 1.5 * st.l_mu[k] / F_mu[k] - st.l / F
-        gamma_t = cs.gamma_mu[k].transpose(2, 0, 1)  # [r, i, j] = Gamma^i_{jr}
+        u = np.matvec(cs.dN_mu[..., k, :, :], fr.m_up)
+        vec = 1.5 * st.l_mu[..., k, :] / F_mu[..., k, None] - st.l / F_c
+        gamma_t = np.moveaxis(cs.gamma_mu[..., k, :, :, :], -1, -3)  # [r, i, j] = Gamma^i_{jr}
         ddN = dN - gamma_t
-        contr = np.einsum("i,j,r,rij->", fr.m, fr.m_up, fr.m_up, ddN)
-        a_coeff += w3[k] * (float(vec @ u) - contr)
+        contr = np.einsum("...i,...j,...r,...rij->...", fr.m, fr.m_up, fr.m_up, ddN)
+        a_coeff += w3[..., k] * (np.vecdot(vec, u) - contr)
     J = -a_coeff
 
-    e2_s = st.l_up @ delta[:, :n]
-    e1_t = fr.m_up @ delta[:, n:2 * n]
+    e2_s = np.vecmat(st.l_up, delta[..., :n])
+    e1_t = np.vecmat(fr.m_up, delta[..., n:2 * n])
 
     K = 0.0
-    sq = np.sqrt(st.a_det / det_g)
-    m_dn_l = _sector_products(fr.m, cs.dN_mu, st.l_up)
+    sq = np.sqrt(st.a_det / det_g_c)
+    m_dn_l = _sector_products(fr.m[..., None, :], cs.dN_mu, st.l_up[..., None, :])
     for k in range(n):
-        K += gauss[k] * (F / F_mu[k]) * (st.a_det[k] / det_g)
-        K -= (F / F_mu[k]) * sq[k] * e2_s[k]
-        K -= (F / F_mu[k] ** 2) * sq[k] * m_dn_l[k] * e1_t[k]
-    return float(J), float(K)
+        F_k = F_mu[..., k]
+        K += gauss[..., k] * (F / F_k) * (st.a_det[..., k] / det_g)
+        K -= (F / F_k) * sq[..., k] * e2_s[..., k]
+        K -= (F / _power(F_k, 2)) * sq[..., k] * m_dn_l[..., k] * e1_t[..., k]
+    return _scalar(J), _scalar(K)
 
 
 @dataclass(frozen=True)
@@ -205,6 +244,12 @@ def _oneform_roundtrip(cs: ConnectionState, fr: Frame2D, m_dn_m: np.ndarray, m_d
     st = cs.state
     F, F_mu, det_g = st.F, st.F_mu, st.det_g
     sqrt_det = np.sqrt(st.a_det)
+    l_up_mu = st.y / F_mu[:, None]
+    m_mu = _perp_down(l_up_mu, sqrt_det)  # m_k, the zweibein covector of sector k
+    mk_dn_mk = _sector_products(m_mu, cs.dN_mu, _perp_up(st.l_mu, 1.0 / sqrt_det))
+    mk_dn_lk = _sector_products(m_mu, cs.dN_mu, l_up_mu)
+    mk_dn_m = _sector_products(m_mu, cs.dN_mu, fr.m_up[None])
+    mk_dn_l = _sector_products(m_mu, cs.dN_mu, st.l_up[None])
     worst = 0.0
     summed = np.zeros((3, 3))
     for k in range(len(F_mu)):
@@ -212,8 +257,6 @@ def _oneform_roundtrip(cs: ConnectionState, fr: Frame2D, m_dn_m: np.ndarray, m_d
         c1 = (F / F_mu[k]) * ratio
         c2 = (F / F_mu[k]) ** 2 * ratio
         a_col = float(fr.cross[:, k].sum())  # sum_nu A[nu, k]
-        m_k = _perp_down(st.y / F_mu[k], sqrt_det[k])
-        m_k_up = _perp_up(st.l_mu[k], 1.0 / sqrt_det[k])
 
         # rows: sector coframe (w_k^1, w_k^2, w_k^3) in the (w1, w2, w3) basis
         to_sector = np.array([
@@ -222,14 +265,12 @@ def _oneform_roundtrip(cs: ConnectionState, fr: Frame2D, m_dn_m: np.ndarray, m_d
             [-c2 * m_dn_m[k] / F, -c2 * m_dn_l[k] / F, c2],
         ])
         # rows: full coframe in the sector basis
-        mm_k = float(m_k @ cs.dN_mu[k] @ m_k_up)
-        ml_k = float(m_k @ cs.dN_mu[k] @ (st.y / F_mu[k]))
         from_sector = np.array([
             [1.0 / c1, 0.0, 0.0],
             [a_col / ratio, F / F_mu[k], 0.0],
             [
-                (F_mu[k] / F**2) / ratio * mm_k,
-                (F_mu[k] / F**2) / ratio * ml_k,
+                (F_mu[k] / F**2) / ratio * mk_dn_mk[k],
+                (F_mu[k] / F**2) / ratio * mk_dn_lk[k],
                 1.0 / c2,
             ],
         ])
@@ -239,11 +280,7 @@ def _oneform_roundtrip(cs: ConnectionState, fr: Frame2D, m_dn_m: np.ndarray, m_d
         summed[1] += to_sector[1]
         summed[2] += c1 * (
             to_sector[2]
-            + np.array([
-                float(m_k @ cs.dN_mu[k] @ fr.m_up) / F_mu[k],
-                float(m_k @ cs.dN_mu[k] @ st.l_up) / F_mu[k],
-                0.0,
-            ])
+            + np.array([mk_dn_m[k] / F_mu[k], mk_dn_l[k] / F_mu[k], 0.0])
         )
     worst = max(worst, float(np.max(np.abs(summed - np.eye(3)))))
     return worst
@@ -265,9 +302,9 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
     w2 = F**2 / F_mu**3 * st.a_det / det_g
     w4 = F**3 / F_mu**4 * st.a_det / det_g
 
-    l_dn_l = _sector_products(st.l, cs.dN_mu, st.l_up)
-    m_dn_l = _sector_products(fr.m, cs.dN_mu, st.l_up)
-    m_dn_m = _sector_products(fr.m, cs.dN_mu, fr.m_up)
+    l_dn_l = _sector_products(st.l[None], cs.dN_mu, st.l_up[None])
+    m_dn_l = _sector_products(fr.m[None], cs.dN_mu, st.l_up[None])
+    m_dn_m = _sector_products(fr.m[None], cs.dN_mu, fr.m_up[None])
     cross_col = fr.cross.sum(axis=0)  # sum_nu A[nu, mu]
 
     eq1_A = -I_c
@@ -298,16 +335,16 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
     sector_m_dN_m = abs(float(np.sum(w3 * m_dn_m) - bracket.sum()))
 
     an_lhs = float(np.einsum("m,nm,m->", F**3 / F_mu**4 * st.a_det / det_g, fr.cross, m_dn_l))
+    an_dn = _sector_products(st.l / F - st.l_mu / F_mu[:, None], cs.dN_mu, st.l_up[None])
     an_rhs = 0.0
     for k in range(space.n_metrics):
-        vec = st.l / F - st.l_mu[k] / F_mu[k]
-        an_rhs += w3[k] * float(vec @ cs.dN_mu[k] @ st.l_up)
+        an_rhs += w3[k] * an_dn[k]
     cross_dN = abs(an_lhs - an_rhs)
 
     # cross-term/log-gradient relation, FD of log(F / F_mu) for all sectors on the right side
-    def log_ratios(yy):
-        f_mu = sector_norms(st.a_mu, yy)
-        return np.log(f_mu.sum() / f_mu)
+    def log_ratios(ys):
+        f_mu = sector_norms(np.broadcast_to(st.a_mu, ys.shape[:1] + st.a_mu.shape), ys)
+        return np.log(f_mu.sum(axis=-1, keepdims=True) / f_mu)
 
     hy = FD_STEP * (1.0 + float(np.linalg.norm(st.y)))
     rhs = central_difference(log_ratios, st.y, hy)  # [i, nu]

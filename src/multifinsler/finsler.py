@@ -71,10 +71,11 @@ class MultiMetricSpace:
         """(a_mu, inv_mu, det_mu) stacked over sectors, SPD-validated.
 
         x is one point (n,) or a batch (B, n); for a batch every array gains a
-        leading batch axis.  Components are evaluated point by point, and an
-        evaluation error is raised only if no earlier (point, metric) fails
-        the SPD check, so each point keeps the error it raises alone.  The
-        whole stack is then validated at once by `spd_inverse_det`.
+        leading batch axis.  Components are evaluated once per distinct point,
+        in the order the points first occur, and an evaluation error is raised
+        only if no earlier (point, metric) fails the SPD check, so each point
+        keeps the error it raises alone.  The distinct points are then
+        validated at once by `spd_inverse_det`.
 
         The most recent x is remembered, keyed on its shape and bytes, so
         the many evaluations at one x (fiber differences, quadrature over y)
@@ -87,7 +88,7 @@ class MultiMetricSpace:
         if last is not None and last[0] == key:
             return last[1]
         names = [m.name for m in self.metrics]
-        points = x.reshape(-1, x.shape[-1])
+        points, spread = _distinct_points(x)
         mats = np.empty((len(points), self.n_metrics, self.dim, self.dim))
         for p, xp in enumerate(points):
             for k, m in enumerate(self.metrics):
@@ -98,19 +99,17 @@ class MultiMetricSpace:
                     spd_inverse_det(mats[p, :k], xp, names)
                     raise
         invs, dets = spd_inverse_det(mats, points, names)
-        lead = x.shape[:-1]
-        values = (mats.reshape(lead + mats.shape[1:]), invs.reshape(lead + invs.shape[1:]),
-                  dets.reshape(lead + dets.shape[1:]))
+        values = tuple(spread(v) for v in (mats, invs, dets))
         for v in values:
             v.flags.writeable = False
         self._last_values = (key, values)
         return values
 
     def metric_derivatives(self, x) -> np.ndarray:
-        """dA[..., mu, s, i, j] = d a^mu_ij / d x_s at one point (n,) or a batch (B, n)."""
-        x = np.asarray(x, dtype=float)
-        dA = np.array([[m.derivative(xp) for m in self.metrics] for xp in x.reshape(-1, x.shape[-1])])
-        return dA.reshape(x.shape[:-1] + dA.shape[1:])
+        """dA[..., mu, s, i, j] = d a^mu_ij / d x_s at one point (n,) or a batch (B, n),
+        evaluated once per distinct point."""
+        points, spread = _distinct_points(np.asarray(x, dtype=float))
+        return spread(np.array([[m.derivative(xp) for m in self.metrics] for xp in points]))
 
     def check_sample(self, sample: TangentSample):
         """Reject coordinate vectors of the wrong length, batches of x and y that
@@ -129,6 +128,34 @@ class MultiMetricSpace:
             raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
 
 
+def _distinct_points(x: np.ndarray):
+    """The distinct points of x (n,) or (B, n), compared bit for bit and in the
+    order they first occur, and a function that spreads an array of values at
+    them, one per distinct point, back over the points of x."""
+    flat = x.reshape(-1, x.shape[-1])
+    raw, width = flat.tobytes(), flat.shape[-1] * flat.itemsize
+    ids: dict[bytes, int] = {}
+    rows = [ids.setdefault(raw[i:i + width], len(ids)) for i in range(0, len(raw), width)]
+    if len(ids) == len(rows):
+        return flat, lambda v: v.reshape(x.shape[:-1] + v.shape[1:])
+    index = np.array(rows).reshape(x.shape[:-1])
+    return np.frombuffer(b"".join(ids), dtype=flat.dtype).reshape(-1, flat.shape[-1]), lambda v: v[index]
+
+
+def rows_or_first_error(f, rows: np.ndarray) -> np.ndarray:
+    """f(rows) for a batch of rows (B, ...), where f gives each row the value it
+    gives that row alone.
+
+    If the batch raises a per-sample error, f takes the rows one at a time, as
+    batches of one and in order, so the first failing row raises the error it
+    raises alone.
+    """
+    try:
+        return f(rows)
+    except SAMPLE_ERRORS:
+        return np.concatenate([f(rows[k:k + 1]) for k in range(len(rows))])
+
+
 def require_2d(dim: int):
     if dim != 2:
         raise ValueError(f"this operation is defined for 2D spaces only, got dimension {dim}")
@@ -141,13 +168,14 @@ def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
     The norm is F = F_mu.sum(axis=-1).  The dtype follows the inputs, so the
     extended-precision oracles evaluate the same definition in longdouble.
     """
-    if y.ndim == 1:
-        q = np.einsum("kij,i,j->k", a_mu, y, y)
+    if a_mu.shape[-3:] == (1, 2, 2):
+        # one 2D sector: einsum sums a single sample row by row but a batch term
+        # by term, so both take the single sample's order
+        a, y0, y1 = a_mu[..., 0, :, :], y[..., 0], y[..., 1]
+        q = ((a[..., 0, 0] * y0 * y0 + a[..., 0, 1] * y0 * y1)
+             + (a[..., 1, 0] * y1 * y0 + a[..., 1, 1] * y1 * y1))[..., None]
     else:
-        # einsum's summation order depends on the operand shapes (one 2D
-        # sector is summed row by row, a stack term by term), so each point
-        # of a batch is summed alone, as a single sample is
-        q = np.array([np.einsum("kij,i,j->k", a, v, v) for a, v in zip(a_mu, y)])
+        q = np.einsum("...kij,...i,...j->...k", a_mu, y, y)
     if (q <= 0.0).any():
         rows = q.reshape(-1, q.shape[-1])
         first = rows[np.argmax((rows <= 0.0).any(axis=1))]

@@ -17,12 +17,12 @@ import numpy as np
 from scipy import integrate
 
 from .finsler import (
-    SAMPLE_ERRORS,
     MultiMetricSpace,
     TangentSample,
     fd_fundamental_tensor,
     finsler_state,
     require_2d,
+    rows_or_first_error,
 )
 from .riemann import symmetric_polynomials
 
@@ -333,11 +333,7 @@ def _radial_integral(weight_at, r_max: float) -> float:
     """
     nodes = []
     integrate.quad(lambda r: nodes.append(r) or 0.0, 0.0, r_max, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL)
-    radii = np.array(nodes)
-    try:
-        table = dict(zip(nodes, weight_at(radii)))
-    except SAMPLE_ERRORS:
-        table = {r: weight_at(radii[k:k + 1])[0] for k, r in enumerate(nodes)}
+    table = dict(zip(nodes, rows_or_first_error(weight_at, np.array(nodes))))
 
     def integrand(r):
         w = table.get(r)

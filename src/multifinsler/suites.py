@@ -177,8 +177,8 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
             a_rel = max(a_rel, r.cross_log_gradient)
             i_modes = max(i_modes, abs(r.I_compact - r.I_oracle))
 
-            def i_field(xx, yy):
-                return frame_from_state(finsler_state(space, TangentSample(xx, yy))).I
+            def i_field(xs, ys):
+                return frame_from_state(finsler_state(space, TangentSample(xs, ys))).I
 
             _, e2_i, _ = frame_derivatives(cs, i_field)
             j_res = max(j_res, abs(j_val - e2_i) / (1.0 + abs(j_val)))

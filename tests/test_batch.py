@@ -10,14 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multifinsler.connection import connection_state
+from multifinsler.dim2 import frame_from_state, invariants_JK_from_state
 from multifinsler.finsler import (
+    SAMPLE_ERRORS,
     TangentSample,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
     sector_norms,
 )
-from multifinsler.riemann import MetricField, NotPositiveDefiniteError
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError, gauss_curvature
 
 from conftest import field, space_of
 
@@ -27,6 +29,7 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 STATE_FIELDS = ("x", "y", "F", "F_mu", "l", "l_up", "l_mu", "h", "h_mu", "g", "det_g",
                 "a_mu", "a_inv", "a_det", "g_inv", "C")
 CONNECTION_FIELDS = ("G", "G_mu", "N_mu", "gamma_mu", "P", "b")
+FRAME_FIELDS = ("m", "m_up", "cross", "I")
 
 
 def num(lo, hi):
@@ -160,12 +163,33 @@ def test_spray_path_rows_equal_single_samples(space, batch):
             elif fn is finsler_state:
                 assert_row(batched, s, r, STATE_FIELDS)
             else:
-                assert_row(batched, s, r, CONNECTION_FIELDS)
+                assert_row(batched, s, r, CONNECTION_FIELDS + ("N", "dN_mu"))
                 assert_row(batched.state, s.state, r, STATE_FIELDS)
-        if fn is connection_state:
-            for lazy in ("N", "dN_mu"):
-                with pytest.raises(ValueError, match="per sample"):
-                    getattr(batched, lazy)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spaces(), batches())
+def test_frame_and_invariants_rows_equal_single_samples(space, batch):
+    x, y = batch
+    try:
+        cs = connection_state(space, TangentSample(x, y))
+        gauss = np.array([[gauss_curvature(m, xr) for m in space.metrics] for xr in x])
+    except SAMPLE_ERRORS:
+        return  # a failing centre is compared in test_spray_path_rows_equal_single_samples
+    solo_cs = [connection_state(space, TangentSample(xr, yr)) for xr, yr in zip(x, y)]
+    fr = frame_from_state(cs.state)
+    for r, c in enumerate(solo_cs):
+        assert_row(fr, frame_from_state(c.state), r, FRAME_FIELDS)
+    solo = [outcome(invariants_JK_from_state, space, c, g) for c, g in zip(solo_cs, gauss)]
+    batched = outcome(invariants_JK_from_state, space, cs, gauss)
+    failed = [o for o in solo if isinstance(o, Exception)]
+    if failed:
+        # a neighbour failed: a loop of single calls stops at its first failing row
+        assert same_error(batched, failed[0])
+        return
+    assert all(isinstance(v, float) for jk in solo for v in jk)
+    for r, jk in enumerate(solo):
+        assert np.array_equal([batched[0][r], batched[1][r]], jk)
 
 
 @SETTINGS

@@ -13,6 +13,8 @@ from multifinsler.cli import dumps_stable, main
 from multifinsler.config import ConfigError, load_config, parse_config
 from multifinsler.riemann import NotPositiveDefiniteError
 
+from conftest import count_calls
+
 BIMETRIC = {
     "dimension": 2,
     "coordinates": ["x1", "x2"],
@@ -21,6 +23,19 @@ BIMETRIC = {
         {"name": "beta", "components": [["4", "0"], ["0", "1+x1^2"]]},
     ],
     "sampling": {"seed": 42, "count": 40, "box": [[-1, 1], [-1, 1]]},
+}
+
+
+# (beta, box, stderr of `sample --grid 3 --directions 4`) for spaces where the sample fails
+SAMPLE_ERRORS = {
+    # the third grid point, (-1, 1.5), leaves the SPD region of beta
+    "spd": ([["4", "0"], ["0", "1 - x2"]], [[-1, 1], [-1, 1.5]],
+            "error: NotPositiveDefiniteError: metric 'beta' is not positive definite at x=[-1.0, 1.5] "
+            "(eigenvalues [-0.5, 4.0])\n"),
+    # the first grid point has x1 = 5e-6, so its x-stencil evaluates log(x1) at x1 < 0; that
+    # comes before the third grid point, (5e-6, 2), where beta is not SPD
+    "log": ([["4", "0"], ["0", "1.5 + x1*log(x1) - x2"]], [[5e-6, 1], [-1, 2]],
+            "error: EvalDomainError: log of a non-positive value in 'log(x1)'\n"),
 }
 
 
@@ -315,6 +330,31 @@ class TestCli:
         assert main(["sample", "--config", config_path, "--grid", "2", "--directions", "3",
                      "--out", str(tmp_path / "grid.csv")]) == 0
         assert calls[0] == 2 * 2 * 2  # grid points x sectors, independent of the directions
+
+    def test_sample_makes_one_batch_of_rows(self, config_path, tmp_path, monkeypatch):
+        import multifinsler.cli as cli
+        import multifinsler.dim2 as dim2
+
+        calls = [count_calls(monkeypatch, module, "connection_state") for module in (cli, dim2)]
+        for grid, directions in ((1, 1), (2, 3), (3, 5)):
+            for c in calls:
+                c[0] = 0
+            assert main(["sample", "--config", config_path, "--grid", str(grid), "--directions",
+                         str(directions), "--out", str(tmp_path / "grid.csv")]) == 0
+            # the grid-point x direction rows, then the 8 neighbours of every row
+            assert [c[0] for c in calls] == [1, 1]
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_ERRORS))
+    def test_sample_raises_the_error_of_its_first_failing_sample(self, name, tmp_path, capsys):
+        # stderr as a loop over the rows, one sample at a time, writes it
+        beta, box, stderr = SAMPLE_ERRORS[name]
+        cfg = {**BIMETRIC, "metrics": [BIMETRIC["metrics"][0], {"name": "beta", "components": beta}],
+               "sampling": {"seed": 1, "count": 10, "box": box}}
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["sample", "--config", str(p), "--grid", "3", "--directions", "4",
+                     "--out", str(tmp_path / "grid.csv")]) == 1
+        assert capsys.readouterr().err == stderr
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
     def test_tol_scale_must_be_finite_and_positive(self, config_path, scale, capsys):

@@ -8,6 +8,7 @@ import multifinsler.finsler as finsler
 from multifinsler.config import load_config
 from multifinsler.connection import (
     cartan_y_derivative,
+    central_difference,
     chern_connection,
     connection_state,
     horizontal_compatibility_residual,
@@ -18,7 +19,7 @@ from multifinsler.connection import (
 )
 from multifinsler.finsler import TangentSample, finsler_state
 from multifinsler.geodesic import integrate_geodesic
-from multifinsler.riemann import christoffels_and_spray
+from multifinsler.riemann import NotPositiveDefiniteError, christoffels_and_spray
 
 from conftest import count_calls, count_spd_validations, const_field, field, random_bimetric_space, random_samples, space_of
 
@@ -69,6 +70,42 @@ class TestSpray:
         for lam in (0.5, 2.0, 3.0):
             g2 = connection_state(bi_x, TangentSample(S.x, lam * S.y)).G
             assert np.max(np.abs(g2 - lam**2 * g1)) <= 1e-12 * (1.0 + lam**2 * np.max(np.abs(g1)))
+
+
+class TestCentralDifference:
+    def test_rows_of_a_batch_take_their_own_steps(self):
+        v = np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
+        h = np.array([1e-3, 2e-3, 5e-4])
+        batched = central_difference(lambda p: np.stack([p[:, 0] ** 2 * p[:, 1], p[:, 1]], axis=-1), v, h)
+        assert batched.shape == (3, 2, 2)
+        for r in range(3):
+            single = central_difference(lambda p: np.stack([p[:, 0] ** 2 * p[:, 1], p[:, 1]], axis=-1), v[r], h[r])
+            assert np.array_equal(batched[r], single)
+
+    def test_one_call_on_the_stacked_points(self):
+        calls = []
+
+        def f(p):
+            calls.append(p.copy())
+            return p.sum(axis=-1)
+
+        v, h = np.array([0.5, -1.0, 2.0]), 0.125
+        central_difference(f, v, h)
+        assert len(calls) == 1
+        expected = [v + s * h * e for e in np.eye(3) for s in (1.0, -1.0)]
+        assert np.array_equal(calls[0], expected)
+
+    def test_the_first_failing_point_raises_its_own_error(self):
+        # the batch raises one error, but the second point alone raises another
+        def f(p):
+            if len(p) > 1:
+                raise finsler.SlitViolationError("batch")
+            if p[0, 0] < 0.5:
+                raise NotPositiveDefiniteError(f"at {p[0].tolist()}")
+            return p[:, 0]
+
+        with pytest.raises(NotPositiveDefiniteError, match=r"at \[0\.25, 1\.0\]"):
+            central_difference(f, np.array([0.5, 1.0]), 0.25)
 
 
 @pytest.mark.parametrize("n_metrics", [1, 2, 3])

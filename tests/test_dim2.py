@@ -166,14 +166,14 @@ class TestFrameApply:
         fr = frame_from_state(finsler_state(bi_const, S))
         assert np.max(np.abs(cs.N)) < 1e-14
 
-        def x1(xx, yy):
-            return xx[0]
+        def x1(xs, ys):
+            return xs[:, 0]
 
-        def y1(xx, yy):
-            return yy[0]
+        def y1(xs, ys):
+            return ys[:, 0]
 
-        def norm(xx, yy):
-            return finsler_state(bi_const, TangentSample(xx, yy)).F
+        def norm(xs, ys):
+            return finsler_state(bi_const, TangentSample(xs, ys)).F
 
         e1, e2, _ = frame_derivatives(cs, x1)
         assert e1 == pytest.approx(fr.m_up[0], abs=1e-10)
@@ -184,13 +184,13 @@ class TestFrameApply:
     def test_array_field_matches_scalar_fields(self, bi_x):
         cs = connection_state(bi_x, S)
 
-        def fields(xx, yy):
-            st = finsler_state(bi_x, TangentSample(xx, yy))
-            return np.array([st.F, xx[0] * yy[1], st.det_g])
+        def fields(xs, ys):
+            st = finsler_state(bi_x, TangentSample(xs, ys))
+            return np.stack([st.F, xs[:, 0] * ys[:, 1], st.det_g], axis=-1)
 
         vecs = frame_derivatives(cs, fields)
         for k in range(3):
-            scalars = frame_derivatives(cs, lambda xx, yy, k=k: fields(xx, yy)[k])
+            scalars = frame_derivatives(cs, lambda xs, ys, k=k: fields(xs, ys)[:, k])
             for vec, scalar in zip(vecs, scalars):
                 assert vec.shape == (3,)
                 assert vec[k] == pytest.approx(scalar, rel=1e-14, abs=1e-15)
@@ -198,13 +198,17 @@ class TestFrameApply:
     def test_one_stencil_in_x_and_one_in_y(self, bi_x):
         calls = []
 
-        def counted(xx, yy):
-            calls.append((xx.copy(), yy.copy()))
-            return xx[0] * yy[1]
+        def counted(xs, ys):
+            calls.append((xs.copy(), ys.copy()))
+            return xs[:, 0] * ys[:, 1]
 
         frame_derivatives(connection_state(bi_x, S), counted)
-        assert len(calls) == 8
-        assert sum(np.array_equal(yy, S.y) for _, yy in calls) == 4
+        # one call on the 8 neighbours: the x-stencil at S.y, then the y-stencil at S.x
+        assert len(calls) == 1
+        xs, ys = calls[0]
+        assert xs.shape == ys.shape == (8, 2)
+        assert all(np.array_equal(yy, S.y) for yy in ys[:4])
+        assert all(np.array_equal(xx, S.x) for xx in xs[4:])
 
 
 class TestInvariantsJK:
@@ -212,26 +216,30 @@ class TestInvariantsJK:
         import multifinsler.connection as connection_mod
         import multifinsler.dim2 as dim2_mod
 
-        counts = {"connection_state": 0, "finsler_state": 0}
+        counts = {"connection_state": 0, "finsler_state": 0, "samples": 0}
 
         def counted(name, fn):
-            def wrapper(*args, **kwargs):
+            def wrapper(space, sample):
                 counts[name] += 1
-                return fn(*args, **kwargs)
+                if name == "connection_state":
+                    counts["samples"] += len(sample.x.reshape(-1, 2))
+                return fn(space, sample)
             return wrapper
 
         for mod in (dim2_mod, connection_mod):
-            for name in counts:
+            for name in ("connection_state", "finsler_state"):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
 
         per_space = []
         for sp in (euclid, bi_x, tri_space):
-            counts.update(connection_state=0, finsler_state=0)
+            counts.update(connection_state=0, finsler_state=0, samples=0)
             invariants_JK(sp, S)
             per_space.append(dict(counts))
         assert per_space[0] == per_space[1] == per_space[2]
-        # the centre and the 8 neighbours of the frame derivatives, whose y-stencil also gives dN/dy
-        assert per_space[0]["connection_state"] == 9
+        # the centre, then one batch of the 8 neighbours of the frame derivatives, whose
+        # y-stencil also gives dN/dy
+        assert per_space[0]["connection_state"] == 2
+        assert per_space[0]["samples"] == 9
 
     def test_constant_metrics(self, bi_const):
         j, k = invariants_JK(bi_const, S)
@@ -331,9 +339,9 @@ def test_matches_recorded_values(name):
 
 @pytest.mark.parametrize("space_name", ["euclid", "bi_x", "tri_space"])
 def test_log_gradient_residual_differences_all_sectors_at_once(request, monkeypatch, space_name):
-    # one array-valued difference over the 4 fiber neighbours for any number of metrics
+    # one array-valued difference, one call on the 4 fiber neighbours, for any number of metrics
     space = request.getfixturevalue(space_name)
     cs = connection_state(space, S)
     calls = count_calls(monkeypatch, dim2, "sector_norms")
     cartan_structure_residuals(space, cs)
-    assert calls[0] == 4
+    assert calls[0] == 1

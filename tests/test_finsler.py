@@ -160,6 +160,22 @@ class TestPointwiseEvaluation:
         sp.metric_values(np.array([np.nextafter(0.3, 1.0), -0.5]))
         assert calls[0] == 4
 
+    def test_a_batch_evaluates_each_distinct_point_once(self, monkeypatch):
+        sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
+        values = [count_calls(monkeypatch, m, "value") for m in sp.metrics]
+        derivatives = [count_calls(monkeypatch, m, "derivative") for m in sp.metrics]
+        spd = count_spd_validations(monkeypatch)
+        a, b = [0.1, 0.2], [-0.3, 0.4]
+        # 0.0 and -0.0 are different bits, so two points
+        x = np.array([a, b, a, a, [0.0, 0.5], b, [-0.0, 0.5]])
+        batched, dA = sp.metric_values(x), sp.metric_derivatives(x)
+        assert [c[0] for c in values + derivatives] == [4] * 4
+        assert spd[0] == 4 * sp.n_metrics
+        for r, xr in enumerate(x):
+            for arr, single in zip(batched, sp.metric_values(xr.copy())):
+                assert np.array_equal(arr[r], single)
+            assert np.array_equal(dA[r], sp.metric_derivatives(xr))
+
     def test_spd_failure_raises_on_every_call(self, monkeypatch):
         sp = space_of(field("alpha", [["1-x1^2", "0"], ["0", "1"]]))
         calls = count_spd_validations(monkeypatch)
