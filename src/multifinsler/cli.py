@@ -7,6 +7,7 @@ floating-point values are printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -234,7 +235,10 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps no state
+    between calls."""
     p = ArgumentParser(
         prog="multifinsler",
         description="Multimetric Finsler geometry: identity checks, measures, geodesics.",

@@ -22,6 +22,7 @@ from .finsler import (
     FinslerState,
     MultiMetricSpace,
     TangentSample,
+    _scalar,
     _sym3,
     fd_fundamental_tensor,
     finsler_state,
@@ -34,7 +35,7 @@ FD_STEP = 1e-5
 MIXED_FD_STEP = 1e-4
 
 
-def central_difference(f, v: np.ndarray, h) -> np.ndarray:
+def central_difference(f, v: np.ndarray, h, at=None) -> np.ndarray:
     """D[..., i, :] = (f(v + h_i e_i) - f(v - h_i e_i)) / 2 h_i for each coordinate i of v.
 
     v is one point (n,) or a batch (..., n); h is one step, one step per point
@@ -42,8 +43,10 @@ def central_difference(f, v: np.ndarray, h) -> np.ndarray:
     f is called once on the 2n shifted points of every point of v, stacked as
     (P, n) in the order v + h_0 e_0, v - h_0 e_0, v + h_1 e_1, ..., and
     returns one value per point, (P, *shape); each point keeps the error it
-    raises alone (see finsler.rows_or_first_error).  D has the shape
-    (..., n, *shape).
+    raises alone (see finsler.rows_or_first_error).  With at (..., k), every
+    shifted point carries its own point's row of at in front, unshifted, and f
+    takes rows (P, k + n): a field of y at each sample's x takes at=x.  D has
+    the shape (..., n, *shape).
     """
     n = v.shape[-1]
     h = np.asarray(h)
@@ -51,7 +54,10 @@ def central_difference(f, v: np.ndarray, h) -> np.ndarray:
     e = np.zeros(v.shape + (n,), dtype=v.dtype)
     e[..., range(n), range(n)] = steps
     shifted = np.stack([v[..., None, :] + e, v[..., None, :] - e], axis=-2)  # (..., n, 2, n)
-    out = rows_or_first_error(f, shifted.reshape(-1, n))
+    if at is not None:
+        at = np.broadcast_to(at[..., None, None, :], shifted.shape[:-1] + at.shape[-1:])
+        shifted = np.concatenate([at, shifted], axis=-1)
+    out = rows_or_first_error(f, shifted.reshape(-1, shifted.shape[-1]))
     out = out.reshape(v.shape + (2,) + out.shape[1:])
     step = (2.0 * steps).reshape(v.shape + (1,) * (out.ndim - v.ndim - 1))
     return (np.take(out, 0, axis=v.ndim) - np.take(out, 1, axis=v.ndim)) / step
@@ -114,8 +120,8 @@ class XDerivatives:
 
 
 def _norm_x_derivatives(dA: np.ndarray, state: FinslerState) -> np.ndarray:
-    """dF_mu[mu, s] = d F_mu / d x_s from the metric derivatives dA[mu, s, i, j]."""
-    return 0.5 * np.einsum("ksij,i,j->ks", dA, state.y, state.y) / state.F_mu[:, None]
+    """dF_mu[..., mu, s] = d F_mu / d x_s from the metric derivatives dA[..., mu, s, i, j]."""
+    return 0.5 * np.einsum("...ksij,...i,...j->...ks", dA, state.y, state.y) / state.F_mu[..., None]
 
 
 def x_derivatives(space: MultiMetricSpace, state: FinslerState) -> XDerivatives:
@@ -262,20 +268,23 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample) -> np.ndar
 
 
 def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
-    """Oracle N = (1/2) dG/dy by central differences of the factorized spray."""
+    """Oracle N = (1/2) dG/dy by central differences of the factorized spray, at a
+    sample or at a batch of samples, each with its own step."""
     x, y = sample.x, sample.y
-    h = FD_STEP * float(np.linalg.norm(y))
-    dG = central_difference(lambda ys: connection_state(space, TangentSample(np.broadcast_to(x, ys.shape), ys)).G,
-                            y, h)
-    return 0.5 * dG.T
+    n = y.shape[-1]
+    h = FD_STEP * np.sqrt(np.vecdot(y, y))  # the bits of np.linalg.norm of one point
+    dG = central_difference(
+        lambda v: connection_state(space, TangentSample(v[:, :n].copy(), v[:, n:].copy())).G, y, h, at=x)
+    return 0.5 * np.swapaxes(dG, -1, -2)
 
 
-def horizontal_compatibility_residual(space: MultiMetricSpace, cs: ConnectionState) -> float:
-    """Max |d_i F - N^j_i l_j| at the sample of cs; zero for the Cartan nonlinear connection."""
+def horizontal_compatibility_residual(space: MultiMetricSpace, cs: ConnectionState):
+    """Max |d_i F - N^j_i l_j| at the sample of cs, or at each sample of a batch; zero for
+    the Cartan nonlinear connection."""
     st = cs.state
-    dF = _norm_x_derivatives(space.metric_derivatives(st.x), st).sum(axis=0)
-    resid = dF - np.einsum("ji,j->i", cs.N, st.l)
-    return float(np.max(np.abs(resid)))
+    dF = _norm_x_derivatives(space.metric_derivatives(st.x), st).sum(axis=-2)
+    resid = dF - np.einsum("...ji,...j->...i", cs.N, st.l)
+    return _scalar(np.max(np.abs(resid), axis=-1))
 
 
 def chern_connection(space: MultiMetricSpace, cs: ConnectionState) -> np.ndarray:

@@ -19,6 +19,8 @@ from .finsler import (
     FinslerState,
     MultiMetricSpace,
     TangentSample,
+    _power,
+    _scalar,
     finsler_state,
     require_2d,
     sector_norms,
@@ -40,19 +42,6 @@ def _sector_products(u: np.ndarray, dN_mu: np.ndarray, v: np.ndarray) -> np.ndar
     """u . dN_mu . v for every sector mu, over leading batch axes; u and v hold one
     vector per sector (..., N, n) or one for all sectors (..., 1, n)."""
     return np.vecdot(np.vecmat(u, dN_mu), v)
-
-
-def _power(a, p):
-    """a ** p as one sample takes it on a float.  numpy's array power rounds a few
-    per cent of values differently, so a batch takes it value by value."""
-    if np.ndim(a) == 0:
-        return float(a) ** p
-    return np.array([v ** p for v in a.ravel().tolist()]).reshape(a.shape)
-
-
-def _scalar(a):
-    """A float for one sample, the array for a batch."""
-    return float(a) if np.ndim(a) == 0 else a
 
 
 def _contract(u: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -86,11 +75,11 @@ class Frame2D:
                        * np.einsum("...n,...mn->...", st.a_det / st.F_mu**4, self.cross))
 
     @functools.cached_property
-    def det_identity_residual(self) -> float:
-        """Relative residual of det g / F^3 = sum det a_mu / F_mu^3 at one sample."""
+    def det_identity_residual(self) -> float | np.ndarray:
+        """Relative residual of det g / F^3 = sum det a_mu / F_mu^3; a float for one sample."""
         st = self.state
-        lhs = st.det_g / st.F**3
-        return abs(lhs - float(np.sum(st.a_det / st.F_mu**3))) / abs(lhs)
+        lhs = st.det_g / _power(st.F, 3)
+        return _scalar(np.abs(lhs - np.sum(st.a_det / st.F_mu**3, axis=-1)) / np.abs(lhs))
 
 
 def frame_from_state(state: FinslerState) -> Frame2D:
@@ -101,16 +90,17 @@ def frame_from_state(state: FinslerState) -> Frame2D:
     return Frame2D(state=state, m=_perp_down(state.l_up, sqrt_g), m_up=_perp_up(state.l, 1.0 / sqrt_g))
 
 
-def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float:
-    """Oracle for the main scalar Frame2D.I at the sample of fr:
-    (F / 2 det g) m^i d(det g)/dy_i with the fiber derivative by central
+def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float | np.ndarray:
+    """Oracle for the main scalar Frame2D.I at the sample of fr, or at each sample of a
+    batch: (F / 2 det g) m^i d(det g)/dy_i with the fiber derivative by central
     differences of the assembled determinant.
     """
     x, y = fr.state.x, fr.state.y
-    h = FD_STEP * (1.0 + float(np.linalg.norm(y)))
+    h = FD_STEP * (1.0 + np.sqrt(np.vecdot(y, y)))  # the bits of np.linalg.norm of one point
     grad = central_difference(
-        lambda ys: finsler_state(space, TangentSample(np.broadcast_to(x, ys.shape), ys)).det_g, y, h)
-    return float(fr.state.F / (2.0 * fr.state.det_g) * fr.m_up @ grad)
+        lambda v: finsler_state(space, TangentSample(v[:, :2].copy(), v[:, 2:].copy())).det_g, y, h, at=x)
+    scale = np.asarray(fr.state.F / (2.0 * fr.state.det_g))[..., None]
+    return _scalar(np.vecdot(scale * fr.m_up, grad))
 
 
 def _horizontal_derivative(cs: ConnectionState, field: Callable) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +204,8 @@ def invariants_JK_from_state(space: MultiMetricSpace, cs: ConnectionState,
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Coefficient-level residuals of the three structure equations at one sample."""
+    """Coefficient-level residuals of the three structure equations at one sample, or
+    arrays of shape (B,) for a batch."""
 
     I_compact: float
     I_oracle: float
@@ -233,132 +224,149 @@ class StructureReport:
     cross_log_gradient: float
 
 
-def _oneform_roundtrip(cs: ConnectionState, fr: Frame2D, m_dn_m: np.ndarray, m_dn_l: np.ndarray) -> float:
+def _entries(*values) -> np.ndarray:
+    """Per-sample values stacked on a new last axis; a float is the same at every sample."""
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
+
+
+def _oneform_roundtrip(cs: ConnectionState, fr: Frame2D, m_dn_m: np.ndarray, m_dn_l: np.ndarray):
     """Sector coframes expressed in the full coframe and back; residual from identity.
 
     m_dn_m and m_dn_l hold m . dN_mu . m^ and m . dN_mu . l^ per sector; m_k is the
     zweibein covector of sector k.  Covers both the per-sector relations (their
     composition must be the 3x3 identity) and the sector-summed expressions for
-    each full coframe element.
+    each full coframe element.  Over leading batch axes, with one 3x3 product per
+    sample and sector.
     """
     st = cs.state
-    F, F_mu, det_g = st.F, st.F_mu, st.det_g
+    F, F_mu, det_g = np.asarray(st.F), st.F_mu, np.asarray(st.det_g)
     sqrt_det = np.sqrt(st.a_det)
-    l_up_mu = st.y / F_mu[:, None]
+    l_up_mu = st.y[..., None, :] / F_mu[..., None]
     m_mu = _perp_down(l_up_mu, sqrt_det)  # m_k, the zweibein covector of sector k
     mk_dn_mk = _sector_products(m_mu, cs.dN_mu, _perp_up(st.l_mu, 1.0 / sqrt_det))
     mk_dn_lk = _sector_products(m_mu, cs.dN_mu, l_up_mu)
-    mk_dn_m = _sector_products(m_mu, cs.dN_mu, fr.m_up[None])
-    mk_dn_l = _sector_products(m_mu, cs.dN_mu, st.l_up[None])
-    worst = 0.0
-    summed = np.zeros((3, 3))
-    for k in range(len(F_mu)):
-        ratio = np.sqrt(st.a_det[k] / det_g)
-        c1 = (F / F_mu[k]) * ratio
-        c2 = (F / F_mu[k]) ** 2 * ratio
-        a_col = float(fr.cross[:, k].sum())  # sum_nu A[nu, k]
+    mk_dn_m = _sector_products(m_mu, cs.dN_mu, fr.m_up[..., None, :])
+    mk_dn_l = _sector_products(m_mu, cs.dN_mu, st.l_up[..., None, :])
+    F2 = _power(F, 2)
+    worst = []
+    summed = np.zeros(F.shape + (3, 3))
+    for k in range(F_mu.shape[-1]):
+        F_k = F_mu[..., k]
+        ratio = np.sqrt(st.a_det[..., k] / det_g)
+        c1 = (F / F_k) * ratio
+        c2 = _power(F / F_k, 2) * ratio
+        a_col = fr.cross[..., :, k].sum(axis=-1)  # sum_nu A[nu, k]
 
         # rows: sector coframe (w_k^1, w_k^2, w_k^3) in the (w1, w2, w3) basis
-        to_sector = np.array([
-            [c1, 0.0, 0.0],
-            [-a_col, F_mu[k] / F, 0.0],
-            [-c2 * m_dn_m[k] / F, -c2 * m_dn_l[k] / F, c2],
-        ])
+        to_sector = np.stack([
+            _entries(c1, 0.0, 0.0),
+            _entries(-a_col, F_k / F, 0.0),
+            _entries(-c2 * m_dn_m[..., k] / F, -c2 * m_dn_l[..., k] / F, c2),
+        ], axis=-2)
         # rows: full coframe in the sector basis
-        from_sector = np.array([
-            [1.0 / c1, 0.0, 0.0],
-            [a_col / ratio, F / F_mu[k], 0.0],
-            [
-                (F_mu[k] / F**2) / ratio * mk_dn_mk[k],
-                (F_mu[k] / F**2) / ratio * mk_dn_lk[k],
+        from_sector = np.stack([
+            _entries(1.0 / c1, 0.0, 0.0),
+            _entries(a_col / ratio, F / F_k, 0.0),
+            _entries(
+                (F_k / F2) / ratio * mk_dn_mk[..., k],
+                (F_k / F2) / ratio * mk_dn_lk[..., k],
                 1.0 / c2,
-            ],
-        ])
-        worst = max(worst, float(np.max(np.abs(from_sector @ to_sector - np.eye(3)))))
+            ),
+        ], axis=-2)
+        worst.append(np.max(np.abs(from_sector @ to_sector - np.eye(3)), axis=(-2, -1)))
 
-        summed[0] += (F / F_mu[k]) ** 2 * ratio * to_sector[0]
-        summed[1] += to_sector[1]
-        summed[2] += c1 * (
-            to_sector[2]
-            + np.array([mk_dn_m[k] / F_mu[k], mk_dn_l[k] / F_mu[k], 0.0])
+        summed[..., 0, :] += np.asarray(c2)[..., None] * to_sector[..., 0, :]
+        summed[..., 1, :] += to_sector[..., 1, :]
+        summed[..., 2, :] += np.asarray(c1)[..., None] * (
+            to_sector[..., 2, :]
+            + _entries(mk_dn_m[..., k] / F_k, mk_dn_l[..., k] / F_k, 0.0)
         )
-    worst = max(worst, float(np.max(np.abs(summed - np.eye(3)))))
-    return worst
+    worst.append(np.max(np.abs(summed - np.eye(3)), axis=(-2, -1)))
+    return _scalar(np.max(worst, axis=0))
 
 
 def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> StructureReport:
-    """Residuals of the structure-equation coefficients at the sample of cs.
+    """Residuals of the structure-equation coefficients at the sample of cs, or at
+    each sample of a batch (every field then an array of shape (B,)).
 
     J and K are not part of it; they come from invariants_JK_from_state.
     """
     fr = frame_from_state(cs.state)
     st = cs.state
-    F, F_mu, det_g = st.F, st.F_mu, st.det_g
+    F, F_mu, det_g = np.asarray(st.F), st.F_mu, np.asarray(st.det_g)
+    F_c, det_g_c = F[..., None], det_g[..., None]  # against the sector axis
 
     I_c = fr.I
     I_o = invariant_I_oracle(space, fr)
 
-    w3 = (F / F_mu) ** 3 * st.a_det / det_g           # (F/F_mu)^3 det a / det g
-    w2 = F**2 / F_mu**3 * st.a_det / det_g
-    w4 = F**3 / F_mu**4 * st.a_det / det_g
+    w3 = (F_c / F_mu) ** 3 * st.a_det / det_g_c           # (F/F_mu)^3 det a / det g
+    w2 = np.asarray(_power(F, 2))[..., None] / F_mu**3 * st.a_det / det_g_c
+    w4 = np.asarray(_power(F, 3))[..., None] / F_mu**4 * st.a_det / det_g_c
 
-    l_dn_l = _sector_products(st.l[None], cs.dN_mu, st.l_up[None])
-    m_dn_l = _sector_products(fr.m[None], cs.dN_mu, st.l_up[None])
-    m_dn_m = _sector_products(fr.m[None], cs.dN_mu, fr.m_up[None])
-    cross_col = fr.cross.sum(axis=0)  # sum_nu A[nu, mu]
+    l_dn_l = _sector_products(st.l[..., None, :], cs.dN_mu, st.l_up[..., None, :])
+    m_dn_l = _sector_products(fr.m[..., None, :], cs.dN_mu, st.l_up[..., None, :])
+    m_dn_m = _sector_products(fr.m[..., None, :], cs.dN_mu, fr.m_up[..., None, :])
+    cross_col = fr.cross.sum(axis=-2)  # sum_nu A[nu, mu]
 
     eq1_A = -I_c
-    eq1_B = float(w3.sum())
-    eq1_C = float(
-        -0.5 * np.sum(w2 * l_dn_l)
-        + 1.5 * np.sum(w4 * cross_col * m_dn_l)
-        + np.sum(w2 * m_dn_m)
+    eq1_B = w3.sum(axis=-1)
+    eq1_C = (
+        -0.5 * np.sum(w2 * l_dn_l, axis=-1)
+        + 1.5 * np.sum(w4 * cross_col * m_dn_l, axis=-1)
+        + np.sum(w2 * m_dn_m, axis=-1)
     )
-    eq2_A = -float(w3.sum())
-    eq2_C = float(np.sum(w2 * m_dn_l))
-    eq3_B = float(
-        np.sum(w4 * (-0.5 * (F_mu / F) * l_dn_l + 1.5 * cross_col * m_dn_l))
-        + np.sum(w2 * m_dn_m)
+    eq2_A = -eq1_B
+    eq2_C = np.sum(w2 * m_dn_l, axis=-1)
+    eq3_B = (
+        np.sum(w4 * (-0.5 * (F_mu / F_c) * l_dn_l + 1.5 * cross_col * m_dn_l), axis=-1)
+        + np.sum(w2 * m_dn_m, axis=-1)
     )
 
     # matrix-element identities
-    sector_l_dN = float(np.max(np.abs(np.einsum("ki,kij->j", st.l_mu, cs.dN_mu))))
-    sector_m_dN_l = abs(float(np.sum(w3 * m_dn_l)))
+    sector_l_dN = np.max(np.abs(np.einsum("...ki,...kij->...j", st.l_mu, cs.dN_mu)), axis=-1)
+    sector_m_dN_l = np.abs(np.sum(w3 * m_dn_l, axis=-1))
 
-    bracket = np.zeros(space.n_metrics)
+    bracket = []
     for k in range(space.n_metrics):
         vec = (
-            st.l_mu[k] / (2.0 * F)
-            + w3[k] * (1.5 * cross_col[k] / F_mu[k] * fr.m - I_c / F * fr.m - st.l / (2.0 * F))
+            st.l_mu[..., k, :] / (2.0 * F_c)
+            + w3[..., k, None] * (1.5 * cross_col[..., k, None] / F_mu[..., k, None] * fr.m
+                                  - np.asarray(I_c / F)[..., None] * fr.m - st.l / (2.0 * F_c))
         )
-        bracket[k] = float(vec @ cs.G_mu[k])
-    sector_m_dN_m = abs(float(np.sum(w3 * m_dn_m) - bracket.sum()))
+        bracket.append(np.vecdot(vec, cs.G_mu[..., k, :]))
+    sector_m_dN_m = np.abs(np.sum(w3 * m_dn_m, axis=-1) - np.sum(np.stack(bracket, axis=-1), axis=-1))
 
-    an_lhs = float(np.einsum("m,nm,m->", F**3 / F_mu**4 * st.a_det / det_g, fr.cross, m_dn_l))
-    an_dn = _sector_products(st.l / F - st.l_mu / F_mu[:, None], cs.dN_mu, st.l_up[None])
+    an_lhs = np.einsum("...m,...nm,...m->...", w4, fr.cross, m_dn_l)
+    an_dn = _sector_products((st.l / F_c)[..., None, :] - st.l_mu / F_mu[..., None], cs.dN_mu,
+                             st.l_up[..., None, :])
     an_rhs = 0.0
     for k in range(space.n_metrics):
-        an_rhs += w3[k] * an_dn[k]
-    cross_dN = abs(an_lhs - an_rhs)
+        an_rhs += w3[..., k] * an_dn[..., k]
+    cross_dN = np.abs(an_lhs - an_rhs)
 
-    # cross-term/log-gradient relation, FD of log(F / F_mu) for all sectors on the right side
-    def log_ratios(ys):
-        f_mu = sector_norms(np.broadcast_to(st.a_mu, ys.shape[:1] + st.a_mu.shape), ys)
+    # cross-term/log-gradient relation, FD of log(F / F_mu) for all sectors on the right
+    # side; each neighbour carries the sector matrices of its sample
+    a_shape = st.a_mu.shape[-3:]
+
+    def log_ratios(v):
+        a_mu = v[:, :-2].reshape((-1,) + a_shape)
+        f_mu = sector_norms(a_mu, v[:, -2:].copy())
         return np.log(f_mu.sum(axis=-1, keepdims=True) / f_mu)
 
-    hy = FD_STEP * (1.0 + float(np.linalg.norm(st.y)))
-    rhs = central_difference(log_ratios, st.y, hy)  # [i, nu]
-    a_rel = 0.0
+    hy = FD_STEP * (1.0 + np.sqrt(np.vecdot(st.y, st.y)))  # the bits of np.linalg.norm of one point
+    rhs = central_difference(log_ratios, st.y, hy, at=st.a_mu.reshape(st.a_mu.shape[:-3] + (-1,)))  # [..., i, nu]
+    a_rel = []
     for nu in range(space.n_metrics):
-        lhs_vec = (fr.cross[:, nu].sum() / F_mu[nu]) * fr.m
-        a_rel = max(a_rel, float(np.max(np.abs(lhs_vec - rhs[:, nu]))))
+        lhs_vec = (fr.cross[..., :, nu].sum(axis=-1) / F_mu[..., nu])[..., None] * fr.m
+        a_rel.append(np.max(np.abs(lhs_vec - rhs[..., :, nu]), axis=-1))
 
-    return StructureReport(
+    fields = dict(
         I_compact=I_c, I_oracle=I_o,
-        eq1_A_plus_I=abs(eq1_A + I_o), eq1_B_minus_1=abs(eq1_B - 1.0), eq1_C=abs(eq1_C),
-        eq2_A_plus_1=abs(eq2_A + 1.0), eq2_C=abs(eq2_C),
-        eq3_B=abs(eq3_B),
+        eq1_A_plus_I=np.abs(eq1_A + I_o), eq1_B_minus_1=np.abs(eq1_B - 1.0), eq1_C=np.abs(eq1_C),
+        eq2_A_plus_1=np.abs(eq2_A + 1.0), eq2_C=np.abs(eq2_C),
+        eq3_B=np.abs(eq3_B),
         oneform_roundtrip=_oneform_roundtrip(cs, fr, m_dn_m, m_dn_l),
         sector_l_dN=sector_l_dN, sector_m_dN_l=sector_m_dN_l, sector_m_dN_m=sector_m_dN_m,
-        cross_dN_identity=cross_dN, cross_log_gradient=a_rel,
+        cross_dN_identity=cross_dN, cross_log_gradient=np.max(a_rel, axis=0),
     )
+    return StructureReport(**{k: _scalar(v) for k, v in fields.items()})

@@ -156,6 +156,19 @@ def rows_or_first_error(f, rows: np.ndarray) -> np.ndarray:
         return np.concatenate([f(rows[k:k + 1]) for k in range(len(rows))])
 
 
+def _power(a, p):
+    """a ** p as one sample takes it on a float.  numpy's array power rounds a few
+    per cent of values differently, so a batch takes it value by value."""
+    if np.ndim(a) == 0:
+        return float(a) ** p
+    return np.array([v ** p for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _scalar(a):
+    """A float for one sample, the array for a batch."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def require_2d(dim: int):
     if dim != 2:
         raise ValueError(f"this operation is defined for 2D spaces only, got dimension {dim}")

@@ -19,6 +19,7 @@ from scipy import integrate
 from .finsler import (
     MultiMetricSpace,
     TangentSample,
+    _power,
     fd_fundamental_tensor,
     finsler_state,
     require_2d,
@@ -167,7 +168,8 @@ class MeasureReport:
 
 def _norm_on_circle(a_mu: np.ndarray, theta: float) -> float:
     # Not finsler.sector_norms: its einsum rounds differently from y @ a @ y,
-    # which moves the stored indicatrix-reduction residuals by ~1e-17.
+    # which moves the stored indicatrix-reduction residuals by ~1e-17.  The
+    # circle oracle takes the same products at all its nodes at once.
     y = np.array([math.cos(theta), math.sin(theta)])
     return float(sum(math.sqrt(float(y @ a @ y)) for a in a_mu))
 
@@ -231,7 +233,10 @@ def holmes_thompson_circle_oracle(space: MultiMetricSpace, x) -> float:
     m = 512
     thetas = np.arange(m) * (2.0 * math.pi / m)
     y = np.array([[math.cos(th), math.sin(th)] for th in thetas])
-    f2 = np.array([_norm_on_circle(a_mu, th) ** 2 for th in thetas])
+    f = 0.0
+    for a in a_mu:  # the sectors in order, as _norm_on_circle sums them
+        f = f + np.sqrt(np.vecdot(np.vecmat(y, a), y))
+    f2 = _power(f, 2)
     vals = np.linalg.det(fd_fundamental_tensor(space, x, y)) / f2
     return float(vals.mean())  # (1/pi) * (1/2) * integral = mean over the circle
 

@@ -32,6 +32,7 @@ from .finsler import (
     finsler_norm,
     finsler_state,
     riemannian_detect,
+    rows_or_first_error,
 )
 from .geodesic import action_of_path, integrate_geodesic
 from .measure import (
@@ -80,8 +81,9 @@ def _check(name, residual, tol_class, samples, tol_scale, tol=None, info=None) -
     )
 
 
-def draw_samples(cfg: SpaceConfig, rng: np.random.Generator, count: int) -> list[TangentSample]:
-    """x uniform in the configured box, y uniform on the unit sphere."""
+def draw_samples(cfg: SpaceConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Rows [x | y] of shape (count, 2n): x uniform in the configured box, y uniform
+    on the unit sphere."""
     lo = np.array([b[0] for b in cfg.sampling.box])
     hi = np.array([b[1] for b in cfg.sampling.box])
     out = []
@@ -89,111 +91,144 @@ def draw_samples(cfg: SpaceConfig, rng: np.random.Generator, count: int) -> list
         x = lo + (hi - lo) * rng.random(cfg.dimension)
         y = rng.normal(size=cfg.dimension)
         y /= np.linalg.norm(y)
-        out.append(TangentSample(x, y))
-    return out
+        out.append(np.concatenate([x, y]))
+    return np.array(out)
+
+
+def _split(space: MultiMetricSpace, v: np.ndarray) -> TangentSample:
+    return TangentSample(v[:, :space.dim].copy(), v[:, space.dim:].copy())
+
+
+# (check, tolerance class, tolerance or None for the class's), one column each of the
+# per-sample residual rows; the 2D-only checks follow in a 2D space
+POINTWISE_CHECKS = (
+    ("norm-homogeneity", "analytic", None),
+    ("euler-contractions", "analytic", 1e-8),
+    ("horizontal-norm-compatibility", "analytic", 1e-8),
+)
+POINTWISE_2D_CHECKS = (
+    ("determinant-identity", "analytic", None),
+    ("frame-orthonormality", "analytic", 1e-8),
+    ("cartan-frame-factorization", "analytic", 1e-8),
+)
+FD_CHECKS = (
+    ("fundamental-tensor-vs-hessian-oracle", "fd", None),
+    ("spray-factorized-vs-variational", "fd", None),
+    ("nonlinear-connection-vs-spray-derivative", "fd", 1e-5),
+)
+FD_2D_CHECKS = (
+    ("cross-term-dN-identity", "analytic", 1e-6),
+    ("oneform-roundtrip", "analytic", 1e-6),
+    ("sector-weighted-dN-l-contraction", "analytic", 1e-6),
+    ("sector-weighted-dN-ml", "analytic", 1e-6),
+    ("sector-weighted-dN-mm", "analytic", 1e-6),
+    ("structure-eq1-coefficients", "analytic", 1e-6),
+    ("structure-eq2-coefficients", "analytic", 1e-6),
+    ("structure-eq3-B-coefficient", "analytic", 1e-6),
+    ("cross-term-log-gradient", "fd", 1e-7),
+    ("invariant-I-compact-vs-oracle", "fd", None),
+    ("landsberg-scalar-vs-directional-derivative", "nested-fd", 1e-5),
+)
+
+
+def pointwise_residuals(space: MultiMetricSpace, v: np.ndarray) -> np.ndarray:
+    """Per-sample residuals (B, k) of the pointwise checks at the rows v = [x | y]
+    (B, 2n), one column per entry of POINTWISE_CHECKS, then of POINTWISE_2D_CHECKS
+    in 2D.  Each row is the value that row gives alone, bit for bit."""
+    s = _split(space, v)
+    cs = connection_state(space, s)
+    st = cs.state
+    hom = []
+    for lam in (0.5, 2.0):
+        f2, _ = finsler_norm(space, TangentSample(s.x, lam * s.y))
+        hom.append(np.abs(f2 - lam * st.F) / st.F)
+    columns = [
+        np.max(hom, axis=0),
+        np.max([np.abs(np.vecdot(st.l, st.l_up) - 1.0),
+                np.max(np.abs(np.matvec(st.h, s.y)), axis=-1),
+                np.max(np.abs(np.einsum("...ijk,...k->...ij", st.C, s.y)), axis=(-2, -1))], axis=0),
+        horizontal_compatibility_residual(space, cs),
+    ]
+    if space.dim == 2:
+        fr = frame_from_state(st)
+        m = fr.m
+        columns += [
+            fr.det_identity_residual,
+            np.max([np.abs(np.vecdot(m, fr.m_up) - 1.0), np.abs(np.vecdot(st.l_up, m)),
+                    np.max(np.abs(st.h - m[:, :, None] * m[:, None, :]), axis=(-2, -1))], axis=0),
+            np.max(np.abs(st.F[:, None, None, None] * st.C
+                          - fr.I[:, None, None, None] * np.einsum("...i,...j,...k->...ijk", m, m, m)),
+                   axis=(-3, -2, -1)),
+        ]
+    return np.stack(columns, axis=-1)
+
+
+def fd_residuals(space: MultiMetricSpace, v: np.ndarray) -> np.ndarray:
+    """Per-sample residuals (B, k) of the FD-oracle checks at the rows v = [x | y]
+    (B, 2n), one column per entry of FD_CHECKS, then in 2D of FD_2D_CHECKS, and last
+    the largest component of the Cartan tensor.  Each row is the value that row
+    gives alone, bit for bit; for a batch of one the oracles run in the order of a
+    single sample's checks."""
+    s = _split(space, v)
+    cs = connection_state(space, s)
+    st = cs.state
+    # one x per call of the Hessian oracle, and the long-double spray oracle per sample
+    gh, gv = [], []
+    for x, y in zip(s.x, s.y):
+        gh.append(fd_fundamental_tensor(space, x, y))
+        gv.append(variational_spray(space, TangentSample(x, y)))
+    g_abs = np.max(np.abs(st.g), axis=(-2, -1))
+    G_abs = np.max(np.abs(cs.G), axis=-1)
+    nf = nonlinear_connection_fd(space, s)
+    columns = [
+        np.max(np.abs(st.g - np.array(gh)), axis=(-2, -1)) / g_abs,
+        np.max(np.abs(cs.G - np.array(gv)), axis=-1) / (1.0 + G_abs),
+        np.max(np.abs(cs.N - nf), axis=(-2, -1)),
+    ]
+    if space.dim == 2:
+        r = cartan_structure_residuals(space, cs)
+        gauss = np.array([[gauss_curvature(m, x) for m in space.metrics] for x in s.x])
+        j_val, _ = invariants_JK_from_state(space, cs, gauss)
+
+        def i_field(xs, ys):
+            return frame_from_state(finsler_state(space, TangentSample(xs, ys))).I
+
+        _, e2_i, _ = frame_derivatives(cs, i_field)
+        columns += [
+            r.cross_dN_identity, r.oneform_roundtrip, r.sector_l_dN, r.sector_m_dN_l, r.sector_m_dN_m,
+            np.max([r.eq1_A_plus_I, r.eq1_B_minus_1, r.eq1_C], axis=0),
+            np.max([r.eq2_A_plus_1, r.eq2_C], axis=0),
+            r.eq3_B,
+            r.cross_log_gradient,
+            np.abs(r.I_compact - r.I_oracle),
+            np.abs(j_val - e2_i) / (1.0 + np.abs(j_val)),
+        ]
+    columns.append(np.max(np.abs(st.C), axis=(-3, -2, -1)))
+    return np.stack(columns, axis=-1)
+
+
+def _checks(table, residuals, samples, tol_scale) -> list[CheckResult]:
+    return [_check(name, r, tol_class, samples, tol_scale, tol=tol)
+            for (name, tol_class, tol), r in zip(table, residuals)]
 
 
 def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) -> list[CheckResult]:
     n_full = cfg.sampling.count
     n_fd = min(cfg.sampling.count, 40)
-    samples = draw_samples(cfg, rng, n_full)
-    out = []
+    is2d = space.dim == 2
 
-    hom = det_id = euler = frame_res = cartan_fact = 0.0
-    struct = {
-        "structure-eq1-coefficients": 0.0,
-        "structure-eq2-coefficients": 0.0,
-        "structure-eq3-B-coefficient": 0.0,
-        "oneform-roundtrip": 0.0,
-        "sector-weighted-dN-l-contraction": 0.0,
-        "sector-weighted-dN-ml": 0.0,
-        "sector-weighted-dN-mm": 0.0,
-        "cross-term-dN-identity": 0.0,
-    }
-    a_rel = 0.0
-    delta_f = 0.0
-    for s in samples:
-        cs = connection_state(space, s)
-        st = cs.state
-        for lam in (0.5, 2.0):
-            f2, _ = finsler_norm(space, TangentSample(s.x, lam * s.y))
-            hom = max(hom, abs(f2 - lam * st.F) / st.F)
-        euler = max(
-            euler,
-            abs(st.l @ st.l_up - 1.0),
-            float(np.max(np.abs(st.h @ s.y))),
-            float(np.max(np.abs(np.einsum("ijk,k->ij", st.C, s.y)))),
-        )
-        delta_f = max(delta_f, horizontal_compatibility_residual(space, cs))
-        if space.dim == 2:
-            fr = frame_from_state(st)
-            det_id = max(det_id, fr.det_identity_residual)
-            frame_res = max(
-                frame_res,
-                abs(fr.m @ fr.m_up - 1.0),
-                abs(st.l_up @ fr.m),
-                float(np.max(np.abs(st.h - np.outer(fr.m, fr.m)))),
-            )
-            cartan_fact = max(
-                cartan_fact,
-                float(np.max(np.abs(st.F * st.C - fr.I * np.einsum("i,j,k->ijk", fr.m, fr.m, fr.m)))),
-            )
-    out.append(_check("norm-homogeneity", hom, "analytic", n_full, tol_scale))
-    out.append(_check("euler-contractions", euler, "analytic", n_full, tol_scale, tol=1e-8))
-    out.append(_check("horizontal-norm-compatibility", delta_f, "analytic", n_full, tol_scale, tol=1e-8))
-    if space.dim == 2:
-        out.append(_check("determinant-identity", det_id, "analytic", n_full, tol_scale))
-        out.append(_check("frame-orthonormality", frame_res, "analytic", n_full, tol_scale, tol=1e-8))
-        out.append(_check("cartan-frame-factorization", cartan_fact, "analytic", n_full, tol_scale, tol=1e-8))
+    # one batch per stage; a batch that raises a per-sample error is evaluated again
+    # one sample at a time, so the first failing sample raises its own error
+    worst = np.max(rows_or_first_error(lambda v: pointwise_residuals(space, v), draw_samples(cfg, rng, n_full)),
+                   axis=0)
+    out = _checks(POINTWISE_CHECKS + (POINTWISE_2D_CHECKS if is2d else ()), worst, n_full, tol_scale)
 
     fd_samples = draw_samples(cfg, rng, n_fd)
-    g_fd = spray_fd = n_fd_res = c_max = 0.0
-    i_modes = j_res = 0.0
-    for s in fd_samples:
-        cs = connection_state(space, s)
-        st = cs.state
-        gh = fd_fundamental_tensor(space, s.x, s.y)
-        g_fd = max(g_fd, float(np.max(np.abs(st.g - gh)) / np.max(np.abs(st.g))))
-        c_max = max(c_max, float(np.max(np.abs(st.C))))
-        gv = variational_spray(space, s)
-        spray_fd = max(spray_fd, float(np.max(np.abs(cs.G - gv)) / (1.0 + np.max(np.abs(cs.G)))))
-        nf = nonlinear_connection_fd(space, s)
-        n_fd_res = max(n_fd_res, float(np.max(np.abs(cs.N - nf))))
-        if space.dim == 2:
-            r = cartan_structure_residuals(space, cs)
-            gauss = [gauss_curvature(m, s.x) for m in space.metrics]
-            j_val, _ = invariants_JK_from_state(space, cs, gauss)
-            struct["structure-eq1-coefficients"] = max(
-                struct["structure-eq1-coefficients"], r.eq1_A_plus_I, r.eq1_B_minus_1, r.eq1_C)
-            struct["structure-eq2-coefficients"] = max(
-                struct["structure-eq2-coefficients"], r.eq2_A_plus_1, r.eq2_C)
-            struct["structure-eq3-B-coefficient"] = max(struct["structure-eq3-B-coefficient"], r.eq3_B)
-            struct["oneform-roundtrip"] = max(struct["oneform-roundtrip"], r.oneform_roundtrip)
-            struct["sector-weighted-dN-l-contraction"] = max(
-                struct["sector-weighted-dN-l-contraction"], r.sector_l_dN)
-            struct["sector-weighted-dN-ml"] = max(struct["sector-weighted-dN-ml"], r.sector_m_dN_l)
-            struct["sector-weighted-dN-mm"] = max(struct["sector-weighted-dN-mm"], r.sector_m_dN_m)
-            struct["cross-term-dN-identity"] = max(struct["cross-term-dN-identity"], r.cross_dN_identity)
-            a_rel = max(a_rel, r.cross_log_gradient)
-            i_modes = max(i_modes, abs(r.I_compact - r.I_oracle))
-
-            def i_field(xs, ys):
-                return frame_from_state(finsler_state(space, TangentSample(xs, ys))).I
-
-            _, e2_i, _ = frame_derivatives(cs, i_field)
-            j_res = max(j_res, abs(j_val - e2_i) / (1.0 + abs(j_val)))
-
-    out.append(_check("fundamental-tensor-vs-hessian-oracle", g_fd, "fd", n_fd, tol_scale))
-    out.append(_check("spray-factorized-vs-variational", spray_fd, "fd", n_fd, tol_scale))
-    out.append(_check("nonlinear-connection-vs-spray-derivative", n_fd_res, "fd", n_fd, tol_scale, tol=1e-5))
-    if space.dim == 2:
-        for name, val in sorted(struct.items()):
-            out.append(_check(name, val, "analytic", n_fd, tol_scale, tol=1e-6))
-        out.append(_check("cross-term-log-gradient", a_rel, "fd", n_fd, tol_scale, tol=1e-7))
-        out.append(_check("invariant-I-compact-vs-oracle", i_modes, "fd", n_fd, tol_scale))
-        out.append(_check("landsberg-scalar-vs-directional-derivative", j_res, "nested-fd", n_fd, tol_scale, tol=1e-5))
-
-        verdict = riemannian_detect(space, [s.x for s in fd_samples])
+    worst = np.max(rows_or_first_error(lambda v: fd_residuals(space, v), fd_samples), axis=0)
+    out += _checks(FD_CHECKS + (FD_2D_CHECKS if is2d else ()), worst[:-1], n_fd, tol_scale)
+    if is2d:
+        c_max = float(worst[-1])
+        verdict = riemannian_detect(space, fd_samples[:, :space.dim].copy())
         consistent = (c_max <= 1e-10) == verdict.riemannian
         out.append(_check(
             "riemannian-detection-vs-cartan", 0.0 if consistent else 1.0,
@@ -210,7 +245,7 @@ def _measure_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) -
                  abs(complete_elliptic_e(1.0) - 1.0))
     out.append(_check("elliptic-endpoint-anchors", anchor, "analytic", 3, tol_scale, tol=1e-14))
 
-    pts = [cfg.box_center()] + [s.x for s in draw_samples(cfg, rng, 3)]
+    pts = [cfg.box_center(), *draw_samples(cfg, rng, 3)[:, :cfg.dimension].copy()]
     ht = bh = ind = 0.0
     positive = True
     for x in pts:

@@ -4,32 +4,42 @@ The spaces include near-proportional pencils and metrics whose eigenvalue
 ratio straddles the SPD threshold, so some batches carry failing rows.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from multifinsler.connection import connection_state
-from multifinsler.dim2 import frame_from_state, invariants_JK_from_state
+from multifinsler.config import load_config
+from multifinsler.connection import connection_state, horizontal_compatibility_residual, nonlinear_connection_fd
+from multifinsler.dim2 import cartan_structure_residuals, frame_from_state, invariants_JK_from_state
 from multifinsler.finsler import (
     SAMPLE_ERRORS,
     TangentSample,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
+    rows_or_first_error,
     sector_norms,
 )
+from multifinsler.suites import fd_residuals, pointwise_residuals
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError, gauss_curvature
 
 from conftest import field, space_of
 
+REPO = Path(__file__).resolve().parent.parent
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 STATE_FIELDS = ("x", "y", "F", "F_mu", "l", "l_up", "l_mu", "h", "h_mu", "g", "det_g",
                 "a_mu", "a_inv", "a_det", "g_inv", "C")
 CONNECTION_FIELDS = ("G", "G_mu", "N_mu", "gamma_mu", "P", "b")
-FRAME_FIELDS = ("m", "m_up", "cross", "I")
+FRAME_FIELDS = ("m", "m_up", "cross", "I", "det_identity_residual")
+STRUCTURE_FIELDS = ("I_compact", "I_oracle", "eq1_A_plus_I", "eq1_B_minus_1", "eq1_C", "eq2_A_plus_1",
+                    "eq2_C", "eq3_B", "oneform_roundtrip", "sector_l_dN", "sector_m_dN_l", "sector_m_dN_m",
+                    "cross_dN_identity", "cross_log_gradient")
 
 
 def num(lo, hi):
@@ -61,9 +71,9 @@ def field_of(name, const, lin) -> MetricField:
 
 
 @st.composite
-def spaces(draw):
+def spaces(draw, counts=st.integers(1, 3)):
     kind = draw(st.sampled_from(["generic", "pencil", "boundary"]))
-    count = draw(st.integers(1, 3))
+    count = draw(counts)
     if kind == "generic":
         fields = [field_of(f"m{k}", draw(constant_spd()), draw(linear_parts())) for k in range(count)]
     elif kind == "pencil":
@@ -190,6 +200,52 @@ def test_frame_and_invariants_rows_equal_single_samples(space, batch):
     assert all(isinstance(v, float) for jk in solo for v in jk)
     for r, jk in enumerate(solo):
         assert np.array_equal([batched[0][r], batched[1][r]], jk)
+
+
+@pytest.mark.parametrize("n_metrics", [1, 2, 3])  # one 2D sector takes its own sector_norms path
+@settings(SETTINGS, max_examples=25)
+@given(data=st.data())
+def test_identity_residual_rows_equal_single_samples(n_metrics, data):
+    """The identities suite's residual rows: each row of a batch is the row of that sample
+    alone, and the row-order fallback raises the first failing sample's error."""
+    space, (x, y) = data.draw(spaces(st.just(n_metrics))), data.draw(batches())
+    v = np.concatenate([x, y], axis=1)
+    for fn in (pointwise_residuals, fd_residuals):
+        solo = [outcome(fn, space, v[r:r + 1]) for r in range(len(v))]
+        batched = outcome(rows_or_first_error, lambda rows: fn(space, rows), v)
+        failed = [o for o in solo if isinstance(o, Exception)]
+        if failed:
+            assert same_error(batched, failed[0]), fn.__name__
+            return
+        assert np.array_equal(batched, np.concatenate(solo), equal_nan=True), fn.__name__
+
+    # the batched routes against one sample at a time, as the suite used to call them
+    cs = connection_state(space, TangentSample(x, y))
+    report = cartan_structure_residuals(space, cs)
+    n_fd = nonlinear_connection_fd(space, TangentSample(x, y))
+    delta_f = horizontal_compatibility_residual(space, cs)
+    for r in range(len(x)):
+        s = TangentSample(x[r], y[r])
+        single = connection_state(space, s)
+        structure = cartan_structure_residuals(space, single)
+        for name in STRUCTURE_FIELDS:
+            assert isinstance(getattr(structure, name), float), name
+            assert np.array_equal(getattr(report, name)[r], getattr(structure, name), equal_nan=True), name
+        assert np.array_equal(n_fd[r], nonlinear_connection_fd(space, s), equal_nan=True)
+        assert np.array_equal(delta_f[r], horizontal_compatibility_residual(space, single), equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric", "bimetric3d"])
+def test_identity_residual_rows_match_recorded_values(name):
+    # tests/data/identity-residual-rows.json holds per-sample residuals at rows [x | y] (y off
+    # the unit sphere) as the identities suite computed them one sample at a time; its reports
+    # keep only maxima, which could hide a drift in one row
+    path = REPO / ("tests/data" if name == "bimetric3d" else "configs") / f"{name}.json"
+    space = load_config(path).build_space()
+    recorded = json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())[name]
+    v = np.array(recorded["rows"])
+    assert pointwise_residuals(space, v).tolist() == recorded["pointwise"]
+    assert fd_residuals(space, v[:len(recorded["fd"])]).tolist() == recorded["fd"]
 
 
 @SETTINGS

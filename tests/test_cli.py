@@ -39,6 +39,20 @@ SAMPLE_ERRORS = {
 }
 
 
+# (beta, box, seed, stderr of `check --suite identities` on 10 samples) for spaces where
+# a later sample fails, recorded while the suite took its samples one at a time
+CHECK_ERRORS = {
+    # the seventh pointwise sample, x2 > 1, leaves the SPD region of beta
+    "spd": ([["4", "0"], ["0", "1 - x2"]], [[-1, 1], [-1, 1.5]], 2,
+            "error: NotPositiveDefiniteError: metric 'beta' is not positive definite at "
+            "x=[-0.36370679876925127, 1.3105422412670604] (eigenvalues [-0.3105422412670604, 4.0])\n"),
+    # the second FD sample has x1 = 2.3e-5, so the x-stencil of its variational spray takes
+    # log(x1) at x1 < 0; the ninth FD sample, where beta is not SPD, comes later
+    "log": ([["4", "0"], ["0", "1.8 + x1*log(x1) - x2"]], [[2e-6, 1e-3], [-1, 2]], 64,
+            "error: EvalDomainError: log of a non-positive value in 'log(x1)'\n"),
+}
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     p = tmp_path / "space.json"
@@ -356,6 +370,67 @@ class TestCli:
                      "--out", str(tmp_path / "grid.csv")]) == 1
         assert capsys.readouterr().err == stderr
 
+    @pytest.mark.parametrize("name", sorted(CHECK_ERRORS))
+    def test_check_raises_the_error_of_its_first_failing_sample(self, name, tmp_path, capsys):
+        beta, box, seed, stderr = CHECK_ERRORS[name]
+        cfg = {**BIMETRIC, "metrics": [BIMETRIC["metrics"][0], {"name": "beta", "components": beta}],
+               "sampling": {"seed": seed, "count": 10, "box": box}}
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["check", "--config", str(p), "--suite", "identities",
+                     "--out", str(tmp_path / "report.json")]) == 1
+        assert capsys.readouterr().err == stderr
+
+    def test_identity_suite_makes_one_batch_per_stage(self, tmp_path, monkeypatch):
+        import multifinsler.suites as suites
+
+        calls = count_calls(monkeypatch, suites, "connection_state")
+        p, out = tmp_path / "space.json", tmp_path / "report.json"
+        for count in (1, 7, 60):
+            calls[0] = 0
+            p.write_text(json.dumps({**BIMETRIC, "sampling": {**BIMETRIC["sampling"], "count": count}}))
+            assert main(["check", "--config", str(p), "--suite", "identities", "--out", str(out)]) == 0
+            # the pointwise samples, then the FD samples
+            assert calls[0] == 2
+
+    def test_a_non_finite_residual_fails_its_check(self, config_path, tmp_path, monkeypatch):
+        import multifinsler.suites as suites
+
+        # the third sample's residual is NaN, whether the route takes one sample or a batch
+        original, seen = suites.horizontal_compatibility_residual, [0]
+
+        def poisoned(space, cs):
+            values = np.array(original(space, cs), dtype=float)
+            flat = values.reshape(-1)
+            if 0 <= 2 - seen[0] < flat.size:
+                flat[2 - seen[0]] = np.nan
+            seen[0] += flat.size
+            return values if values.ndim else float(values)
+
+        monkeypatch.setattr(suites, "horizontal_compatibility_residual", poisoned)
+        out = tmp_path / "report.json"
+        assert main(["check", "--config", config_path, "--suite", "identities", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        check = next(c for c in report["checks"] if c["check"] == "horizontal-norm-compatibility")
+        assert check["residual"] == "non-finite" and check["pass"] is False
+        assert report["passed"] is False
+
+    def test_each_call_parses_its_own_arguments(self, config_path, tmp_path):
+        import multifinsler.cli as cli
+
+        assert cli.build_parser() is cli.build_parser()  # built once per process
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["check", "--config", config_path, "--suite", "identities", "--seed", "7",
+                     "--tol-scale", "10", "--out", str(first)]) == 0
+        assert main(["validate", "--config", config_path, "--out", str(second)]) == 0
+        assert json.loads(second.read_text())["valid"] is True
+        assert main(["check", "--config", config_path, "--suite", "identities", "--out", str(second)]) == 0
+        r1, r2 = json.loads(first.read_text()), json.loads(second.read_text())
+        assert (r1["seed"], r1["tolerance_scale"]) == (7, 10.0)
+        assert (r2["seed"], r2["tolerance_scale"]) == (42, 1.0)
+        args = cli.build_parser().parse_args(["sample", "--config", config_path])
+        assert (args.grid, args.directions) == (8, 16) and not hasattr(args, "seed")
+
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
     def test_tol_scale_must_be_finite_and_positive(self, config_path, scale, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -440,6 +515,25 @@ def test_identity_reports_match_stored_references(name, suite, tmp_path):
                  "--suite", suite, "--out", str(out)]) == 0
     reference = REPO / "perfbench" / "reference" / f"check-{name}-{suite}.json"
     assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_identity_reports_at_other_seeds_match_stored_bytes(name, seed, tmp_path):
+    """check --suite identities --seed 1 and 7, byte for byte as the suite wrote them
+    when it took its samples one at a time."""
+    out = tmp_path / "report.json"
+    assert main(["check", "--config", str(REPO / "configs" / f"{name}.json"), "--suite", "identities",
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "data" / f"check-{name}-identities-seed{seed}.json").read_bytes()
+
+
+def test_identity_report_in_3d_matches_stored_bytes(tmp_path):
+    """check --suite identities on a 3D bimetric config, where the 2D-only checks are left out."""
+    out = tmp_path / "report.json"
+    assert main(["check", "--config", str(REPO / "tests" / "data" / "bimetric3d.json"),
+                 "--suite", "identities", "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "data" / "check-bimetric3d-identities.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])

@@ -226,6 +226,29 @@ class TestHolmesThompson:
         holmes_thompson_circle_oracle(sp, [0.4, -0.2])
         assert calls[0] == n_metrics
 
+    @pytest.mark.parametrize("n_metrics", [1, 2, 3])
+    def test_circle_oracle_squares_the_scalar_norms(self, monkeypatch, n_metrics):
+        # one pass per sector over the 512 nodes gives _norm_on_circle's bits, squared as floats
+        sp = space_of(*[
+            field("alpha", [["1+x2^2", "0.2*x1"], ["0.2*x1", "1"]]),
+            field("beta", [["4", "0"], ["0", "1+x1^2"]]),
+            field("gamma", [["2+x2^2", "0.3"], ["0.3", "3"]]),
+        ][:n_metrics])
+        original, squares = measure._power, []
+
+        def recorded(a, p):
+            squares.append(original(a, p))
+            return squares[-1]
+
+        monkeypatch.setattr(measure, "_power", recorded)
+        thetas = np.arange(512) * (2.0 * math.pi / 512)
+        for x in ([0.4, -0.2], [-0.7, 0.9], [0.05, 0.6]):
+            squares.clear()
+            holmes_thompson_circle_oracle(sp, x)
+            a_mu = sp.metric_values(np.array(x))[0]
+            assert len(squares) == 1
+            assert np.array_equal(squares[0], [measure._norm_on_circle(a_mu, th) ** 2 for th in thetas])
+
     def test_circle_oracle_makes_one_fd_hessian_call(self, monkeypatch, tri_space):
         calls = count_calls(monkeypatch, measure, "fd_fundamental_tensor")
         holmes_thompson_circle_oracle(tri_space, [0.4, -0.2])
