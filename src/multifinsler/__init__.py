@@ -30,7 +30,6 @@ from .expr import (
     ScalarExpr,
     UnknownIdentifierError,
     differentiate,
-    evaluate,
     parse_expression,
 )
 from .finsler import (

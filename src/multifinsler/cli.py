@@ -18,11 +18,10 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .connection import connection_state
-from .dim2 import frame_from_state, invariants_JK_from_state
-from .finsler import SAMPLE_ERRORS, TangentSample, finsler_state
+from .dim2 import frame_from_state, invariants_JK
+from .finsler import TangentSample, finsler_state, rows_or_first_error
 from .geodesic import action_of_path, integrate_geodesic, path_to_csv, write_csv
 from .measure import busemann_hausdorff, holmes_thompson, holmes_thompson_disc_oracle
-from .riemann import gauss_curvature
 from .suites import run_suite
 
 
@@ -207,28 +206,19 @@ def _cmd_sample(args) -> int:
     mesh = np.meshgrid(*grid, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
-    def gauss_at(x):
-        return [gauss_curvature(m, x) for m in space.metrics] if is2d else None
-
-    def values(x, y, gauss):
-        """F, det_g and, in 2D, I, J and K at the samples (x, y), one row each."""
+    def values(v):
+        """F, det_g and, in 2D, I, J and K at the rows v = [x | y], one row each."""
+        s = TangentSample(v[:, :cfg.dimension].copy(), v[:, cfg.dimension:].copy())
         if not is2d:
-            st = finsler_state(space, TangentSample(x, y))
+            st = finsler_state(space, s)
             return np.stack([st.F, st.det_g], axis=-1)
-        cs = connection_state(space, TangentSample(x, y))
-        st = cs.state
-        return np.stack([st.F, st.det_g, frame_from_state(st).I,
-                         *invariants_JK_from_state(space, cs, gauss)], axis=-1)
+        cs = connection_state(space, s)
+        return np.stack([cs.state.F, cs.state.det_g, frame_from_state(cs.state).I,
+                         *invariants_JK(space, cs)], axis=-1)
 
-    try:
-        gauss = np.repeat([gauss_at(x) for x in points], len(thetas), axis=0) if is2d else None
-        table = values(np.repeat(points, len(thetas), axis=0), np.tile(directions, (len(points), 1)), gauss)
-    except SAMPLE_ERRORS:
-        # one sample at a time, in row order, so the first failing sample raises its own error
-        table = []
-        for x in points:
-            gauss = gauss_at(x)
-            table += [values(x, y, gauss) for y in directions]
+    # one batch; if it raises a per-sample error, the first failing row raises its own
+    xy = np.concatenate([np.repeat(points, len(thetas), axis=0), np.tile(directions, (len(points), 1))], axis=1)
+    table = rows_or_first_error(values, xy)
     samples = [(x, th) for x in points for th in thetas]
     rows = [[*x, th, *v] for (x, th), v in zip(samples, table)]
     write_csv(header, rows, args.out)

@@ -233,8 +233,14 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample) -> np.ndar
     x, y = sample.x, sample.y
     n = space.dim
 
+    sectors = {}  # the sector matrices at each distinct stencil x, in long double
+
     def f2(xx, yy) -> np.longdouble:
-        a = np.stack([m.value(xx) for m in space.metrics]).astype(np.longdouble)
+        # keyed on the values and the signs of zero: the padding bytes of a long double vary
+        key = (tuple(xx.tolist()), tuple(np.signbit(xx).tolist()))
+        if key not in sectors:
+            sectors[key] = np.stack([m.value(xx) for m in space.metrics]).astype(np.longdouble)
+        a = sectors[key]
         s = sector_norms(a, yy).sum()
         return s * s
 

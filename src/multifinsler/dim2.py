@@ -19,6 +19,7 @@ from .finsler import (
     FinslerState,
     MultiMetricSpace,
     TangentSample,
+    _distinct_points,
     _power,
     _scalar,
     finsler_state,
@@ -131,34 +132,26 @@ def frame_derivatives(cs: ConnectionState, field: Callable) -> tuple:
             _contract(np.asarray(st.F)[..., None] * fr.m_up, dy))
 
 
-def invariants_JK(space: MultiMetricSpace, sample: TangentSample) -> tuple[float, float]:
-    """Landsberg scalar J and the curvature scalar K of the third structure equation.
+def invariants_JK(space: MultiMetricSpace, cs: ConnectionState) -> tuple:
+    """Landsberg scalar J and the curvature scalar K of the third structure equation
+    at the sample of cs, or at each sample of a batch.
 
     J comes from the omega^1 wedge omega^3 coefficient; K combines the sector
     Gauss curvatures with frame-derivative corrections.  For a single metric,
-    K reduces to the Gauss curvature.
+    K reduces to the Gauss curvature.  The Gauss curvatures are evaluated once
+    per distinct x of the batch, before the 8 neighbours of every sample; one
+    array-valued field on those neighbours gives the frame derivatives of all
+    sectors and the fiber derivative of N, so J and K take one batched
+    connection state for any number of metrics and samples.  Floats for one
+    sample, arrays of shape (...) for a batch.
     """
     require_2d(space.dim)
-    cs = connection_state(space, sample)
-    return invariants_JK_from_state(space, cs, [gauss_curvature(m, cs.state.x) for m in space.metrics])
-
-
-def invariants_JK_from_state(space: MultiMetricSpace, cs: ConnectionState,
-                             gauss) -> tuple:
-    """J and K (see invariants_JK) at the sample of cs, or at each sample of a batch.
-
-    gauss holds the sector Gauss curvatures at each sample's x, (..., N), which
-    callers evaluating many fiber directions at one x compute once.  The frame
-    derivatives of all sectors and the fiber derivative of N come from one
-    array-valued field on the 8 neighbours of every sample, so J and K take one
-    batched connection state for any number of metrics and samples.  Floats
-    for one sample, arrays of shape (...) for a batch.
-    """
+    points, spread = _distinct_points(cs.state.x)
+    gauss = spread(np.array([[gauss_curvature(m, xp) for m in space.metrics] for xp in points]))
     st = cs.state
     fr = frame_from_state(st)
     F, F_mu, det_g = np.asarray(st.F), st.F_mu, np.asarray(st.det_g)
     F_c, det_g_c = F[..., None], det_g[..., None]  # against the sector axis
-    gauss = np.asarray(gauss)
     n = space.n_metrics
 
     def sector_scalars(xs, ys):
@@ -289,7 +282,7 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
     """Residuals of the structure-equation coefficients at the sample of cs, or at
     each sample of a batch (every field then an array of shape (B,)).
 
-    J and K are not part of it; they come from invariants_JK_from_state.
+    J and K are not part of it; they come from invariants_JK.
     """
     fr = frame_from_state(cs.state)
     st = cs.state

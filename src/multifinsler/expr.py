@@ -451,17 +451,6 @@ def parse_expression(text: str, coords: Sequence[str]) -> ScalarExpr:
     return _Parser(text, coords).parse()
 
 
-def evaluate(expr: ScalarExpr, x: Sequence[float], dim: int | None = None) -> float:
-    """IEEE double evaluation; non-finite intermediate results raise EvalDomainError.
-
-    Compiles ``expr`` on every call; callers that evaluate one expression
-    repeatedly keep the closure from ``compile_expression`` instead.
-    """
-    if dim is not None and len(x) != dim:
-        raise DimensionMismatchError(f"expected point of length {dim}, got {len(x)}")
-    return compile_expression(expr)(x)
-
-
 def differentiate(expr: ScalarExpr, coord_index: int, dim: int | None = None) -> ScalarExpr:
     """Exact symbolic partial derivative with respect to coordinate ``coord_index``."""
     if coord_index < 0 or (dim is not None and coord_index >= dim):

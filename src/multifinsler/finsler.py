@@ -362,8 +362,8 @@ class RiemannianVerdict:
             raise ValueError("space is not Riemannian")
         a1 = space.metrics[0].value(x)
         phis = []
-        for m in space.metrics:
-            a = m.value(x)
+        for k, m in enumerate(space.metrics):
+            a = a1 if k == 0 else m.value(x)
             piv = np.unravel_index(np.argmax(np.abs(a1)), a1.shape)
             phis.append(a[piv] / a1[piv])
         return float(sum(np.sqrt(p) for p in phis)) ** 2 * a1
@@ -376,7 +376,7 @@ def riemannian_detect(space: MultiMetricSpace, sample_points) -> RiemannianVerdi
     for p, x in enumerate(pts):
         a1 = space.metrics[0].value(x)
         for k, m in enumerate(space.metrics):
-            a = m.value(x)
+            a = a1 if k == 0 else m.value(x)
             # pivot: largest-magnitude component of a_1, floor-protected
             piv = np.unravel_index(np.argmax(np.abs(a1)), a1.shape)
             if abs(a1[piv]) < PIVOT_FLOOR:

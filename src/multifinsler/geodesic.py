@@ -24,6 +24,7 @@ from .finsler import (
     MultiMetricSpace,
     TangentSample,
     finsler_norm,
+    rows_or_first_error,
 )
 
 
@@ -197,10 +198,12 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
     slow = [float(np.linalg.norm(vk)) < EPS_SLIT for vk in v]
     stop = slow.index(True) if any(slow) else len(t)
     if stop:
-        f_mu, failed = _by_row(lambda a, b: finsler_norm(space, TangentSample(a, b))[1],
-                               xs[:stop], v[:stop])
-        if failed:
-            raise failed[min(failed)]
+        n = xs.shape[-1]
+
+        def norms(r):
+            return finsler_norm(space, TangentSample(r[:, :n].copy(), r[:, n:].copy()))[1]
+
+        f_mu = rows_or_first_error(norms, np.concatenate([xs[:stop], v[:stop]], axis=1))
     if stop < len(t):
         raise ValueError(f"zero-velocity segment at t={t[stop]}")
     sectors = np.array([

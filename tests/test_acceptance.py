@@ -181,7 +181,7 @@ def test_criterion_06_invariants():
             i_res = max(i_res, abs(fr.I - invariant_I_oracle(sp, fr)))
     sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
     for s in random_samples(np.random.default_rng(1060), 10):
-        j_val, _ = invariants_JK(sp, s)
+        j_val, _ = invariants_JK(sp, connection_state(sp, s))
 
         def i_field(xx, yy):
             return frame_from_state(finsler_state(sp, TangentSample(xx, yy))).I
@@ -192,7 +192,7 @@ def test_criterion_06_invariants():
     sphere = space_of(field("round", [[comp, "0"], ["0", comp]]))
     k_res = 0.0
     for s in random_samples(np.random.default_rng(1061), 5, box=0.7):
-        _, k_val = invariants_JK(sphere, s)
+        _, k_val = invariants_JK(sphere, connection_state(sphere, s))
         k_res = max(k_res, abs(k_val - 1.0))
     ok = i_res <= 1e-6 and j_res <= 1e-5 and k_res <= 1e-6
     report("06 invariants", ok,

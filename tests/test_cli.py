@@ -370,6 +370,20 @@ class TestCli:
                      "--out", str(tmp_path / "grid.csv")]) == 1
         assert capsys.readouterr().err == stderr
 
+    def test_sample_row_raises_its_connection_state_error_first(self, tmp_path, capsys):
+        # at the first grid point, (0, -1), beta is not SPD and the second derivative of
+        # alpha takes 0^-0.5; J and K evaluate the Gauss curvatures after the connection
+        # state, so the SPD error raises, not the EvalDomainError
+        cfg = {**BIMETRIC, "metrics": [{"name": "alpha", "components": [["1 + x1^1.5", "0"], ["0", "1"]]},
+                                       {"name": "beta", "components": [["4", "0"], ["0", "x1"]]}],
+               "sampling": {"seed": 1, "count": 10, "box": [[0, 1], [-1, 1]]}}
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["sample", "--config", str(p), "--grid", "3", "--directions", "4",
+                     "--out", str(tmp_path / "grid.csv")]) == 1
+        assert capsys.readouterr().err == ("error: NotPositiveDefiniteError: metric 'beta' is not positive "
+                                           "definite at x=[0.0, -1.0] (eigenvalues [0.0, 4.0])\n")
+
     @pytest.mark.parametrize("name", sorted(CHECK_ERRORS))
     def test_check_raises_the_error_of_its_first_failing_sample(self, name, tmp_path, capsys):
         beta, box, seed, stderr = CHECK_ERRORS[name]
@@ -380,6 +394,30 @@ class TestCli:
         assert main(["check", "--config", str(p), "--suite", "identities",
                      "--out", str(tmp_path / "report.json")]) == 1
         assert capsys.readouterr().err == stderr
+
+    def test_measure_suite_runs_the_quadrature_once_per_point(self, tmp_path, monkeypatch):
+        # one metric: busemann_hausdorff falls back to the quadrature at every point, and
+        # the check against the quadrature reuses that value
+        import multifinsler.measure as measure
+        import multifinsler.suites as suites
+
+        calls = [0]
+        original = measure.busemann_hausdorff_quadrature
+
+        def counted(space, x):
+            calls[0] += 1
+            return original(space, x)
+
+        for module in (measure, suites):
+            monkeypatch.setattr(module, "busemann_hausdorff_quadrature", counted)
+        single = {**BIMETRIC, "metrics": BIMETRIC["metrics"][1:]}
+        p, out = tmp_path / "space.json", tmp_path / "report.json"
+        p.write_text(json.dumps(single))
+        assert main(["check", "--config", str(p), "--suite", "measures", "--out", str(out)]) == 0
+        checks = {c["check"]: c for c in json.loads(out.read_text())["checks"]}
+        bh = checks["busemann-hausdorff-vs-quadrature"]
+        assert bh["residual"] == 0.0 and bh["samples"] == 4
+        assert calls[0] == 4
 
     def test_identity_suite_makes_one_batch_per_stage(self, tmp_path, monkeypatch):
         import multifinsler.suites as suites

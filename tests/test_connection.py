@@ -19,7 +19,7 @@ from multifinsler.connection import (
 )
 from multifinsler.finsler import TangentSample, finsler_state
 from multifinsler.geodesic import integrate_geodesic
-from multifinsler.riemann import NotPositiveDefiniteError, christoffels_and_spray
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError, christoffels_and_spray
 
 from conftest import count_calls, count_spd_validations, const_field, field, random_bimetric_space, random_samples, space_of
 
@@ -64,6 +64,14 @@ class TestSpray:
         gv = variational_spray(bi_x, S)
         assert calls[0] == 0
         assert isinstance(gv, np.ndarray) and gv.shape == (2,)
+
+    def test_variational_oracle_evaluates_each_stencil_point_once(self, monkeypatch):
+        # the F^2 stencil holds 4 distinct x, x +- h e_k, of its 20 points in 2D; with the
+        # 2 values that validate the centre, 10 value calls for a bimetric sample, not 42
+        sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
+        calls = count_calls(monkeypatch, MetricField, "value")
+        variational_spray(sp, S)
+        assert calls[0] == 10
 
     def test_two_homogeneity(self, bi_x):
         g1 = connection_state(bi_x, S).G
@@ -358,6 +366,6 @@ class TestLandsbergBerwald:
 
         lb = landsberg_berwald(bi_x, S)
         fr = frame_from_state(finsler_state(bi_x, S))
-        j_val, _ = invariants_JK(bi_x, S)
+        j_val, _ = invariants_JK(bi_x, connection_state(bi_x, S))
         frame_component = float(np.einsum("ijk,i,j,k->", lb.C_dot, fr.m_up, fr.m_up, fr.m_up))
         assert abs(frame_component - j_val) < 1e-5

@@ -233,7 +233,7 @@ class TestInvariantsJK:
         per_space = []
         for sp in (euclid, bi_x, tri_space):
             counts.update(connection_state=0, finsler_state=0, samples=0)
-            invariants_JK(sp, S)
+            invariants_JK(sp, dim2_mod.connection_state(sp, S))
             per_space.append(dict(counts))
         assert per_space[0] == per_space[1] == per_space[2]
         # the centre, then one batch of the 8 neighbours of the frame derivatives, whose
@@ -242,23 +242,24 @@ class TestInvariantsJK:
         assert per_space[0]["samples"] == 9
 
     def test_constant_metrics(self, bi_const):
-        j, k = invariants_JK(bi_const, S)
+        j, k = invariants_JK(bi_const, connection_state(bi_const, S))
         assert abs(j) < 1e-10
         assert abs(k) < 1e-10
 
     def test_single_sphere_metric(self, sphere_space):
-        j, k = invariants_JK(sphere_space, TangentSample([0.2, 0.4], [0.5, -0.3]))
+        s = TangentSample([0.2, 0.4], [0.5, -0.3])
+        j, k = invariants_JK(sphere_space, connection_state(sphere_space, s))
         assert abs(j) < 1e-8
         assert k == pytest.approx(1.0, abs=1e-6)
 
     def test_single_metric_k_is_gauss_curvature(self):
         f = field("m", [["1+0.3*x1^2", "0.1*x1*x2"], ["0.1*x1*x2", "2+0.4*x2^2"]])
         sp = space_of(f)
-        _, k = invariants_JK(sp, S)
+        _, k = invariants_JK(sp, connection_state(sp, S))
         assert k == pytest.approx(gauss_curvature(f, S.x), abs=1e-6)
 
     def test_j_matches_directional_derivative(self, bi_x):
-        j, _ = invariants_JK(bi_x, S)
+        j, _ = invariants_JK(bi_x, connection_state(bi_x, S))
 
         def i_field(xx, yy):
             return frame_from_state(finsler_state(bi_x, TangentSample(xx, yy))).I
@@ -272,7 +273,7 @@ class TestInvariantsJK:
             const_field("alpha", np.eye(2)),
             field("beta", [["1+x1^2", "0"], ["0", "1"]]),
         )
-        j, _ = invariants_JK(sp, S)
+        j, _ = invariants_JK(sp, connection_state(sp, S))
         assert abs(j) > 1e-4
 
 
@@ -331,7 +332,7 @@ def test_matches_recorded_values(name):
         s = TangentSample(row["x"], row["y"])
         cs = connection_state(space, s)
         report = cartan_structure_residuals(space, cs)
-        assert list(invariants_JK(space, s)) == [row["J"], row["K"]], s
+        assert list(invariants_JK(space, cs)) == [row["J"], row["K"]], s
         assert frame_from_state(cs.state).I == row["I"], s
         assert {f.name: getattr(report, f.name) for f in dataclasses.fields(report)} == row["structure"], s
         assert variational_spray(space, s).tolist() == row["G"], s

@@ -13,7 +13,7 @@ from multifinsler.finsler import (
     finsler_state,
     riemannian_detect,
 )
-from multifinsler.riemann import NotPositiveDefiniteError
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 
 from conftest import count_calls, count_spd_validations, const_field, field, random_bimetric_space, random_samples, space_of
 
@@ -264,6 +264,17 @@ class TestRiemannianDetect:
         assert v.riemannian
         for p, x in enumerate(pts):
             assert v.factors[p, 1] == pytest.approx(1.0 + x[0] ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("n_metrics", [1, 2, 3])
+    def test_each_metric_is_evaluated_once_per_point(self, monkeypatch, n_metrics):
+        sp = space_of(*[field(f"m{k}", [[f"{k + 1}*(1+x1^2)", "0"], ["0", f"{k + 1}*(1+x1^2)"]])
+                        for k in range(n_metrics)])
+        calls = count_calls(monkeypatch, MetricField, "value")
+        v = riemannian_detect(sp, [[0.0, 0.0], [0.8, 0.1], [-0.4, 0.6]])
+        assert v.riemannian and calls[0] == 3 * n_metrics
+        calls[0] = 0
+        v.effective_metric(sp, [0.2, 0.3])
+        assert calls[0] == n_metrics
 
     def test_riemannian_implies_cartan_vanishes(self, prop_space):
         rng = np.random.default_rng(8)

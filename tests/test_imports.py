@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "multifinsler"
+SCRIPTS = PACKAGE.parent.parent / "scripts"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -71,3 +72,44 @@ def test_no_unread_parameters():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{path.stem}.{node.name}({p})" for p in params if p not in read]
     assert not unread, f"parameters nothing reads: {unread}"
+
+
+# Paper objects and oracles that only tests call; each waits for a suite that checks it
+# or for its move into tests/
+TEST_ONLY_FUNCTIONS = {
+    "connection.chern_connection",
+    "connection.landsberg_berwald",
+    "riemann.christoffels_and_spray",
+    "measure.pencil_integrals",
+    "measure.pencil_integrals_quadrature",
+    "measure.elliptic_k_quadrature",
+    "measure.elliptic_e_quadrature",
+}
+
+
+def _imported_from(tree, stem):
+    """The names a tree imports from package module stem, relatively or by full name."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module == stem and node.level == 1 or node.module == f"multifinsler.{stem}")
+            for alias in node.names}
+
+
+def test_every_public_function_is_reached():
+    """Every public module-level function of the package is imported by another package
+    module or by scripts/, or read in its own module outside its own body, except the
+    test-only ones listed above; the list names only such functions.  The re-exports of
+    __init__ do not count, and test_no_unused_imports keeps every import read."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    importers = [*trees.values(), *(ast.parse(p.read_text()) for p in sorted(SCRIPTS.glob("*.py")))]
+    unreached = set()
+    for stem, tree in trees.items():
+        imported = set().union(*(_imported_from(t, stem) for t in importers))
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or node.name in imported:
+                continue
+            rest = [n for n in tree.body if n is not node]
+            if not any(isinstance(n, ast.Name) and n.id == node.name for r in rest for n in ast.walk(r)):
+                unreached.add(f"{stem}.{node.name}")
+    assert unreached == TEST_ONLY_FUNCTIONS, (
+        f"reached by no command, suite or script: {sorted(unreached - TEST_ONLY_FUNCTIONS)}; "
+        f"listed but reached: {sorted(TEST_ONLY_FUNCTIONS - unreached)}")
