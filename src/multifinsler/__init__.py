@@ -58,8 +58,6 @@ from .measure import (
     holmes_thompson_disc_oracle,
     indicatrix_reduction_check,
     lambda_pair,
-    pencil_integrals,
-    pencil_integrals_quadrature,
 )
 from .riemann import (
     MetricField,

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .connection import connection_state
 from .finsler import (
@@ -206,10 +205,10 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
         f_mu = rows_or_first_error(norms, np.concatenate([xs[:stop], v[:stop]], axis=1))
     if stop < len(t):
         raise ValueError(f"zero-velocity segment at t={t[stop]}")
-    sectors = np.array([
-        float(_sciint.simpson(f_mu[:, m], x=t)) for m in range(space.n_metrics)
-    ])
-    total = float(_sciint.simpson(f_mu.sum(axis=1), x=t))
+    from scipy.integrate import simpson  # here: commands that compute no action do not load scipy
+
+    sectors = np.array([float(simpson(f_mu[:, m], x=t)) for m in range(space.n_metrics)])
+    total = float(simpson(f_mu.sum(axis=1), x=t))
     return ActionResult(total=total, sector_totals=sectors)
 
 

@@ -3,9 +3,15 @@
 The closed forms reduce everything to the characteristic pair of a 2x2 SPD
 pencil det(A - lambda B) = 0 and complete elliptic integrals, computed by
 arithmetic-geometric-mean iteration.  Independent quadrature oracles are kept
-for every closed form: infinite-range integrals are compactified with
-t = tan(theta) and integrated adaptively; circle integrals use either adaptive
-quadrature or the trapezoid rule on the periodic integrand.
+for every closed form: circle integrals use either adaptive quadrature or the
+trapezoid rule on the periodic integrand, and the sublevel-set integral is a
+nested adaptive quadrature in polar coordinates.
+
+The adaptive circle and disc oracles run QUADPACK through _quad_in_batches,
+which evaluates the nodes of each Gauss-Kronrod rule, or of the two rules of
+a bisection, in one batched call and gives QUADPACK each node's value bit for
+bit as one call per node gives it.  scipy is imported where a
+quadrature runs, so commands that take none do not load it.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .finsler import (
+    SAMPLE_ERRORS,
     MultiMetricSpace,
     TangentSample,
     _power,
@@ -94,64 +100,10 @@ def complete_elliptic_e(k: float) -> float:
     return math.pi / (2.0 * a) * (1.0 - csum)
 
 
-def elliptic_k_quadrature(k: float) -> float:
-    """Defining integral of K(k), adaptive quadrature; test oracle."""
-    val, _ = integrate.quad(
-        lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2), 0.0, math.pi / 2.0,
-        epsabs=1e-13, epsrel=1e-13, limit=200,
-    )
-    return val
-
-
-def elliptic_e_quadrature(k: float) -> float:
-    """Defining integral of E(k), adaptive quadrature; test oracle."""
-    val, _ = integrate.quad(
-        lambda t: math.sqrt(max(0.0, 1.0 - (k * math.sin(t)) ** 2)), 0.0, math.pi / 2.0,
-        epsabs=1e-13, epsrel=1e-13, limit=200,
-    )
-    return val
-
-
 def _form(M: np.ndarray, theta: float) -> float:
     """Quadratic form at the unit vector (sin theta, cos theta)."""
     s, c = math.sin(theta), math.cos(theta)
     return M[0, 0] * s * s + 2.0 * M[0, 1] * s * c + M[1, 1] * c * c
-
-
-def pencil_integrals(A, B) -> tuple[float, float]:
-    """The two canonical pencil integrals over the real line:
-
-        first  = integral dt / sqrt(a(t) b(t))
-        second = integral sqrt(a(t)) / b(t)^(3/2) dt
-
-    with a(t) = A11 t^2 + 2 A12 t + A22 and likewise b(t).  The closed forms
-    are 2 sqrt(lam_-/det A) K(k) and 2 lam_+ sqrt(lam_-/det A) E(k)
-    (equivalently 2 sqrt(lam_+/det B) E(k)) with the characteristic pair of
-    det(A - lambda B) = 0 and k the pencil modulus.
-    """
-    A = np.asarray(A, dtype=float)
-    pair = lambda_pair(A, np.asarray(B, dtype=float))
-    k = pair.modulus
-    det_a = float(np.linalg.det(A))
-    first = 2.0 * math.sqrt(pair.lam_minus / det_a) * complete_elliptic_k(k)
-    second = 2.0 * pair.lam_plus * math.sqrt(pair.lam_minus / det_a) * complete_elliptic_e(k)
-    return first, second
-
-
-def pencil_integrals_quadrature(A, B) -> tuple[float, float]:
-    """The two pencil integrals by adaptive quadrature; oracle of pencil_integrals."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    # t = tan(theta) removes the improper endpoints analytically
-    first, _ = integrate.quad(
-        lambda th: 1.0 / math.sqrt(_form(A, th) * _form(B, th)),
-        -math.pi / 2.0, math.pi / 2.0, epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400,
-    )
-    second, _ = integrate.quad(
-        lambda th: math.sqrt(_form(A, th)) / _form(B, th) ** 1.5,
-        -math.pi / 2.0, math.pi / 2.0, epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400,
-    )
-    return first, second
 
 
 @dataclass(frozen=True)
@@ -166,12 +118,74 @@ class MeasureReport:
     fallback: bool = False
 
 
-def _norm_on_circle(a_mu: np.ndarray, theta: float) -> float:
-    # Not finsler.sector_norms: its einsum rounds differently from y @ a @ y,
-    # which moves the stored indicatrix-reduction residuals by ~1e-17.  The
-    # circle oracle takes the same products at all its nodes at once.
-    y = np.array([math.cos(theta), math.sin(theta)])
-    return float(sum(math.sqrt(float(y @ a @ y)) for a in a_mu))
+def _unit_vectors(thetas) -> np.ndarray:
+    """The unit vectors (cos theta, sin theta) as rows."""
+    return np.array([[math.cos(t), math.sin(t)] for t in thetas])
+
+
+def _circle_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """F = sum_mu sqrt(y' a_mu y) at the rows of y (m, 2), one pass per sector.
+
+    Not finsler.sector_norms: its einsum rounds differently from y @ a @ y,
+    which moves the stored indicatrix-reduction residuals by ~1e-17.
+    np.vecmat then np.vecdot keep the bits of y @ a @ y on each row."""
+    f = 0.0
+    for a in a_mu:
+        f = f + np.sqrt(np.vecdot(np.vecmat(y, a), y))
+    return f
+
+
+def _quad(f, a: float, b: float, **quad_kwargs):
+    """scipy's adaptive quad, imported on first use: commands that run no quadrature
+    do not load scipy."""
+    from scipy import integrate
+
+    return integrate.quad(f, a, b, **quad_kwargs)
+
+
+def _rule_nodes(a: float, b: float, quad_kwargs: dict) -> list[float]:
+    """The 21 nodes of QUADPACK's first Gauss-Kronrod rule on [a, b], in the order it
+    asks for them: a zero integrand stops after that rule."""
+    nodes = []
+    _quad(lambda t: nodes.append(t) or 0.0, a, b, **quad_kwargs)
+    return nodes
+
+
+def _quad_in_batches(values_at, a: float, b: float, first: dict | None = None, **quad_kwargs) -> float:
+    """The adaptive quad of f over [a, b], where values_at(t) gives f at an array of
+    nodes t, each node as f gives it alone; first, if given, maps the nodes of the
+    first rule to their values.
+
+    QUADPACK places the nodes of a rule by its bounds alone, so a dry run lists the
+    first rule's nodes.  When it bisects [lo, hi] at mid = 0.5 * (lo + hi), the first
+    node it asks for is the centre of [lo, mid], and then it takes the rules of both
+    halves.  So each evaluated interval is keyed by its left half's centre; when that
+    node is asked for, dry runs list the 42 nodes of both halves and they are
+    evaluated in one call.  The real run reads every value back, and a node that
+    matches nothing is evaluated as a batch of one.  A batch that raises a per-sample
+    error is evaluated node by node in the order QUADPACK asks for them, so the
+    first failing node raises what it raises alone.
+    """
+    table, split = {}, {}
+
+    def evaluate(intervals, known=None):
+        if known is None:
+            nodes = [t for lo, hi in intervals for t in _rule_nodes(lo, hi, quad_kwargs)]
+            known = zip(nodes, rows_or_first_error(values_at, np.array(nodes)))
+        table.update(known)
+        for lo, hi in intervals:
+            mid = 0.5 * (lo + hi)
+            split[0.5 * (lo + mid)] = ((lo, mid), (mid, hi))
+
+    evaluate([(a, b)], first)
+
+    def integrand(t):
+        if t in split:
+            evaluate(split.pop(t))
+        value = table.get(t)
+        return values_at(np.array([t]))[0] if value is None else value
+
+    return _quad(integrand, a, b, **quad_kwargs)[0]
 
 
 def holmes_thompson(space: MultiMetricSpace, x) -> MeasureReport:
@@ -214,14 +228,12 @@ def _circle_integral(space: MultiMetricSpace, x: np.ndarray, weight: str) -> flo
     """integral over [0, 2 pi] of w / F^2 on the unit circle at x, w = 1 ('one') or det g ('det'),
     by adaptive quadrature."""
 
-    def integrand(theta):
-        y = np.array([math.cos(theta), math.sin(theta)])
-        st = finsler_state(space, TangentSample(x, y))
-        return (1.0 if weight == "one" else st.det_g) / st.F**2
+    def values_at(thetas):
+        y = _unit_vectors(thetas)
+        st = finsler_state(space, TangentSample(np.tile(x, (len(y), 1)), y))
+        return (1.0 if weight == "one" else st.det_g) / _power(st.F, 2)
 
-    val, _ = integrate.quad(integrand, 0.0, 2.0 * math.pi,
-                            epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
-    return val
+    return _quad_in_batches(values_at, 0.0, 2.0 * math.pi, epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
 
 
 def holmes_thompson_circle_oracle(space: MultiMetricSpace, x) -> float:
@@ -232,11 +244,8 @@ def holmes_thompson_circle_oracle(space: MultiMetricSpace, x) -> float:
     a_mu, _, _ = space.metric_values(x)
     m = 512
     thetas = np.arange(m) * (2.0 * math.pi / m)
-    y = np.array([[math.cos(th), math.sin(th)] for th in thetas])
-    f = 0.0
-    for a in a_mu:  # the sectors in order, as _norm_on_circle sums them
-        f = f + np.sqrt(np.vecdot(np.vecmat(y, a), y))
-    f2 = _power(f, 2)
+    y = _unit_vectors(thetas)
+    f2 = _power(_circle_norms(a_mu, y), 2)
     vals = np.linalg.det(fd_fundamental_tensor(space, x, y)) / f2
     return float(vals.mean())  # (1/pi) * (1/2) * integral = mean over the circle
 
@@ -246,12 +255,10 @@ def busemann_hausdorff_quadrature(space: MultiMetricSpace, x) -> float:
     require_2d(space.dim)
     a_mu, _, _ = space.metric_values(np.asarray(x, dtype=float))
 
-    def inv_f2(theta):
-        return 1.0 / _norm_on_circle(a_mu, theta) ** 2
+    def inv_f2(thetas):
+        return 1.0 / _power(_circle_norms(a_mu, _unit_vectors(thetas)), 2)
 
-    val, _ = integrate.quad(inv_f2, 0.0, 2.0 * math.pi,
-                            epsabs=1e-13, epsrel=1e-13, limit=400)
-    return 2.0 * math.pi / val
+    return 2.0 * math.pi / _quad_in_batches(inv_f2, 0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=400)
 
 
 def busemann_hausdorff_bimetric(space: MultiMetricSpace, x) -> MeasureReport:
@@ -295,8 +302,8 @@ def busemann_hausdorff_bimetric(space: MultiMetricSpace, x) -> MeasureReport:
     # second term integrates to exactly one copy of the line integral
     # (cross-checked against quadrature; proportional pairs give the
     # Riemannian value only with this normalization)
-    b_int, _ = integrate.quad(integrand, -math.pi / 2.0, math.pi / 2.0,
-                              epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
+    b_int, _ = _quad(integrand, -math.pi / 2.0, math.pi / 2.0,
+                     epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
     b_part = -(2.0 / math.pi) * b_int
     value = 1.0 / (a_part + b_part)
     return MeasureReport(
@@ -324,56 +331,43 @@ def busemann_hausdorff(space: MultiMetricSpace, x) -> MeasureReport:
                          parts={"indicatrix_area_over_pi": math.pi / value}, fallback=fallback)
 
 
-def _radial_integral(weight_at, r_max: float) -> float:
-    """integral_0^r_max w(r) r dr by adaptive quadrature, where weight_at(r)
-    gives w at an array of radii, each radius as it gives w alone.
-
-    QUADPACK places the 21 nodes of its first Gauss-Kronrod rule by the
-    bounds alone, and a zero integrand stops after that rule, so a dry run
-    lists the nodes the real run asks for first.  They are evaluated in one
-    call, and the real run reads them back; a node of a later, bisected rule
-    is evaluated as a batch of one.  If the batch raises a per-sample error,
-    the nodes are evaluated one by one in the dry run's order, so the first
-    failing node raises what it raises alone.
-    """
-    nodes = []
-    integrate.quad(lambda r: nodes.append(r) or 0.0, 0.0, r_max, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL)
-    table = dict(zip(nodes, rows_or_first_error(weight_at, np.array(nodes))))
-
-    def integrand(r):
-        w = table.get(r)
-        return (weight_at(np.array([r]))[0] if w is None else w) * r
-
-    val, _ = integrate.quad(integrand, 0.0, r_max, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL)
-    return val
-
-
 def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") -> dict:
     """Residual of the sublevel-set vs unit-circle reduction for f in {1, det g}.
 
     The left side is a genuine 2D adaptive quadrature over the unit sublevel
-    set of the norm in polar coordinates, the nested quad calls of
-    scipy's dblquad with each radial rule's nodes evaluated in one batch;
-    the right side is the circle integral of f(det g)/F^2.
+    set of the norm in polar coordinates, the nested quad calls of scipy's
+    dblquad.  Each rule of the angular quad asks for the radial integrals of 21
+    or 42 rays, and the first radial rules of those rays are evaluated in one
+    call; the right side is the circle integral of f(det g)/F^2.
     """
     require_2d(space.dim)
     if weight not in ("one", "det"):
         raise ValueError("weight must be 'one' or 'det'")
     x = np.asarray(x, dtype=float)
     a_mu, _, _ = space.metric_values(x)
+    radial = {"epsabs": RADIAL_TOL, "epsrel": RADIAL_TOL}
 
-    def weight_along(theta):
-        unit = np.array([math.cos(theta), math.sin(theta)])
+    def weight_at(y):
         if weight == "one":
-            return np.ones_like
-        return lambda r: finsler_state(
-            space, TangentSample(np.tile(x, (len(r), 1)), r[:, None] * unit)).det_g
+            return np.ones(len(y))
+        return finsler_state(space, TangentSample(np.tile(x, (len(y), 1)), y)).det_g
 
-    def r_max(theta):
-        return 1.0 / _norm_on_circle(a_mu, theta)
+    def radial_integrals(thetas):
+        """integral_0^r_max w(r) r dr along each ray, r_max = 1 / F on the unit circle."""
+        units = _unit_vectors(thetas)
+        r_max = (1.0 / _circle_norms(a_mu, units)).tolist()
+        radii = [np.array(_rule_nodes(0.0, r, radial)) for r in r_max]
+        try:
+            weights = weight_at(np.concatenate([r[:, None] * u for r, u in zip(radii, units)]))
+            first = [dict(zip(r.tolist(), w * r)) for r, w in zip(radii, np.split(weights, len(thetas)))]
+        except SAMPLE_ERRORS:  # each ray alone, in order, raises what the scalar run raises
+            first = [None] * len(thetas)
+        return np.array([
+            _quad_in_batches(lambda r, u=u: weight_at(r[:, None] * u) * r, 0.0, end, known, **radial)
+            for u, end, known in zip(units, r_max, first)
+        ])
 
-    disc, _ = integrate.quad(lambda theta: _radial_integral(weight_along(theta), r_max(theta)),
-                             0.0, 2.0 * math.pi, epsabs=RADIAL_TOL, epsrel=RADIAL_TOL)
+    disc = _quad_in_batches(radial_integrals, 0.0, 2.0 * math.pi, **radial)
 
     circ = _circle_integral(space, x, weight) * 0.5
     return {

@@ -39,15 +39,11 @@ from multifinsler.measure import (
     busemann_hausdorff_quadrature,
     complete_elliptic_e,
     complete_elliptic_k,
-    elliptic_e_quadrature,
-    elliptic_k_quadrature,
     holmes_thompson,
     holmes_thompson_circle_oracle,
     holmes_thompson_disc_oracle,
     indicatrix_reduction_check,
     lambda_pair,
-    pencil_integrals,
-    pencil_integrals_quadrature,
 )
 
 from conftest import (
@@ -58,6 +54,7 @@ from conftest import (
     random_spd,
     space_of,
 )
+from pencil_oracles import elliptic_e_quadrature, pencil_integrals, pencil_integrals_quadrature
 
 
 def report(name: str, passed: bool, detail: str):

@@ -1,6 +1,11 @@
-"""Every name a package module imports is used in that module."""
+"""Import hygiene: every name a package module imports is used in that module,
+every definition is reached, and commands without quadrature leave scipy unloaded."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,10 +85,6 @@ TEST_ONLY_FUNCTIONS = {
     "connection.chern_connection",
     "connection.landsberg_berwald",
     "riemann.christoffels_and_spray",
-    "measure.pencil_integrals",
-    "measure.pencil_integrals_quadrature",
-    "measure.elliptic_k_quadrature",
-    "measure.elliptic_e_quadrature",
 }
 
 
@@ -113,3 +114,22 @@ def test_every_public_function_is_reached():
     assert unreached == TEST_ONLY_FUNCTIONS, (
         f"reached by no command, suite or script: {sorted(unreached - TEST_ONLY_FUNCTIONS)}; "
         f"listed but reached: {sorted(TEST_ONLY_FUNCTIONS - unreached)}")
+
+
+def test_sample_and_validate_do_not_load_scipy_integrate(tmp_path):
+    """scipy.integrate is imported where a quadrature runs, so a fresh interpreter
+    that runs sample and validate never loads it."""
+    config = str(PACKAGE.parent.parent / "configs" / "bimetric.json")
+    code = "\n".join([
+        "import json, sys",
+        "from multifinsler.cli import main",
+        f"assert main(['sample', '--config', {config!r}, '--grid', '1', '--directions', '1',"
+        f" '--out', {str(tmp_path / 'sample.csv')!r}]) == 0",
+        f"assert main(['validate', '--config', {config!r}, '--out', {str(tmp_path / 'valid.json')!r}]) == 0",
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.integrate" not in loaded, loaded

@@ -21,18 +21,20 @@ from multifinsler.measure import (
     busemann_hausdorff_quadrature,
     complete_elliptic_e,
     complete_elliptic_k,
-    elliptic_e_quadrature,
-    elliptic_k_quadrature,
     holmes_thompson,
     holmes_thompson_circle_oracle,
     holmes_thompson_disc_oracle,
     indicatrix_reduction_check,
     lambda_pair,
-    pencil_integrals,
-    pencil_integrals_quadrature,
 )
 
 from conftest import const_field, count_calls, count_spd_validations, field, random_spd, space_of
+from pencil_oracles import (
+    elliptic_e_quadrature,
+    elliptic_k_quadrature,
+    pencil_integrals,
+    pencil_integrals_quadrature,
+)
 
 # frozen from the defining-integral quadrature oracle
 K_SQRT3_2 = 2.1565156474996432
@@ -40,6 +42,12 @@ E_SQRT3_2 = 1.2110560275684594
 
 ORIGIN = [0.0, 0.0]
 REPO = Path(__file__).resolve().parent.parent
+
+
+def scalar_circle_norm(a_mu, theta):
+    """F at (cos theta, sin theta), one direction alone: the bits the batched circle norms keep."""
+    y = np.array([math.cos(theta), math.sin(theta)])
+    return float(sum(math.sqrt(float(y @ a @ y)) for a in a_mu))
 
 
 class TestLambdaPair:
@@ -228,7 +236,7 @@ class TestHolmesThompson:
 
     @pytest.mark.parametrize("n_metrics", [1, 2, 3])
     def test_circle_oracle_squares_the_scalar_norms(self, monkeypatch, n_metrics):
-        # one pass per sector over the 512 nodes gives _norm_on_circle's bits, squared as floats
+        # one pass per sector over the 512 nodes gives the scalar norms' bits, squared as floats
         sp = space_of(*[
             field("alpha", [["1+x2^2", "0.2*x1"], ["0.2*x1", "1"]]),
             field("beta", [["4", "0"], ["0", "1+x1^2"]]),
@@ -247,7 +255,7 @@ class TestHolmesThompson:
             holmes_thompson_circle_oracle(sp, x)
             a_mu = sp.metric_values(np.array(x))[0]
             assert len(squares) == 1
-            assert np.array_equal(squares[0], [measure._norm_on_circle(a_mu, th) ** 2 for th in thetas])
+            assert np.array_equal(squares[0], [scalar_circle_norm(a_mu, th) ** 2 for th in thetas])
 
     def test_circle_oracle_makes_one_fd_hessian_call(self, monkeypatch, tri_space):
         calls = count_calls(monkeypatch, measure, "fd_fundamental_tensor")
@@ -439,23 +447,168 @@ def test_oracles_match_recorded_values(name):
         assert holmes_thompson_circle_oracle(space, x) == row["circle_oracle"], x
 
 
-class TestRadialBatches:
-    """The disc side of indicatrix_reduction_check evaluates the nodes of each
-    radial Gauss-Kronrod rule in one finsler_state call."""
+CONFIGS = ["single", "bimetric", "trimetric"]
+QUAD = {"epsabs": measure.QUAD_ABS, "epsrel": measure.QUAD_ABS, "limit": 400}  # _circle_integral's
+
+
+def committed_points(name):
+    """A committed config's space, and its box centre and (0.3, -0.2)."""
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    return cfg.build_space(), [np.asarray(cfg.box_center(), dtype=float), np.array([0.3, -0.2])]
+
+
+def record_shapes(monkeypatch, wrap=None):
+    """Replace measure.finsler_state by wrap (default the real one) and record each y shape."""
+    real = measure.finsler_state
+    wrap = wrap or real
+    shapes = []
+
+    def recorded(space, sample):
+        shapes.append(sample.y.shape)
+        return wrap(space, sample)
+
+    monkeypatch.setattr(measure, "finsler_state", recorded)
+    return real, shapes
+
+
+def scaled_det_g(state, scale):
+    """state with det_g multiplied by scale(y) at each sample, one sample or a batch."""
+
+    def scaled(space, sample):
+        st = state(space, sample)
+        s = np.array([scale(v) for v in np.atleast_2d(sample.y)])
+        return SimpleNamespace(F=st.F, det_g=st.det_g * (s[0] if sample.y.ndim == 1 else s))
+
+    return scaled
+
+
+def failing_beyond(state, bound, coordinate):
+    """state that raises for samples whose coordinate(y) exceeds bound, naming the
+    last such row, as a batched check that names another row than a scalar run would."""
+
+    def failing(space, sample):
+        bad = [c for c in map(coordinate, np.atleast_2d(sample.y)) if c > bound]
+        if bad:
+            raise ConvexityError(f"node at {bad[-1]!r}")
+        return state(space, sample)
+
+    return failing
+
+
+class TestQuadInBatches:
+    """_quad_in_batches evaluates each rule, or the two rules of a bisection, in one call."""
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda t: math.exp(-30.0 * t) * math.sin(5.0 * t), 0.0, 2.0 * math.pi),
+        (math.sqrt, 0.0, 1.0),
+        (math.log, 0.0, 1.0),
+        (lambda t: 1.0 / (1e-3 + (t - 0.3) ** 2), 0.0, 1.0),
+        (lambda t: 1.0 / math.sqrt(abs(t - 0.37)), 0.0, 1.0),
+        (lambda t: math.cos(40.0 * t), -1.0, 2.0),
+    ], ids=["decaying", "sqrt", "log", "peak", "interior-singularity", "oscillating"])
+    def test_equals_quad_with_one_call_per_rule_pair(self, f, a, b):
+        calls = []
+
+        def values_at(t):
+            calls.append(len(t))
+            return np.array([f(v) for v in t])
+
+        value = measure._quad_in_batches(values_at, a, b, **QUAD)
+        expect, _, info = integrate.quad(f, a, b, full_output=1, **QUAD)
+        assert value == expect
+        assert info["last"] > 1
+        assert calls == [21] + [42] * (info["last"] - 1)
+
+    def test_an_unpredicted_node_is_evaluated_alone(self, monkeypatch):
+        # dry runs after the first miss the last node of their rule, so every
+        # bisection leaves one node of each half to a batch of its own
+        listed, dry_runs = measure._rule_nodes, []
+
+        def missing_last(a, b, quad_kwargs):
+            dry_runs.append((a, b))
+            nodes = listed(a, b, quad_kwargs)
+            return nodes if len(dry_runs) == 1 else nodes[:-1]
+
+        monkeypatch.setattr(measure, "_rule_nodes", missing_last)
+
+        def f(t):
+            return math.exp(-30.0 * t) * math.sin(5.0 * t)
+
+        calls = []
+
+        def values_at(t):
+            calls.append(len(t))
+            return np.array([f(v) for v in t])
+
+        value = measure._quad_in_batches(values_at, 0.0, 2.0 * math.pi, **QUAD)
+        expect, _, info = integrate.quad(f, 0.0, 2.0 * math.pi, full_output=1, **QUAD)
+        assert value == expect
+        assert info["last"] > 1
+        assert calls == [21] + [40, 1, 1] * (info["last"] - 1)
+
+
+class TestCircleBatches:
+    """_circle_integral and busemann_hausdorff_quadrature are the plain adaptive quad
+    with one call per node, bit for bit; _circle_integral makes one finsler_state
+    call per rule or pair of bisected rules."""
 
     @staticmethod
-    def record_shapes(monkeypatch, wrap=None):
-        """Replace measure.finsler_state by wrap (default the real one) and record each y shape."""
-        real = measure.finsler_state
-        wrap = wrap or real
-        shapes = []
+    def scalar_circle(space, x, weight, state):
+        """_circle_integral as one quad with one state(...) call per node, and quad's infodict."""
 
-        def recorded(space, sample):
-            shapes.append(sample.y.shape)
-            return wrap(space, sample)
+        def f(theta):
+            st = state(space, TangentSample(x, np.array([math.cos(theta), math.sin(theta)])))
+            return (1.0 if weight == "one" else st.det_g) / st.F**2
 
-        monkeypatch.setattr(measure, "finsler_state", recorded)
-        return real, shapes
+        value, _, info = integrate.quad(f, 0.0, 2.0 * math.pi, full_output=1, **QUAD)
+        return value, info
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    @pytest.mark.parametrize("weight", ["one", "det"])
+    def test_equals_the_scalar_quad(self, monkeypatch, name, weight):
+        space, points = committed_points(name)
+        real, shapes = record_shapes(monkeypatch)
+        for x in points:
+            shapes.clear()
+            value = measure._circle_integral(space, x, weight)
+            expect, info = self.scalar_circle(space, x, weight, real)
+            assert value == expect, x
+            assert shapes == [(21, 2)] + [(42, 2)] * (info["last"] - 1), x
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_busemann_hausdorff_quadrature_equals_the_scalar_quad(self, name):
+        space, points = committed_points(name)
+        for x in points:
+            a_mu = space.metric_values(x)[0]
+            expect = integrate.quad(lambda theta: 1.0 / scalar_circle_norm(a_mu, theta) ** 2,
+                                    0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+            assert busemann_hausdorff_quadrature(space, x) == 2.0 * math.pi / expect, x
+
+    def test_a_bisecting_weight(self, monkeypatch, tri_space):
+        # det g scaled by a narrow peak at theta = pi makes QUADPACK bisect many times
+        peaked = scaled_det_g(measure.finsler_state, lambda v: math.exp(-400.0 * (1.0 + v[0])))
+        _, shapes = record_shapes(monkeypatch, peaked)
+        x = np.array([0.1, 0.3])
+        value = measure._circle_integral(tri_space, x, "det")
+        expect, info = self.scalar_circle(tri_space, x, "det", peaked)
+        assert value == expect
+        assert info["last"] >= 10
+        assert shapes == [(21, 2)] + [(42, 2)] * (info["last"] - 1)
+
+    def test_a_failing_batch_raises_the_scalar_runs_error(self, monkeypatch, bi_const):
+        failing = failing_beyond(measure.finsler_state, 0.9, lambda v: v[1])  # sin(theta) > 0.9
+        _, shapes = record_shapes(monkeypatch, failing)
+        with pytest.raises(ConvexityError) as batched:
+            measure._circle_integral(bi_const, np.array(ORIGIN), "det")
+        assert shapes[0] == (21, 2)
+        with pytest.raises(ConvexityError) as scalar:
+            self.scalar_circle(bi_const, np.array(ORIGIN), "det", failing)
+        assert str(batched.value) == str(scalar.value)
+
+
+class TestRadialBatches:
+    """The disc side of indicatrix_reduction_check stacks the first radial rules of
+    the 21 or 42 rays of each angular rule into one finsler_state call."""
 
     @staticmethod
     def scalar_disc(space, x, state):
@@ -467,42 +620,38 @@ class TestRadialBatches:
             return state(space, TangentSample(x, y)).det_g * r
 
         return integrate.dblquad(f, 0.0, 2.0 * math.pi, 0.0,
-                                 lambda theta: 1.0 / measure._norm_on_circle(a_mu, theta),
+                                 lambda theta: 1.0 / scalar_circle_norm(a_mu, theta),
                                  epsabs=1e-10, epsrel=1e-10)[0]
 
-    def test_one_batch_per_ray(self, monkeypatch, tri_space):
-        _, shapes = self.record_shapes(monkeypatch)
-        rays = count_calls(monkeypatch, measure, "_norm_on_circle")  # r_max, once per theta
-        indicatrix_reduction_check(tri_space, [0.1, 0.3], "det")
-        batches = [s for s in shapes if len(s) == 2]
-        assert rays[0] > 0
-        assert batches.count((21, 2)) == rays[0]
-        assert len(batches) - rays[0] <= 0.01 * 21 * rays[0]  # bisected rules, node by node
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_no_batch_of_one_on_the_committed_configs(self, monkeypatch, name):
+        # both oracles: the disc and, inside the check, _circle_integral
+        space, points = committed_points(name)
+        _, shapes = record_shapes(monkeypatch)
+        for x in points:
+            indicatrix_reduction_check(space, x, "det")
+        assert (21 * 21, 2) in shapes  # the first radial rules of the first angular rule's rays
+        assert all(len(s) == 2 and s[0] > 1 and s[0] % 21 == 0 for s in shapes), shapes
 
-    def test_bisected_rules_read_the_scalar_values(self, monkeypatch, euclid):
-        # a weight that decays fast along the ray makes QUADPACK bisect, so
-        # later rules ask for nodes outside the first batch
-        def varying(space, sample):
-            st = real(space, sample)
-            scale = [math.exp(-30.0 * math.hypot(*v)) for v in np.atleast_2d(sample.y)]
-            return SimpleNamespace(F=st.F, det_g=st.det_g * (scale[0] if sample.y.ndim == 1 else np.array(scale)))
+    def test_bisected_rules_read_the_scalar_values(self, monkeypatch, tri_space):
+        # a weight that decays fast along the ray and peaks in one direction makes
+        # QUADPACK bisect both the radial and the angular rules
+        def scale(v):
+            r = math.hypot(*v)
+            return math.exp(-30.0 * r - 5.0 * (1.0 + v[0] / r))
 
-        real, shapes = self.record_shapes(monkeypatch, varying)
-        disc = indicatrix_reduction_check(euclid, ORIGIN, "det")["disc"]
-        assert shapes.count((1, 2)) > 0
-        assert disc == self.scalar_disc(euclid, np.array(ORIGIN), varying)
+        varying = scaled_det_g(measure.finsler_state, scale)
+        _, shapes = record_shapes(monkeypatch, varying)
+        x = np.array([0.1, 0.3])
+        disc = indicatrix_reduction_check(tri_space, x, "det")["disc"]
+        assert (42, 2) in shapes and (21 * 42, 2) in shapes
+        assert all(s[0] > 1 for s in shapes)
+        assert disc == self.scalar_disc(tri_space, x, varying)
 
     def test_a_failing_batch_raises_the_scalar_runs_error(self, monkeypatch, bi_const):
-        # nodes beyond r = 0.3 fail, and a batch reports its last failing row,
-        # as a batched check that names another row than a scalar run would
-        def failing(space, sample):
-            radii = [math.hypot(*v) for v in np.atleast_2d(sample.y)]
-            bad = [r for r in radii if r > 0.3]
-            if bad:
-                raise ConvexityError(f"node at r = {bad[-1]!r}")
-            return real(space, sample)
-
-        real, shapes = self.record_shapes(monkeypatch, failing)
+        # nodes beyond r = 0.3 fail
+        failing = failing_beyond(measure.finsler_state, 0.3, lambda v: math.hypot(*v))
+        _, shapes = record_shapes(monkeypatch, failing)
         with pytest.raises(ConvexityError) as batched:
             indicatrix_reduction_check(bi_const, ORIGIN, "det")
         assert (21, 2) in shapes
