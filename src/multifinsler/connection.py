@@ -222,55 +222,66 @@ def connection_state(space: MultiMetricSpace, sample: TangentSample) -> Connecti
 
 
 def variational_spray(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
-    """Independent spray oracle G from finite differences of F^2 alone.
+    """Independent spray oracle G from finite differences of F^2 alone, at a sample
+    or at a batch of samples with x and y of shape (B, n).
 
     Computes 2 * (1/4) g^{il} (y^k d^2F^2/dx^k dy^l - dF^2/dx^l) with the
     Hessian g and all derivatives taken by central differences of F^2,
     evaluated in extended precision.  It shares only the sector matrices,
-    validated at x by fd_fundamental_tensor, with connection_state.
+    validated at x by fd_fundamental_tensor, with connection_state.  Each row
+    is the single call's bits, and the first failing row raises its own error
+    (see rows_or_first_error).
     """
-    space.check_sample(sample)
-    x, y = sample.x, sample.y
-    n = space.dim
+    x, y = np.atleast_2d(sample.x), np.atleast_2d(sample.y)
+    n = x.shape[-1]
+    G = rows_or_first_error(lambda v: _variational_spray_rows(space, v[:, :n], v[:, n:]),
+                            np.concatenate([x, y], axis=-1))
+    return G.reshape(sample.y.shape)
 
-    sectors = {}  # the sector matrices at each distinct stencil x, in long double
 
-    def f2(xx, yy) -> np.longdouble:
-        # keyed on the values and the signs of zero: the padding bytes of a long double vary
+def _variational_spray_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """variational_spray at the rows of x and y (B, n)."""
+    space.check_sample(TangentSample(x, y))
+    n = x.shape[-1]
+    ld = np.longdouble
+    # steps with the bits of np.linalg.norm of one row
+    hy = ld(MIXED_FD_STEP) * (1.0 + np.sqrt(np.vecdot(y, y)))
+    hx = ld(MIXED_FD_STEP) * (1.0 + np.sqrt(np.vecdot(x, x)))
+    g_inv = np.linalg.inv(fd_fundamental_tensor(space, x, y))
+
+    def shifted(v, h):
+        """[b, k, s] = v_b + h_b e_k (s = 0) and v_b - h_b e_k (s = 1), in long double."""
+        e = np.eye(n, dtype=ld) * h[:, None, None]
+        v = v.astype(ld)[:, None, :]
+        return np.stack([v + e, v - e], axis=2)
+
+    xs, ys = shifted(x, hx), shifted(y, hy)
+    # the sector matrices at each distinct stencil x, in the order a single sample meets them;
+    # keyed on the values and the signs of zero: the padding bytes of a long double vary
+    sectors, index = {}, []
+    for xx in xs.reshape(-1, n):
         key = (tuple(xx.tolist()), tuple(np.signbit(xx).tolist()))
         if key not in sectors:
-            sectors[key] = np.stack([m.value(xx) for m in space.metrics]).astype(np.longdouble)
-        a = sectors[key]
-        s = sector_norms(a, yy).sum()
-        return s * s
+            sectors[key] = (len(sectors), np.stack([m.value(xx) for m in space.metrics]))
+        index.append(sectors[key][0])
+    a = np.array([v for _, v in sectors.values()]).astype(ld)[np.array(index)]
+    a = a.reshape(xs.shape[:3] + a.shape[1:])  # [b, k, s, mu, i, j]
 
-    x_ld = x.astype(np.longdouble)
-    y_ld = y.astype(np.longdouble)
-    hy = np.longdouble(MIXED_FD_STEP) * (1.0 + np.linalg.norm(y))
-    hx = np.longdouble(MIXED_FD_STEP) * (1.0 + np.linalg.norm(x))
+    # F^2 at (x +- h e_k, y +- h e_m) as [b, k, m, sx, sy], then at (x +- h e_k, y) as [b, k, sx]
+    shape = (len(x), n, n, 2, 2)
+    a_mixed = np.broadcast_to(a[:, :, None, :, None], shape + a.shape[-3:]).reshape((-1,) + a.shape[-3:])
+    y_mixed = np.broadcast_to(ys[:, None, :, None, :, :], shape + (n,)).reshape(-1, n)
+    a_dx = a.reshape((-1,) + a.shape[-3:])
+    y_dx = np.broadcast_to(y.astype(ld)[:, None, None, :], xs.shape).reshape(-1, n)
+    s = sector_norms(np.concatenate([a_mixed, a_dx]), np.concatenate([y_mixed, y_dx])).sum(axis=-1)
+    f2 = s * s
+    f_mixed, f_dx = f2[:len(y_mixed)].reshape(shape), f2[len(y_mixed):].reshape(xs.shape[:3])
 
-    g = fd_fundamental_tensor(space, x, y)
-    g_inv = np.linalg.inv(g)
-
-    mixed = np.empty((n, n))  # mixed[k, l] = d^2 F^2 / dx_k dy_l
-    for k in range(n):
-        ek = np.zeros(n, dtype=np.longdouble)
-        ek[k] = hx
-        for m in range(n):
-            em = np.zeros(n, dtype=np.longdouble)
-            em[m] = hy
-            mixed[k, m] = float(
-                (
-                    f2(x_ld + ek, y_ld + em)
-                    - f2(x_ld + ek, y_ld - em)
-                    - f2(x_ld - ek, y_ld + em)
-                    + f2(x_ld - ek, y_ld - em)
-                )
-                / (4.0 * hx * hy)
-            )
-    dx_f2 = central_difference(lambda xs: np.array([f2(xx, y_ld) for xx in xs]), x_ld, hx).astype(float)
-
-    return 0.5 * g_inv @ (y @ mixed - dx_f2)
+    # mixed[b, k, l] = d^2 F^2 / dx_k dy_l
+    mixed = ((f_mixed[..., 0, 0] - f_mixed[..., 0, 1] - f_mixed[..., 1, 0] + f_mixed[..., 1, 1])
+             / (4.0 * hx * hy)[:, None, None]).astype(float)
+    dx_f2 = ((f_dx[..., 0] - f_dx[..., 1]) / (2.0 * hx)[:, None]).astype(float)
+    return np.matvec(0.5 * g_inv, np.vecmat(y, mixed) - dx_f2)
 
 
 def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:

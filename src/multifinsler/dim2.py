@@ -139,15 +139,15 @@ def invariants_JK(space: MultiMetricSpace, cs: ConnectionState) -> tuple:
     J comes from the omega^1 wedge omega^3 coefficient; K combines the sector
     Gauss curvatures with frame-derivative corrections.  For a single metric,
     K reduces to the Gauss curvature.  The Gauss curvatures are evaluated once
-    per distinct x of the batch, before the 8 neighbours of every sample; one
-    array-valued field on those neighbours gives the frame derivatives of all
-    sectors and the fiber derivative of N, so J and K take one batched
-    connection state for any number of metrics and samples.  Floats for one
-    sample, arrays of shape (...) for a batch.
+    per distinct x of the batch, in one call per metric, before the 8
+    neighbours of every sample; one array-valued field on those neighbours
+    gives the frame derivatives of all sectors and the fiber derivative of N,
+    so J and K take one batched connection state for any number of metrics and
+    samples.  Floats for one sample, arrays of shape (...) for a batch.
     """
     require_2d(space.dim)
     points, spread = _distinct_points(cs.state.x)
-    gauss = spread(np.array([[gauss_curvature(m, xp) for m in space.metrics] for xp in points]))
+    gauss = spread(np.stack([gauss_curvature(m, points) for m in space.metrics], axis=-1))
     st = cs.state
     fr = frame_from_state(st)
     F, F_mu, det_g = np.asarray(st.F), st.F_mu, np.asarray(st.det_g)

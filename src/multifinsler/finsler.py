@@ -66,6 +66,7 @@ class MultiMetricSpace:
         self.dim = len(coords)
         self.n_metrics = len(self.metrics)
         self._last_values: tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._last_point: tuple[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
     def metric_values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a_mu, inv_mu, det_mu) stacked over sectors, SPD-validated.
@@ -77,16 +78,23 @@ class MultiMetricSpace:
         keeps the error it raises alone.  The distinct points are then
         validated at once by `spd_inverse_det`.
 
-        The most recent x is remembered, keyed on its shape and bytes, so
-        the many evaluations at one x (fiber differences, quadrature over y)
-        validate it once.  The returned arrays are read-only.  An x that
-        fails the SPD check is not remembered.
+        The most recent x is remembered, keyed on its shape and bytes, and so
+        is the most recent x with one distinct point, keyed on that point's
+        bytes: the many evaluations at one x (fiber differences, quadrature
+        over y, one x tiled over a batch of any size) validate it once.  The
+        returned arrays are read-only.  An x that fails the SPD check is not
+        remembered.
         """
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        last = self._last_values  # one read, so a concurrent caller cannot swap it in between
+        raw = x.tobytes()
+        key = (x.shape, raw)
+        # one read each, so a concurrent caller cannot swap them in between
+        last, point = self._last_values, self._last_point
         if last is not None and last[0] == key:
             return last[1]
+        if point is not None and raw.startswith(point[0]) and raw == point[0] * (x.size // x.shape[-1]):
+            index = np.zeros(x.shape[:-1], dtype=int)
+            return self._remember(key, tuple(v[index] for v in point[1]))
         names = [m.name for m in self.metrics]
         points, spread = _distinct_points(x)
         mats = np.empty((len(points), self.n_metrics, self.dim, self.dim))
@@ -99,7 +107,11 @@ class MultiMetricSpace:
                     spd_inverse_det(mats[p, :k], xp, names)
                     raise
         invs, dets = spd_inverse_det(mats, points, names)
-        values = tuple(spread(v) for v in (mats, invs, dets))
+        if len(points) == 1:
+            self._last_point = (points.tobytes(), (mats, invs, dets))
+        return self._remember(key, tuple(spread(v) for v in (mats, invs, dets)))
+
+    def _remember(self, key, values):
         for v in values:
             v.flags.writeable = False
         self._last_values = (key, values)
@@ -305,19 +317,28 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
     Evaluated in extended precision so the second differences at the stated
     step are not dominated by rounding.  It shares only the sector matrices
     at x with the assembled route.  y is one fiber vector (n,) or a batch
-    (B, n) at the one point x, giving (n, n) or (B, n, n); each row takes its
-    own step and stencil and is the single call's bits, and a batch raises
-    the error of the first stencil point that a loop of single calls would.
+    (B, n), at the one point x (n,) or at one point per row (B, n), giving
+    (n, n) or (B, n, n); each row takes its own step and stencil, is the
+    single call's bits, and the first failing row raises its own error (see
+    rows_or_first_error).
     """
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     rows = y.reshape(-1, y.shape[-1])
-    n = rows.shape[-1]
-    h = [HESSIAN_REL_STEP * float(np.linalg.norm(v)) for v in rows]
-    h2 = np.array([np.longdouble(step) ** 2 for step in h])
+    k = x.shape[-1]
+    xy = np.concatenate([np.broadcast_to(x, rows.shape[:1] + x.shape[-1:]), rows], axis=-1)
+    return rows_or_first_error(lambda v: _fd_hessian(space, v[:, :k], v[:, k:]), xy).reshape(y.shape + y.shape[-1:])
+
+
+def _fd_hessian(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fd_fundamental_tensor at the rows of x and y (B, n): (B, n, n)."""
+    n = y.shape[-1]
+    # the bits of np.linalg.norm of one row; a long double squares as exactly in an array
+    h = (HESSIAN_REL_STEP * np.sqrt(np.vecdot(y, y))).astype(np.longdouble)
+    h2 = np.square(h)
     a_ld = space.metric_values(x)[0].astype(np.longdouble)
 
-    y_ld = rows.astype(np.longdouble)
-    e = np.eye(n, dtype=np.longdouble) * np.array(h, dtype=np.longdouble)[:, None, None]
+    y_ld = y.astype(np.longdouble)
+    e = np.eye(n, dtype=np.longdouble) * h[:, None, None]
 
     def stencil():
         """Shifted fiber vectors, (B, n) each, in the order a single call evaluates them."""
@@ -330,18 +351,18 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
                     yield y_ld + si * e[:, i] + sj * e[:, j]
 
     points = np.stack(list(stencil()), axis=1)  # (B, P, n), row-major as evaluated
-    flat = points.reshape(-1, n)
-    s = sector_norms(np.broadcast_to(a_ld, (len(flat),) + a_ld.shape), flat).sum(axis=-1)
-    f2 = iter((s * s).reshape(points.shape[:2]).T)
+    # each row's sector matrices over its stencil
+    s = sector_norms(np.broadcast_to(a_ld[:, None], points.shape[:2] + a_ld.shape[1:]), points).sum(axis=-1)
+    f2 = iter((s * s).T)
 
-    g = np.empty((len(rows), n, n))
+    g = np.empty((len(y), n, n))
     f0 = next(f2)
     for i in range(n):
         g[:, i, i] = (next(f2) - 2.0 * f0 + next(f2)) / h2 / 2.0
         for j in range(i + 1, n):
             mixed = (next(f2) - next(f2) - next(f2) + next(f2)) / (4.0 * h2)
             g[:, i, j] = g[:, j, i] = mixed / 2.0
-    return g.reshape(y.shape + (n,))
+    return g
 
 
 PROPORTIONALITY_RTOL = 1e-10

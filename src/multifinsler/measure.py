@@ -143,11 +143,25 @@ def _quad(f, a: float, b: float, **quad_kwargs):
     return integrate.quad(f, a, b, **quad_kwargs)
 
 
-def _rule_nodes(a: float, b: float, quad_kwargs: dict) -> list[float]:
-    """The 21 nodes of QUADPACK's first Gauss-Kronrod rule on [a, b], in the order it
-    asks for them: a zero integrand stops after that rule."""
-    nodes = []
-    _quad(lambda t: nodes.append(t) or 0.0, a, b, **quad_kwargs)
+# QUADPACK's 21-point Kronrod abscissae (qk21's xgk), the Gauss nodes at odd k
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+
+
+def _rule_nodes(a: float, b: float) -> list[float]:
+    """The 21 nodes of QUADPACK's Gauss-Kronrod rule qk21 on [a, b], in the order it
+    asks for them: the centre, then centr -/+ hlgth * xgk[k] at the Gauss nodes and
+    then at the Kronrod nodes, computed as qk21 computes them."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    nodes = [centr]
+    for k in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        absc = hlgth * _XGK[k]
+        nodes += [centr - absc, centr + absc]
     return nodes
 
 
@@ -156,21 +170,21 @@ def _quad_in_batches(values_at, a: float, b: float, first: dict | None = None, *
     nodes t, each node as f gives it alone; first, if given, maps the nodes of the
     first rule to their values.
 
-    QUADPACK places the nodes of a rule by its bounds alone, so a dry run lists the
+    QUADPACK places the nodes of a rule by its bounds alone, so _rule_nodes lists the
     first rule's nodes.  When it bisects [lo, hi] at mid = 0.5 * (lo + hi), the first
     node it asks for is the centre of [lo, mid], and then it takes the rules of both
     halves.  So each evaluated interval is keyed by its left half's centre; when that
-    node is asked for, dry runs list the 42 nodes of both halves and they are
-    evaluated in one call.  The real run reads every value back, and a node that
-    matches nothing is evaluated as a batch of one.  A batch that raises a per-sample
-    error is evaluated node by node in the order QUADPACK asks for them, so the
-    first failing node raises what it raises alone.
+    node is asked for, the 42 nodes of both halves are listed and evaluated in one
+    call.  The real run reads every value back, and a node that matches nothing is
+    evaluated as a batch of one.  A batch that raises a per-sample error is
+    evaluated node by node in the order QUADPACK asks for them, so the first
+    failing node raises what it raises alone.
     """
     table, split = {}, {}
 
     def evaluate(intervals, known=None):
         if known is None:
-            nodes = [t for lo, hi in intervals for t in _rule_nodes(lo, hi, quad_kwargs)]
+            nodes = [t for lo, hi in intervals for t in _rule_nodes(lo, hi)]
             known = zip(nodes, rows_or_first_error(values_at, np.array(nodes)))
         table.update(known)
         for lo, hi in intervals:
@@ -356,7 +370,7 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
         """integral_0^r_max w(r) r dr along each ray, r_max = 1 / F on the unit circle."""
         units = _unit_vectors(thetas)
         r_max = (1.0 / _circle_norms(a_mu, units)).tolist()
-        radii = [np.array(_rule_nodes(0.0, r, radial)) for r in r_max]
+        radii = [np.array(_rule_nodes(0.0, r)) for r in r_max]
         try:
             weights = weight_at(np.concatenate([r[:, None] * u for r, u in zip(radii, units)]))
             first = [dict(zip(r.tolist(), w * r)) for r, w in zip(radii, np.split(weights, len(thetas)))]

@@ -171,17 +171,14 @@ def fd_residuals(space: MultiMetricSpace, v: np.ndarray) -> np.ndarray:
     s = _split(space, v)
     cs = connection_state(space, s)
     st = cs.state
-    # one x per call of the Hessian oracle, and the long-double spray oracle per sample
-    gh, gv = [], []
-    for x, y in zip(s.x, s.y):
-        gh.append(fd_fundamental_tensor(space, x, y))
-        gv.append(variational_spray(space, TangentSample(x, y)))
+    gh = fd_fundamental_tensor(space, s.x, s.y)
+    gv = variational_spray(space, s)
     g_abs = np.max(np.abs(st.g), axis=(-2, -1))
     G_abs = np.max(np.abs(cs.G), axis=-1)
     nf = nonlinear_connection_fd(space, s)
     columns = [
-        np.max(np.abs(st.g - np.array(gh)), axis=(-2, -1)) / g_abs,
-        np.max(np.abs(cs.G - np.array(gv)), axis=-1) / (1.0 + G_abs),
+        np.max(np.abs(st.g - gh), axis=(-2, -1)) / g_abs,
+        np.max(np.abs(cs.G - gv), axis=-1) / (1.0 + G_abs),
         np.max(np.abs(cs.N - nf), axis=(-2, -1)),
     ]
     if space.dim == 2:

@@ -12,8 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import multifinsler.dim2 as dim2
+import multifinsler.suites as suites
 from multifinsler.config import load_config
-from multifinsler.connection import connection_state, horizontal_compatibility_residual, nonlinear_connection_fd
+from multifinsler.connection import (
+    connection_state,
+    horizontal_compatibility_residual,
+    nonlinear_connection_fd,
+    variational_spray,
+)
 from multifinsler.dim2 import cartan_structure_residuals, frame_from_state, invariants_JK
 from multifinsler.finsler import (
     SAMPLE_ERRORS,
@@ -27,7 +34,7 @@ from multifinsler.finsler import (
 from multifinsler.suites import fd_residuals, pointwise_residuals
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError, gauss_curvature
 
-from conftest import field, space_of
+from conftest import count_calls, field, space_of
 
 REPO = Path(__file__).resolve().parent.parent
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -118,6 +125,18 @@ def outcome(fn, *args):
 
 def same_error(a, b) -> bool:
     return isinstance(a, Exception) and type(a) is type(b) and str(a) == str(b)
+
+
+def assert_rows_or_first_error(batched, solo):
+    """batched holds the rows of solo bit for bit, or raises the error of solo's first
+    failing row, as a loop of single calls stops there."""
+    failed = [o for o in solo if isinstance(o, Exception)]
+    if failed:
+        assert same_error(batched, failed[0])
+        return
+    assert len(batched) == len(solo)
+    for r, s in enumerate(solo):
+        assert np.array_equal(batched[r], s)
 
 
 def assert_row(batched, solo, r, fields):
@@ -253,18 +272,72 @@ def test_identity_residual_rows_match_recorded_values(name):
 @SETTINGS
 @given(spaces(), batches())
 def test_fd_fundamental_tensor_rows_equal_single_calls(space, batch):
-    # the FD Hessian takes a batch of fiber vectors at one point
-    x, y = batch[0][0], batch[1]
-    solo = [outcome(fd_fundamental_tensor, space, x, yr) for yr in y]
-    batched = outcome(fd_fundamental_tensor, space, x, y)
-    failed = [o for o in solo if isinstance(o, Exception)]
-    if failed:
-        # a loop of single calls stops at its first failing row
-        assert same_error(batched, failed[0])
-        return
-    assert batched.shape == (len(y), 2, 2)
-    for r, s in enumerate(solo):
-        assert np.array_equal(batched[r], s)
+    # the FD Hessian takes a batch of fiber vectors at one point, or at one point per row
+    x, y = batch
+    for xs, xr in ((x[0], [x[0]] * len(y)), (x, x)):
+        solo = [outcome(fd_fundamental_tensor, space, p, yr) for p, yr in zip(xr, y)]
+        batched = outcome(fd_fundamental_tensor, space, xs, y)
+        assert_rows_or_first_error(batched, solo)
+        assert isinstance(batched, Exception) or batched.shape == (len(y), 2, 2)
+
+
+@SETTINGS
+@given(spaces(), batches())
+def test_variational_spray_rows_equal_single_calls(space, batch):
+    x, y = batch
+    solo = [outcome(variational_spray, space, TangentSample(xr, yr)) for xr, yr in zip(x, y)]
+    batched = outcome(variational_spray, space, TangentSample(x, y))
+    assert_rows_or_first_error(batched, solo)
+    assert all(isinstance(o, Exception) or o.shape == (2,) for o in solo)
+
+
+@SETTINGS
+@given(spaces(), batches())
+def test_gauss_curvature_rows_equal_single_calls(space, batch):
+    x, _ = batch
+    for m in space.metrics:
+        solo = [outcome(gauss_curvature, m, xr) for xr in x]
+        assert all(isinstance(o, (float, Exception)) for o in solo)
+        assert_rows_or_first_error(outcome(gauss_curvature, m, x), solo)
+
+
+def test_fd_oracles_raise_the_first_failing_rows_own_error():
+    # alpha is not SPD at x1 < -1; a zero y is on the slit for the spray and a degenerate
+    # stencil for the Hessian.  The batch checks each in turn over all rows, so without
+    # the row-order fallback one order of the rows would raise the other row's error
+    sp = space_of(field("alpha", [["1+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
+    good, zero_y, not_spd = ([0.2, 0.1], [1.0, 0.5]), ([0.3, 0.0], [0.0, 0.0]), ([-2.0, 0.0], [1.0, 0.0])
+    for rows in ([good, zero_y, not_spd], [good, not_spd, zero_y]):
+        x, y = (np.array(v) for v in zip(*rows))
+        for fn in (lambda x, y: fd_fundamental_tensor(sp, x, y),
+                   lambda x, y: variational_spray(sp, TangentSample(x, y))):
+            single = outcome(fn, x[1], y[1])
+            assert isinstance(single, Exception) and isinstance(outcome(fn, x[2], y[2]), Exception)
+            assert same_error(outcome(fn, x, y), single)
+
+
+def test_gauss_curvature_raises_the_first_failing_points_own_error():
+    # alpha is not SPD at x1 < -1; its sqrt cannot be evaluated at x2 < 0, nor its
+    # derivatives at x2 = 0; alone, a point is validated before its derivatives
+    alpha = field("alpha", [["1+x1", "0"], ["0", "2+sqrt(x2)"]])
+    good, not_spd, no_value, no_derivative, both = [0.5, 1.0], [-2.0, 1.0], [0.5, -1.0], [0.5, 0.0], [-2.0, 0.0]
+    for points in ([good, not_spd, no_value], [good, no_value, not_spd], [good, no_derivative, not_spd],
+                   [good, not_spd, no_derivative], [good, both, no_value]):
+        single = outcome(gauss_curvature, alpha, np.array(points[1]))
+        assert isinstance(single, Exception)
+        assert same_error(outcome(gauss_curvature, alpha, np.array(points)), single)
+    with pytest.raises(NotPositiveDefiniteError):
+        gauss_curvature(alpha, np.array(both))
+
+
+def test_fd_residuals_calls_each_oracle_once_per_batch(monkeypatch):
+    space = load_config(REPO / "configs" / "trimetric.json").build_space()
+    v = np.array(json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())["trimetric"]["rows"])
+    calls = [count_calls(monkeypatch, suites, name) for name in ("fd_fundamental_tensor", "variational_spray")]
+    gauss = count_calls(monkeypatch, dim2, "gauss_curvature")
+    assert fd_residuals(space, v).shape[0] == len(v)
+    assert [c[0] for c in calls] == [1, 1]
+    assert gauss[0] == space.n_metrics
 
 
 def test_batched_spd_error_names_the_first_failing_row_and_sector():

@@ -332,18 +332,20 @@ class TestCli:
         import multifinsler.cli as cli
         import multifinsler.dim2 as dim2
 
-        calls = [0]
+        points = {}  # metric name -> the points it was evaluated at
         original = dim2.gauss_curvature
 
         def counted(field, x):
-            calls[0] += 1
+            points.setdefault(field.name, []).extend(np.atleast_2d(x).tolist())
             return original(field, x)
 
         for module in (cli, dim2):
             monkeypatch.setattr(module, "gauss_curvature", counted, raising=False)
         assert main(["sample", "--config", config_path, "--grid", "2", "--directions", "3",
                      "--out", str(tmp_path / "grid.csv")]) == 0
-        assert calls[0] == 2 * 2 * 2  # grid points x sectors, independent of the directions
+        # each of the 2 x 2 grid points once per sector (2 x 2 x 2 in all), independent of the directions
+        assert [len(p) for p in points.values()] == [2 * 2] * 2
+        assert all(len(set(map(tuple, p))) == len(p) for p in points.values())
 
     def test_sample_makes_one_batch_of_rows(self, config_path, tmp_path, monkeypatch):
         import multifinsler.cli as cli

@@ -176,6 +176,26 @@ class TestPointwiseEvaluation:
                 assert np.array_equal(arr[r], single)
             assert np.array_equal(dA[r], sp.metric_derivatives(xr))
 
+    def test_a_tiled_point_is_evaluated_once(self, monkeypatch):
+        # the measure oracles stack one x over 21, 42 and 441 fiber vectors
+        sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
+        x = np.array([0.3, -0.5])
+        single = space_of(*sp.metrics).metric_values(x)
+        values = count_calls(monkeypatch, MetricField, "value")
+        spd = count_spd_validations(monkeypatch)
+        tiles = [sp.metric_values(np.tile(x, (rows, 1))) for rows in (21, 42, 441)]
+        assert values[0] == sp.n_metrics and spd[0] == sp.n_metrics
+        for rows, tiled in zip((21, 42, 441), tiles):
+            for arr, one in zip(tiled, single):
+                assert arr.shape == (rows,) + one.shape and not arr.flags.writeable
+                assert all(np.array_equal(row, one) for row in arr)
+        # the point alone, and a tile whose last row is one ulp away, which is evaluated again
+        for arr, one in zip(sp.metric_values(x.copy()), single):
+            assert np.array_equal(arr, one)
+        assert values[0] == sp.n_metrics
+        sp.metric_values(np.vstack([np.tile(x, (20, 1)), [[0.3, np.nextafter(-0.5, 0.0)]]]))
+        assert values[0] == 3 * sp.n_metrics
+
     def test_spd_failure_raises_on_every_call(self, monkeypatch):
         sp = space_of(field("alpha", [["1-x1^2", "0"], ["0", "1"]]))
         calls = count_spd_validations(monkeypatch)

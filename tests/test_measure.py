@@ -498,6 +498,23 @@ def failing_beyond(state, bound, coordinate):
 class TestQuadInBatches:
     """_quad_in_batches evaluates each rule, or the two rules of a bisection, in one call."""
 
+    def test_rule_nodes_are_the_nodes_quad_asks_for(self):
+        # the computed nodes against a dry run with a zero integrand, which stops after
+        # the first rule, on intervals of many scales and on both halves of each
+        def asked(a, b):
+            nodes = []
+            integrate.quad(lambda t: nodes.append(t) or 0.0, a, b, **QUAD)
+            return nodes
+
+        rng = np.random.default_rng(21)
+        starts = rng.uniform(-10.0, 10.0, 10_000) * 10.0 ** rng.integers(-3, 2, 10_000)
+        widths = 10.0 ** rng.uniform(-8.0, 1.5, 10_000)
+        intervals = [(0.0, 2.0 * math.pi), (0.0, 1.0)] + list(zip(starts.tolist(), (starts + widths).tolist()))
+        for a, b in intervals:
+            mid = 0.5 * (a + b)
+            for lo, hi in ((a, b), (a, mid), (mid, b)):
+                assert measure._rule_nodes(lo, hi) == asked(lo, hi), (lo, hi)
+
     @pytest.mark.parametrize("f, a, b", [
         (lambda t: math.exp(-30.0 * t) * math.sin(5.0 * t), 0.0, 2.0 * math.pi),
         (math.sqrt, 0.0, 1.0),
@@ -520,14 +537,14 @@ class TestQuadInBatches:
         assert calls == [21] + [42] * (info["last"] - 1)
 
     def test_an_unpredicted_node_is_evaluated_alone(self, monkeypatch):
-        # dry runs after the first miss the last node of their rule, so every
+        # node lists after the first miss the last node of their rule, so every
         # bisection leaves one node of each half to a batch of its own
-        listed, dry_runs = measure._rule_nodes, []
+        listed, lists = measure._rule_nodes, []
 
-        def missing_last(a, b, quad_kwargs):
-            dry_runs.append((a, b))
-            nodes = listed(a, b, quad_kwargs)
-            return nodes if len(dry_runs) == 1 else nodes[:-1]
+        def missing_last(a, b):
+            lists.append((a, b))
+            nodes = listed(a, b)
+            return nodes if len(lists) == 1 else nodes[:-1]
 
         monkeypatch.setattr(measure, "_rule_nodes", missing_last)
 
