@@ -206,9 +206,9 @@ def _cmd_sample(args) -> int:
     mesh = np.meshgrid(*grid, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
-    def values(v):
-        """F, det_g and, in 2D, I, J and K at the rows v = [x | y], one row each."""
-        s = TangentSample(v[:, :cfg.dimension].copy(), v[:, cfg.dimension:].copy())
+    def values(x, y):
+        """F, det_g and, in 2D, I, J and K at the samples x and y, one row each."""
+        s = TangentSample(x, y)
         if not is2d:
             st = finsler_state(space, s)
             return np.stack([st.F, st.det_g], axis=-1)
@@ -217,8 +217,8 @@ def _cmd_sample(args) -> int:
                          *invariants_JK(space, cs)], axis=-1)
 
     # one batch; if it raises a per-sample error, the first failing row raises its own
-    xy = np.concatenate([np.repeat(points, len(thetas), axis=0), np.tile(directions, (len(points), 1))], axis=1)
-    table = rows_or_first_error(values, xy)
+    xs, ys = np.repeat(points, len(thetas), axis=0), np.tile(directions, (len(points), 1))
+    table = rows_or_first_error(values, xs, ys)
     samples = [(x, th) for x in points for th in thetas]
     rows = [[*x, th, *v] for (x, th), v in zip(samples, table)]
     write_csv(header, rows, args.out)

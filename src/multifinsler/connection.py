@@ -23,8 +23,8 @@ from .finsler import (
     MultiMetricSpace,
     TangentSample,
     _scalar,
+    _fd_hessian,
     _sym3,
-    fd_fundamental_tensor,
     finsler_state,
     rows_or_first_error,
     sector_norms,
@@ -43,10 +43,10 @@ def central_difference(f, v: np.ndarray, h, at=None) -> np.ndarray:
     f is called once on the 2n shifted points of every point of v, stacked as
     (P, n) in the order v + h_0 e_0, v - h_0 e_0, v + h_1 e_1, ..., and
     returns one value per point, (P, *shape); each point keeps the error it
-    raises alone (see finsler.rows_or_first_error).  With at (..., k), every
-    shifted point carries its own point's row of at in front, unshifted, and f
-    takes rows (P, k + n): a field of y at each sample's x takes at=x.  D has
-    the shape (..., n, *shape).
+    raises alone (see finsler.rows_or_first_error).  With at (..., k), f takes
+    (at_rows, shifted) with at_rows (P, k), each shifted point's own row of at,
+    unshifted: a field of y at each sample's x takes at=x.  D has the shape
+    (..., n, *shape).
     """
     n = v.shape[-1]
     h = np.asarray(h)
@@ -54,10 +54,11 @@ def central_difference(f, v: np.ndarray, h, at=None) -> np.ndarray:
     e = np.zeros(v.shape + (n,), dtype=v.dtype)
     e[..., range(n), range(n)] = steps
     shifted = np.stack([v[..., None, :] + e, v[..., None, :] - e], axis=-2)  # (..., n, 2, n)
-    if at is not None:
+    if at is None:
+        out = rows_or_first_error(f, shifted.reshape(-1, n))
+    else:
         at = np.broadcast_to(at[..., None, None, :], shifted.shape[:-1] + at.shape[-1:])
-        shifted = np.concatenate([at, shifted], axis=-1)
-    out = rows_or_first_error(f, shifted.reshape(-1, shifted.shape[-1]))
+        out = rows_or_first_error(f, at.reshape(-1, at.shape[-1]), shifted.reshape(-1, n))
     out = out.reshape(v.shape + (2,) + out.shape[1:])
     step = (2.0 * steps).reshape(v.shape + (1,) * (out.ndim - v.ndim - 1))
     return (np.take(out, 0, axis=v.ndim) - np.take(out, 1, axis=v.ndim)) / step
@@ -228,14 +229,12 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample) -> np.ndar
     Computes 2 * (1/4) g^{il} (y^k d^2F^2/dx^k dy^l - dF^2/dx^l) with the
     Hessian g and all derivatives taken by central differences of F^2,
     evaluated in extended precision.  It shares only the sector matrices,
-    validated at x by fd_fundamental_tensor, with connection_state.  Each row
-    is the single call's bits, and the first failing row raises its own error
-    (see rows_or_first_error).
+    validated at x by the Hessian of fd_fundamental_tensor, with
+    connection_state.  Each row is the single call's bits, and the first
+    failing row raises its own error (see rows_or_first_error).
     """
-    x, y = np.atleast_2d(sample.x), np.atleast_2d(sample.y)
-    n = x.shape[-1]
-    G = rows_or_first_error(lambda v: _variational_spray_rows(space, v[:, :n], v[:, n:]),
-                            np.concatenate([x, y], axis=-1))
+    G = rows_or_first_error(functools.partial(_variational_spray_rows, space),
+                            np.atleast_2d(sample.x), np.atleast_2d(sample.y))
     return G.reshape(sample.y.shape)
 
 
@@ -247,7 +246,7 @@ def _variational_spray_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarra
     # steps with the bits of np.linalg.norm of one row
     hy = ld(MIXED_FD_STEP) * (1.0 + np.sqrt(np.vecdot(y, y)))
     hx = ld(MIXED_FD_STEP) * (1.0 + np.sqrt(np.vecdot(x, x)))
-    g_inv = np.linalg.inv(fd_fundamental_tensor(space, x, y))
+    g_inv = np.linalg.inv(_fd_hessian(space, x, y))
 
     def shifted(v, h):
         """[b, k, s] = v_b + h_b e_k (s = 0) and v_b - h_b e_k (s = 1), in long double."""
@@ -288,10 +287,8 @@ def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample) -> n
     """Oracle N = (1/2) dG/dy by central differences of the factorized spray, at a
     sample or at a batch of samples, each with its own step."""
     x, y = sample.x, sample.y
-    n = y.shape[-1]
     h = FD_STEP * np.sqrt(np.vecdot(y, y))  # the bits of np.linalg.norm of one point
-    dG = central_difference(
-        lambda v: connection_state(space, TangentSample(v[:, :n].copy(), v[:, n:].copy())).G, y, h, at=x)
+    dG = central_difference(lambda xs, ys: connection_state(space, TangentSample(xs, ys)).G, y, h, at=x)
     return 0.5 * np.swapaxes(dG, -1, -2)
 
 

@@ -98,8 +98,7 @@ def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float | np.ndarr
     """
     x, y = fr.state.x, fr.state.y
     h = FD_STEP * (1.0 + np.sqrt(np.vecdot(y, y)))  # the bits of np.linalg.norm of one point
-    grad = central_difference(
-        lambda v: finsler_state(space, TangentSample(v[:, :2].copy(), v[:, 2:].copy())).det_g, y, h, at=x)
+    grad = central_difference(lambda xs, ys: finsler_state(space, TangentSample(xs, ys)).det_g, y, h, at=x)
     scale = np.asarray(fr.state.F / (2.0 * fr.state.det_g))[..., None]
     return _scalar(np.vecdot(scale * fr.m_up, grad))
 
@@ -341,9 +340,8 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
     # side; each neighbour carries the sector matrices of its sample
     a_shape = st.a_mu.shape[-3:]
 
-    def log_ratios(v):
-        a_mu = v[:, :-2].reshape((-1,) + a_shape)
-        f_mu = sector_norms(a_mu, v[:, -2:].copy())
+    def log_ratios(a_mu, ys):
+        f_mu = sector_norms(a_mu.reshape((-1,) + a_shape), ys)
         return np.log(f_mu.sum(axis=-1, keepdims=True) / f_mu)
 
     hy = FD_STEP * (1.0 + np.sqrt(np.vecdot(st.y, st.y)))  # the bits of np.linalg.norm of one point

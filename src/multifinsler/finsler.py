@@ -154,18 +154,18 @@ def _distinct_points(x: np.ndarray):
     return np.frombuffer(b"".join(ids), dtype=flat.dtype).reshape(-1, flat.shape[-1]), lambda v: v[index]
 
 
-def rows_or_first_error(f, rows: np.ndarray) -> np.ndarray:
-    """f(rows) for a batch of rows (B, ...), where f gives each row the value it
-    gives that row alone.
+def rows_or_first_error(f, *arrays: np.ndarray) -> np.ndarray:
+    """f(*arrays) for a batch whose arrays hold one row per sample (B, ...), where f
+    gives each sample the value it gives that sample alone.
 
-    If the batch raises a per-sample error, f takes the rows one at a time, as
-    batches of one and in order, so the first failing row raises the error it
-    raises alone.
+    If the batch raises a per-sample error, f takes the samples one at a time, as
+    batches of one and in order, every array sliced at the same row, so the first
+    failing sample raises the error it raises alone.
     """
     try:
-        return f(rows)
+        return f(*arrays)
     except SAMPLE_ERRORS:
-        return np.concatenate([f(rows[k:k + 1]) for k in range(len(rows))])
+        return np.concatenate([f(*(a[k:k + 1] for a in arrays)) for k in range(len(arrays[0]))])
 
 
 def _power(a, p):
@@ -324,9 +324,8 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     rows = y.reshape(-1, y.shape[-1])
-    k = x.shape[-1]
-    xy = np.concatenate([np.broadcast_to(x, rows.shape[:1] + x.shape[-1:]), rows], axis=-1)
-    return rows_or_first_error(lambda v: _fd_hessian(space, v[:, :k], v[:, k:]), xy).reshape(y.shape + y.shape[-1:])
+    xs = np.broadcast_to(x, rows.shape[:1] + x.shape[-1:])
+    return rows_or_first_error(functools.partial(_fd_hessian, space), xs, rows).reshape(y.shape + y.shape[-1:])
 
 
 def _fd_hessian(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:

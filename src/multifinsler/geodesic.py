@@ -197,12 +197,7 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
     slow = [float(np.linalg.norm(vk)) < EPS_SLIT for vk in v]
     stop = slow.index(True) if any(slow) else len(t)
     if stop:
-        n = xs.shape[-1]
-
-        def norms(r):
-            return finsler_norm(space, TangentSample(r[:, :n].copy(), r[:, n:].copy()))[1]
-
-        f_mu = rows_or_first_error(norms, np.concatenate([xs[:stop], v[:stop]], axis=1))
+        f_mu = rows_or_first_error(lambda x, y: finsler_norm(space, TangentSample(x, y))[1], xs[:stop], v[:stop])
     if stop < len(t):
         raise ValueError(f"zero-velocity segment at t={t[stop]}")
     from scipy.integrate import simpson  # here: commands that compute no action do not load scipy

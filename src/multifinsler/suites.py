@@ -7,6 +7,7 @@ fixed seed; checks are keyed and sorted so assembly order cannot matter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,22 +81,17 @@ def _check(name, residual, tol_class, samples, tol_scale, tol=None, info=None) -
     )
 
 
-def draw_samples(cfg: SpaceConfig, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Rows [x | y] of shape (count, 2n): x uniform in the configured box, y uniform
-    on the unit sphere."""
+def draw_samples(cfg: SpaceConfig, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of shape (count, n): x uniform in the configured box, y uniform on the
+    unit sphere, drawn sample by sample."""
     lo = np.array([b[0] for b in cfg.sampling.box])
     hi = np.array([b[1] for b in cfg.sampling.box])
-    out = []
+    xs, ys = [], []
     for _ in range(count):
-        x = lo + (hi - lo) * rng.random(cfg.dimension)
+        xs.append(lo + (hi - lo) * rng.random(cfg.dimension))
         y = rng.normal(size=cfg.dimension)
-        y /= np.linalg.norm(y)
-        out.append(np.concatenate([x, y]))
-    return np.array(out)
-
-
-def _split(space: MultiMetricSpace, v: np.ndarray) -> TangentSample:
-    return TangentSample(v[:, :space.dim].copy(), v[:, space.dim:].copy())
+        ys.append(y / np.linalg.norm(y))
+    return np.array(xs), np.array(ys)
 
 
 # (check, tolerance class, tolerance or None for the class's), one column each of the
@@ -130,11 +126,11 @@ FD_2D_CHECKS = (
 )
 
 
-def pointwise_residuals(space: MultiMetricSpace, v: np.ndarray) -> np.ndarray:
-    """Per-sample residuals (B, k) of the pointwise checks at the rows v = [x | y]
-    (B, 2n), one column per entry of POINTWISE_CHECKS, then of POINTWISE_2D_CHECKS
-    in 2D.  Each row is the value that row gives alone, bit for bit."""
-    s = _split(space, v)
+def pointwise_residuals(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample residuals (B, k) of the pointwise checks at the samples x and y
+    (B, n), one column per entry of POINTWISE_CHECKS, then of POINTWISE_2D_CHECKS
+    in 2D.  Each row is the value that sample gives alone, bit for bit."""
+    s = TangentSample(x, y)
     cs = connection_state(space, s)
     st = cs.state
     hom = []
@@ -162,13 +158,13 @@ def pointwise_residuals(space: MultiMetricSpace, v: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-def fd_residuals(space: MultiMetricSpace, v: np.ndarray) -> np.ndarray:
-    """Per-sample residuals (B, k) of the FD-oracle checks at the rows v = [x | y]
-    (B, 2n), one column per entry of FD_CHECKS, then in 2D of FD_2D_CHECKS, and last
-    the largest component of the Cartan tensor.  Each row is the value that row
+def fd_residuals(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample residuals (B, k) of the FD-oracle checks at the samples x and y
+    (B, n), one column per entry of FD_CHECKS, then in 2D of FD_2D_CHECKS, and last
+    the largest component of the Cartan tensor.  Each row is the value that sample
     gives alone, bit for bit; for a batch of one the oracles run in the order of a
     single sample's checks."""
-    s = _split(space, v)
+    s = TangentSample(x, y)
     cs = connection_state(space, s)
     st = cs.state
     gh = fd_fundamental_tensor(space, s.x, s.y)
@@ -214,16 +210,16 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
 
     # one batch per stage; a batch that raises a per-sample error is evaluated again
     # one sample at a time, so the first failing sample raises its own error
-    worst = np.max(rows_or_first_error(lambda v: pointwise_residuals(space, v), draw_samples(cfg, rng, n_full)),
-                   axis=0)
+    x, y = draw_samples(cfg, rng, n_full)
+    worst = np.max(rows_or_first_error(functools.partial(pointwise_residuals, space), x, y), axis=0)
     out = _checks(POINTWISE_CHECKS + (POINTWISE_2D_CHECKS if is2d else ()), worst, n_full, tol_scale)
 
-    fd_samples = draw_samples(cfg, rng, n_fd)
-    worst = np.max(rows_or_first_error(lambda v: fd_residuals(space, v), fd_samples), axis=0)
+    x_fd, y_fd = draw_samples(cfg, rng, n_fd)
+    worst = np.max(rows_or_first_error(functools.partial(fd_residuals, space), x_fd, y_fd), axis=0)
     out += _checks(FD_CHECKS + (FD_2D_CHECKS if is2d else ()), worst[:-1], n_fd, tol_scale)
     if is2d:
         c_max = float(worst[-1])
-        verdict = riemannian_detect(space, fd_samples[:, :space.dim].copy())
+        verdict = riemannian_detect(space, x_fd)
         consistent = (c_max <= 1e-10) == verdict.riemannian
         out.append(_check(
             "riemannian-detection-vs-cartan", 0.0 if consistent else 1.0,
@@ -240,7 +236,7 @@ def _measure_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) -
                  abs(complete_elliptic_e(1.0) - 1.0))
     out.append(_check("elliptic-endpoint-anchors", anchor, "analytic", 3, tol_scale, tol=1e-14))
 
-    pts = [cfg.box_center(), *draw_samples(cfg, rng, 3)[:, :cfg.dimension].copy()]
+    pts = [cfg.box_center(), *draw_samples(cfg, rng, 3)[0]]
     ht = bh = ind = 0.0
     positive = True
     for x in pts:

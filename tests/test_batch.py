@@ -1,7 +1,8 @@
 """A batch of samples evaluates each row as that sample alone, bit for bit.
 
-The spaces include near-proportional pencils and metrics whose eigenvalue
-ratio straddles the SPD threshold, so some batches carry failing rows.
+The spaces include near-proportional pencils, metrics whose eigenvalue
+ratio straddles the SPD threshold, and a metric with a domain cut, so some
+batches carry rows that fail, some of them different checks in one batch.
 """
 
 import json
@@ -24,6 +25,8 @@ from multifinsler.connection import (
 from multifinsler.dim2 import cartan_structure_residuals, frame_from_state, invariants_JK
 from multifinsler.finsler import (
     SAMPLE_ERRORS,
+    ConvexityError,
+    SlitViolationError,
     TangentSample,
     fd_fundamental_tensor,
     finsler_norm,
@@ -77,12 +80,19 @@ def field_of(name, const, lin) -> MetricField:
     return field(name, rows)
 
 
+# a cut space's first metric is not SPD at x1 < -1.5 and has no value at x2 < -1.5
+NOT_SPD, NO_VALUE = [-2.0, 0.5], [0.5, -2.0]
+
+
 @st.composite
 def spaces(draw, counts=st.integers(1, 3)):
-    kind = draw(st.sampled_from(["generic", "pencil", "boundary"]))
+    kind = draw(st.sampled_from(["generic", "pencil", "boundary", "cut"]))
     count = draw(counts)
     if kind == "generic":
         fields = [field_of(f"m{k}", draw(constant_spd()), draw(linear_parts())) for k in range(count)]
+    elif kind == "cut":
+        fields = [field("m0", [["1.5 + x1", "0"], ["0", "2 + sqrt(1.5 + x2)"]])]
+        fields += [field_of(f"m{k}", draw(constant_spd()), draw(linear_parts())) for k in range(1, count)]
     elif kind == "pencil":
         # s_k a_1 + eps (a symmetric perturbation): proportional up to eps
         base, lin = draw(constant_spd()), draw(linear_parts())
@@ -103,7 +113,9 @@ def spaces(draw, counts=st.integers(1, 3)):
 
 @st.composite
 def batches(draw):
-    """x and y of shape (B, 2), B in {1, 3, 7}; now and then one y on the slit."""
+    """x and y of shape (B, 2), B in {1, 3, 7}; now and then one y on the slit, and now
+    and then three rows, in a drawn order, that fail different checks in a cut space:
+    x at NOT_SPD, y on the slit and x at NO_VALUE."""
     size = draw(st.sampled_from([1, 3, 7]))
     x = np.array([[draw(num(-1.0, 1.0)), draw(num(-1.0, 1.0))] for _ in range(size)])
     y = []
@@ -113,6 +125,9 @@ def batches(draw):
     y = np.array(y)
     if draw(st.integers(0, 7)) == 0:
         y[draw(st.integers(0, size - 1))] = 0.0
+    if size > 1 and draw(st.booleans()):
+        not_spd, slit, no_value = draw(st.permutations(range(size)))[:3]
+        x[not_spd], y[slit], x[no_value] = NOT_SPD, 0.0, NO_VALUE
     return x, y
 
 
@@ -230,10 +245,9 @@ def test_identity_residual_rows_equal_single_samples(n_metrics, data):
     """The identities suite's residual rows: each row of a batch is the row of that sample
     alone, and the row-order fallback raises the first failing sample's error."""
     space, (x, y) = data.draw(spaces(st.just(n_metrics))), data.draw(batches())
-    v = np.concatenate([x, y], axis=1)
     for fn in (pointwise_residuals, fd_residuals):
-        solo = [outcome(fn, space, v[r:r + 1]) for r in range(len(v))]
-        batched = outcome(rows_or_first_error, lambda rows: fn(space, rows), v)
+        solo = [outcome(fn, space, x[r:r + 1], y[r:r + 1]) for r in range(len(x))]
+        batched = outcome(rows_or_first_error, lambda xs, ys: fn(space, xs, ys), x, y)
         failed = [o for o in solo if isinstance(o, Exception)]
         if failed:
             assert same_error(batched, failed[0]), fn.__name__
@@ -264,9 +278,9 @@ def test_identity_residual_rows_match_recorded_values(name):
     path = REPO / ("tests/data" if name == "bimetric3d" else "configs") / f"{name}.json"
     space = load_config(path).build_space()
     recorded = json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())[name]
-    v = np.array(recorded["rows"])
-    assert pointwise_residuals(space, v).tolist() == recorded["pointwise"]
-    assert fd_residuals(space, v[:len(recorded["fd"])]).tolist() == recorded["fd"]
+    x, y = np.hsplit(np.array(recorded["rows"]), 2)
+    assert pointwise_residuals(space, x, y).tolist() == recorded["pointwise"]
+    assert fd_residuals(space, x[:len(recorded["fd"])], y[:len(recorded["fd"])]).tolist() == recorded["fd"]
 
 
 @SETTINGS
@@ -301,6 +315,47 @@ def test_gauss_curvature_rows_equal_single_calls(space, batch):
         assert_rows_or_first_error(outcome(gauss_curvature, m, x), solo)
 
 
+def test_rows_or_first_error_slices_every_array_at_the_same_row():
+    x = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
+    y, a = -x, np.arange(16.0).reshape(4, 2, 2)
+    calls = []
+
+    def f(x, y, a):
+        calls.append((x, y, a))
+        return x[:, 0] + y[:, 1] + a[:, 1, 0]
+
+    out = rows_or_first_error(f, x, y, a)
+    assert len(calls) == 1 and all(c is v for c, v in zip(calls[0], (x, y, a)))
+    assert np.array_equal(out, x[:, 0] + y[:, 1] + a[:, 1, 0])
+
+    # the batch raises one error; alone, rows 2 and 3 raise others, and row 2 comes first
+    def g(x, y, a):
+        calls.append((x, y, a))
+        if len(x) > 1:
+            raise SlitViolationError("batch")
+        if x[0, 0] >= 2.0:
+            error = ConvexityError if x[0, 0] == 2.0 else NotPositiveDefiniteError
+            raise error(f"x={x[0].tolist()} y={y[0].tolist()} a={a[0].tolist()}")
+        return x[:, 0]
+
+    calls.clear()
+    with pytest.raises(ConvexityError, match=r"^x=\[2\.0, 3\.0\] y=\[-2\.0, -3\.0\] a=\[\[8\.0, 9\.0\]"):
+        rows_or_first_error(g, x, y, a)
+    assert len(calls) == 4
+    for k, row in enumerate(calls[1:]):
+        assert all(np.array_equal(c, v[k:k + 1]) for c, v in zip(row, (x, y, a)))
+
+    # any other error belongs to the whole call
+    def h(*arrays):
+        calls.append(arrays)
+        raise ValueError("whole call")
+
+    calls.clear()
+    with pytest.raises(ValueError, match="whole call"):
+        rows_or_first_error(h, x, y, a)
+    assert len(calls) == 1
+
+
 def test_fd_oracles_raise_the_first_failing_rows_own_error():
     # alpha is not SPD at x1 < -1; a zero y is on the slit for the spray and a degenerate
     # stencil for the Hessian.  The batch checks each in turn over all rows, so without
@@ -332,10 +387,11 @@ def test_gauss_curvature_raises_the_first_failing_points_own_error():
 
 def test_fd_residuals_calls_each_oracle_once_per_batch(monkeypatch):
     space = load_config(REPO / "configs" / "trimetric.json").build_space()
-    v = np.array(json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())["trimetric"]["rows"])
+    rows = json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())["trimetric"]["rows"]
+    x, y = np.hsplit(np.array(rows), 2)
     calls = [count_calls(monkeypatch, suites, name) for name in ("fd_fundamental_tensor", "variational_spray")]
     gauss = count_calls(monkeypatch, dim2, "gauss_curvature")
-    assert fd_residuals(space, v).shape[0] == len(v)
+    assert fd_residuals(space, x, y).shape[0] == len(x)
     assert [c[0] for c in calls] == [1, 1]
     assert gauss[0] == space.n_metrics
 

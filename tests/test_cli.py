@@ -576,6 +576,15 @@ def test_identity_report_in_3d_matches_stored_bytes(tmp_path):
     assert out.read_bytes() == (REPO / "tests" / "data" / "check-bimetric3d-identities.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric", "bimetric3d"])
+def test_geodesics_reports_match_stored_bytes(name, tmp_path):
+    """check --suite geodesics at each config's own seed, byte for byte."""
+    out = tmp_path / "report.json"
+    config = REPO / ("tests/data" if name == "bimetric3d" else "configs") / f"{name}.json"
+    assert main(["check", "--config", str(config), "--suite", "geodesics", "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "data" / f"check-{name}-geodesics.json").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
 @pytest.mark.parametrize("point", ["centre", "0.3_-0.2"])
 def test_measure_output_matches_stored_bytes(name, point, tmp_path):

@@ -106,16 +106,16 @@ class TestCentralDifference:
     def test_each_point_carries_its_own_row_of_at(self):
         calls = []
 
-        def f(p):
-            calls.append(p.copy())
-            return p[:, 0] * p[:, 2] + p[:, 1] * p[:, 3]  # at . v
+        def f(a, p):
+            calls.append((a.copy(), p.copy()))
+            return a[:, 0] * p[:, 0] + a[:, 1] * p[:, 1]  # at . v
 
         v, at = np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([[3.0, 4.0], [-1.0, 0.5]])
         grad = central_difference(f, v, 0.125, at=at)
         assert len(calls) == 1
-        assert np.array_equal(calls[0][:, :2], np.repeat(at, 4, axis=0))
-        assert np.array_equal(calls[0][:, 2:], [v[r] + s * 0.125 * e for r in range(2) for e in np.eye(2)
-                                                for s in (1.0, -1.0)])
+        assert np.array_equal(calls[0][0], np.repeat(at, 4, axis=0))
+        assert np.array_equal(calls[0][1], [v[r] + s * 0.125 * e for r in range(2) for e in np.eye(2)
+                                            for s in (1.0, -1.0)])
         assert np.array_equal(grad, at)
 
     def test_the_first_failing_point_raises_its_own_error(self):
