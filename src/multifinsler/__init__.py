@@ -37,7 +37,6 @@ from .finsler import (
     FinslerState,
     MultiMetricSpace,
     SlitViolationError,
-    TangentSample,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,

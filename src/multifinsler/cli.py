@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, load_config
 from .connection import connection_state
 from .dim2 import frame_from_state, invariants_JK
-from .finsler import TangentSample, finsler_state, rows_or_first_error
+from .finsler import finsler_state, rows_or_first_error
 from .geodesic import action_of_path, integrate_geodesic, path_to_csv, write_csv
 from .measure import busemann_hausdorff, holmes_thompson, holmes_thompson_disc_oracle
 from .suites import run_suite
@@ -208,11 +208,10 @@ def _cmd_sample(args) -> int:
 
     def values(x, y):
         """F, det_g and, in 2D, I, J and K at the samples x and y, one row each."""
-        s = TangentSample(x, y)
         if not is2d:
-            st = finsler_state(space, s)
+            st = finsler_state(space, x, y)
             return np.stack([st.F, st.det_g], axis=-1)
-        cs = connection_state(space, s)
+        cs = connection_state(space, x, y)
         return np.stack([cs.state.F, cs.state.det_g, frame_from_state(cs.state).I,
                          *invariants_JK(space, cs)], axis=-1)
 

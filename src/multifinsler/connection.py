@@ -21,7 +21,6 @@ import numpy as np
 from .finsler import (
     FinslerState,
     MultiMetricSpace,
-    TangentSample,
     _scalar,
     _fd_hessian,
     _sym3,
@@ -184,9 +183,11 @@ def _dsym3(dv: np.ndarray, H: np.ndarray, v: np.ndarray, dH: np.ndarray) -> np.n
     )
 
 
-def _fiber_dh(h: np.ndarray, l: np.ndarray, F: float) -> np.ndarray:
-    """[r, i, j] = d h_ij / dy_r for h = a - l (x) l of a norm F with covector l."""
-    return -(np.einsum("ri,j->rij", h, l) + np.einsum("i,rj->rij", l, h)) / F
+def _fiber_dh(h: np.ndarray, l: np.ndarray, F) -> np.ndarray:
+    """[..., r, i, j] = d h_ij / dy_r for h = a - l (x) l of a norm F with covector l,
+    over leading batch axes (F of shape (...))."""
+    return -(np.einsum("...ri,...j->...rij", h, l) + np.einsum("...i,...rj->...rij", l, h)) / (
+        np.asarray(F)[..., None, None, None])
 
 
 def cartan_y_derivative(state: FinslerState) -> np.ndarray:
@@ -196,16 +197,16 @@ def cartan_y_derivative(state: FinslerState) -> np.ndarray:
     dl_mu -> h_mu/F_mu.
     """
     F_mu, l_mu, h_mu = state.F_mu, state.l_mu, state.h_mu
-    dh_mu = np.stack([_fiber_dh(h_mu[k], l_mu[k], F_mu[k]) for k in range(len(F_mu))])
+    dh_mu = _fiber_dh(h_mu, l_mu, F_mu)
     return _cartan_derivative(
         state, state.l, l_mu, state.h / state.F, h_mu / F_mu[:, None, None], dh_mu,
     )
 
 
-def connection_state(space: MultiMetricSpace, sample: TangentSample) -> ConnectionState:
-    """Assemble the spray at a sample, or at a batch of samples of shape (B, n);
-    the Cartan nonlinear connection follows on access."""
-    state = finsler_state(space, sample)
+def connection_state(space: MultiMetricSpace, x, y) -> ConnectionState:
+    """Assemble the spray at a sample (x, y), or at a batch of samples with x and y
+    of shape (B, n); the Cartan nonlinear connection follows on access."""
+    state = finsler_state(space, x, y)
     # per-sector Christoffels, connections Gamma y and sprays Gamma y y, from the
     # inverses that metric_values validated at x
     gamma_mu = _christoffel(state.a_inv, space.metric_derivatives(state.x))
@@ -222,9 +223,9 @@ def connection_state(space: MultiMetricSpace, sample: TangentSample) -> Connecti
     return ConnectionState(state=state, G=G, G_mu=G_mu, N_mu=N_mu, gamma_mu=gamma_mu, P=P, b=b)
 
 
-def variational_spray(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
+def variational_spray(space: MultiMetricSpace, x, y) -> np.ndarray:
     """Independent spray oracle G from finite differences of F^2 alone, at a sample
-    or at a batch of samples with x and y of shape (B, n).
+    (x, y) or at a batch of samples with x and y of shape (B, n).
 
     Computes 2 * (1/4) g^{il} (y^k d^2F^2/dx^k dy^l - dF^2/dx^l) with the
     Hessian g and all derivatives taken by central differences of F^2,
@@ -233,14 +234,14 @@ def variational_spray(space: MultiMetricSpace, sample: TangentSample) -> np.ndar
     connection_state.  Each row is the single call's bits, and the first
     failing row raises its own error (see rows_or_first_error).
     """
-    G = rows_or_first_error(functools.partial(_variational_spray_rows, space),
-                            np.atleast_2d(sample.x), np.atleast_2d(sample.y))
-    return G.reshape(sample.y.shape)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    G = rows_or_first_error(functools.partial(_variational_spray_rows, space), np.atleast_2d(x), np.atleast_2d(y))
+    return G.reshape(y.shape)
 
 
 def _variational_spray_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """variational_spray at the rows of x and y (B, n)."""
-    space.check_sample(TangentSample(x, y))
+    space.check_sample(x, y)
     n = x.shape[-1]
     ld = np.longdouble
     # steps with the bits of np.linalg.norm of one row
@@ -283,12 +284,12 @@ def _variational_spray_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarra
     return np.matvec(0.5 * g_inv, np.vecmat(y, mixed) - dx_f2)
 
 
-def nonlinear_connection_fd(space: MultiMetricSpace, sample: TangentSample) -> np.ndarray:
+def nonlinear_connection_fd(space: MultiMetricSpace, x, y) -> np.ndarray:
     """Oracle N = (1/2) dG/dy by central differences of the factorized spray, at a
-    sample or at a batch of samples, each with its own step."""
-    x, y = sample.x, sample.y
+    sample (x, y) or at a batch of samples, each with its own step."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     h = FD_STEP * np.sqrt(np.vecdot(y, y))  # the bits of np.linalg.norm of one point
-    dG = central_difference(lambda xs, ys: connection_state(space, TangentSample(xs, ys)).G, y, h, at=x)
+    dG = central_difference(lambda xs, ys: connection_state(space, xs, ys).G, y, h, at=x)
     return 0.5 * np.swapaxes(dG, -1, -2)
 
 
@@ -325,8 +326,9 @@ class LandsbergBerwald:
     pair_residuals: np.ndarray   # (N, N) max-abs residual of the factorized cubic condition
 
 
-def landsberg_berwald(space: MultiMetricSpace, sample: TangentSample) -> LandsbergBerwald:
-    cs = connection_state(space, sample)
+def landsberg_berwald(space: MultiMetricSpace, x, y) -> LandsbergBerwald:
+    """Landsberg and Berwald tensors and the pair residuals at one sample (x, y)."""
+    cs = connection_state(space, x, y)
     state = cs.state
     xd = x_derivatives(space, state)
     chern = _chern_from_dg(cs, xd.dg)
@@ -352,22 +354,24 @@ def landsberg_berwald(space: MultiMetricSpace, sample: TangentSample) -> Landsbe
 
 
 def _pair_cubic_tensor(space: MultiMetricSpace, x, y, mu: int, nu: int) -> np.ndarray:
-    """(1/F) * third fiber derivative of F_mu F_nu, closed form."""
-    st = finsler_state(space, TangentSample(x, y))
-    Fm, Fn = st.F_mu[mu], st.F_mu[nu]
-    lm, ln = st.l_mu[mu], st.l_mu[nu]
-    hm, hn = st.h_mu[mu], st.h_mu[nu]
-    dhm, dhn = _fiber_dh(hm, lm, Fm), _fiber_dh(hn, ln, Fn)
+    """(1/F) * third fiber derivative of F_mu F_nu, closed form, [..., r, s, t] at a
+    sample or at each sample of a batch."""
+    st = finsler_state(space, x, y)
+    Fm, Fn = st.F_mu[..., mu, None], st.F_mu[..., nu, None]  # against a vector axis
+    lm, ln = st.l_mu[..., mu, :], st.l_mu[..., nu, :]
+    hm, hn = st.h_mu[..., mu, :, :], st.h_mu[..., nu, :, :]
+    dhm, dhn = _fiber_dh(hm, lm, Fm[..., 0]), _fiber_dh(hn, ln, Fn[..., 0])
+    hm_Fm, hn_Fn = hm / Fm[..., None], hn / Fn[..., None]
 
     termA = (
-        np.einsum("r,st->rst", ln / Fm - Fn * lm / Fm**2, hm) + (Fn / Fm) * dhm
+        np.einsum("...r,...st->...rst", ln / Fm - Fn * lm / Fm**2, hm) + (Fn / Fm)[..., None, None] * dhm
     )
-    termB = np.einsum("rt,s->rst", hm / Fm, ln) + np.einsum("t,rs->rst", lm, hn / Fn)
-    termC = np.einsum("rs,t->rst", hm / Fm, ln) + np.einsum("s,rt->rst", lm, hn / Fn)
+    termB = np.einsum("...rt,...s->...rst", hm_Fm, ln) + np.einsum("...t,...rs->...rst", lm, hn_Fn)
+    termC = np.einsum("...rs,...t->...rst", hm_Fm, ln) + np.einsum("...s,...rt->...rst", lm, hn_Fn)
     termD = (
-        np.einsum("r,st->rst", lm / Fn - Fm * ln / Fn**2, hn) + (Fm / Fn) * dhn
+        np.einsum("...r,...st->...rst", lm / Fn - Fm * ln / Fn**2, hn) + (Fm / Fn)[..., None, None] * dhn
     )
-    return (termA + termB + termC + termD) / st.F
+    return (termA + termB + termC + termD) / np.asarray(st.F)[..., None, None, None]
 
 
 def _pair_cubic_residual(space, state, cs, chern_y, mu, nu) -> float:
@@ -375,8 +379,8 @@ def _pair_cubic_residual(space, state, cs, chern_y, mu, nu) -> float:
     x, y = state.x, state.y
     hx = FD_STEP * (1.0 + float(np.linalg.norm(x)))
     hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-    dx = central_difference(lambda xs: np.array([_pair_cubic_tensor(space, xx, y, mu, nu) for xx in xs]), x, hx)
-    dy = central_difference(lambda ys: np.array([_pair_cubic_tensor(space, x, yy, mu, nu) for yy in ys]), y, hy)
+    dx = central_difference(lambda ys, xs: _pair_cubic_tensor(space, xs, ys, mu, nu), x, hx, at=y)
+    dy = central_difference(lambda xs, ys: _pair_cubic_tensor(space, xs, ys, mu, nu), y, hy, at=x)
     acc = np.einsum("s,s...->...", y, dx) - np.einsum("a,a...->...", cs.G, dy)
 
     t0 = _pair_cubic_tensor(space, x, y, mu, nu)

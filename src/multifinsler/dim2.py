@@ -18,7 +18,6 @@ from .connection import FD_STEP, ConnectionState, central_difference, connection
 from .finsler import (
     FinslerState,
     MultiMetricSpace,
-    TangentSample,
     _distinct_points,
     _power,
     _scalar,
@@ -98,7 +97,7 @@ def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float | np.ndarr
     """
     x, y = fr.state.x, fr.state.y
     h = FD_STEP * (1.0 + np.sqrt(np.vecdot(y, y)))  # the bits of np.linalg.norm of one point
-    grad = central_difference(lambda xs, ys: finsler_state(space, TangentSample(xs, ys)).det_g, y, h, at=x)
+    grad = central_difference(lambda xs, ys: finsler_state(space, xs, ys).det_g, y, h, at=x)
     scale = np.asarray(fr.state.F / (2.0 * fr.state.det_g))[..., None]
     return _scalar(np.vecdot(scale * fr.m_up, grad))
 
@@ -156,7 +155,7 @@ def invariants_JK(space: MultiMetricSpace, cs: ConnectionState) -> tuple:
     def sector_scalars(xs, ys):
         """(s_mu, t_mu) for every sector, then N flattened: s_mu = F/F_mu^2 sqrt(det a_mu/det g)
         m.dN_mu.m^, t_mu = F/F_mu sqrt(det a_mu/det g)."""
-        c = connection_state(space, TangentSample(xs, ys))
+        c = connection_state(space, xs, ys)
         f = frame_from_state(c.state)
         s = c.state
         F_s = s.F[:, None]

@@ -39,18 +39,6 @@ SAMPLE_ERRORS = (SlitViolationError, NotPositiveDefiniteError, ConvexityError, E
                  np.linalg.LinAlgError)
 
 
-@dataclass(frozen=True)
-class TangentSample:
-    """A point (x, y) on the slit tangent bundle."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __init__(self, x, y):
-        object.__setattr__(self, "x", np.asarray(x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(y, dtype=float))
-
-
 class MultiMetricSpace:
     """An ordered family of Riemannian metrics on a shared coordinate patch."""
 
@@ -123,21 +111,23 @@ class MultiMetricSpace:
         points, spread = _distinct_points(np.asarray(x, dtype=float))
         return spread(np.array([[m.derivative(xp) for m in self.metrics] for xp in points]))
 
-    def check_sample(self, sample: TangentSample):
-        """Reject coordinate vectors of the wrong length, batches of x and y that
-        differ in shape, and fiber vectors on the slit; for a batch, the first
-        point on the slit raises."""
-        if sample.x.shape[-1] != self.dim:
-            raise ValueError(f"point of length {sample.x.shape[-1]}, expected {self.dim}")
-        if sample.y.shape[-1] != self.dim:
-            raise ValueError(f"fiber vector of length {sample.y.shape[-1]}, expected {self.dim}")
-        if sample.x.shape != sample.y.shape or sample.y.ndim > 2:
-            raise ValueError(f"x and y must both have shape (n,) or (B, n), "
-                             f"got {sample.x.shape} and {sample.y.shape}")
-        norms = np.linalg.norm(sample.y, axis=-1).reshape(-1)
+    def check_sample(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """x and y as float arrays, a sample (n,) of the slit tangent bundle or a
+        batch (B, n).  Rejects coordinate vectors of the wrong length, batches of
+        x and y that differ in shape, and fiber vectors on the slit; for a batch,
+        the first point on the slit raises."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"point of length {x.shape[-1]}, expected {self.dim}")
+        if y.shape[-1] != self.dim:
+            raise ValueError(f"fiber vector of length {y.shape[-1]}, expected {self.dim}")
+        if x.shape != y.shape or y.ndim > 2:
+            raise ValueError(f"x and y must both have shape (n,) or (B, n), got {x.shape} and {y.shape}")
+        norms = np.linalg.norm(y, axis=-1).reshape(-1)
         if (norms < EPS_SLIT).any():
             norm = float(norms[np.argmax(norms < EPS_SLIT)])
             raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
+        return x, y
 
 
 def _distinct_points(x: np.ndarray):
@@ -262,15 +252,14 @@ def _sym3(v: np.ndarray, H: np.ndarray) -> np.ndarray:
     )
 
 
-def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerState:
-    """Evaluate the norm and fundamental tensor at a sample, or at a batch of
+def finsler_state(space: MultiMetricSpace, x, y) -> FinslerState:
+    """Evaluate the norm and fundamental tensor at a sample (x, y), or at a batch of
     samples with x and y of shape (B, n); C and g_inv follow on access.
 
     A batch raises the error of its first failing sample for each check in
     turn: slit, SPD, degenerate sector, convexity.
     """
-    space.check_sample(sample)
-    x, y = sample.x, sample.y
+    x, y = space.check_sample(x, y)
     a_mu, a_inv, a_det = space.metric_values(x)
 
     F_mu = sector_norms(a_mu, y)
@@ -301,12 +290,12 @@ def finsler_state(space: MultiMetricSpace, sample: TangentSample) -> FinslerStat
     )
 
 
-def finsler_norm(space: MultiMetricSpace, sample: TangentSample) -> tuple[float, np.ndarray]:
-    """The norm F and the per-sector values F_mu at a sample, or at a batch
+def finsler_norm(space: MultiMetricSpace, x, y) -> tuple[float, np.ndarray]:
+    """The norm F and the per-sector values F_mu at a sample (x, y), or at a batch
     (arrays of shape (B,) and (B, N))."""
-    space.check_sample(sample)
-    a_mu, _, _ = space.metric_values(sample.x)
-    F_mu = sector_norms(a_mu, sample.y)
+    x, y = space.check_sample(x, y)
+    a_mu, _, _ = space.metric_values(x)
+    F_mu = sector_norms(a_mu, y)
     F = F_mu.sum(axis=-1)
     return (float(F) if F.ndim == 0 else F), F_mu
 
@@ -380,32 +369,31 @@ class RiemannianVerdict:
         """(sum_mu sqrt(phi_mu))^2 a_1(x) for a proportional family."""
         if not self.riemannian:
             raise ValueError("space is not Riemannian")
-        a1 = space.metrics[0].value(x)
-        phis = []
-        for k, m in enumerate(space.metrics):
-            a = a1 if k == 0 else m.value(x)
-            piv = np.unravel_index(np.argmax(np.abs(a1)), a1.shape)
-            phis.append(a[piv] / a1[piv])
-        return float(sum(np.sqrt(p) for p in phis)) ** 2 * a1
+        x = np.asarray(x, dtype=float)
+        a = space.metric_values(x)[0]
+        return sum(np.sqrt(_sector_ratios(a, x)).tolist()) ** 2 * a[0]
+
+
+def _sector_ratios(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """phi_mu = a_mu / a_1 at the pivot, the largest-magnitude component of a_1, for the
+    sector matrices a (N, n, n) at the point x."""
+    piv = np.unravel_index(np.argmax(np.abs(a[0])), a.shape[1:])
+    if abs(a[(0, *piv)]) < PIVOT_FLOOR:
+        raise NotPositiveDefiniteError(f"first metric vanishes at x={x.tolist()}")
+    return a[(slice(None), *piv)] / a[(0, *piv)]
 
 
 def riemannian_detect(space: MultiMetricSpace, sample_points) -> RiemannianVerdict:
-    """Decide whether all sector metrics are pointwise proportional to the first."""
+    """Decide whether all sector metrics are pointwise proportional to the first, from
+    the sector matrices that metric_values validates at the sample points."""
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     factors = np.empty((len(pts), space.n_metrics))
-    for p, x in enumerate(pts):
-        a1 = space.metrics[0].value(x)
-        for k, m in enumerate(space.metrics):
-            a = a1 if k == 0 else m.value(x)
-            # pivot: largest-magnitude component of a_1, floor-protected
-            piv = np.unravel_index(np.argmax(np.abs(a1)), a1.shape)
-            if abs(a1[piv]) < PIVOT_FLOOR:
-                raise NotPositiveDefiniteError(f"first metric vanishes at x={x.tolist()}")
-            phi = a[piv] / a1[piv]
-            factors[p, k] = phi
-            scale = np.max(np.abs(a)) + np.max(np.abs(a1))
-            resid = np.abs(a - phi * a1)
+    for p, (x, a) in enumerate(zip(pts, space.metric_values(pts)[0])):
+        factors[p] = phi = _sector_ratios(a, x)
+        for k in range(space.n_metrics):
+            scale = np.max(np.abs(a[k])) + np.max(np.abs(a[0]))
+            resid = np.abs(a[k] - phi[k] * a[0])
             if np.any(resid > PROPORTIONALITY_RTOL * scale):
-                i, j = np.unravel_index(np.argmax(resid), a.shape)
+                i, j = np.unravel_index(np.argmax(resid), resid.shape)
                 return RiemannianVerdict(False, None, (k, int(i), int(j), x))
     return RiemannianVerdict(True, factors, None)

@@ -21,7 +21,6 @@ from .finsler import (
     EPS_SLIT,
     SAMPLE_ERRORS,
     MultiMetricSpace,
-    TangentSample,
     finsler_norm,
     rows_or_first_error,
 )
@@ -130,11 +129,11 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
 
     def spray(xv, yv):
         """-G at the live rows, 0 at retired ones."""
-        return evaluate(lambda a, b: -connection_state(space, TangentSample(a, b)).G,
+        return evaluate(lambda a, b: -connection_state(space, a, b).G,
                         xv, yv, yv.shape)
 
     def record(k, xv, yv):
-        F = evaluate(lambda a, b: finsler_norm(space, TangentSample(a, b))[0],
+        F = evaluate(lambda a, b: finsler_norm(space, a, b)[0],
                      xv, yv, (rays,))  # rejects a step onto the slit
         rows = slice(None) if len(live) == rays else live
         xs[rows, k], ys[rows, k], fs[rows, k] = xv[rows], yv[rows], F[rows]
@@ -197,7 +196,7 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
     slow = [float(np.linalg.norm(vk)) < EPS_SLIT for vk in v]
     stop = slow.index(True) if any(slow) else len(t)
     if stop:
-        f_mu = rows_or_first_error(lambda x, y: finsler_norm(space, TangentSample(x, y))[1], xs[:stop], v[:stop])
+        f_mu = rows_or_first_error(lambda x, y: finsler_norm(space, x, y)[1], xs[:stop], v[:stop])
     if stop < len(t):
         raise ValueError(f"zero-velocity segment at t={t[stop]}")
     from scipy.integrate import simpson  # here: commands that compute no action do not load scipy

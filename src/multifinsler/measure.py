@@ -24,7 +24,6 @@ import numpy as np
 from .finsler import (
     SAMPLE_ERRORS,
     MultiMetricSpace,
-    TangentSample,
     _power,
     fd_fundamental_tensor,
     finsler_state,
@@ -244,7 +243,7 @@ def _circle_integral(space: MultiMetricSpace, x: np.ndarray, weight: str) -> flo
 
     def values_at(thetas):
         y = _unit_vectors(thetas)
-        st = finsler_state(space, TangentSample(np.tile(x, (len(y), 1)), y))
+        st = finsler_state(space, np.tile(x, (len(y), 1)), y)
         return (1.0 if weight == "one" else st.det_g) / _power(st.F, 2)
 
     return _quad_in_batches(values_at, 0.0, 2.0 * math.pi, epsabs=QUAD_ABS, epsrel=QUAD_ABS, limit=400)
@@ -364,7 +363,7 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
     def weight_at(y):
         if weight == "one":
             return np.ones(len(y))
-        return finsler_state(space, TangentSample(np.tile(x, (len(y), 1)), y)).det_g
+        return finsler_state(space, np.tile(x, (len(y), 1)), y).det_g
 
     def radial_integrals(thetas):
         """integral_0^r_max w(r) r dr along each ray, r_max = 1 / F on the unit circle."""

@@ -28,7 +28,6 @@ from .dim2 import (
 )
 from .finsler import (
     MultiMetricSpace,
-    TangentSample,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
@@ -130,18 +129,17 @@ def pointwise_residuals(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -
     """Per-sample residuals (B, k) of the pointwise checks at the samples x and y
     (B, n), one column per entry of POINTWISE_CHECKS, then of POINTWISE_2D_CHECKS
     in 2D.  Each row is the value that sample gives alone, bit for bit."""
-    s = TangentSample(x, y)
-    cs = connection_state(space, s)
+    cs = connection_state(space, x, y)
     st = cs.state
     hom = []
     for lam in (0.5, 2.0):
-        f2, _ = finsler_norm(space, TangentSample(s.x, lam * s.y))
+        f2, _ = finsler_norm(space, x, lam * y)
         hom.append(np.abs(f2 - lam * st.F) / st.F)
     columns = [
         np.max(hom, axis=0),
         np.max([np.abs(np.vecdot(st.l, st.l_up) - 1.0),
-                np.max(np.abs(np.matvec(st.h, s.y)), axis=-1),
-                np.max(np.abs(np.einsum("...ijk,...k->...ij", st.C, s.y)), axis=(-2, -1))], axis=0),
+                np.max(np.abs(np.matvec(st.h, y)), axis=-1),
+                np.max(np.abs(np.einsum("...ijk,...k->...ij", st.C, y)), axis=(-2, -1))], axis=0),
         horizontal_compatibility_residual(space, cs),
     ]
     if space.dim == 2:
@@ -164,14 +162,13 @@ def fd_residuals(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.nd
     the largest component of the Cartan tensor.  Each row is the value that sample
     gives alone, bit for bit; for a batch of one the oracles run in the order of a
     single sample's checks."""
-    s = TangentSample(x, y)
-    cs = connection_state(space, s)
+    cs = connection_state(space, x, y)
     st = cs.state
-    gh = fd_fundamental_tensor(space, s.x, s.y)
-    gv = variational_spray(space, s)
+    gh = fd_fundamental_tensor(space, x, y)
+    gv = variational_spray(space, x, y)
     g_abs = np.max(np.abs(st.g), axis=(-2, -1))
     G_abs = np.max(np.abs(cs.G), axis=-1)
-    nf = nonlinear_connection_fd(space, s)
+    nf = nonlinear_connection_fd(space, x, y)
     columns = [
         np.max(np.abs(st.g - gh), axis=(-2, -1)) / g_abs,
         np.max(np.abs(cs.G - gv), axis=-1) / (1.0 + G_abs),
@@ -182,7 +179,7 @@ def fd_residuals(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.nd
         j_val, _ = invariants_JK(space, cs)
 
         def i_field(xs, ys):
-            return frame_from_state(finsler_state(space, TangentSample(xs, ys))).I
+            return frame_from_state(finsler_state(space, xs, ys)).I
 
         _, e2_i, _ = frame_derivatives(cs, i_field)
         columns += [

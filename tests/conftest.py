@@ -3,7 +3,7 @@ import pytest
 
 import multifinsler.finsler as finsler_module
 import multifinsler.riemann as riemann_module
-from multifinsler.finsler import MultiMetricSpace, TangentSample
+from multifinsler.finsler import MultiMetricSpace
 from multifinsler.riemann import MetricField
 
 COORDS = ("x1", "x2")
@@ -104,7 +104,7 @@ def random_samples(rng: np.random.Generator, count: int, box=1.0):
     for _ in range(count):
         x = rng.uniform(-box, box, size=2)
         theta = rng.uniform(0.0, 2 * np.pi)
-        out.append(TangentSample(x, np.array([np.cos(theta), np.sin(theta)])))
+        out.append((x, np.array([np.cos(theta), np.sin(theta)])))
     return out
 
 

@@ -25,7 +25,6 @@ from multifinsler.dim2 import (
     invariants_JK,
 )
 from multifinsler.finsler import (
-    TangentSample,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
@@ -69,8 +68,8 @@ def test_criterion_01_determinant_identity():
     worst = 0.0
     for _ in range(20):
         sp = random_bimetric_space(rng)
-        for s in random_samples(rng, 50):
-            st = finsler_state(sp, s)
+        for x, y in random_samples(rng, 50):
+            st = finsler_state(sp, x, y)
             lhs = st.det_g / st.F**3
             rhs = float(np.sum(st.a_det / st.F_mu**3))
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
@@ -83,12 +82,12 @@ def test_criterion_02_fundamental_tensor_oracle_and_homogeneity():
     hom = 0.0
     for _ in range(10):
         sp = random_bimetric_space(rng)
-        for s in random_samples(rng, 50):
-            st = finsler_state(sp, s)
-            gh = fd_fundamental_tensor(sp, s.x, s.y)
+        for x, y in random_samples(rng, 50):
+            st = finsler_state(sp, x, y)
+            gh = fd_fundamental_tensor(sp, x, y)
             worst = max(worst, float(np.max(np.abs(st.g - gh)) / np.max(np.abs(st.g))))
             for lam in (0.5, 2.0):
-                f2, _ = finsler_norm(sp, TangentSample(s.x, lam * s.y))
+                f2, _ = finsler_norm(sp, x, lam * y)
                 hom = max(hom, abs(f2 - lam * st.F) / (lam * st.F))
     ok = worst <= 1e-6 and hom <= 1e-12
     report("02 fundamental tensor vs FD Hessian + homogeneity", ok,
@@ -100,16 +99,16 @@ def test_criterion_03_euler_frame_suite():
     worst = 0.0
     for _ in range(8):
         sp = random_bimetric_space(rng)
-        for s in random_samples(rng, 25):
-            st = finsler_state(sp, s)
+        for x, y in random_samples(rng, 25):
+            st = finsler_state(sp, x, y)
             fr = frame_from_state(st)
             i_val = fr.I
             mmm = np.einsum("i,j,k->ijk", fr.m, fr.m, fr.m)
             worst = max(
                 worst,
                 abs(st.l @ st.l_up - 1.0),
-                float(np.max(np.abs(st.h @ s.y))),
-                float(np.max(np.abs(np.einsum("ijk,k->ij", st.C, s.y)))),
+                float(np.max(np.abs(st.h @ y))),
+                float(np.max(np.abs(np.einsum("ijk,k->ij", st.C, y)))),
                 abs(st.l_up @ fr.m),
                 abs(fr.m @ fr.m_up - 1.0),
                 float(np.max(np.abs(st.F * st.C - i_val * mmm))),
@@ -126,8 +125,8 @@ def test_criterion_04_connection_suite():
     # 500 random samples over random bimetrics
     for _ in range(10):
         sp = random_bimetric_space(rng)
-        for s in random_samples(rng, 50):
-            cs = connection_state(sp, s)
+        for x, y in random_samples(rng, 50):
+            cs = connection_state(sp, x, y)
             delta_f = max(delta_f, horizontal_compatibility_residual(sp, cs))
             r = cartan_structure_residuals(sp, cs)
             ident = max(ident, r.sector_l_dN, r.sector_m_dN_l, r.sector_m_dN_m, r.cross_dN_identity)
@@ -135,11 +134,11 @@ def test_criterion_04_connection_suite():
     # FD-based spray and connection comparisons on a deterministic subset
     sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
     rng2 = np.random.default_rng(1040)
-    for s in random_samples(rng2, 40):
-        cs = connection_state(sp, s)
-        gv = variational_spray(sp, s)
+    for x, y in random_samples(rng2, 40):
+        cs = connection_state(sp, x, y)
+        gv = variational_spray(sp, x, y)
         spray_res = max(spray_res, float(np.max(np.abs(cs.G - gv)) / (1.0 + np.max(np.abs(cs.G)))))
-        nf = nonlinear_connection_fd(sp, s)
+        nf = nonlinear_connection_fd(sp, x, y)
         n_res = max(n_res, float(np.max(np.abs(cs.N - nf))))
     ok = delta_f <= 1e-8 and spray_res <= 1e-6 and n_res <= 1e-5 and ident <= 1e-6 and a_rel <= 1e-6
     report(
@@ -155,8 +154,8 @@ def test_criterion_05_structure_equation_residuals():
     count = 0
     for _ in range(5):
         sp = random_bimetric_space(rng)
-        for s in random_samples(rng, 40):
-            r = cartan_structure_residuals(sp, connection_state(sp, s))
+        for x, y in random_samples(rng, 40):
+            r = cartan_structure_residuals(sp, connection_state(sp, x, y))
             worst = max(
                 worst,
                 r.eq1_A_plus_I, r.eq1_B_minus_1, r.eq1_C,
@@ -173,23 +172,23 @@ def test_criterion_06_invariants():
     i_res = j_res = 0.0
     for _ in range(5):
         sp = random_bimetric_space(rng)
-        for s in random_samples(rng, 10):
-            fr = frame_from_state(finsler_state(sp, s))
+        for x, y in random_samples(rng, 10):
+            fr = frame_from_state(finsler_state(sp, x, y))
             i_res = max(i_res, abs(fr.I - invariant_I_oracle(sp, fr)))
     sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
-    for s in random_samples(np.random.default_rng(1060), 10):
-        j_val, _ = invariants_JK(sp, connection_state(sp, s))
+    for x, y in random_samples(np.random.default_rng(1060), 10):
+        j_val, _ = invariants_JK(sp, connection_state(sp, x, y))
 
         def i_field(xx, yy):
-            return frame_from_state(finsler_state(sp, TangentSample(xx, yy))).I
+            return frame_from_state(finsler_state(sp, xx, yy)).I
 
-        _, e2_i, _ = frame_derivatives(connection_state(sp, s), i_field)
+        _, e2_i, _ = frame_derivatives(connection_state(sp, x, y), i_field)
         j_res = max(j_res, abs(j_val - e2_i))
     comp = "4/(1+x1^2+x2^2)^2"
     sphere = space_of(field("round", [[comp, "0"], ["0", comp]]))
     k_res = 0.0
-    for s in random_samples(np.random.default_rng(1061), 5, box=0.7):
-        _, k_val = invariants_JK(sphere, connection_state(sphere, s))
+    for x, y in random_samples(np.random.default_rng(1061), 5, box=0.7):
+        _, k_val = invariants_JK(sphere, connection_state(sphere, x, y))
         k_res = max(k_res, abs(k_val - 1.0))
     ok = i_res <= 1e-6 and j_res <= 1e-5 and k_res <= 1e-6
     report("06 invariants", ok,
@@ -336,14 +335,14 @@ def test_criterion_12_classification():
     rng = np.random.default_rng(112)
     prop = space_of(const_field("a", np.eye(2)), field("p", [["1+x1^2", "0"], ["0", "1+x1^2"]]))
     samples = random_samples(rng, 25)
-    verdict = riemannian_detect(prop, [s.x for s in samples])
-    c_max_prop = max(float(np.max(np.abs(finsler_state(prop, s).C))) for s in samples)
+    verdict = riemannian_detect(prop, [x for x, _ in samples])
+    c_max_prop = max(float(np.max(np.abs(finsler_state(prop, x, y).C))) for x, y in samples)
 
     bi = space_of(const_field("a", np.eye(2)), const_field("b", np.diag([4.0, 1.0])))
-    verdict_bi = riemannian_detect(bi, [s.x for s in samples])
-    s0 = TangentSample([0.0, 0.0], [1.0, 1.0])
-    i_val = frame_from_state(finsler_state(bi, s0)).I
-    lb = landsberg_berwald(bi, s0)
+    verdict_bi = riemannian_detect(bi, [x for x, _ in samples])
+    s0 = ([0.0, 0.0], [1.0, 1.0])
+    i_val = frame_from_state(finsler_state(bi, *s0)).I
+    lb = landsberg_berwald(bi, *s0)
     berwald_res = float(np.max(np.abs(lb.C_horizontal)))
     # constant non-proportional metrics are locally Minkowski: the main scalar
     # is nonzero while the Berwald residual vanishes (recorded as documented

@@ -27,7 +27,6 @@ from multifinsler.finsler import (
     SAMPLE_ERRORS,
     ConvexityError,
     SlitViolationError,
-    TangentSample,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
@@ -194,8 +193,8 @@ def sector_norms_rows_match(a_mu, y) -> bool:
 def test_spray_path_rows_equal_single_samples(space, batch):
     x, y = batch
     for fn in (finsler_norm, finsler_state, connection_state):
-        solo = [outcome(fn, space, TangentSample(xr, yr)) for xr, yr in zip(x, y)]
-        batched = outcome(fn, space, TangentSample(x, y))
+        solo = [outcome(fn, space, xr, yr) for xr, yr in zip(x, y)]
+        batched = outcome(fn, space, x, y)
         failed = [o for o in solo if isinstance(o, Exception)]
         if failed:
             # each check runs over the whole batch in turn; its first failing row raises
@@ -216,13 +215,13 @@ def test_spray_path_rows_equal_single_samples(space, batch):
 def test_frame_and_invariants_rows_equal_single_samples(space, batch):
     x, y = batch
     try:
-        cs = connection_state(space, TangentSample(x, y))
+        cs = connection_state(space, x, y)
         # a batch takes every Gauss curvature before any stencil, so a failing one is
         # compared through rows_or_first_error in test_identity_residual_rows_equal_single_samples
         [[gauss_curvature(m, xr) for m in space.metrics] for xr in x]
     except SAMPLE_ERRORS:
         return  # a failing centre is compared in test_spray_path_rows_equal_single_samples
-    solo_cs = [connection_state(space, TangentSample(xr, yr)) for xr, yr in zip(x, y)]
+    solo_cs = [connection_state(space, xr, yr) for xr, yr in zip(x, y)]
     fr = frame_from_state(cs.state)
     for r, c in enumerate(solo_cs):
         assert_row(fr, frame_from_state(c.state), r, FRAME_FIELDS)
@@ -255,18 +254,18 @@ def test_identity_residual_rows_equal_single_samples(n_metrics, data):
         assert np.array_equal(batched, np.concatenate(solo), equal_nan=True), fn.__name__
 
     # the batched routes against one sample at a time, as the suite used to call them
-    cs = connection_state(space, TangentSample(x, y))
+    cs = connection_state(space, x, y)
     report = cartan_structure_residuals(space, cs)
-    n_fd = nonlinear_connection_fd(space, TangentSample(x, y))
+    n_fd = nonlinear_connection_fd(space, x, y)
     delta_f = horizontal_compatibility_residual(space, cs)
     for r in range(len(x)):
-        s = TangentSample(x[r], y[r])
-        single = connection_state(space, s)
+        s = (x[r], y[r])
+        single = connection_state(space, *s)
         structure = cartan_structure_residuals(space, single)
         for name in STRUCTURE_FIELDS:
             assert isinstance(getattr(structure, name), float), name
             assert np.array_equal(getattr(report, name)[r], getattr(structure, name), equal_nan=True), name
-        assert np.array_equal(n_fd[r], nonlinear_connection_fd(space, s), equal_nan=True)
+        assert np.array_equal(n_fd[r], nonlinear_connection_fd(space, *s), equal_nan=True)
         assert np.array_equal(delta_f[r], horizontal_compatibility_residual(space, single), equal_nan=True)
 
 
@@ -299,8 +298,8 @@ def test_fd_fundamental_tensor_rows_equal_single_calls(space, batch):
 @given(spaces(), batches())
 def test_variational_spray_rows_equal_single_calls(space, batch):
     x, y = batch
-    solo = [outcome(variational_spray, space, TangentSample(xr, yr)) for xr, yr in zip(x, y)]
-    batched = outcome(variational_spray, space, TangentSample(x, y))
+    solo = [outcome(variational_spray, space, xr, yr) for xr, yr in zip(x, y)]
+    batched = outcome(variational_spray, space, x, y)
     assert_rows_or_first_error(batched, solo)
     assert all(isinstance(o, Exception) or o.shape == (2,) for o in solo)
 
@@ -365,7 +364,7 @@ def test_fd_oracles_raise_the_first_failing_rows_own_error():
     for rows in ([good, zero_y, not_spd], [good, not_spd, zero_y]):
         x, y = (np.array(v) for v in zip(*rows))
         for fn in (lambda x, y: fd_fundamental_tensor(sp, x, y),
-                   lambda x, y: variational_spray(sp, TangentSample(x, y))):
+                   lambda x, y: variational_spray(sp, x, y)):
             single = outcome(fn, x[1], y[1])
             assert isinstance(single, Exception) and isinstance(outcome(fn, x[2], y[2]), Exception)
             assert same_error(outcome(fn, x, y), single)
@@ -438,4 +437,4 @@ def test_batches_of_x_and_y_must_have_one_shape(fn, x, y):
     sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]),
                   field("beta", [["1", "0"], ["0", "3"]]))
     with pytest.raises(ValueError, match=r"shape \(n,\) or \(B, n\)"):
-        fn(sp, TangentSample(x, y))
+        fn(sp, x, y)

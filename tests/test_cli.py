@@ -576,6 +576,15 @@ def test_identity_report_in_3d_matches_stored_bytes(tmp_path):
     assert out.read_bytes() == (REPO / "tests" / "data" / "check-bimetric3d-identities.json").read_bytes()
 
 
+def test_sample_in_3d_matches_stored_bytes(tmp_path):
+    """sample --grid 3 --directions 5 on a 3D bimetric config, where the table holds F and
+    det g only, byte for byte."""
+    out = tmp_path / "grid.csv"
+    assert main(["sample", "--config", str(REPO / "tests" / "data" / "bimetric3d.json"),
+                 "--grid", "3", "--directions", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == (REPO / "tests" / "data" / "sample-bimetric3d.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["single", "bimetric", "trimetric", "bimetric3d"])
 def test_geodesics_reports_match_stored_bytes(name, tmp_path):
     """check --suite geodesics at each config's own seed, byte for byte."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -17,18 +18,19 @@ from multifinsler.connection import (
     variational_spray,
     x_derivatives,
 )
-from multifinsler.finsler import TangentSample, finsler_state
+from multifinsler.finsler import finsler_norm, finsler_state
 from multifinsler.geodesic import integrate_geodesic
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError, christoffels_and_spray
 
 from conftest import count_calls, count_spd_validations, const_field, field, random_bimetric_space, random_samples, space_of
 
-S = TangentSample([0.3, -0.5], [0.8, 0.6])
+X, Y = np.array([0.3, -0.5]), np.array([0.8, 0.6])
+S = (X, Y)
 
 
 class TestSpray:
     def test_constant_metrics_vanish(self, bi_const):
-        cs = connection_state(bi_const, S)
+        cs = connection_state(bi_const, *S)
         g, g_mu = cs.G, cs.G_mu
         assert np.max(np.abs(g)) < 1e-14
         assert np.max(np.abs(g_mu)) < 1e-14
@@ -36,15 +38,15 @@ class TestSpray:
     def test_single_metric_reduces_to_riemannian(self):
         f = field("polar", [["1", "0"], ["0", "x1^2"]])
         sp = space_of(f)
-        s = TangentSample([2.0, 0.0], [0.0, 1.0])
-        g = connection_state(sp, s).G
-        _, g_r, _ = christoffels_and_spray(f, s.x, s.y)
+        x, y = np.array([2.0, 0.0]), np.array([0.0, 1.0])
+        g = connection_state(sp, x, y).G
+        _, g_r, _ = christoffels_and_spray(f, x, y)
         assert g[0] == pytest.approx(-2.0, abs=1e-12)
         assert np.max(np.abs(g - g_r)) < 1e-12
 
     def test_factorized_vs_variational_oracle(self, bi_x):
-        g = connection_state(bi_x, S).G
-        gv = variational_spray(bi_x, S)
+        g = connection_state(bi_x, *S).G
+        gv = variational_spray(bi_x, *S)
         assert np.max(np.abs(g - gv)) / (1.0 + np.max(np.abs(g))) < 1e-6
 
     def test_oracle_bulk(self):
@@ -52,16 +54,16 @@ class TestSpray:
         worst = 0.0
         for _ in range(10):
             sp = random_bimetric_space(rng)
-            for s in random_samples(rng, 3):
-                g = connection_state(sp, s).G
-                gv = variational_spray(sp, s)
+            for x, y in random_samples(rng, 3):
+                g = connection_state(sp, x, y).G
+                gv = variational_spray(sp, x, y)
                 worst = max(worst, np.max(np.abs(g - gv)) / (1.0 + np.max(np.abs(g))))
         assert worst < 1e-6
 
     def test_variational_oracle_takes_no_metric_derivative(self, monkeypatch, bi_x):
         # the oracle differences F^2 alone; it builds none of the route's sector data
         calls = count_calls(monkeypatch, finsler.MultiMetricSpace, "metric_derivatives")
-        gv = variational_spray(bi_x, S)
+        gv = variational_spray(bi_x, *S)
         assert calls[0] == 0
         assert isinstance(gv, np.ndarray) and gv.shape == (2,)
 
@@ -70,13 +72,13 @@ class TestSpray:
         # 2 values that validate the centre, 10 value calls for a bimetric sample, not 42
         sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
         calls = count_calls(monkeypatch, MetricField, "value")
-        variational_spray(sp, S)
+        variational_spray(sp, *S)
         assert calls[0] == 10
 
     def test_two_homogeneity(self, bi_x):
-        g1 = connection_state(bi_x, S).G
+        g1 = connection_state(bi_x, *S).G
         for lam in (0.5, 2.0, 3.0):
-            g2 = connection_state(bi_x, TangentSample(S.x, lam * S.y)).G
+            g2 = connection_state(bi_x, X, lam * Y).G
             assert np.max(np.abs(g2 - lam**2 * g1)) <= 1e-12 * (1.0 + lam**2 * np.max(np.abs(g1)))
 
 
@@ -140,10 +142,10 @@ def test_connection_state_validates_each_metric_once(monkeypatch, n_metrics):
     ][:n_metrics]
     sp = space_of(*fields)
     calls = count_spd_validations(monkeypatch)
-    cs = connection_state(sp, S)
+    cs = connection_state(sp, *S)
     assert calls[0] == n_metrics
     for k, f in enumerate(fields):
-        gamma, g_k, n_k = christoffels_and_spray(f, S.x, S.y)
+        gamma, g_k, n_k = christoffels_and_spray(f, X, Y)
         assert np.array_equal(cs.gamma_mu[k], gamma)
         assert np.array_equal(cs.G_mu[k], g_k)
         assert np.array_equal(cs.N_mu[k], n_k)
@@ -151,43 +153,43 @@ def test_connection_state_validates_each_metric_once(monkeypatch, n_metrics):
 
 class TestNonlinearConnection:
     def test_constant_metrics_vanish(self, bi_const):
-        assert np.max(np.abs(connection_state(bi_const, S).N)) < 1e-14
+        assert np.max(np.abs(connection_state(bi_const, *S).N)) < 1e-14
 
     def test_contraction_reproduces_spray(self, bi_x):
-        cs = connection_state(bi_x, S)
-        assert np.max(np.abs(cs.N @ S.y - cs.G)) < 1e-13
+        cs = connection_state(bi_x, *S)
+        assert np.max(np.abs(cs.N @ Y - cs.G)) < 1e-13
 
     def test_vs_fiber_derivative_of_spray(self, bi_x):
-        n = connection_state(bi_x, S).N
-        nf = nonlinear_connection_fd(bi_x, S)
+        n = connection_state(bi_x, *S).N
+        nf = nonlinear_connection_fd(bi_x, *S)
         assert np.max(np.abs(n - nf)) < 1e-5
 
     def test_horizontal_norm_compatibility(self, bi_x):
         rng = np.random.default_rng(23)
-        for s in random_samples(rng, 20):
-            assert horizontal_compatibility_residual(bi_x, connection_state(bi_x, s)) < 1e-8
+        for x, y in random_samples(rng, 20):
+            assert horizontal_compatibility_residual(bi_x, connection_state(bi_x, x, y)) < 1e-8
 
     def test_one_homogeneity(self, bi_x):
-        n1 = connection_state(bi_x, S).N
+        n1 = connection_state(bi_x, *S).N
         for lam in (0.5, 2.0):
-            n2 = connection_state(bi_x, TangentSample(S.x, lam * S.y)).N
+            n2 = connection_state(bi_x, X, lam * Y).N
             assert np.max(np.abs(n2 - lam * n1)) / np.max(np.abs(n1)) < 1e-10
 
     def test_euler_identity_for_connection(self, bi_x):
         # y^j dN^i_j/dy_k = N^i_k
-        cs = connection_state(bi_x, S)
+        cs = connection_state(bi_x, *S)
         h = 1e-6
         ydn = np.zeros((2, 2))
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            np_ = connection_state(bi_x, TangentSample(S.x, S.y + e)).N
-            nm_ = connection_state(bi_x, TangentSample(S.x, S.y - e)).N
-            ydn[:, k] = ((np_ - nm_) / (2 * h)) @ S.y
+            np_ = connection_state(bi_x, X, Y + e).N
+            nm_ = connection_state(bi_x, X, Y - e).N
+            ydn[:, k] = ((np_ - nm_) / (2 * h)) @ Y
         assert np.max(np.abs(ydn - cs.N)) < 1e-6
 
     def test_sector_weighted_dn_contraction(self, bi_x):
-        cs = connection_state(bi_x, S)
+        cs = connection_state(bi_x, *S)
         resid = np.einsum("ki,kij->j", cs.state.l_mu, cs.dN_mu)
         assert np.max(np.abs(resid)) < 1e-13
 
@@ -229,41 +231,41 @@ class TestLazyConnection:
     def test_lazy_connection_equals_eager_formula_bitwise(self, name):
         sp = load_config(CONFIGS / f"{name}.json").build_space()
         rng = np.random.default_rng(31)
-        for s in random_samples(rng, 8, box=0.7):
-            N, dN_mu = _eager_nonlinear_connection(connection_state(sp, s))
-            cs = connection_state(sp, s)
+        for x, y in random_samples(rng, 8, box=0.7):
+            N, dN_mu = _eager_nonlinear_connection(connection_state(sp, x, y))
+            cs = connection_state(sp, x, y)
             assert np.array_equal(cs.N, N)
             assert np.array_equal(cs.dN_mu, dN_mu)
 
     def test_connection_is_built_once(self, bi_x):
-        cs = connection_state(bi_x, S)
+        cs = connection_state(bi_x, *S)
         assert cs.N is cs.N
         assert cs.dN_mu is cs.dN_mu
 
 
 class TestXDerivatives:
     def test_bundle_matches_finite_differences(self, bi_x):
-        st = finsler_state(bi_x, S)
+        st = finsler_state(bi_x, *S)
         xd = x_derivatives(bi_x, st)
         h = 1e-6
         for s_idx in range(2):
             e = np.zeros(2)
             e[s_idx] = h
-            stp = finsler_state(bi_x, TangentSample(S.x + e, S.y))
-            stm = finsler_state(bi_x, TangentSample(S.x - e, S.y))
+            stp = finsler_state(bi_x, X + e, Y)
+            stm = finsler_state(bi_x, X - e, Y)
             assert np.max(np.abs((stp.g - stm.g) / (2 * h) - xd.dg[s_idx])) < 1e-8
             assert np.max(np.abs((stp.C - stm.C) / (2 * h) - xd.dC[s_idx])) < 1e-8
             assert abs((stp.F - stm.F) / (2 * h) - xd.dF[s_idx]) < 1e-9
 
     def test_fiber_derivative_of_cartan(self, bi_x):
-        st = finsler_state(bi_x, S)
+        st = finsler_state(bi_x, *S)
         dy_c = cartan_y_derivative(st)
         h = 1e-5
         for r in range(2):
             e = np.zeros(2)
             e[r] = h
-            stp = finsler_state(bi_x, TangentSample(S.x, S.y + e))
-            stm = finsler_state(bi_x, TangentSample(S.x, S.y - e))
+            stp = finsler_state(bi_x, X, Y + e)
+            stm = finsler_state(bi_x, X, Y - e)
             assert np.max(np.abs((stp.C - stm.C) / (2 * h) - dy_c[r])) < 1e-8
 
 
@@ -271,18 +273,18 @@ class TestChern:
     def test_riemannian_reduction(self):
         f = field("m", [["1+0.3*x1^2", "0.1*x2"], ["0.1*x2", "2+0.4*x2^2"]])
         sp = space_of(f)
-        gamma, _, _ = christoffels_and_spray(f, S.x, S.y)
-        ch = chern_connection(sp, connection_state(sp, S))
+        gamma, _, _ = christoffels_and_spray(f, X, Y)
+        ch = chern_connection(sp, connection_state(sp, *S))
         assert np.max(np.abs(ch - gamma)) < 1e-8
 
     def test_symmetry(self, bi_x):
-        ch = chern_connection(bi_x, connection_state(bi_x, S))
+        ch = chern_connection(bi_x, connection_state(bi_x, *S))
         assert np.max(np.abs(ch - ch.transpose(0, 2, 1))) < 1e-14
 
     def test_horizontal_metricity_fd_oracle(self, bi_x):
         # delta_k g_ij by finite differences of the assembled g, then the
         # covariant combination with the Chern coefficients must vanish
-        cs = connection_state(bi_x, S)
+        cs = connection_state(bi_x, *S)
         ch = chern_connection(bi_x, cs)
         h = 1e-6
         dg = np.empty((2, 2, 2))
@@ -291,12 +293,12 @@ class TestChern:
             e = np.zeros(2)
             e[k] = h
             dg[k] = (
-                finsler_state(bi_x, TangentSample(S.x + e, S.y)).g
-                - finsler_state(bi_x, TangentSample(S.x - e, S.y)).g
+                finsler_state(bi_x, X + e, Y).g
+                - finsler_state(bi_x, X - e, Y).g
             ) / (2 * h)
             dgy[k] = (
-                finsler_state(bi_x, TangentSample(S.x, S.y + e)).g
-                - finsler_state(bi_x, TangentSample(S.x, S.y - e)).g
+                finsler_state(bi_x, X, Y + e).g
+                - finsler_state(bi_x, X, Y - e).g
             ) / (2 * h)
         delta_g = dg - np.einsum("rk,rij->kij", cs.N, dgy)
         ghor = (
@@ -307,37 +309,37 @@ class TestChern:
         assert np.max(np.abs(ghor)) < 1e-6
 
     def test_spray_contraction(self, bi_x):
-        cs = connection_state(bi_x, S)
+        cs = connection_state(bi_x, *S)
         ch = chern_connection(bi_x, cs)
-        assert np.max(np.abs(np.einsum("ijk,k->ij", ch, S.y) - cs.N)) < 1e-12
+        assert np.max(np.abs(np.einsum("ijk,k->ij", ch, Y) - cs.N)) < 1e-12
 
 
 class TestLandsbergBerwald:
     def test_single_metric_all_zero(self, sphere_space):
-        lb = landsberg_berwald(sphere_space, S)
+        lb = landsberg_berwald(sphere_space, *S)
         assert np.max(np.abs(lb.C_dot)) < 1e-8
         assert np.max(np.abs(lb.C_horizontal)) < 1e-8
 
     def test_constant_bimetric_is_locally_minkowski(self, bi_const):
         # Cartan tensor nonzero, yet horizontally parallel
-        st = finsler_state(bi_const, S)
+        st = finsler_state(bi_const, *S)
         assert np.max(np.abs(st.C)) > 1e-3
-        lb = landsberg_berwald(bi_const, S)
+        lb = landsberg_berwald(bi_const, *S)
         assert np.max(np.abs(lb.C_horizontal)) < 1e-6
         assert np.max(np.abs(lb.C_dot)) < 1e-6
         assert np.max(np.abs(lb.pair_residuals)) < 1e-6
 
     def test_proportional_pair_landsberg(self, prop_space):
-        lb = landsberg_berwald(prop_space, S)
+        lb = landsberg_berwald(prop_space, *S)
         assert np.max(np.abs(lb.C_dot)) < 1e-8
         assert np.max(np.abs(lb.pair_residuals)) < 1e-6
 
     def test_landsberg_tensor_is_spray_trace(self, bi_x):
-        lb = landsberg_berwald(bi_x, S)
-        assert np.max(np.abs(lb.C_dot - np.einsum("ijks,s->ijk", lb.C_horizontal, S.y))) < 1e-14
+        lb = landsberg_berwald(bi_x, *S)
+        assert np.max(np.abs(lb.C_dot - np.einsum("ijks,s->ijk", lb.C_horizontal, Y))) < 1e-14
 
     def test_x_dependent_bimetric_not_landsberg(self, bi_x):
-        lb = landsberg_berwald(bi_x, S)
+        lb = landsberg_berwald(bi_x, *S)
         assert np.max(np.abs(lb.C_dot)) > 1e-3
         assert lb.pair_residuals[0, 1] > 1e-3
 
@@ -347,7 +349,7 @@ class TestLandsbergBerwald:
         # while the pair residual still ran its own difference loops
         space = load_config(CONFIGS / f"{name}.json").build_space()
         for row in json.loads((CONFIGS.parent / "tests" / "data" / "landsberg-berwald.json").read_text())[name]:
-            lb = landsberg_berwald(space, TangentSample(row["x"], row["y"]))
+            lb = landsberg_berwald(space, row["x"], row["y"])
             assert np.array_equal(lb.C_dot, row["C_dot"])
             assert np.array_equal(lb.C_horizontal, row["C_horizontal"])
             np.testing.assert_allclose(lb.pair_residuals, row["pair_residuals"], rtol=1e-12, atol=0.0)
@@ -357,15 +359,41 @@ class TestLandsbergBerwald:
         import multifinsler.connection as connection
 
         calls = count_calls(monkeypatch, connection, "x_derivatives")
-        landsberg_berwald(bi_x, S)
+        landsberg_berwald(bi_x, *S)
         assert calls[0] == 1
 
     def test_landsberg_frame_component_matches_scalar(self, bi_x):
         # the only frame component of the Landsberg tensor is the scalar J
         from multifinsler.dim2 import frame_from_state, invariants_JK
 
-        lb = landsberg_berwald(bi_x, S)
-        fr = frame_from_state(finsler_state(bi_x, S))
-        j_val, _ = invariants_JK(bi_x, connection_state(bi_x, S))
+        lb = landsberg_berwald(bi_x, *S)
+        fr = frame_from_state(finsler_state(bi_x, *S))
+        j_val, _ = invariants_JK(bi_x, connection_state(bi_x, *S))
         frame_component = float(np.einsum("ijk,i,j,k->", lb.C_dot, fr.m_up, fr.m_up, fr.m_up))
         assert abs(frame_component - j_val) < 1e-5
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same arrays bit for bit: field by field for a dataclass, item by
+    item for a tuple."""
+    if dataclasses.is_dataclass(a):
+        return all(same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_bits, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("route", [finsler_state, finsler_norm, connection_state, variational_spray,
+                                   nonlinear_connection_fd, landsberg_berwald], ids=lambda f: f.__name__)
+def test_routes_take_python_lists_of_ints(bi_x, route):
+    # the routes convert x and y to float arrays themselves
+    samples = [([1, 0], [1, 2])]
+    if route is not landsberg_berwald:  # a batch
+        samples.append(([[1, 0], [0, -1]], [[1, 2], [2, -1]]))
+    for x, y in samples:
+        from_lists = route(bi_x, x, y)
+        from_arrays = route(bi_x, np.array(x, dtype=float), np.array(y, dtype=float))
+        assert same_bits(from_lists, from_arrays)
+        if route is connection_state:
+            assert same_bits(from_lists.N, from_arrays.N)

@@ -7,7 +7,6 @@ import multifinsler.finsler as finsler_mod
 from multifinsler.finsler import (
     MultiMetricSpace,
     SlitViolationError,
-    TangentSample,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
@@ -20,54 +19,54 @@ from conftest import count_calls, count_spd_validations, const_field, field, ran
 
 class TestNorm:
     def test_single_identity_metric(self, euclid):
-        f, per = finsler_norm(euclid, TangentSample([0.0, 0.0], [3.0, 4.0]))
+        f, per = finsler_norm(euclid, [0.0, 0.0], [3.0, 4.0])
         assert f == pytest.approx(5.0)
         assert per[0] == pytest.approx(5.0)
 
     def test_bimetric_split(self, bi_const):
-        f, per = finsler_norm(bi_const, TangentSample([0.0, 0.0], [1.0, 0.0]))
+        f, per = finsler_norm(bi_const, [0.0, 0.0], [1.0, 0.0])
         assert per[0] == pytest.approx(1.0)
         assert per[1] == pytest.approx(2.0)
         assert f == pytest.approx(3.0)
 
     def test_homogeneity_exact(self, bi_x):
-        s = TangentSample([0.4, -0.1], [0.6, 0.8])
-        f1, _ = finsler_norm(bi_x, s)
-        f2, _ = finsler_norm(bi_x, TangentSample(s.x, 2.0 * s.y))
+        x, y = np.array([0.4, -0.1]), np.array([0.6, 0.8])
+        f1, _ = finsler_norm(bi_x, x, y)
+        f2, _ = finsler_norm(bi_x, x, 2.0 * y)
         assert f2 == pytest.approx(2.0 * f1, rel=1e-15)
 
     def test_slit_violation(self, bi_const):
         with pytest.raises(SlitViolationError):
-            finsler_norm(bi_const, TangentSample([0.0, 0.0], [0.0, 1e-12]))
+            finsler_norm(bi_const, [0.0, 0.0], [0.0, 1e-12])
 
     def test_first_slit_row_of_a_batch_raises_its_own_message(self, bi_const):
         x = np.zeros((4, 2))
         y = np.array([[1.0, 0.0], [0.6, 0.8], [3e-9, 4e-9], [0.0, 1e-12]])
         with pytest.raises(SlitViolationError) as alone:
-            bi_const.check_sample(TangentSample(x[2], y[2]))
+            bi_const.check_sample(x[2], y[2])
         with pytest.raises(SlitViolationError) as batch:
-            bi_const.check_sample(TangentSample(x, y))
+            bi_const.check_sample(x, y)
         assert str(batch.value) == str(alone.value) == "|y| = 5.000e-09 below slit tolerance 1.000e-08"
 
 
 class TestFundamentalTensor:
     def test_single_identity(self, euclid):
-        st = finsler_state(euclid, TangentSample([0.2, 0.1], [0.7, -0.7]))
+        st = finsler_state(euclid, [0.2, 0.1], [0.7, -0.7])
         assert np.max(np.abs(st.g - np.eye(2))) < 1e-14
 
     def test_proportional_pair_scales(self):
         # (alpha, 4 alpha): F = 3 F_alpha, so g = 9 alpha
         sp = space_of(const_field("a", np.eye(2)), const_field("b", 4.0 * np.eye(2)))
-        s = TangentSample([0.0, 0.0], [0.3, 0.9])
-        st = finsler_state(sp, s)
+        x, y = np.array([0.0, 0.0]), np.array([0.3, 0.9])
+        st = finsler_state(sp, x, y)
         assert np.max(np.abs(st.g - 9.0 * np.eye(2))) < 1e-12
-        gh = fd_fundamental_tensor(sp, s.x, s.y)
+        gh = fd_fundamental_tensor(sp, x, y)
         assert np.max(np.abs(gh - 9.0 * np.eye(2))) < 1e-8
 
     def test_assembled_matches_hessian_oracle(self, bi_const):
-        s = TangentSample([0.0, 0.0], [1.0, 1.0])
-        st = finsler_state(bi_const, s)
-        gh = fd_fundamental_tensor(bi_const, s.x, s.y)
+        x, y = np.array([0.0, 0.0]), np.array([1.0, 1.0])
+        st = finsler_state(bi_const, x, y)
+        gh = fd_fundamental_tensor(bi_const, x, y)
         assert np.max(np.abs(st.g - gh)) / np.max(np.abs(st.g)) < 1e-6
 
     def test_oracle_bulk_random(self):
@@ -75,57 +74,57 @@ class TestFundamentalTensor:
         worst = 0.0
         for _ in range(25):
             sp = random_bimetric_space(rng)
-            for s in random_samples(rng, 4):
-                st = finsler_state(sp, s)
-                gh = fd_fundamental_tensor(sp, s.x, s.y)
+            for x, y in random_samples(rng, 4):
+                st = finsler_state(sp, x, y)
+                gh = fd_fundamental_tensor(sp, x, y)
                 worst = max(worst, np.max(np.abs(st.g - gh)) / np.max(np.abs(st.g)))
         assert worst < 1e-6
 
     def test_norm_from_metric(self, bi_x):
-        s = TangentSample([0.5, -0.3], [0.8, 0.6])
-        st = finsler_state(bi_x, s)
-        assert st.F**2 == pytest.approx(float(s.y @ st.g @ s.y), rel=1e-12)
+        x, y = np.array([0.5, -0.3]), np.array([0.8, 0.6])
+        st = finsler_state(bi_x, x, y)
+        assert st.F**2 == pytest.approx(float(y @ st.g @ y), rel=1e-12)
 
     def test_adm_split(self, bi_x):
-        s = TangentSample([0.5, -0.3], [0.8, 0.6])
-        st = finsler_state(bi_x, s)
+        x, y = np.array([0.5, -0.3]), np.array([0.8, 0.6])
+        st = finsler_state(bi_x, x, y)
         assert np.max(np.abs(st.g - np.outer(st.l, st.l) - st.h)) < 1e-14
-        assert np.max(np.abs(st.h @ s.y)) < 1e-14
+        assert np.max(np.abs(st.h @ y)) < 1e-14
         assert st.l @ st.l_up == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_homogeneity_of_g(self, bi_x):
-        s = TangentSample([0.2, 0.1], [0.9, -0.4])
-        g1 = finsler_state(bi_x, s).g
+        x, y = np.array([0.2, 0.1]), np.array([0.9, -0.4])
+        g1 = finsler_state(bi_x, x, y).g
         for lam in (0.5, 2.0):
-            g2 = finsler_state(bi_x, TangentSample(s.x, lam * s.y)).g
+            g2 = finsler_state(bi_x, x, lam * y).g
             assert np.max(np.abs(g1 - g2)) / np.max(np.abs(g1)) < 1e-10
 
 
 class TestCartanTensor:
     def test_single_metric_vanishes(self, sphere_space):
-        c = finsler_state(sphere_space, TangentSample([0.3, 0.1], [0.6, -0.8])).C
+        c = finsler_state(sphere_space, [0.3, 0.1], [0.6, -0.8]).C
         assert np.max(np.abs(c)) < 1e-12
 
     def test_full_symmetry_and_trace(self, bi_x):
-        s = TangentSample([0.4, 0.2], [0.8, 0.6])
-        c = finsler_state(bi_x, s).C
+        x, y = np.array([0.4, 0.2]), np.array([0.8, 0.6])
+        c = finsler_state(bi_x, x, y).C
         assert np.max(np.abs(c - c.transpose(1, 0, 2))) < 1e-14
         assert np.max(np.abs(c - c.transpose(0, 2, 1))) < 1e-14
-        assert np.max(np.abs(np.einsum("ijk,k->ij", c, s.y))) < 1e-10
+        assert np.max(np.abs(np.einsum("ijk,k->ij", c, y))) < 1e-10
 
     def test_euler_identity_random(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             sp = random_bimetric_space(rng)
-            for s in random_samples(rng, 5):
-                c = finsler_state(sp, s).C
-                assert np.max(np.abs(np.einsum("ijk,k->ij", c, s.y))) < 1e-10
+            for x, y in random_samples(rng, 5):
+                c = finsler_state(sp, x, y).C
+                assert np.max(np.abs(np.einsum("ijk,k->ij", c, y))) < 1e-10
 
     def test_inverse_homogeneity(self, bi_x):
-        s = TangentSample([0.2, 0.1], [0.9, -0.4])
-        c1 = finsler_state(bi_x, s).C
+        x, y = np.array([0.2, 0.1]), np.array([0.9, -0.4])
+        c1 = finsler_state(bi_x, x, y).C
         for lam in (0.5, 2.0):
-            c2 = finsler_state(bi_x, TangentSample(s.x, lam * s.y)).C
+            c2 = finsler_state(bi_x, x, lam * y).C
             assert np.max(np.abs(c2 - c1 / lam)) / np.max(np.abs(c1)) < 1e-10
 
 
@@ -217,7 +216,7 @@ class TestPointwiseEvaluation:
 
     def test_cartan_tensor_is_built_only_when_read(self, monkeypatch, tri_space):
         calls = count_calls(monkeypatch, finsler_mod, "_sym3")
-        st_ = finsler_state(tri_space, TangentSample([0.3, -0.5], [0.8, 0.6]))
+        st_ = finsler_state(tri_space, [0.3, -0.5], [0.8, 0.6])
         _ = st_.F, st_.g, st_.det_g, st_.g_inv, st_.h
         assert calls[0] == 0
         _ = st_.C
@@ -227,8 +226,8 @@ class TestPointwiseEvaluation:
 
     def test_lazy_tensors_equal_the_eager_formulas_bitwise(self, tri_space):
         rng = np.random.default_rng(41)
-        for s in random_samples(rng, 10):
-            st_ = finsler_state(tri_space, s)
+        for x, y in random_samples(rng, 10):
+            st_ = finsler_state(tri_space, x, y)
             assert "C" not in vars(st_) and "g_inv" not in vars(st_)
             assert np.array_equal(st_.C, _eager_cartan(st_))
             assert np.array_equal(st_.g_inv, np.linalg.inv(st_.g))
@@ -238,7 +237,7 @@ class TestConvexity:
     @staticmethod
     def min_eigenvalues(space, x, grid):
         """Smallest eigenvalue of g at x in each direction of grid, from one batched state."""
-        st_ = finsler_state(space, TangentSample(np.tile(x, (len(grid), 1)), grid))
+        st_ = finsler_state(space, np.tile(x, (len(grid), 1)), grid)
         return np.linalg.eigvalsh(st_.g)[:, 0]
 
     def test_identity_metric(self, euclid):
@@ -296,11 +295,22 @@ class TestRiemannianDetect:
         v.effective_metric(sp, [0.2, 0.3])
         assert calls[0] == n_metrics
 
+    def test_a_metric_that_is_not_spd_raises(self):
+        # at x1 = -1 the second metric x1 I = -I is pointwise proportional to the first, but
+        # not positive definite
+        sp = space_of(const_field("a", np.eye(2)), field("b", [["x1", "0"], ["0", "x1"]]))
+        with pytest.raises(NotPositiveDefiniteError):
+            riemannian_detect(sp, [[-1.0, 0.0]])
+        verdict = riemannian_detect(sp, [[1.0, 0.0]])
+        assert verdict.riemannian
+        with pytest.raises(NotPositiveDefiniteError):
+            verdict.effective_metric(sp, [-1.0, 0.0])
+
     def test_riemannian_implies_cartan_vanishes(self, prop_space):
         rng = np.random.default_rng(8)
-        assert riemannian_detect(prop_space, [s.x for s in random_samples(rng, 5)]).riemannian
-        for s in random_samples(rng, 20):
-            assert np.max(np.abs(finsler_state(prop_space, s).C)) <= 1e-10
+        assert riemannian_detect(prop_space, [x for x, _ in random_samples(rng, 5)]).riemannian
+        for x, y in random_samples(rng, 20):
+            assert np.max(np.abs(finsler_state(prop_space, x, y).C)) <= 1e-10
 
 
 @given(st.floats(min_value=0.3, max_value=3.0))
@@ -310,7 +320,7 @@ def test_norm_homogeneity_property(lam):
         const_field("a", np.eye(2)),
         field("b", [["4", "0"], ["0", "1+x1^2"]]),
     )
-    s = TangentSample([0.3, -0.2], [0.6, 0.8])
-    f1, _ = finsler_norm(sp, s)
-    f2, _ = finsler_norm(sp, TangentSample(s.x, lam * s.y))
+    x, y = np.array([0.3, -0.2]), np.array([0.6, 0.8])
+    f1, _ = finsler_norm(sp, x, y)
+    f2, _ = finsler_norm(sp, x, lam * y)
     assert f2 == pytest.approx(lam * f1, rel=1e-12)

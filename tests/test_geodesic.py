@@ -5,7 +5,7 @@ import pytest
 
 import multifinsler.geodesic as geodesic
 
-from multifinsler.finsler import SlitViolationError, TangentSample
+from multifinsler.finsler import SlitViolationError
 from multifinsler.riemann import NotPositiveDefiniteError
 from multifinsler.geodesic import (
     GeodesicPath,
@@ -63,7 +63,7 @@ class TestIntegration:
     def test_step_onto_the_slit_raises(self, monkeypatch, bi_const):
         # a constant spray y0/h takes the velocity to zero in one RK4 step
         spray = SimpleNamespace(G=np.array([10.0, 0.0]))
-        monkeypatch.setattr(geodesic, "connection_state", lambda space, sample: spray)
+        monkeypatch.setattr(geodesic, "connection_state", lambda space, x, y: spray)
         with pytest.raises(SlitViolationError):
             integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], 0.3, 0.1)
 

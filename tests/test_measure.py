@@ -11,7 +11,7 @@ from scipy import integrate
 
 import multifinsler.measure as measure
 from multifinsler.config import load_config
-from multifinsler.finsler import ConvexityError, TangentSample
+from multifinsler.finsler import ConvexityError
 from multifinsler.riemann import MetricField
 from multifinsler.measure import (
     DegeneratePairError,
@@ -463,9 +463,9 @@ def record_shapes(monkeypatch, wrap=None):
     wrap = wrap or real
     shapes = []
 
-    def recorded(space, sample):
-        shapes.append(sample.y.shape)
-        return wrap(space, sample)
+    def recorded(space, x, y):
+        shapes.append(y.shape)
+        return wrap(space, x, y)
 
     monkeypatch.setattr(measure, "finsler_state", recorded)
     return real, shapes
@@ -474,10 +474,10 @@ def record_shapes(monkeypatch, wrap=None):
 def scaled_det_g(state, scale):
     """state with det_g multiplied by scale(y) at each sample, one sample or a batch."""
 
-    def scaled(space, sample):
-        st = state(space, sample)
-        s = np.array([scale(v) for v in np.atleast_2d(sample.y)])
-        return SimpleNamespace(F=st.F, det_g=st.det_g * (s[0] if sample.y.ndim == 1 else s))
+    def scaled(space, x, y):
+        st = state(space, x, y)
+        s = np.array([scale(v) for v in np.atleast_2d(y)])
+        return SimpleNamespace(F=st.F, det_g=st.det_g * (s[0] if y.ndim == 1 else s))
 
     return scaled
 
@@ -486,11 +486,11 @@ def failing_beyond(state, bound, coordinate):
     """state that raises for samples whose coordinate(y) exceeds bound, naming the
     last such row, as a batched check that names another row than a scalar run would."""
 
-    def failing(space, sample):
-        bad = [c for c in map(coordinate, np.atleast_2d(sample.y)) if c > bound]
+    def failing(space, x, y):
+        bad = [c for c in map(coordinate, np.atleast_2d(y)) if c > bound]
         if bad:
             raise ConvexityError(f"node at {bad[-1]!r}")
-        return state(space, sample)
+        return state(space, x, y)
 
     return failing
 
@@ -574,7 +574,7 @@ class TestCircleBatches:
         """_circle_integral as one quad with one state(...) call per node, and quad's infodict."""
 
         def f(theta):
-            st = state(space, TangentSample(x, np.array([math.cos(theta), math.sin(theta)])))
+            st = state(space, x, np.array([math.cos(theta), math.sin(theta)]))
             return (1.0 if weight == "one" else st.det_g) / st.F**2
 
         value, _, info = integrate.quad(f, 0.0, 2.0 * math.pi, full_output=1, **QUAD)
@@ -634,7 +634,7 @@ class TestRadialBatches:
 
         def f(r, theta):
             y = np.array([r * math.cos(theta), r * math.sin(theta)])
-            return state(space, TangentSample(x, y)).det_g * r
+            return state(space, x, y).det_g * r
 
         return integrate.dblquad(f, 0.0, 2.0 * math.pi, 0.0,
                                  lambda theta: 1.0 / scalar_circle_norm(a_mu, theta),
