@@ -20,6 +20,7 @@ from .dim2 import (
     Frame2D,
     cartan_structure_residuals,
     frame_from_state,
+    gauss_curvature,
     invariant_I_oracle,
     invariants_JK,
 )
@@ -62,7 +63,6 @@ from .riemann import (
     MetricField,
     NotPositiveDefiniteError,
     christoffels_and_spray,
-    gauss_curvature,
     symmetric_polynomials,
 )
 from .suites import run_suite

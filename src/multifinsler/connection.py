@@ -127,7 +127,7 @@ def _norm_x_derivatives(dA: np.ndarray, state: FinslerState) -> np.ndarray:
 def x_derivatives(space: MultiMetricSpace, state: FinslerState) -> XDerivatives:
     """Differentiate the assembled quantities in x via exact metric derivatives."""
     y = state.y
-    dA = space.metric_derivatives(state.x)  # (N, s, i, j)
+    dA = space.metric_derivatives(state.x, 1)  # (N, s, i, j)
 
     dF_mu = _norm_x_derivatives(dA, state)
     dF = dF_mu.sum(axis=0)
@@ -209,7 +209,7 @@ def connection_state(space: MultiMetricSpace, x, y) -> ConnectionState:
     state = finsler_state(space, x, y)
     # per-sector Christoffels, connections Gamma y and sprays Gamma y y, from the
     # inverses that metric_values validated at x
-    gamma_mu = _christoffel(state.a_inv, space.metric_derivatives(state.x))
+    gamma_mu = _christoffel(state.a_inv, space.metric_derivatives(state.x, 1))
     y_mu = state.y[..., None, :]  # the same y for every sector
     N_mu = np.einsum("...ijk,...k->...ij", gamma_mu, y_mu)
     G_mu = np.matvec(N_mu, y_mu)
@@ -256,15 +256,9 @@ def _variational_spray_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarra
         return np.stack([v + e, v - e], axis=2)
 
     xs, ys = shifted(x, hx), shifted(y, hy)
-    # the sector matrices at each distinct stencil x, in the order a single sample meets them;
-    # keyed on the values and the signs of zero: the padding bytes of a long double vary
-    sectors, index = {}, []
-    for xx in xs.reshape(-1, n):
-        key = (tuple(xx.tolist()), tuple(np.signbit(xx).tolist()))
-        if key not in sectors:
-            sectors[key] = (len(sectors), np.stack([m.value(xx) for m in space.metrics]))
-        index.append(sectors[key][0])
-    a = np.array([v for _, v in sectors.values()]).astype(ld)[np.array(index)]
+    # the sector matrices at each stencil x, in the order a single sample meets them; the
+    # points x +- h e_k of one sample are distinct, so each is evaluated once
+    a = np.array([[m.value(xx) for m in space.metrics] for xx in xs.reshape(-1, n)]).astype(ld)
     a = a.reshape(xs.shape[:3] + a.shape[1:])  # [b, k, s, mu, i, j]
 
     # F^2 at (x +- h e_k, y +- h e_m) as [b, k, m, sx, sy], then at (x +- h e_k, y) as [b, k, sx]
@@ -297,7 +291,7 @@ def horizontal_compatibility_residual(space: MultiMetricSpace, cs: ConnectionSta
     """Max |d_i F - N^j_i l_j| at the sample of cs, or at each sample of a batch; zero for
     the Cartan nonlinear connection."""
     st = cs.state
-    dF = _norm_x_derivatives(space.metric_derivatives(st.x), st).sum(axis=-2)
+    dF = _norm_x_derivatives(space.metric_derivatives(st.x, 1), st).sum(axis=-2)
     resid = dF - np.einsum("...ji,...j->...i", cs.N, st.l)
     return _scalar(np.max(np.abs(resid), axis=-1))
 

@@ -23,19 +23,16 @@ from .finsler import (
     _scalar,
     finsler_state,
     require_2d,
+    rows_or_first_error,
     sector_norms,
 )
-from .riemann import gauss_curvature
+from .riemann import _christoffel
 
 
-def _perp_down(vec_up: np.ndarray, scale) -> np.ndarray:
-    """m_i = scale * eps_ij v^j with eps_12 = +1, over leading batch axes."""
-    return np.asarray(scale)[..., None] * np.stack([vec_up[..., 1], -vec_up[..., 0]], axis=-1)
-
-
-def _perp_up(vec_down: np.ndarray, inv_scale) -> np.ndarray:
-    """m^i = inv_scale * eps^ij v_j with eps^12 = +1, over leading batch axes."""
-    return np.asarray(inv_scale)[..., None] * np.stack([vec_down[..., 1], -vec_down[..., 0]], axis=-1)
+def _perp(v: np.ndarray, scale) -> np.ndarray:
+    """scale * eps v over leading batch axes, in either index position: m_i = scale
+    eps_ij v^j and m^i = scale eps^ij v_j, with eps_12 = eps^12 = +1."""
+    return np.asarray(scale)[..., None] * np.stack([v[..., 1], -v[..., 0]], axis=-1)
 
 
 def _sector_products(u: np.ndarray, dN_mu: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -87,7 +84,7 @@ def frame_from_state(state: FinslerState) -> Frame2D:
     nothing at other points."""
     require_2d(state.y.shape[-1])
     sqrt_g = np.sqrt(state.det_g)
-    return Frame2D(state=state, m=_perp_down(state.l_up, sqrt_g), m_up=_perp_up(state.l, 1.0 / sqrt_g))
+    return Frame2D(state=state, m=_perp(state.l_up, sqrt_g), m_up=_perp(state.l, 1.0 / sqrt_g))
 
 
 def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float | np.ndarray:
@@ -130,22 +127,58 @@ def frame_derivatives(cs: ConnectionState, field: Callable) -> tuple:
             _contract(np.asarray(st.F)[..., None] * fr.m_up, dy))
 
 
+def gauss_curvature(space: MultiMetricSpace, x) -> np.ndarray:
+    """Gauss curvatures of the N sector metrics of a 2D space, via the curvature tensor
+    of each Levi-Civita connection, at one point (2,) or at points (P, 2): an array
+    (N,) or (P, N).
+
+    The sector data comes from the space: metric_values validates the matrices as
+    SPD before metric_derivatives evaluates their first and second derivatives.
+    The curvatures are taken once per distinct point, in the order the points
+    first occur; each is the single call's bits, and the first failing point
+    raises the error it raises alone (see rows_or_first_error).
+    """
+    require_2d(space.dim)
+
+    def curvatures(points):
+        a, inv, det = space.metric_values(points)
+        dA, d2A = space.metric_derivatives(points, 1), space.metric_derivatives(points, 2)
+        gamma = _christoffel(inv, dA)
+        # d inv / d x_s = -inv dA_s inv
+        dinv = -np.einsum("...im,...smn,...nl->...sil", inv, dA, inv)
+        # T[j,l,k] = d_j a_lk + d_k a_lj - d_l a_jk and its x-derivative
+        T = dA + np.swapaxes(dA, -3, -1) - np.swapaxes(dA, -3, -2)
+        dT = d2A + np.swapaxes(d2A, -3, -1) - np.swapaxes(d2A, -3, -2)
+        dgamma = 0.5 * (np.einsum("...sil,...jlk->...sijk", dinv, T) + np.einsum("...il,...sjlk->...sijk", inv, dT))
+
+        # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}
+        riem = (
+            np.einsum("...kilj->...ijkl", dgamma)
+            - np.einsum("...likj->...ijkl", dgamma)
+            + np.einsum("...iks,...slj->...ijkl", gamma, gamma)
+            - np.einsum("...ils,...skj->...ijkl", gamma, gamma)
+        )
+        r_low = np.einsum("...im,...mjkl->...ijkl", a, riem)
+        return r_low[..., 0, 1, 0, 1] / det
+
+    points, spread = _distinct_points(np.asarray(x, dtype=float))
+    return spread(rows_or_first_error(curvatures, points))
+
+
 def invariants_JK(space: MultiMetricSpace, cs: ConnectionState) -> tuple:
     """Landsberg scalar J and the curvature scalar K of the third structure equation
     at the sample of cs, or at each sample of a batch.
 
     J comes from the omega^1 wedge omega^3 coefficient; K combines the sector
     Gauss curvatures with frame-derivative corrections.  For a single metric,
-    K reduces to the Gauss curvature.  The Gauss curvatures are evaluated once
-    per distinct x of the batch, in one call per metric, before the 8
+    K reduces to the Gauss curvature.  The Gauss curvatures of all sectors come
+    from one gauss_curvature call at the points of the batch, before the 8
     neighbours of every sample; one array-valued field on those neighbours
     gives the frame derivatives of all sectors and the fiber derivative of N,
     so J and K take one batched connection state for any number of metrics and
     samples.  Floats for one sample, arrays of shape (...) for a batch.
     """
-    require_2d(space.dim)
-    points, spread = _distinct_points(cs.state.x)
-    gauss = spread(np.stack([gauss_curvature(m, points) for m in space.metrics], axis=-1))
+    gauss = gauss_curvature(space, cs.state.x)
     st = cs.state
     fr = frame_from_state(st)
     F, F_mu, det_g = np.asarray(st.F), st.F_mu, np.asarray(st.det_g)
@@ -233,8 +266,8 @@ def _oneform_roundtrip(cs: ConnectionState, fr: Frame2D, m_dn_m: np.ndarray, m_d
     F, F_mu, det_g = np.asarray(st.F), st.F_mu, np.asarray(st.det_g)
     sqrt_det = np.sqrt(st.a_det)
     l_up_mu = st.y[..., None, :] / F_mu[..., None]
-    m_mu = _perp_down(l_up_mu, sqrt_det)  # m_k, the zweibein covector of sector k
-    mk_dn_mk = _sector_products(m_mu, cs.dN_mu, _perp_up(st.l_mu, 1.0 / sqrt_det))
+    m_mu = _perp(l_up_mu, sqrt_det)  # m_k, the zweibein covector of sector k
+    mk_dn_mk = _sector_products(m_mu, cs.dN_mu, _perp(st.l_mu, 1.0 / sqrt_det))
     mk_dn_lk = _sector_products(m_mu, cs.dN_mu, l_up_mu)
     mk_dn_m = _sector_products(m_mu, cs.dN_mu, fr.m_up[..., None, :])
     mk_dn_l = _sector_products(m_mu, cs.dN_mu, st.l_up[..., None, :])

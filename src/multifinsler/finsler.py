@@ -105,11 +105,14 @@ class MultiMetricSpace:
         self._last_values = (key, values)
         return values
 
-    def metric_derivatives(self, x) -> np.ndarray:
-        """dA[..., mu, s, i, j] = d a^mu_ij / d x_s at one point (n,) or a batch (B, n),
-        evaluated once per distinct point."""
+    def metric_derivatives(self, x, order: int) -> np.ndarray:
+        """The exact x-derivatives of the sector metrics at one point (n,) or a batch
+        (B, n), evaluated once per distinct point: order 1 gives
+        dA[..., mu, s, i, j] = d a^mu_ij / d x_s, order 2 gives
+        d2A[..., mu, s, t, i, j] = d^2 a^mu_ij / (d x_s d x_t)."""
         points, spread = _distinct_points(np.asarray(x, dtype=float))
-        return spread(np.array([[m.derivative(xp) for m in self.metrics] for xp in points]))
+        return spread(np.array([[m.derivative(xp) if order == 1 else m.second_derivative(xp) for m in self.metrics]
+                                for xp in points]))
 
     def check_sample(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """x and y as float arrays, a sample (n,) of the slit tangent bundle or a

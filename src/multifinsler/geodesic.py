@@ -55,20 +55,18 @@ def _by_row(fn, x: np.ndarray, y: np.ndarray):
     """fn(x, y) on a batch of rows, and the rows that fail.
 
     fn runs once on the whole batch.  If that raises a per-sample error, it
-    runs on each row alone, which raises exactly what that row raises alone.
-    A batch of one row runs as that row alone, on the cheaper unbatched path.
-    Returns the stacked values of the rows that evaluate and a dict from the
-    index of each failing row to its exception.
+    runs on each row as a batch of one, which raises exactly what that row
+    raises alone.  Returns the stacked values of the rows that evaluate and a
+    dict from the index of each failing row to its exception.
     """
-    if len(x) > 1:
-        try:
-            return fn(x, y), {}
-        except SAMPLE_ERRORS:
-            pass
+    try:
+        return fn(x, y), {}
+    except SAMPLE_ERRORS:
+        pass
     values, failed = [], {}
     for i in range(len(x)):
         try:
-            values.append(fn(x[i], y[i]))
+            values.append(fn(x[i:i + 1], y[i:i + 1])[0])
         except SAMPLE_ERRORS as exc:
             failed[i] = exc
     return np.array(values), failed

@@ -11,7 +11,6 @@ from typing import Sequence
 import numpy as np
 
 from .expr import (
-    ExprError,
     ScalarExpr,
     compile_expression,
     differentiate,
@@ -156,51 +155,6 @@ def christoffels_and_spray(field: MetricField, x, y) -> tuple[np.ndarray, np.nda
     nonlin = np.einsum("ijk,k->ij", gamma, y)
     spray = nonlin @ y
     return gamma, spray, nonlin
-
-
-def gauss_curvature(field: MetricField, x):
-    """Gauss curvature of a 2D metric via the curvature tensor of its Levi-Civita connection,
-    at one point (2,) or at points (P, 2): a float or an array (P,).
-
-    The components are evaluated point by point, and the matrices are validated
-    as SPD at once; each value is the single call's bits, and the first failing
-    point raises the error it raises alone.
-    """
-    if field.dim != 2:
-        raise ValueError("gauss_curvature is defined for 2D metrics only")
-    x = np.asarray(x, dtype=float)
-    points = x.reshape(-1, x.shape[-1])
-    a, dA, d2A = (np.empty((len(points),) + (2,) * order) for order in (2, 3, 4))
-    for p, xp in enumerate(points):
-        checked = p  # alone, a point is validated after its value and before its derivatives
-        try:
-            a[p] = field.value(xp)
-            checked = p + 1
-            dA[p], d2A[p] = field.derivative(xp), field.second_derivative(xp)
-        except ExprError:
-            spd_inverse_det(a[:checked, None], points[:checked], (field.name,))
-            raise
-    inv, det = spd_inverse_det(a[:, None], points, (field.name,))
-    inv, det = inv[:, 0], det[:, 0]
-
-    gamma = _christoffel(inv, dA)
-    # d inv / d x_s = -inv dA_s inv
-    dinv = -np.einsum("...im,...smn,...nl->...sil", inv, dA, inv)
-    # T[j,l,k] = d_j a_lk + d_k a_lj - d_l a_jk and its x-derivative
-    T = dA + np.swapaxes(dA, -3, -1) - np.swapaxes(dA, -3, -2)
-    dT = d2A + np.swapaxes(d2A, -3, -1) - np.swapaxes(d2A, -3, -2)
-    dgamma = 0.5 * (np.einsum("...sil,...jlk->...sijk", dinv, T) + np.einsum("...il,...sjlk->...sijk", inv, dT))
-
-    # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma^i_{ks} Gamma^s_{lj} - Gamma^i_{ls} Gamma^s_{kj}
-    riem = (
-        np.einsum("...kilj->...ijkl", dgamma)
-        - np.einsum("...likj->...ijkl", dgamma)
-        + np.einsum("...iks,...slj->...ijkl", gamma, gamma)
-        - np.einsum("...ils,...skj->...ijkl", gamma, gamma)
-    )
-    r_low = np.einsum("...im,...mjkl->...ijkl", a, riem)
-    K = r_low[:, 0, 1, 0, 1] / det
-    return float(K[0]) if x.ndim == 1 else K
 
 
 def symmetric_polynomials(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from multifinsler.connection import (
     nonlinear_connection_fd,
     variational_spray,
 )
-from multifinsler.dim2 import cartan_structure_residuals, frame_from_state, invariants_JK
+from multifinsler.dim2 import cartan_structure_residuals, frame_from_state, gauss_curvature, invariants_JK
 from multifinsler.finsler import (
     SAMPLE_ERRORS,
     ConvexityError,
@@ -34,7 +34,7 @@ from multifinsler.finsler import (
     sector_norms,
 )
 from multifinsler.suites import fd_residuals, pointwise_residuals
-from multifinsler.riemann import MetricField, NotPositiveDefiniteError, gauss_curvature
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 
 from conftest import count_calls, field, space_of
 
@@ -218,7 +218,7 @@ def test_frame_and_invariants_rows_equal_single_samples(space, batch):
         cs = connection_state(space, x, y)
         # a batch takes every Gauss curvature before any stencil, so a failing one is
         # compared through rows_or_first_error in test_identity_residual_rows_equal_single_samples
-        [[gauss_curvature(m, xr) for m in space.metrics] for xr in x]
+        [gauss_curvature(space, xr) for xr in x]
     except SAMPLE_ERRORS:
         return  # a failing centre is compared in test_spray_path_rows_equal_single_samples
     solo_cs = [connection_state(space, xr, yr) for xr, yr in zip(x, y)]
@@ -308,10 +308,9 @@ def test_variational_spray_rows_equal_single_calls(space, batch):
 @given(spaces(), batches())
 def test_gauss_curvature_rows_equal_single_calls(space, batch):
     x, _ = batch
-    for m in space.metrics:
-        solo = [outcome(gauss_curvature, m, xr) for xr in x]
-        assert all(isinstance(o, (float, Exception)) for o in solo)
-        assert_rows_or_first_error(outcome(gauss_curvature, m, x), solo)
+    solo = [outcome(gauss_curvature, space, xr) for xr in x]
+    assert all(isinstance(o, Exception) or o.shape == (space.n_metrics,) for o in solo)
+    assert_rows_or_first_error(outcome(gauss_curvature, space, x), solo)
 
 
 def test_rows_or_first_error_slices_every_array_at_the_same_row():
@@ -373,7 +372,7 @@ def test_fd_oracles_raise_the_first_failing_rows_own_error():
 def test_gauss_curvature_raises_the_first_failing_points_own_error():
     # alpha is not SPD at x1 < -1; its sqrt cannot be evaluated at x2 < 0, nor its
     # derivatives at x2 = 0; alone, a point is validated before its derivatives
-    alpha = field("alpha", [["1+x1", "0"], ["0", "2+sqrt(x2)"]])
+    alpha = space_of(field("alpha", [["1+x1", "0"], ["0", "2+sqrt(x2)"]]))
     good, not_spd, no_value, no_derivative, both = [0.5, 1.0], [-2.0, 1.0], [0.5, -1.0], [0.5, 0.0], [-2.0, 0.0]
     for points in ([good, not_spd, no_value], [good, no_value, not_spd], [good, no_derivative, not_spd],
                    [good, not_spd, no_derivative], [good, both, no_value]):
@@ -384,6 +383,20 @@ def test_gauss_curvature_raises_the_first_failing_points_own_error():
         gauss_curvature(alpha, np.array(both))
 
 
+def test_gauss_curvature_of_all_sectors_raises_the_first_failing_rows_own_error():
+    # alpha's second derivative cannot be evaluated at x1 = 0 (row 1), beta's at x2 = 0
+    # (row 0); the first derivatives can, so both rows have a connection state.  Taken
+    # metric by metric over all rows, the batch would raise row 1's error
+    sp = space_of(field("alpha", [["2+x1^1.5", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "2+x2^1.5"]]))
+    x, y = np.array([[0.5, 0.0], [0.0, 0.5]]), np.array([[1.0, 0.3], [0.2, 1.0]])
+    cs = connection_state(sp, x, y)
+    for fn, batched, row in ((gauss_curvature, x, x[0]),
+                             (invariants_JK, cs, connection_state(sp, x[0], y[0]))):
+        single = outcome(fn, sp, row)
+        assert isinstance(single, Exception) and "'x2^-0.5'" in str(single)
+        assert same_error(outcome(fn, sp, batched), single)
+
+
 def test_fd_residuals_calls_each_oracle_once_per_batch(monkeypatch):
     space = load_config(REPO / "configs" / "trimetric.json").build_space()
     rows = json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())["trimetric"]["rows"]
@@ -392,7 +405,7 @@ def test_fd_residuals_calls_each_oracle_once_per_batch(monkeypatch):
     gauss = count_calls(monkeypatch, dim2, "gauss_curvature")
     assert fd_residuals(space, x, y).shape[0] == len(x)
     assert [c[0] for c in calls] == [1, 1]
-    assert gauss[0] == space.n_metrics
+    assert gauss[0] == 1
 
 
 def test_batched_spd_error_names_the_first_failing_row_and_sector():

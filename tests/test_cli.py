@@ -11,7 +11,7 @@ import pytest
 
 from multifinsler.cli import dumps_stable, main
 from multifinsler.config import ConfigError, load_config, parse_config
-from multifinsler.riemann import NotPositiveDefiniteError
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 
 from conftest import count_calls
 
@@ -329,18 +329,14 @@ class TestCli:
         assert len(lines) == 1 + 3 * 3 * 4
 
     def test_sample_computes_gauss_curvature_once_per_point(self, config_path, tmp_path, monkeypatch):
-        import multifinsler.cli as cli
-        import multifinsler.dim2 as dim2
-
-        points = {}  # metric name -> the points it was evaluated at
-        original = dim2.gauss_curvature
+        points = {}  # metric name -> the points its second derivatives were evaluated at
+        original = MetricField.second_derivative
 
         def counted(field, x):
-            points.setdefault(field.name, []).extend(np.atleast_2d(x).tolist())
+            points.setdefault(field.name, []).append(list(x))
             return original(field, x)
 
-        for module in (cli, dim2):
-            monkeypatch.setattr(module, "gauss_curvature", counted, raising=False)
+        monkeypatch.setattr(MetricField, "second_derivative", counted)
         assert main(["sample", "--config", config_path, "--grid", "2", "--directions", "3",
                      "--out", str(tmp_path / "grid.csv")]) == 0
         # each of the 2 x 2 grid points once per sector (2 x 2 x 2 in all), independent of the directions

@@ -167,13 +167,13 @@ class TestPointwiseEvaluation:
         a, b = [0.1, 0.2], [-0.3, 0.4]
         # 0.0 and -0.0 are different bits, so two points
         x = np.array([a, b, a, a, [0.0, 0.5], b, [-0.0, 0.5]])
-        batched, dA = sp.metric_values(x), sp.metric_derivatives(x)
+        batched, dA = sp.metric_values(x), sp.metric_derivatives(x, 1)
         assert [c[0] for c in values + derivatives] == [4] * 4
         assert spd[0] == 4 * sp.n_metrics
         for r, xr in enumerate(x):
             for arr, single in zip(batched, sp.metric_values(xr.copy())):
                 assert np.array_equal(arr[r], single)
-            assert np.array_equal(dA[r], sp.metric_derivatives(xr))
+            assert np.array_equal(dA[r], sp.metric_derivatives(xr, 1))
 
     def test_a_tiled_point_is_evaluated_once(self, monkeypatch):
         # the measure oracles stack one x over 21, 42 and 441 fiber vectors

@@ -116,6 +116,36 @@ def test_every_public_function_is_reached():
         f"listed but reached: {sorted(TEST_ONLY_FUNCTIONS - unreached)}")
 
 
+# The functions outside MetricField that evaluate its component tables: the sector data of
+# the routes, the variational oracle's own stencil, a test-only oracle and the SPD probe
+COMPONENT_READERS = {
+    "finsler.MultiMetricSpace.metric_values",
+    "finsler.MultiMetricSpace.metric_derivatives",
+    "connection._variational_spray_rows",
+    "riemann.christoffels_and_spray",
+    "config.parse_config",
+}
+COMPONENT_METHODS = {"value", "derivative", "second_derivative", "_evaluate", "spd_value"}
+
+
+def test_metric_components_are_read_through_the_space():
+    """Sector metric data at points comes from MultiMetricSpace; no other package function
+    calls a MetricField evaluation method, except the ones listed above."""
+    readers = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            scopes = [node] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef) and node.name != "MetricField":
+                scopes = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+            for scope in scopes:
+                if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                       and n.func.attr in COMPONENT_METHODS for n in ast.walk(scope)):
+                    owner = f"{node.name}." if scope is not node else ""
+                    readers.add(f"{path.stem}.{owner}{scope.name}")
+    assert readers == COMPONENT_READERS, (
+        f"new readers: {sorted(readers - COMPONENT_READERS)}; listed but gone: {sorted(COMPONENT_READERS - readers)}")
+
+
 def test_sample_and_validate_do_not_load_scipy_integrate(tmp_path):
     """scipy.integrate is imported where a quadrature runs, so a fresh interpreter
     that runs sample and validate never loads it."""

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from multifinsler.config import load_config
+from multifinsler.dim2 import gauss_curvature
 from multifinsler.expr import EvalDomainError, compile_expression, differentiate
 from multifinsler.riemann import (
     MetricField,
     NotPositiveDefiniteError,
     christoffels_and_spray,
-    gauss_curvature,
     symmetric_polynomials,
 )
 
-from conftest import const_field, field, random_spd
+from conftest import const_field, field, random_spd, space_of
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -112,33 +112,33 @@ class TestChristoffels:
 
 class TestGaussCurvature:
     def test_flat(self):
-        assert gauss_curvature(const_field("f", np.eye(2)), [0.1, 0.9]) == pytest.approx(0.0, abs=1e-10)
+        assert gauss_curvature(space_of(const_field("f", np.eye(2))), [0.1, 0.9])[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_constant_metric_zero(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
             f = const_field("c", random_spd(rng))
-            assert abs(gauss_curvature(f, rng.uniform(-1, 1, 2))) <= 1e-10
+            assert abs(gauss_curvature(space_of(f), rng.uniform(-1, 1, 2))[0]) <= 1e-10
 
     def test_round_sphere(self):
         comp = "4/(1+x1^2+x2^2)^2"
         f = field("s", [[comp, "0"], ["0", comp]])
         for x in ([0.0, 0.0], [0.3, -0.4], [0.9, 0.8]):
-            assert gauss_curvature(f, x) == pytest.approx(1.0, abs=1e-10)
+            assert gauss_curvature(space_of(f), x)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_hyperbolic_half_plane(self):
         f = field("h", [["1/x2^2", "0"], ["0", "1/x2^2"]])
         for x in ([0.0, 0.5], [0.4, 1.7], [-1.2, 0.3]):
-            assert gauss_curvature(f, x) == pytest.approx(-1.0, abs=1e-10)
+            assert gauss_curvature(space_of(f), x)[0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_polar_coordinates_flat(self):
         f = field("p", [["1", "0"], ["0", "x1^2"]])
-        assert gauss_curvature(f, [1.7, 0.4]) == pytest.approx(0.0, abs=1e-12)
+        assert gauss_curvature(space_of(f), [1.7, 0.4])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_2d(self):
         f = field("one", [["1"]], ["t"])
         with pytest.raises(ValueError):
-            gauss_curvature(f, [0.0])
+            gauss_curvature(space_of(f), [0.0])
 
 
 class TestSymmetricPolynomials:
