@@ -3,8 +3,8 @@
 
 Shoots trajectories in evenly spaced directions, all rays in one lockstep
 integration, exports each as CSV, and prints the worst norm drift plus the
-action of every leg.  If a ray fails with a per-sample error (slit, loss of
-positive definiteness, convexity, expression domain, linear algebra), the
+action of every leg.  If a ray fails with a per-sample error (slit, non-finite
+value, loss of positive definiteness, expression domain, linear algebra), the
 rays before it are still written and printed, and its error is raised; any
 other exception stops the integration of all rays before a file is written.
 

@@ -34,9 +34,9 @@ from .expr import (
     parse_expression,
 )
 from .finsler import (
-    ConvexityError,
     FinslerState,
     MultiMetricSpace,
+    NonFiniteSampleError,
     SlitViolationError,
     fd_fundamental_tensor,
     finsler_norm,

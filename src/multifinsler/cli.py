@@ -22,7 +22,7 @@ from .dim2 import frame_from_state, invariants_JK
 from .finsler import finsler_state, rows_or_first_error
 from .geodesic import action_of_path, integrate_geodesic, path_to_csv, write_csv
 from .measure import busemann_hausdorff, holmes_thompson, holmes_thompson_disc_oracle
-from .suites import run_suite
+from .suites import SUITES, run_suite
 
 
 def _fmt_float(v: float) -> str:
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run a verification suite")
     common(c)
-    c.add_argument("--suite", default="all", choices=["identities", "measures", "geodesics", "all"])
+    c.add_argument("--suite", default="all", choices=SUITES)
     c.add_argument("--seed", type=non_negative_int, default=None, help="override the config seed")
     c.add_argument("--tol-scale", type=positive_float, default=1.0, help="scale all tolerances")
     c.set_defaults(func=_cmd_check)

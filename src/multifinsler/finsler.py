@@ -28,14 +28,14 @@ class SlitViolationError(Exception):
     """Fiber vector too close to the zero section."""
 
 
-class ConvexityError(Exception):
-    """Fundamental tensor failed to be positive definite at a sample."""
+class NonFiniteSampleError(Exception):
+    """A sample, or a quadratic form y' a_mu y at it, is not finite."""
 
 
 # Errors that belong to one sample: a batch that raises one may hold rows that
 # evaluate, and each row alone raises what that row raises.  Any other
 # exception belongs to the whole call.
-SAMPLE_ERRORS = (SlitViolationError, NotPositiveDefiniteError, ConvexityError, ExprError,
+SAMPLE_ERRORS = (SlitViolationError, NonFiniteSampleError, NotPositiveDefiniteError, ExprError,
                  np.linalg.LinAlgError)
 
 
@@ -117,8 +117,9 @@ class MultiMetricSpace:
     def check_sample(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """x and y as float arrays, a sample (n,) of the slit tangent bundle or a
         batch (B, n).  Rejects coordinate vectors of the wrong length, batches of
-        x and y that differ in shape, and fiber vectors on the slit; for a batch,
-        the first point on the slit raises."""
+        x and y that differ in shape, a non-finite x or y, and fiber vectors on the
+        slit; for a batch, the first non-finite x, then y, then point on the slit
+        raises."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"point of length {x.shape[-1]}, expected {self.dim}")
@@ -126,6 +127,11 @@ class MultiMetricSpace:
             raise ValueError(f"fiber vector of length {y.shape[-1]}, expected {self.dim}")
         if x.shape != y.shape or y.ndim > 2:
             raise ValueError(f"x and y must both have shape (n,) or (B, n), got {x.shape} and {y.shape}")
+        for name, v in (("x", x), ("y", y)):
+            rows = v.reshape(-1, self.dim)
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                raise NonFiniteSampleError(f"{name} = {rows[np.argmin(finite)].tolist()} is not finite")
         norms = np.linalg.norm(y, axis=-1).reshape(-1)
         if (norms < EPS_SLIT).any():
             norm = float(norms[np.argmax(norms < EPS_SLIT)])
@@ -198,6 +204,10 @@ def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
         rows = q.reshape(-1, q.shape[-1])
         first = rows[np.argmax((rows <= 0.0).any(axis=1))]
         raise NotPositiveDefiniteError(f"degenerate quadratic form y' a_mu y = {first.tolist()}")
+    if not np.isfinite(q).all():
+        rows = q.reshape(-1, q.shape[-1])
+        first = rows[np.argmin(np.isfinite(rows).all(axis=1))]
+        raise NonFiniteSampleError(f"quadratic form y' a_mu y = {first.tolist()} is not finite")
     return np.sqrt(q)
 
 
@@ -260,7 +270,8 @@ def finsler_state(space: MultiMetricSpace, x, y) -> FinslerState:
     samples with x and y of shape (B, n); C and g_inv follow on access.
 
     A batch raises the error of its first failing sample for each check in
-    turn: slit, SPD, degenerate sector, convexity.
+    turn: finiteness, slit, SPD, degenerate or non-finite sector norm.  g is
+    positive definite wherever every a_mu is SPD, so it is not tested again.
     """
     x, y = space.check_sample(x, y)
     a_mu, a_inv, a_det = space.metric_values(x)
@@ -274,13 +285,6 @@ def finsler_state(space: MultiMetricSpace, x, y) -> FinslerState:
 
     ll = l[..., :, None] * l[..., None, :]
     g = ll + np.einsum("...k,...kij->...ij", F_col / F_mu, h_mu)
-    w = np.linalg.eigvalsh(g)
-    if w[..., 0].min() <= 0.0:
-        r = np.argmax(w.reshape(-1, w.shape[-1])[:, 0] <= 0.0)
-        raise ConvexityError(
-            f"fundamental tensor not positive definite at x={x.reshape(-1, x.shape[-1])[r].tolist()}, "
-            f"y={y.reshape(-1, y.shape[-1])[r].tolist()} (eigenvalues {w.reshape(-1, w.shape[-1])[r].tolist()})"
-        )
     det_g = np.linalg.det(g)
     h = g - ll
     l_up = y / F_col

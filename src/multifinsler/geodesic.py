@@ -77,8 +77,8 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
 
     y0 of shape (B, n) shoots B rays from x0 of shape (n,) or (B, n) in one
     RK4 loop and returns one GeodesicPath with a ray axis.  A ray that raises
-    a per-sample error (SAMPLE_ERRORS: slit, SPD loss, convexity, expression
-    domain, linear algebra) is retired with it; the others go on, bit for
+    a per-sample error (SAMPLE_ERRORS: slit, non-finite value, SPD loss,
+    expression domain, linear algebra) is retired with it; the others go on, bit for
     bit as when shot alone.  Any other exception ends the call for all rays.
     With y0 of shape (n,) the path is returned, or the error raised.
     """
@@ -114,8 +114,8 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
             values, failed = _by_row(fn, xv, yv)
             if not failed:
                 return values
-        else:
-            values, failed = _by_row(fn, xv[live], yv[live])
+        else:  # once every ray is retired, the rest of the step evaluates nothing
+            values, failed = _by_row(fn, xv[live], yv[live]) if len(live) else ([], {})
         if failed:
             for i, exc in failed.items():
                 errors[live[i]] = exc

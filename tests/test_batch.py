@@ -25,7 +25,7 @@ from multifinsler.connection import (
 from multifinsler.dim2 import cartan_structure_residuals, frame_from_state, gauss_curvature, invariants_JK
 from multifinsler.finsler import (
     SAMPLE_ERRORS,
-    ConvexityError,
+    NonFiniteSampleError,
     SlitViolationError,
     fd_fundamental_tensor,
     finsler_norm,
@@ -237,6 +237,11 @@ def test_frame_and_invariants_rows_equal_single_samples(space, batch):
         assert np.array_equal([batched[0][r], batched[1][r]], jk)
 
 
+def stacked(columns: dict) -> np.ndarray:
+    """A stage's per-sample residual columns, keyed by check name, as rows (B, k) in key order."""
+    return np.stack(list(columns.values()), axis=-1)
+
+
 @pytest.mark.parametrize("n_metrics", [1, 2, 3])  # one 2D sector takes its own sector_norms path
 @settings(SETTINGS, max_examples=25)
 @given(data=st.data())
@@ -244,14 +249,17 @@ def test_identity_residual_rows_equal_single_samples(n_metrics, data):
     """The identities suite's residual rows: each row of a batch is the row of that sample
     alone, and the row-order fallback raises the first failing sample's error."""
     space, (x, y) = data.draw(spaces(st.just(n_metrics))), data.draw(batches())
-    for fn in (pointwise_residuals, fd_residuals):
+    for stage in (pointwise_residuals, fd_residuals):
+        def fn(space, xs, ys):
+            return stacked(stage(space, xs, ys))
+
         solo = [outcome(fn, space, x[r:r + 1], y[r:r + 1]) for r in range(len(x))]
         batched = outcome(rows_or_first_error, lambda xs, ys: fn(space, xs, ys), x, y)
         failed = [o for o in solo if isinstance(o, Exception)]
         if failed:
-            assert same_error(batched, failed[0]), fn.__name__
+            assert same_error(batched, failed[0]), stage.__name__
             return
-        assert np.array_equal(batched, np.concatenate(solo), equal_nan=True), fn.__name__
+        assert np.array_equal(batched, np.concatenate(solo), equal_nan=True), stage.__name__
 
     # the batched routes against one sample at a time, as the suite used to call them
     cs = connection_state(space, x, y)
@@ -278,8 +286,8 @@ def test_identity_residual_rows_match_recorded_values(name):
     space = load_config(path).build_space()
     recorded = json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())[name]
     x, y = np.hsplit(np.array(recorded["rows"]), 2)
-    assert pointwise_residuals(space, x, y).tolist() == recorded["pointwise"]
-    assert fd_residuals(space, x[:len(recorded["fd"])], y[:len(recorded["fd"])]).tolist() == recorded["fd"]
+    assert stacked(pointwise_residuals(space, x, y)).tolist() == recorded["pointwise"]
+    assert stacked(fd_residuals(space, x[:len(recorded["fd"])], y[:len(recorded["fd"])])).tolist() == recorded["fd"]
 
 
 @SETTINGS
@@ -332,12 +340,12 @@ def test_rows_or_first_error_slices_every_array_at_the_same_row():
         if len(x) > 1:
             raise SlitViolationError("batch")
         if x[0, 0] >= 2.0:
-            error = ConvexityError if x[0, 0] == 2.0 else NotPositiveDefiniteError
+            error = NonFiniteSampleError if x[0, 0] == 2.0 else NotPositiveDefiniteError
             raise error(f"x={x[0].tolist()} y={y[0].tolist()} a={a[0].tolist()}")
         return x[:, 0]
 
     calls.clear()
-    with pytest.raises(ConvexityError, match=r"^x=\[2\.0, 3\.0\] y=\[-2\.0, -3\.0\] a=\[\[8\.0, 9\.0\]"):
+    with pytest.raises(NonFiniteSampleError, match=r"^x=\[2\.0, 3\.0\] y=\[-2\.0, -3\.0\] a=\[\[8\.0, 9\.0\]"):
         rows_or_first_error(g, x, y, a)
     assert len(calls) == 4
     for k, row in enumerate(calls[1:]):
@@ -403,7 +411,7 @@ def test_fd_residuals_calls_each_oracle_once_per_batch(monkeypatch):
     x, y = np.hsplit(np.array(rows), 2)
     calls = [count_calls(monkeypatch, suites, name) for name in ("fd_fundamental_tensor", "variational_spray")]
     gauss = count_calls(monkeypatch, dim2, "gauss_curvature")
-    assert fd_residuals(space, x, y).shape[0] == len(x)
+    assert stacked(fd_residuals(space, x, y)).shape[0] == len(x)
     assert [c[0] for c in calls] == [1, 1]
     assert gauss[0] == 1
 

@@ -12,6 +12,7 @@ import pytest
 from multifinsler.cli import dumps_stable, main
 from multifinsler.config import ConfigError, load_config, parse_config
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError
+from multifinsler.suites import CHECKS, TOLERANCES
 
 from conftest import count_calls
 
@@ -588,6 +589,20 @@ def test_geodesics_reports_match_stored_bytes(name, tmp_path):
     config = REPO / ("tests/data" if name == "bimetric3d" else "configs") / f"{name}.json"
     assert main(["check", "--config", str(config), "--suite", "geodesics", "--out", str(out)]) == 0
     assert out.read_bytes() == (REPO / "tests" / "data" / f"check-{name}-geodesics.json").read_bytes()
+
+
+def test_check_table_names_the_checks_of_the_stored_reports():
+    """suites.CHECKS holds one row for each check of the stored reports, and no other, with
+    the tolerance class and tolerance each report entry prints; every class it names is a
+    key of TOLERANCES."""
+    paths = [*(REPO / "perfbench" / "reference").glob("check-*.json"), *(REPO / "tests" / "data").glob("check-*.json")]
+    entries = [c for p in paths for c in json.loads(p.read_text())["checks"]]
+    assert set(CHECKS) == {c["check"] for c in entries}
+    assert len(CHECKS) == 30
+    for c in entries:
+        tol_class, tol = CHECKS[c["check"]]
+        assert (c["tolerance_class"], c["tolerance"]) == (tol_class, TOLERANCES[tol_class] if tol is None else tol)
+    assert {tol_class for tol_class, _ in CHECKS.values()} <= set(TOLERANCES)
 
 
 @pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])

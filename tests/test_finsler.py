@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,18 @@ from hypothesis import strategies as st
 import multifinsler.finsler as finsler_mod
 from multifinsler.finsler import (
     MultiMetricSpace,
+    NonFiniteSampleError,
     SlitViolationError,
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
     riemannian_detect,
+    sector_norms,
 )
-from multifinsler.riemann import MetricField, NotPositiveDefiniteError
+from multifinsler.riemann import SPD_EIG_RATIO, MetricField, NotPositiveDefiniteError
 
-from conftest import count_calls, count_spd_validations, const_field, field, random_bimetric_space, random_samples, space_of
+from conftest import (count_calls, count_spd_validations, const_field, field, fmt, random_bimetric_space,
+                      random_samples, space_of)
 
 
 class TestNorm:
@@ -47,6 +52,38 @@ class TestNorm:
         with pytest.raises(SlitViolationError) as batch:
             bi_const.check_sample(x, y)
         assert str(batch.value) == str(alone.value) == "|y| = 5.000e-09 below slit tolerance 1.000e-08"
+
+    @pytest.mark.parametrize("x, y, message", [
+        ([0.1, 0.1], [np.inf, 1.0], "y = [inf, 1.0] is not finite"),
+        ([0.1, 0.1], [np.nan, 1.0], "y = [nan, 1.0] is not finite"),
+        ([np.nan, 0.1], [1.0, 1.0], "x = [nan, 0.1] is not finite"),
+        ([0.1, -np.inf], [np.inf, 1.0], "x = [0.1, -inf] is not finite"),
+    ])
+    def test_non_finite_sample_is_rejected(self, bi_x, x, y, message):
+        for fn in (finsler_state, finsler_norm):
+            with pytest.raises(NonFiniteSampleError) as alone:
+                fn(bi_x, x, y)
+            assert str(alone.value) == message
+        # in a batch, the first non-finite row raises
+        xs, ys = np.array([[0.2, 0.3], x, x]), np.array([[0.6, 0.8], y, [np.nan, np.nan]])
+        with pytest.raises(NonFiniteSampleError) as batch:
+            bi_x.check_sample(xs, ys)
+        assert str(batch.value) == message
+
+    def test_overflowing_quadratic_form_is_rejected(self, bi_x):
+        # y is finite, but y' a_mu y overflows
+        with pytest.raises(NonFiniteSampleError) as alone:
+            finsler_state(bi_x, [0.1, 0.1], [1e200, 1.0])
+        assert str(alone.value) == "quadratic form y' a_mu y = [inf, inf] is not finite"
+        # in a batch, the first overflowing row raises: here only beta's form overflows
+        a_mu = bi_x.metric_values(np.array([[0.1, 0.1]] * 3))[0]
+        y = np.array([[0.6, 0.8], [1.0, 1.34e154], [1e200, 1.0]])
+        with pytest.raises(NonFiniteSampleError) as row:
+            sector_norms(a_mu[1], y[1])
+        with pytest.raises(NonFiniteSampleError) as batch:
+            sector_norms(a_mu, y)
+        assert str(batch.value) == str(row.value) != str(alone.value)
+        assert str(row.value).endswith(", inf] is not finite")
 
 
 class TestFundamentalTensor:
@@ -261,6 +298,47 @@ class TestConvexity:
         for _ in range(10):
             sp = random_bimetric_space(rng)
             assert self.min_eigenvalues(sp, rng.uniform(-1, 1, 2), grid).min() > 0.0
+
+
+def symmetric_spd(theta: float, ratio: float) -> np.ndarray:
+    """The rotation by theta of diag(1, ratio), exactly symmetric."""
+    c, s = math.cos(theta), math.sin(theta)
+    m = np.array([[c, -s], [s, c]]) @ np.diag([1.0, ratio]) @ np.array([[c, s], [-s, c]])
+    return 0.5 * (m + m.T)
+
+
+@st.composite
+def near_degenerate_samples(draw):
+    """A space of 1 to 4 sectors at the edges of the SPD region, each scaled by e^(+-20)
+    and by 1 + x1^2, and a batch of fiber vectors of length e^(+-10) at a point x whose
+    coordinates range from 1e-6 to 1e3 in size: either a near-proportional pencil
+    s_k (a + eps_k b), or sectors whose eigenvalue ratio is within 100x of SPD_EIG_RATIO."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    count = draw(st.integers(1, 4))
+    scales = [math.exp(draw(st.floats(-20.0, 20.0))) for _ in range(count)]
+    if draw(st.booleans()):
+        base = symmetric_spd(draw(angle), 10.0 ** draw(st.floats(-9.5, 0.0)))
+        mats = [s * (base + draw(st.sampled_from([0.0, 1e-13, 1e-9])) * symmetric_spd(draw(angle), 0.5))
+                for s in scales]
+    else:
+        mats = [s * symmetric_spd(draw(angle), SPD_EIG_RATIO * 10.0 ** draw(st.floats(0.3, 2.0)))
+                for s in scales]
+    fields = [field(f"m{k}", [[f"{fmt(m[i, j])}*(1 + x1^2)" for j in range(2)] for i in range(2)])
+              for k, m in enumerate(mats)]
+    x = [draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-6.0, 3.0)) for _ in range(2)]
+    thetas = draw(st.lists(angle, min_size=1, max_size=4))
+    radius = math.exp(draw(st.floats(-10.0, 10.0)))
+    y = radius * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    return space_of(*fields), np.tile(x, (len(y), 1)), y
+
+
+@given(near_degenerate_samples())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fundamental_tensor_is_positive_definite_near_degenerate_inputs(sample):
+    # g = l l + sum_mu (F / F_mu) h_mu is positive definite wherever every a_mu is SPD, so
+    # finsler_state does not test it; this holds it to that at the edges of the SPD region
+    space, x, y = sample
+    assert (np.linalg.eigvalsh(finsler_state(space, x, y).g) > 0.0).all()
 
 
 class TestRiemannianDetect:

@@ -5,7 +5,7 @@ import pytest
 
 import multifinsler.geodesic as geodesic
 
-from multifinsler.finsler import SlitViolationError
+from multifinsler.finsler import NonFiniteSampleError, SlitViolationError
 from multifinsler.riemann import NotPositiveDefiniteError
 from multifinsler.geodesic import (
     GeodesicPath,
@@ -148,19 +148,49 @@ class TestLockstep:
             path.ray(0)
 
     def test_linear_algebra_failure_retires_its_row(self, monkeypatch, bi_x):
-        # a ray whose y leaves the finite numbers makes the stacked eigvalsh raise
-        original = np.linalg.eigvalsh
+        # in this diagonal pair g_12 has the sign of y_1 y_2, so a stub that fails to invert
+        # a stack holding a g with g_12 < 0 (the spray's g_inv) fails the second ray's stages
+        original = np.linalg.inv
 
-        def eigvalsh(a):
-            if not np.isfinite(a).all():
-                raise np.linalg.LinAlgError("eigenvalues did not converge")
+        def inv(a):
+            if (a[..., 0, 1] < 0.0).any():
+                raise np.linalg.LinAlgError("singular matrix")
             return original(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        y0 = np.array([[0.6, 0.8], [np.inf, 1.0]])
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        y0 = np.array([[0.6, 0.8], [0.6, -0.8]])
         fan = integrate_geodesic(bi_x, [0.1, 0.1], y0, 0.02, 0.01)
         assert isinstance(fan.errors[1], np.linalg.LinAlgError)
         assert_same_path(fan, 0, integrate_geodesic(bi_x, [0.1, 0.1], y0[0], 0.02, 0.01))
+
+    def test_non_finite_ray_is_retired_with_its_own_error(self, bi_x):
+        # a non-finite y, or one whose quadratic forms overflow, is rejected at the start
+        y0 = np.array([[0.6, 0.8], [np.inf, 1.0], [np.nan, 1.0], [1e200, 1.0]])
+        fan = integrate_geodesic(bi_x, [0.1, 0.1], y0, 0.02, 0.01)
+        for k in (1, 2, 3):
+            with pytest.raises(NonFiniteSampleError) as solo:
+                integrate_geodesic(bi_x, [0.1, 0.1], y0[k], 0.02, 0.01)
+            assert type(fan.errors[k]) is NonFiniteSampleError and str(fan.errors[k]) == str(solo.value)
+            assert np.isnan(fan.F[k]).all()
+        assert_same_path(fan, 0, integrate_geodesic(bi_x, [0.1, 0.1], y0[0], 0.02, 0.01))
+
+    def test_lone_ray_failing_inside_a_step_raises_its_own_error(self):
+        # alpha stops being SPD at x1 = -1.5, which the second RK4 stage of the first step
+        # reaches from x1 = -1.4; the third and fourth stages then have no live ray
+        sp = space_of(field("alpha", [["1.5+x1", "0"], ["0", "1"]]), const_field("beta", np.eye(2)))
+        with pytest.raises(NotPositiveDefiniteError, match=r"'alpha' .* at x=\[-1\.5, 0\.0\]"):
+            integrate_geodesic(sp, [-1.4, 0.0], [-1.0, 0.0], 1.0, 0.2)
+
+    def test_fan_whose_rays_all_fail_in_one_step_keeps_their_errors(self):
+        # both rays reach x1 = -1.5, where alpha stops being SPD, at the second RK4 stage
+        sp = space_of(field("alpha", [["1.5+x1", "0"], ["0", "1"]]), const_field("beta", np.eye(2)))
+        y0 = np.array([[-1.0, 0.0], [-1.0, 0.5]])
+        fan = integrate_geodesic(sp, [-1.4, 0.0], y0, 1.0, 0.2)
+        for k in range(2):
+            with pytest.raises(NotPositiveDefiniteError) as solo:
+                integrate_geodesic(sp, [-1.4, 0.0], y0[k], 1.0, 0.2)
+            assert type(fan.errors[k]) is NotPositiveDefiniteError and str(fan.errors[k]) == str(solo.value)
+            assert np.isfinite(fan.F[k, 0]) and np.isnan(fan.F[k, 1:]).all()
 
     @pytest.mark.parametrize("x0, y0", [
         ([0.0, 0.0], np.ones((2, 2, 2))),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,12 +80,13 @@ def test_no_unread_parameters():
     assert not unread, f"parameters nothing reads: {unread}"
 
 
-# Paper objects and oracles that only tests call; each waits for a suite that checks it
-# or for its move into tests/
+# Paper objects, oracles and methods that only tests call; each waits for a suite that
+# checks it or for its move into tests/
 TEST_ONLY_FUNCTIONS = {
     "connection.chern_connection",
     "connection.landsberg_berwald",
     "riemann.christoffels_and_spray",
+    "finsler.RiemannianVerdict.effective_metric",
 }
 
 
@@ -95,17 +97,28 @@ def _imported_from(tree, stem):
             for alias in node.names}
 
 
+def _attribute_reads(node):
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def test_every_public_function_is_reached():
     """Every public module-level function of the package is imported by another package
-    module or by scripts/, or read in its own module outside its own body, except the
-    test-only ones listed above; the list names only such functions.  The re-exports of
-    __init__ do not count, and test_no_unused_imports keeps every import read."""
+    module or by scripts/, or read in its own module outside its own body, and every
+    public method of a package class is read as an attribute, by name, in a package
+    module or a script outside its own body; except the test-only ones listed above,
+    and the list names only such functions and methods.  The re-exports of __init__ do
+    not count, and test_no_unused_imports keeps every import read."""
     trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
     importers = [*trees.values(), *(ast.parse(p.read_text()) for p in sorted(SCRIPTS.glob("*.py")))]
+    attributes = sum((_attribute_reads(t) for t in importers), Counter())
     unreached = set()
     for stem, tree in trees.items():
         imported = set().union(*(_imported_from(t, stem) for t in importers))
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                unreached |= {f"{stem}.{node.name}.{f.name}" for f in node.body
+                              if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                              and attributes[f.name] == _attribute_reads(f)[f.name]}
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") or node.name in imported:
                 continue
             rest = [n for n in tree.body if n is not node]

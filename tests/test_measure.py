@@ -11,7 +11,7 @@ from scipy import integrate
 
 import multifinsler.measure as measure
 from multifinsler.config import load_config
-from multifinsler.finsler import ConvexityError
+from multifinsler.finsler import NonFiniteSampleError
 from multifinsler.riemann import MetricField
 from multifinsler.measure import (
     DegeneratePairError,
@@ -489,7 +489,7 @@ def failing_beyond(state, bound, coordinate):
     def failing(space, x, y):
         bad = [c for c in map(coordinate, np.atleast_2d(y)) if c > bound]
         if bad:
-            raise ConvexityError(f"node at {bad[-1]!r}")
+            raise NonFiniteSampleError(f"node at {bad[-1]!r}")
         return state(space, x, y)
 
     return failing
@@ -615,10 +615,10 @@ class TestCircleBatches:
     def test_a_failing_batch_raises_the_scalar_runs_error(self, monkeypatch, bi_const):
         failing = failing_beyond(measure.finsler_state, 0.9, lambda v: v[1])  # sin(theta) > 0.9
         _, shapes = record_shapes(monkeypatch, failing)
-        with pytest.raises(ConvexityError) as batched:
+        with pytest.raises(NonFiniteSampleError) as batched:
             measure._circle_integral(bi_const, np.array(ORIGIN), "det")
         assert shapes[0] == (21, 2)
-        with pytest.raises(ConvexityError) as scalar:
+        with pytest.raises(NonFiniteSampleError) as scalar:
             self.scalar_circle(bi_const, np.array(ORIGIN), "det", failing)
         assert str(batched.value) == str(scalar.value)
 
@@ -669,9 +669,9 @@ class TestRadialBatches:
         # nodes beyond r = 0.3 fail
         failing = failing_beyond(measure.finsler_state, 0.3, lambda v: math.hypot(*v))
         _, shapes = record_shapes(monkeypatch, failing)
-        with pytest.raises(ConvexityError) as batched:
+        with pytest.raises(NonFiniteSampleError) as batched:
             indicatrix_reduction_check(bi_const, ORIGIN, "det")
         assert (21, 2) in shapes
-        with pytest.raises(ConvexityError) as scalar:
+        with pytest.raises(NonFiniteSampleError) as scalar:
             self.scalar_disc(bi_const, np.array(ORIGIN), failing)
         assert str(batched.value) == str(scalar.value)
