@@ -132,7 +132,8 @@ class MultiMetricSpace:
             finite = np.isfinite(rows).all(axis=1)
             if not finite.all():
                 raise NonFiniteSampleError(f"{name} = {rows[np.argmin(finite)].tolist()} is not finite")
-        norms = np.linalg.norm(y, axis=-1).reshape(-1)
+        with np.errstate(over="ignore"):  # sector_norms rejects a y whose forms overflow
+            norms = np.linalg.norm(y, axis=-1).reshape(-1)
         if (norms < EPS_SLIT).any():
             norm = float(norms[np.argmax(norms < EPS_SLIT)])
             raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
@@ -169,10 +170,18 @@ def rows_or_first_error(f, *arrays: np.ndarray) -> np.ndarray:
 
 def _power(a, p):
     """a ** p as one sample takes it on a float.  numpy's array power rounds a few
-    per cent of values differently, so a batch takes it value by value."""
-    if np.ndim(a) == 0:
-        return float(a) ** p
-    return np.array([v ** p for v in a.ravel().tolist()]).reshape(a.shape)
+    per cent of values differently, so a batch takes it value by value.  A power
+    that overflows raises NonFiniteSampleError naming the first value it overflows at."""
+    try:
+        if np.ndim(a) == 0:
+            return float(a) ** p
+        return np.array([v ** p for v in a.ravel().tolist()]).reshape(a.shape)
+    except OverflowError:
+        for v in np.ravel(a).tolist():
+            try:
+                v ** p
+            except OverflowError:
+                raise NonFiniteSampleError(f"power {v!r} ** {p} is not finite") from None
 
 
 def _scalar(a):
@@ -196,8 +205,9 @@ def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
         # one 2D sector: einsum sums a single sample row by row but a batch term
         # by term, so both take the single sample's order
         a, y0, y1 = a_mu[..., 0, :, :], y[..., 0], y[..., 1]
-        q = ((a[..., 0, 0] * y0 * y0 + a[..., 0, 1] * y0 * y1)
-             + (a[..., 1, 0] * y1 * y0 + a[..., 1, 1] * y1 * y1))[..., None]
+        with np.errstate(over="ignore"):  # a form that overflows is rejected below
+            q = ((a[..., 0, 0] * y0 * y0 + a[..., 0, 1] * y0 * y1)
+                 + (a[..., 1, 0] * y1 * y0 + a[..., 1, 1] * y1 * y1))[..., None]
     else:
         q = np.einsum("...kij,...i,...j->...k", a_mu, y, y)
     if (q <= 0.0).any():

@@ -52,12 +52,12 @@ class GeodesicPath:
 
 
 def _by_row(fn, x: np.ndarray, y: np.ndarray):
-    """fn(x, y) on a batch of rows, and the rows that fail.
+    """fn(x, y), a tuple of per-row arrays, on a batch of rows, and the rows that fail.
 
     fn runs once on the whole batch.  If that raises a per-sample error, it
     runs on each row as a batch of one, which raises exactly what that row
-    raises alone.  Returns the stacked values of the rows that evaluate and a
-    dict from the index of each failing row to its exception.
+    raises alone.  Returns the tuple of the stacked arrays of the rows that
+    evaluate and a dict from the index of each failing row to its exception.
     """
     try:
         return fn(x, y), {}
@@ -66,10 +66,10 @@ def _by_row(fn, x: np.ndarray, y: np.ndarray):
     values, failed = [], {}
     for i in range(len(x)):
         try:
-            values.append(fn(x[i:i + 1], y[i:i + 1])[0])
+            values.append(fn(x[i:i + 1], y[i:i + 1]))
         except SAMPLE_ERRORS as exc:
             failed[i] = exc
-    return np.array(values), failed
+    return tuple(np.concatenate(rows) for rows in zip(*values)), failed
 
 
 def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: float) -> GeodesicPath:
@@ -78,9 +78,10 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
     y0 of shape (B, n) shoots B rays from x0 of shape (n,) or (B, n) in one
     RK4 loop and returns one GeodesicPath with a ray axis.  A ray that raises
     a per-sample error (SAMPLE_ERRORS: slit, non-finite value, SPD loss,
-    expression domain, linear algebra) is retired with it; the others go on, bit for
-    bit as when shot alone.  Any other exception ends the call for all rays.
-    With y0 of shape (n,) the path is returned, or the error raised.
+    expression domain, linear algebra) anywhere in a step is retired with it
+    at that step; the others go on, bit for bit as when shot alone.  Any
+    other exception ends the call for all rays.  With y0 of shape (n,) the
+    path is returned, or the error raised.
     """
     for name, value in (("t_end", t_end), ("step", step)):
         if not (math.isfinite(value) and value > 0.0):
@@ -99,64 +100,40 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
     n_steps = max(1, int(round(t_end / step)))
     h = t_end / n_steps
 
+    def start(a, b):
+        """The sample (a, b) with its norm, which rejects a point on the slit."""
+        return a, b, finsler_norm(space, a, b)[0]
+
+    def rk4(a, b):
+        """One RK4 step from the rows (a, b): the sample it ends at, with its norm."""
+        k1x, k1y = b, -connection_state(space, a, b).G
+        k2x = b + 0.5 * h * k1y
+        k2y = -connection_state(space, a + 0.5 * h * k1x, k2x).G
+        k3x = b + 0.5 * h * k2y
+        k3y = -connection_state(space, a + 0.5 * h * k2x, k3x).G
+        k4x = b + h * k3y
+        k4y = -connection_state(space, a + h * k3x, k4x).G
+        return start(a + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+                     b + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
+
     rays = len(y)
     xs = np.full((rays, n_steps + 1, space.dim), np.nan)
     ys = np.full_like(xs, np.nan)
     fs = np.full((rays, n_steps + 1), np.nan)
     errors = [None] * rays
-    live = np.arange(rays)  # the rows still integrating
-
-    def evaluate(fn, xv, yv, shape):
-        """fn at the live rows and 0 at retired ones, as an array of the given
-        shape; a row that raises is retired."""
-        nonlocal live
-        if len(live) == rays:  # no row copies while every ray is live
-            values, failed = _by_row(fn, xv, yv)
-            if not failed:
-                return values
-        else:  # once every ray is retired, the rest of the step evaluates nothing
-            values, failed = _by_row(fn, xv[live], yv[live]) if len(live) else ([], {})
-        if failed:
-            for i, exc in failed.items():
-                errors[live[i]] = exc
-            live = np.delete(live, list(failed))
-        out = np.zeros(shape)
-        if len(live):
-            out[live] = values
-        return out
-
-    def spray(xv, yv):
-        """-G at the live rows, 0 at retired ones."""
-        return evaluate(lambda a, b: -connection_state(space, a, b).G,
-                        xv, yv, yv.shape)
-
-    def record(k, xv, yv):
-        F = evaluate(lambda a, b: finsler_norm(space, a, b)[0],
-                     xv, yv, (rays,))  # rejects a step onto the slit
-        rows = slice(None) if len(live) == rays else live
-        xs[rows, k], ys[rows, k], fs[rows, k] = xv[rows], yv[rows], F[rows]
-
-    record(0, x, y)
-    for k in range(n_steps):
+    live = np.arange(rays)  # the ray of each row of x and y
+    for k in range(n_steps + 1):
+        values, failed = _by_row(rk4 if k else start, x, y)
+        for i, exc in failed.items():
+            errors[live[i]] = exc
+        live = np.delete(live, list(failed))
         if not len(live):
             break
-        k1x, k1y = y, spray(x, y)
-        k2x = y + 0.5 * h * k1y
-        k2y = spray(x + 0.5 * h * k1x, k2x)
-        k3x = y + 0.5 * h * k2y
-        k3y = spray(x + 0.5 * h * k2x, k3x)
-        k4x = y + h * k3y
-        k4y = spray(x + h * k3x, k4x)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        record(k + 1, x, y)
+        x, y, F = values
+        xs[live, k], ys[live, k], fs[live, k] = x, y, F
 
-    t = h * np.arange(n_steps + 1)
-    if batched:
-        return GeodesicPath(t=t, x=xs, y=ys, F=fs, step=h, errors=tuple(errors))
-    if errors[0] is not None:
-        raise errors[0]
-    return GeodesicPath(t=t, x=xs[0], y=ys[0], F=fs[0], step=h)
+    path = GeodesicPath(t=h * np.arange(n_steps + 1), x=xs, y=ys, F=fs, step=h, errors=tuple(errors))
+    return path if batched else path.ray(0)
 
 
 @dataclass(frozen=True)

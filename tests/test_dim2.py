@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from multifinsler.dim2 import (
     gauss_curvature,
     invariants_JK,
 )
-from multifinsler.finsler import finsler_state
+from multifinsler.finsler import NonFiniteSampleError, finsler_state, rows_or_first_error
 
 from conftest import count_calls, const_field, field, random_bimetric_space, random_samples, space_of
 
@@ -54,6 +55,17 @@ class TestFrame:
         fr = frame_from_state(finsler_state(bi_x, *S))
         st = fr.state
         assert np.max(np.abs(st.g - np.outer(st.l, st.l) - np.outer(fr.m, fr.m))) < 1e-13
+
+    @pytest.mark.parametrize("name, power", [("I", 4), ("det_identity_residual", 3)])
+    def test_overflowing_power_of_the_norm_is_a_sample_error(self, name, power):
+        # F = 3e103 at y = (1e103, 1): F^3 and F^4 overflow, and the batch names that row alone
+        space = load_config(REPO / "configs" / "bimetric.json").build_space()
+        message = f"power 3e+103 ** {power} is not finite"
+        with pytest.raises(NonFiniteSampleError, match=re.escape(message)):
+            getattr(frame_from_state(finsler_state(space, [0.1, 0.1], [1e103, 1.0])), name)
+        x, y = np.full((2, 2), 0.1), np.array([[1.0, 0.0], [1e103, 1.0]])
+        with pytest.raises(NonFiniteSampleError, match=re.escape(message)):
+            rows_or_first_error(lambda a, b: getattr(frame_from_state(finsler_state(space, a, b)), name), x, y)
 
     def test_lowering_with_metric(self, bi_x):
         fr = frame_from_state(finsler_state(bi_x, *S))

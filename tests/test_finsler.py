@@ -1,4 +1,7 @@
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multifinsler.finsler as finsler_mod
+from multifinsler.config import load_config
 from multifinsler.finsler import (
     MultiMetricSpace,
     NonFiniteSampleError,
@@ -20,6 +24,8 @@ from multifinsler.riemann import SPD_EIG_RATIO, MetricField, NotPositiveDefinite
 
 from conftest import (count_calls, count_spd_validations, const_field, field, fmt, random_bimetric_space,
                       random_samples, space_of)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestNorm:
@@ -84,6 +90,28 @@ class TestNorm:
             sector_norms(a_mu, y)
         assert str(batch.value) == str(row.value) != str(alone.value)
         assert str(row.value).endswith(", inf] is not finite")
+
+    @pytest.mark.parametrize("name, message", [
+        ("single", "quadratic form y' a_mu y = [inf] is not finite"),
+        ("bimetric", "quadratic form y' a_mu y = [inf, inf] is not finite"),
+    ])
+    def test_overflowing_fiber_vector_is_rejected_without_a_warning(self, name, message):
+        # the slit norm, and on single the one-sector product, overflow before the form is rejected
+        space = load_config(REPO / "configs" / f"{name}.json").build_space()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for fn in (finsler_state, finsler_norm):
+                with pytest.raises(NonFiniteSampleError, match=re.escape(message)):
+                    fn(space, [0.1, 0.1], [1e200, 1.0])
+        assert caught == []
+
+    def test_overflowing_power_is_a_sample_error(self):
+        with pytest.raises(NonFiniteSampleError, match=re.escape("power 3e+103 ** 4 is not finite")):
+            finsler_mod._power(3e103, 4)
+        # of an array, the first value that overflows is named
+        with pytest.raises(NonFiniteSampleError, match=re.escape("power -4e+103 ** 3 is not finite")):
+            finsler_mod._power(np.array([[1.0, -4e103], [3e103, 2.0]]), 3)
+        assert finsler_mod._power(np.array([1.5, -2.0]), 3).tolist() == [1.5 ** 3, -8.0]
 
 
 class TestFundamentalTensor:

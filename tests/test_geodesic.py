@@ -1,11 +1,14 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multifinsler.geodesic as geodesic
 
-from multifinsler.finsler import NonFiniteSampleError, SlitViolationError
+from multifinsler.finsler import SAMPLE_ERRORS, NonFiniteSampleError, SlitViolationError
 from multifinsler.riemann import NotPositiveDefiniteError
 from multifinsler.geodesic import (
     GeodesicPath,
@@ -192,6 +195,22 @@ class TestLockstep:
             assert type(fan.errors[k]) is NotPositiveDefiniteError and str(fan.errors[k]) == str(solo.value)
             assert np.isfinite(fan.F[k, 0]) and np.isnan(fan.F[k, 1:]).all()
 
+    def test_rays_failing_at_different_stages_of_one_step_are_retired_whole(self):
+        # in the first step, ray 0 leaves alpha's SPD region (x1 > -1.5) at RK4 stage 2,
+        # x0 + h/2 y0, and ray 1 at stage 3; ray 2 goes on
+        sp = space_of(field("alpha", [["1.5+x1", "0"], ["0", "1"]]), const_field("beta", np.eye(2)))
+        x0 = np.array([[-1.45, 0.0], [-1.4, 0.0], [0.0, 0.0]])
+        y0 = np.array([[-1.0, 0.0], [-1.5, 0.0], [1.0, 0.0]])
+        fan = integrate_geodesic(sp, x0, y0, 0.5, 0.125)
+        for k, at in ((0, r"x=\[-1\.5125, 0\.0\]"), (1, r"x=\[-1\.5043079963875408, 0\.0\]")):
+            with pytest.raises(NotPositiveDefiniteError, match=at) as solo:
+                integrate_geodesic(sp, x0[k], y0[k], 0.5, 0.125)
+            assert type(fan.errors[k]) is NotPositiveDefiniteError and str(fan.errors[k]) == str(solo.value)
+            assert np.isfinite(fan.F[k, 0]) and np.isnan(fan.F[k, 1:]).all()
+            assert np.array_equal(fan.x[k, 0], x0[k]) and np.isnan(fan.x[k, 1:]).all()
+        assert fan.errors[2] is None
+        assert_same_path(fan, 2, integrate_geodesic(sp, x0[2], y0[2], 0.5, 0.125))
+
     @pytest.mark.parametrize("x0, y0", [
         ([0.0, 0.0], np.ones((2, 2, 2))),
         (np.zeros((2, 2)), [1.0, 0.0]),
@@ -200,6 +219,41 @@ class TestLockstep:
     def test_shapes_are_checked(self, bi_x, x0, y0):
         with pytest.raises(ValueError):
             integrate_geodesic(bi_x, x0, y0, 0.02, 0.01)
+
+
+STEP = 1.0 / 16  # a power of two: k steps take exactly t_end = k * STEP
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(starts=st.lists(st.tuples(st.floats(-0.95, -0.6), st.floats(-0.5, 0.5),
+                                 st.floats(0.0, 2.0 * np.pi), st.floats(0.5, 3.0)),
+                       min_size=1, max_size=4),
+       n_steps=st.integers(1, 8))
+def test_a_fan_retires_each_failing_ray_whole_at_its_step(starts, n_steps):
+    # rays start near x1 = -1, where edge_space stops being SPD, so some leave it mid-step
+    sp = edge_space()
+    x0 = np.array([(x1, x2) for x1, x2, _, _ in starts])
+    y0 = np.array([(v * np.cos(theta), v * np.sin(theta)) for _, _, theta, v in starts])
+    with mock.patch.object(geodesic, "connection_state", wraps=geodesic.connection_state) as spy:
+        fan = integrate_geodesic(sp, x0, y0, n_steps * STEP, STEP)
+    if fan.errors.count(None) == len(starts):
+        assert spy.call_count == 4 * n_steps
+    for k in range(len(starts)):
+        try:
+            solo = integrate_geodesic(sp, x0[k], y0[k], n_steps * STEP, STEP)
+        except SAMPLE_ERRORS as exc:
+            assert type(fan.errors[k]) is type(exc) and str(fan.errors[k]) == str(exc)
+            done = int(np.isfinite(fan.F[k]).sum())  # the samples before the failing step
+            assert done <= n_steps
+            for name in ("x", "y", "F"):
+                samples = getattr(fan, name)[k]
+                assert np.isfinite(samples[:done]).all() and np.isnan(samples[done:]).all(), name
+            if done > 1:  # those samples are the solo run's up to that step, bit for bit
+                before = integrate_geodesic(sp, x0[k], y0[k], (done - 1) * STEP, STEP)
+                assert np.array_equal(fan.x[k, :done], before.x) and np.array_equal(fan.F[k, :done], before.F)
+        else:
+            assert fan.errors[k] is None
+            assert_same_path(fan, k, solo)
 
 
 class TestAction:
