@@ -43,7 +43,8 @@ class SpaceConfig:
     def build_space(self) -> MultiMetricSpace:
         lo, hi = np.array(self.sampling.box).T
         t = np.linspace(0.25, 0.75, self.dimension)  # symmetry probes: the centre, two points inside
-        probes = [self.box_center(), lo + t * (hi - lo), lo + t[::-1] * (hi - lo)]
+        # as Python floats, so an overflowing component raises its EvalDomainError without a numpy warning
+        probes = [p.tolist() for p in (self.box_center(), lo + t * (hi - lo), lo + t[::-1] * (hi - lo))]
         fields = [
             MetricField.from_strings(m.name, [list(r) for r in m.components], self.coordinates, probes)
             for m in self.metrics
@@ -160,7 +161,7 @@ def parse_config(data: dict) -> SpaceConfig:
         raise ConfigError(f"invalid metric component: {exc}") from exc
     try:
         for m in space.metrics:
-            m.spd_value(cfg.box_center())
+            m.spd_value(cfg.box_center().tolist())
     except (NotPositiveDefiniteError, ExprError) as exc:
         raise ConfigError(f"SPD probe failed at box center: {exc}") from exc
     return cfg

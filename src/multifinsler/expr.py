@@ -16,6 +16,7 @@ evaluation is reentrant and safe to call from concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -458,51 +459,123 @@ def differentiate(expr: ScalarExpr, coord_index: int, dim: int | None = None) ->
     return expr.diff(coord_index)
 
 
+def _short_point(x, coords: Sequence[Coord]) -> DimensionMismatchError:
+    """The error of the first coordinate in `coords`, the order a generated function
+    reads them, that the point x is too short for."""
+    c = next(c for c in coords if c.index >= len(x))
+    return DimensionMismatchError(
+        f"coordinate '{c.name}' (index {c.index}) out of range for point of length {len(x)}")
+
+
+# The names generated code reads besides its bound values (k<i>) and temporaries (t<i>).
+_HELPERS = {"_finite": _finite, "_pow_value": _pow_value, "_fn_value": _fn_value,
+            "_short_point": _short_point, "EvalDomainError": EvalDomainError}
+
+
+class _Emitter:
+    """Straight-line Python for a table of expressions.
+
+    Each distinct subtree gets one temporary, keyed by its node type and the names
+    of its operands; constants and Pow exponents are bound values keyed on
+    float.hex, so 0.0 and -0.0 stay apart.  Lines are emitted in the order a
+    recursive walk of the trees evaluates them (operands left to right, a Div's
+    denominator first), so the first node that fails is the walk's first.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace = dict(_HELPERS)
+        self.names: dict[tuple, str] = {}  # structural key -> temporary or bound name
+        self.by_node: dict[int, str] = {}  # id of a node object already emitted -> its name
+        self.coords: list[Coord] = []  # in the order the code reads x
+
+    def bind(self, key: tuple, value) -> str:
+        if key not in self.names:
+            self.names[key] = f"k{len(self.namespace) - len(_HELPERS)}"
+            self.namespace[self.names[key]] = value
+        return self.names[key]
+
+    def temporary(self, key: tuple, node: ScalarExpr, code: str, guard: tuple[int, str] | None = None) -> str:
+        """The temporary holding key's value, assigned `code` on first use.  `code` and
+        the `guard` statement, which goes in at line guard[0], read {node}, the bound
+        node that names this operation in an error."""
+        if key not in self.names:
+            name = self.names[key] = f"t{len(self.names)}"
+            node_name = self.bind(("node", name), node)
+            if guard is not None:
+                self.lines.insert(guard[0], guard[1].format(node=node_name))
+            self.lines.append(f"{name} = {code.format(node=node_name)}")
+        return self.names[key]
+
+    def emit(self, node: ScalarExpr) -> str:
+        if id(node) not in self.by_node:
+            self.by_node[id(node)] = self._emit(node)
+        return self.by_node[id(node)]
+
+    def _emit(self, node: ScalarExpr) -> str:
+        if isinstance(node, Const):
+            return self.bind(("float", node.value.hex()), node.value)
+        if isinstance(node, Coord):
+            key = ("coord", node.index, node.name)
+            if key not in self.names:
+                self.coords.append(node)
+            return self.temporary(key, node, f"x[{node.index}]")
+        if isinstance(node, Neg):
+            a = self.emit(node.arg)
+            return self.temporary(("neg", a), node, f"-{a}")
+        if isinstance(node, (Add, Sub, Mul)):
+            a, b = self.emit(node.a), self.emit(node.b)
+            op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
+            return self.temporary((op, a, b), node, f"_finite({a} {op} {b}, {{node}})")
+        if isinstance(node, Div):
+            b = self.emit(node.b)
+            guard = (len(self.lines), f"if {b} == 0.0: raise EvalDomainError('division by zero', {{node}})")
+            a = self.emit(node.a)
+            return self.temporary(("/", a, b), node, f"_finite({a} / {b}, {{node}})", guard)
+        if isinstance(node, Pow):
+            a, c = self.emit(node.base), self.bind(("float", node.exponent.hex()), node.exponent)
+            return self.temporary(("^", a, c), node, f"_pow_value({a}, {c}, {{node}})")
+        if isinstance(node, Call):
+            a, name = self.emit(node.arg), self.bind(("function", node.name), node.name)
+            return self.temporary(("call", name, a), node, f"_fn_value({name}, {a}, {{node}})")
+        raise ExprError(f"cannot compile node {node!r}")
+
+    def function(self, result: str):
+        """The generated function `table(x)` returning `result`."""
+        body = self.lines
+        if self.coords:
+            coords = self.bind(("coords",), tuple(self.coords))
+            body = ["try:", *(f"    {line}" for line in body),
+                    "except IndexError:", f"    raise _short_point(x, {coords}) from None"]
+        source = "\n".join(["def table(x):", *(f"    {line}" for line in body), f"    return {result}", ""])
+        exec(_code(source), self.namespace)
+        # the function reads the namespace as its globals; taking it out leaves no cycle,
+        # so a table is freed with its field
+        return self.namespace.pop("table")
+
+
+@functools.cache
+def _code(source: str):
+    """Generated source compiled once per text; tables that differ only in their bound
+    values (constants, nodes) share it."""
+    return compile(source, "<expression table>", "exec")
+
+
+def compile_table(exprs: Sequence[ScalarExpr]) -> Callable[[Sequence[float]], list[float]]:
+    """One generated straight-line function giving [e(x) for e in exprs].
+
+    Every distinct subexpression of the table is computed once, with the checks
+    of a recursive evaluation, in its order: a finite result for +, -, * and /, a
+    non-zero denominator (evaluated before the numerator), `_pow_value` and
+    `_fn_value`; a point too short for a coordinate raises DimensionMismatchError.
+    Values keep the element type of x, so Python floats give Python floats.  The
+    package's only expression evaluator.
+    """
+    emitter = _Emitter()
+    return emitter.function("[" + ", ".join(emitter.emit(e) for e in exprs) + "]")
+
+
 def compile_expression(expr: ScalarExpr) -> Callable[[Sequence[float]], float]:
-    """Build a closure evaluating ``expr``; the package's only expression evaluator."""
-    if isinstance(expr, Const):
-        v = expr.value
-        return lambda x: v
-    if isinstance(expr, Coord):
-        i, name = expr.index, expr.name
-
-        def _coord(x):
-            try:
-                return x[i]
-            except IndexError:
-                raise DimensionMismatchError(
-                    f"coordinate '{name}' (index {i}) out of range for point of length {len(x)}"
-                ) from None
-
-        return _coord
-    if isinstance(expr, Neg):
-        f = compile_expression(expr.arg)
-        return lambda x: -f(x)
-    if isinstance(expr, (Add, Sub, Mul)):
-        fa, fb = compile_expression(expr.a), compile_expression(expr.b)
-        node = expr
-        if isinstance(expr, Add):
-            return lambda x: _finite(fa(x) + fb(x), node)
-        if isinstance(expr, Sub):
-            return lambda x: _finite(fa(x) - fb(x), node)
-        return lambda x: _finite(fa(x) * fb(x), node)
-    if isinstance(expr, Div):
-        fa, fb = compile_expression(expr.a), compile_expression(expr.b)
-        node = expr
-
-        def _div(x):
-            den = fb(x)
-            if den == 0.0:
-                raise EvalDomainError("division by zero", node)
-            return _finite(fa(x) / den, node)
-
-        return _div
-    if isinstance(expr, Pow):
-        fb = compile_expression(expr.base)
-        c, node = expr.exponent, expr
-        return lambda x: _pow_value(fb(x), c, node)
-    if isinstance(expr, Call):
-        fa = compile_expression(expr.arg)
-        name, node = expr.name, expr
-        return lambda x: _fn_value(name, fa(x), node)
-    raise ExprError(f"cannot compile node {expr!r}")
+    """The evaluator of one expression: the table of one, returning its value."""
+    emitter = _Emitter()
+    return emitter.function(emitter.emit(expr))

@@ -60,8 +60,10 @@ class MultiMetricSpace:
         """(a_mu, inv_mu, det_mu) stacked over sectors, SPD-validated.
 
         x is one point (n,) or a batch (B, n); for a batch every array gains a
-        leading batch axis.  Components are evaluated once per distinct point,
-        in the order the points first occur, and an evaluation error is raised
+        leading batch axis.  Components are evaluated by one generated call per
+        distinct point and metric, in the order the points first occur, on the
+        point as Python floats (so an overflow raises an EvalDomainError and
+        prints no numpy warning), and an evaluation error is raised
         only if no earlier (point, metric) fails the SPD check, so each point
         keeps the error it raises alone.  The distinct points are then
         validated at once by `spd_inverse_det`.
@@ -84,16 +86,20 @@ class MultiMetricSpace:
             index = np.zeros(x.shape[:-1], dtype=int)
             return self._remember(key, tuple(v[index] for v in point[1]))
         names = [m.name for m in self.metrics]
-        points, spread = _distinct_points(x)
-        mats = np.empty((len(points), self.n_metrics, self.dim, self.dim))
-        for p, xp in enumerate(points):
-            for k, m in enumerate(self.metrics):
+        points, spread = self._points(x)
+        tables = [m.evaluator(0) for m in self.metrics]
+        shape = (len(tables), self.dim, self.dim)
+        done = []  # the flat matrices, point after point
+        for p, xp in enumerate(points.tolist()):
+            for table in tables:
                 try:
-                    mats[p, k] = m.value(xp)
+                    done.append(table(xp))
                 except ExprError:
-                    spd_inverse_det(mats[:p], points[:p], names)
-                    spd_inverse_det(mats[p, :k], xp, names)
+                    mats = np.array(done).reshape((-1, *shape[1:]))
+                    spd_inverse_det(mats[:p * len(tables)].reshape((p, *shape)), points[:p], names)
+                    spd_inverse_det(mats[p * len(tables):], points[p], names)
                     raise
+        mats = np.array(done).reshape((len(points), *shape))
         invs, dets = spd_inverse_det(mats, points, names)
         if len(points) == 1:
             self._last_point = (points.tobytes(), (mats, invs, dets))
@@ -107,12 +113,22 @@ class MultiMetricSpace:
 
     def metric_derivatives(self, x, order: int) -> np.ndarray:
         """The exact x-derivatives of the sector metrics at one point (n,) or a batch
-        (B, n), evaluated once per distinct point: order 1 gives
+        (B, n), evaluated by one generated call per distinct point and metric, as
+        in metric_values: order 1 gives
         dA[..., mu, s, i, j] = d a^mu_ij / d x_s, order 2 gives
         d2A[..., mu, s, t, i, j] = d^2 a^mu_ij / (d x_s d x_t)."""
-        points, spread = _distinct_points(np.asarray(x, dtype=float))
-        return spread(np.array([[m.derivative(xp) if order == 1 else m.second_derivative(xp) for m in self.metrics]
-                                for xp in points]))
+        points, spread = self._points(np.asarray(x, dtype=float))
+        tables = [m.evaluator(order) for m in self.metrics]
+        values = np.array([[table(xp) for table in tables] for xp in points.tolist()])
+        return spread(values.reshape((len(points), len(tables)) + (self.dim,) * (order + 2)))
+
+    def _points(self, x: np.ndarray):
+        """The distinct points of x and their spread (see _distinct_points); a point of
+        the wrong length raises what MetricField.value raises."""
+        points, spread = _distinct_points(x)
+        if len(points):
+            self.metrics[0]._check_point(points[0])
+        return points, spread
 
     def check_sample(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """x and y as float arrays, a sample (n,) of the slit tangent bundle or a

@@ -6,13 +6,14 @@ finite differences, so downstream FD checks stay independent oracles.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .expr import (
     ScalarExpr,
     compile_expression,
+    compile_table,
     differentiate,
     parse_expression,
 )
@@ -23,7 +24,8 @@ SPD_EIG_RATIO = 1e-10
 
 
 class NotPositiveDefiniteError(Exception):
-    """An evaluated metric matrix failed the positive-definiteness check."""
+    """An evaluated metric matrix failed the positive-definiteness check: an eigenvalue
+    is not positive, or the smallest is at most SPD_EIG_RATIO times the largest."""
 
 
 class MetricField:
@@ -45,10 +47,11 @@ class MetricField:
             tuple(components[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
         )
         self._tables: list[list[tuple]] = []  # see _table
+        self._evaluators: list = []  # see evaluator
 
     @classmethod
     def from_strings(cls, name: str, rows: Sequence[Sequence[str]], coords: Sequence[str],
-                     probes: Sequence[np.ndarray]) -> "MetricField":
+                     probes: Sequence[Sequence[float]]) -> "MetricField":
         n = len(coords)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError(f"metric '{name}': expected a {n}x{n} grid of expressions")
@@ -74,9 +77,9 @@ class MetricField:
             raise ValueError(f"metric '{self.name}': point of length {len(x)}, expected {self.dim}")
 
     def _table(self, order: int) -> list[tuple]:
-        """(expression, closure, flat slot, mirrored slot) per upper-triangle entry of the
-        order-th derivative array in the order (s, t, ..., i, j >= i); built on first
-        use, each order by differentiating the one below once per coordinate."""
+        """(expression, flat slot, mirrored slot) per upper-triangle entry of the order-th
+        derivative array in the order (s, t, ..., i, j >= i); built on first use, each
+        order by differentiating the one below once per coordinate."""
         n, nn = self.dim, self.dim * self.dim
         while len(self._tables) <= order:
             if not self._tables:
@@ -88,17 +91,28 @@ class MetricField:
                     (differentiate(e, t, n), (a // nn * n + t) * nn + a % nn, (b // nn * n + t) * nn + b % nn)
                     for g in range(0, len(prev), per_index)
                     for t in range(n)
-                    for e, _, a, b in prev[g:g + per_index]
+                    for e, a, b in prev[g:g + per_index]
                 ]
-            self._tables.append([(e, compile_expression(e), a, b) for e, a, b in entries])
+            self._tables.append(entries)
         return self._tables[order]
+
+    def evaluator(self, order: int) -> Callable[[Sequence[float]], list[float]]:
+        """The generated function giving the order-th derivative array at a point x, flat
+        in C order: a_ij for order 0, d a_ij / d x_s for 1, d^2 a_ij / (d x_s d x_t)
+        for 2.  Each distinct subexpression of the table is computed once, and the
+        values keep the element type of x.  Built on first use."""
+        while len(self._evaluators) <= order:
+            k = len(self._evaluators)
+            flat = [None] * self.dim ** (k + 2)
+            for e, a, b in self._table(k):
+                flat[a] = flat[b] = e
+            self._evaluators.append(compile_table(flat))
+        return self._evaluators[order]
 
     def _evaluate(self, order: int, x) -> np.ndarray:
         self._check_point(x)
-        out = np.empty(self.dim ** (order + 2))
-        for _, fn, a, b in self._table(order):
-            out[a] = out[b] = fn(x)
-        return out.reshape((self.dim,) * (order + 2))
+        # float64 whatever the element type of x: long-double points round here
+        return np.array(self.evaluator(order)(x), dtype=float).reshape((self.dim,) * (order + 2))
 
     def value(self, x) -> np.ndarray:
         return self._evaluate(0, x)
@@ -131,10 +145,13 @@ def spd_inverse_det(a: np.ndarray, x, names: Sequence[str]) -> tuple[np.ndarray,
     bad = (w[..., 0] <= 0.0) | (w[..., 0] <= SPD_EIG_RATIO * w[..., -1])
     if bad.any():
         *point, mu = np.unravel_index(np.argmax(bad), bad.shape)
+        at, eig = np.asarray(x)[tuple(point)].tolist(), w[(*point, mu)].tolist()
+        if eig[0] <= 0.0:
+            raise NotPositiveDefiniteError(f"metric '{names[mu]}' is not positive definite at x={at} "
+                                           f"(eigenvalues {eig})")
         raise NotPositiveDefiniteError(
-            f"metric '{names[mu]}' is not positive definite at x={np.asarray(x)[tuple(point)].tolist()} "
-            f"(eigenvalues {w[(*point, mu)].tolist()})"
-        )
+            f"metric '{names[mu]}' is ill-conditioned at x={at}: eigenvalue ratio {eig[0] / eig[-1]} "
+            f"at or below SPD_EIG_RATIO = {SPD_EIG_RATIO} (eigenvalues {eig})")
     return np.linalg.inv(a), np.linalg.det(a)
 
 

@@ -121,6 +121,25 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def record_evaluations(monkeypatch):
+    """Record each call of a generated component table, the one site that evaluates
+    metric components (`MetricField.evaluator`); returns {(metric name, order): [points]}."""
+    original = MetricField.evaluator
+    points = {}
+
+    def evaluator(field, order):
+        table = original(field, order)
+
+        def recorded(x):
+            points.setdefault((field.name, order), []).append(list(x))
+            return table(x)
+
+        return recorded
+
+    monkeypatch.setattr(MetricField, "evaluator", evaluator)
+    return points
+
+
 def count_spd_validations(monkeypatch):
     """Count the metric matrices that go through the SPD check (`spd_inverse_det`,
     which both `MetricField.spd_value` and `metric_values` call); returns the counter."""

@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,10 @@ import pytest
 
 from multifinsler.cli import dumps_stable, main
 from multifinsler.config import ConfigError, load_config, parse_config
-from multifinsler.riemann import MetricField, NotPositiveDefiniteError
+from multifinsler.riemann import NotPositiveDefiniteError
 from multifinsler.suites import CHECKS, TOLERANCES
 
-from conftest import count_calls
+from conftest import count_calls, record_evaluations
 
 BIMETRIC = {
     "dimension": 2,
@@ -111,6 +112,21 @@ class TestConfig:
         p.write_text(json.dumps(bad))
         assert main(["validate", "--config", str(p)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("components, message", [
+        # at the box centre x1 = 100
+        ([["1+x1^400", "0"], ["0", "1"]], "SPD probe failed at box center: overflow in 'x1^400.0'"),
+        # the (0,1) and (1,0) texts differ, so they are compared at the probe points
+        ([["2", "x1^400/x1^400-1"], ["x1^400/x1^400 - 1", "2"]], "invalid metric component: overflow in 'x1^400.0'"),
+    ])
+    def test_overflow_in_a_probe_is_a_config_error_without_a_warning(self, components, message):
+        bad = {**BIMETRIC, "metrics": [{"name": "steep", "components": components}],
+               "sampling": {"seed": 1, "count": 10, "box": [[99, 101], [-1, 1]]}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigError) as error:
+                parse_config(bad)
+        assert str(error.value) == message and caught == []
 
     @pytest.mark.parametrize("texts", [["0.1*log(x1)", "log(x1)*0.1"], ["0.1*log(x1)", "0.1*log(x1)"]])
     def test_symmetry_probe_stays_inside_the_box(self, tmp_path, texts):
@@ -330,16 +346,11 @@ class TestCli:
         assert len(lines) == 1 + 3 * 3 * 4
 
     def test_sample_computes_gauss_curvature_once_per_point(self, config_path, tmp_path, monkeypatch):
-        points = {}  # metric name -> the points its second derivatives were evaluated at
-        original = MetricField.second_derivative
-
-        def counted(field, x):
-            points.setdefault(field.name, []).append(list(x))
-            return original(field, x)
-
-        monkeypatch.setattr(MetricField, "second_derivative", counted)
+        evaluations = record_evaluations(monkeypatch)
         assert main(["sample", "--config", config_path, "--grid", "2", "--directions", "3",
                      "--out", str(tmp_path / "grid.csv")]) == 0
+        # metric name -> the points its second derivatives were evaluated at
+        points = {name: p for (name, order), p in evaluations.items() if order == 2}
         # each of the 2 x 2 grid points once per sector (2 x 2 x 2 in all), independent of the directions
         assert [len(p) for p in points.values()] == [2 * 2] * 2
         assert all(len(set(map(tuple, p))) == len(p) for p in points.values())
@@ -382,6 +393,30 @@ class TestCli:
                      "--out", str(tmp_path / "grid.csv")]) == 1
         assert capsys.readouterr().err == ("error: NotPositiveDefiniteError: metric 'beta' is not positive "
                                            "definite at x=[0.0, -1.0] (eigenvalues [0.0, 4.0])\n")
+
+    def test_overflowing_component_is_a_domain_error_without_a_warning(self, tmp_path):
+        # x1^400 overflows at x1 = 100; a fresh interpreter shows the user's stderr,
+        # warnings included
+        p = tmp_path / "steep.json"
+        p.write_text(json.dumps({**BIMETRIC, "metrics": [
+            {"name": "steep", "components": [["1+x1^400", "0"], ["0", "1"]]}]}))
+        proc = subprocess.run([sys.executable, "-m", "multifinsler.cli", "geodesic", "--config", str(p),
+                               "--x0=100,0", "--y0=1,0", "--t-end", "0.01", "--step", "0.01"],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+        assert proc.returncode == 1
+        assert proc.stderr == "error: EvalDomainError: overflow in 'x1^400.0'\n"
+
+    def test_ill_conditioned_metric_names_the_ratio(self, capsys):
+        # beta = diag(4, 1 + x1^2) at x1 = 5e100 is positive definite, but its eigenvalue
+        # ratio is far below SPD_EIG_RATIO
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "bimetric.json")
+        assert main(["geodesic", "--config", config, "--x0", "0.1,0.1", "--y0", "1e103,1",
+                     "--t-end", "0.01", "--step", "0.01"]) == 1
+        assert capsys.readouterr().err == (
+            "error: NotPositiveDefiniteError: metric 'beta' is ill-conditioned at x=[5e+100, 0.10500000000000001]: "
+            "eigenvalue ratio 1.6000000000000002e-201 at or below SPD_EIG_RATIO = 1e-10 "
+            "(eigenvalues [4.0, 2.5e+201])\n")
 
     @pytest.mark.parametrize("name", sorted(CHECK_ERRORS))
     def test_check_raises_the_error_of_its_first_failing_sample(self, name, tmp_path, capsys):

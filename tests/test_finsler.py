@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import multifinsler.finsler as finsler_mod
 from multifinsler.config import load_config
+from multifinsler.expr import EvalDomainError
 from multifinsler.finsler import (
     MultiMetricSpace,
     NonFiniteSampleError,
@@ -18,12 +19,13 @@ from multifinsler.finsler import (
     finsler_norm,
     finsler_state,
     riemannian_detect,
+    rows_or_first_error,
     sector_norms,
 )
-from multifinsler.riemann import SPD_EIG_RATIO, MetricField, NotPositiveDefiniteError
+from multifinsler.riemann import SPD_EIG_RATIO, NotPositiveDefiniteError
 
 from conftest import (count_calls, count_spd_validations, const_field, field, fmt, random_bimetric_space,
-                      random_samples, space_of)
+                      random_samples, record_evaluations, space_of)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -112,6 +114,19 @@ class TestNorm:
         with pytest.raises(NonFiniteSampleError, match=re.escape("power -4e+103 ** 3 is not finite")):
             finsler_mod._power(np.array([[1.0, -4e103], [3e103, 2.0]]), 3)
         assert finsler_mod._power(np.array([1.5, -2.0]), 3).tolist() == [1.5 ** 3, -8.0]
+
+
+    def test_overflowing_component_is_the_row_error(self):
+        # x1^400 overflows at x1 = 100: evaluated on Python floats, that is an
+        # EvalDomainError of that row, with no numpy warning
+        space = space_of(field("steep", [["1+x1^400", "0"], ["0", "1"]]))
+        x, y = np.array([[0.5, 0.0], [100.0, 0.0]]), np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(EvalDomainError) as alone:
+            finsler_state(space, x[1], y[1])
+        assert str(alone.value) == "overflow in 'x1^400.0'"
+        with pytest.raises(EvalDomainError) as batch:
+            rows_or_first_error(lambda xs, ys: finsler_state(space, xs, ys).F, x, y)
+        assert str(batch.value) == str(alone.value)
 
 
 class TestFundamentalTensor:
@@ -226,14 +241,13 @@ class TestPointwiseEvaluation:
 
     def test_a_batch_evaluates_each_distinct_point_once(self, monkeypatch):
         sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
-        values = [count_calls(monkeypatch, m, "value") for m in sp.metrics]
-        derivatives = [count_calls(monkeypatch, m, "derivative") for m in sp.metrics]
+        evaluations = record_evaluations(monkeypatch)
         spd = count_spd_validations(monkeypatch)
         a, b = [0.1, 0.2], [-0.3, 0.4]
         # 0.0 and -0.0 are different bits, so two points
         x = np.array([a, b, a, a, [0.0, 0.5], b, [-0.0, 0.5]])
         batched, dA = sp.metric_values(x), sp.metric_derivatives(x, 1)
-        assert [c[0] for c in values + derivatives] == [4] * 4
+        assert [len(evaluations[m.name, order]) for order in (0, 1) for m in sp.metrics] == [4] * 4
         assert spd[0] == 4 * sp.n_metrics
         for r, xr in enumerate(x):
             for arr, single in zip(batched, sp.metric_values(xr.copy())):
@@ -245,10 +259,10 @@ class TestPointwiseEvaluation:
         sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
         x = np.array([0.3, -0.5])
         single = space_of(*sp.metrics).metric_values(x)
-        values = count_calls(monkeypatch, MetricField, "value")
+        evaluations = record_evaluations(monkeypatch)
         spd = count_spd_validations(monkeypatch)
         tiles = [sp.metric_values(np.tile(x, (rows, 1))) for rows in (21, 42, 441)]
-        assert values[0] == sp.n_metrics and spd[0] == sp.n_metrics
+        assert sum(map(len, evaluations.values())) == sp.n_metrics and spd[0] == sp.n_metrics
         for rows, tiled in zip((21, 42, 441), tiles):
             for arr, one in zip(tiled, single):
                 assert arr.shape == (rows,) + one.shape and not arr.flags.writeable
@@ -256,9 +270,19 @@ class TestPointwiseEvaluation:
         # the point alone, and a tile whose last row is one ulp away, which is evaluated again
         for arr, one in zip(sp.metric_values(x.copy()), single):
             assert np.array_equal(arr, one)
-        assert values[0] == sp.n_metrics
+        assert sum(map(len, evaluations.values())) == sp.n_metrics
         sp.metric_values(np.vstack([np.tile(x, (20, 1)), [[0.3, np.nextafter(-0.5, 0.0)]]]))
-        assert values[0] == 3 * sp.n_metrics
+        assert sum(map(len, evaluations.values())) == 3 * sp.n_metrics
+
+    @pytest.mark.parametrize("point", [[0.3], [0.3, -0.5, 0.1]])
+    def test_a_point_of_the_wrong_length_is_rejected(self, point):
+        # the generated tables alone would raise DimensionMismatchError for the short point
+        # and ignore the third coordinate of the long one
+        sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
+        message = f"metric 'alpha': point of length {len(point)}, expected 2"
+        for call in (sp.metric_values, lambda x: sp.metric_derivatives(x, 1), lambda x: sp.metric_derivatives(x, 2)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(np.array([point, point]))
 
     def test_spd_failure_raises_on_every_call(self, monkeypatch):
         sp = space_of(field("alpha", [["1-x1^2", "0"], ["0", "1"]]))
@@ -394,12 +418,12 @@ class TestRiemannianDetect:
     def test_each_metric_is_evaluated_once_per_point(self, monkeypatch, n_metrics):
         sp = space_of(*[field(f"m{k}", [[f"{k + 1}*(1+x1^2)", "0"], ["0", f"{k + 1}*(1+x1^2)"]])
                         for k in range(n_metrics)])
-        calls = count_calls(monkeypatch, MetricField, "value")
+        evaluations = record_evaluations(monkeypatch)
         v = riemannian_detect(sp, [[0.0, 0.0], [0.8, 0.1], [-0.4, 0.6]])
-        assert v.riemannian and calls[0] == 3 * n_metrics
-        calls[0] = 0
+        assert v.riemannian and sum(map(len, evaluations.values())) == 3 * n_metrics
+        evaluations.clear()
         v.effective_metric(sp, [0.2, 0.3])
-        assert calls[0] == n_metrics
+        assert sum(map(len, evaluations.values())) == n_metrics
 
     def test_a_metric_that_is_not_spd_raises(self):
         # at x1 = -1 the second metric x1 I = -I is pointwise proportional to the first, but

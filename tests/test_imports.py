@@ -2,6 +2,8 @@
 every definition is reached, and commands without quadrature leave scipy unloaded."""
 
 import ast
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "multifinsler"
 SCRIPTS = PACKAGE.parent.parent / "scripts"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -86,6 +89,7 @@ TEST_ONLY_FUNCTIONS = {
     "connection.chern_connection",
     "connection.landsberg_berwald",
     "riemann.christoffels_and_spray",
+    "riemann.MetricField.second_derivative",
     "finsler.RiemannianVerdict.effective_metric",
 }
 
@@ -138,7 +142,7 @@ COMPONENT_READERS = {
     "riemann.christoffels_and_spray",
     "config.parse_config",
 }
-COMPONENT_METHODS = {"value", "derivative", "second_derivative", "_evaluate", "spd_value"}
+COMPONENT_METHODS = {"evaluator", "value", "derivative", "second_derivative", "_evaluate", "spd_value"}
 
 
 def test_metric_components_are_read_through_the_space():
@@ -157,6 +161,30 @@ def test_metric_components_are_read_through_the_space():
                     readers.add(f"{path.stem}.{owner}{scope.name}")
     assert readers == COMPONENT_READERS, (
         f"new readers: {sorted(readers - COMPONENT_READERS)}; listed but gone: {sorted(COMPONENT_READERS - readers)}")
+
+
+def test_the_benchmark_names_resolve_in_the_package():
+    """The methods and functions perfbench/tracer.py wraps by name (METHODS and
+    EXTRA_FUNCTIONS), and the expr functions perfbench/run.py calls, exist in the
+    package.  The tracer skips a missing target without a word, so a rename would
+    drop its counters unnoticed."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def module(layer):
+        return importlib.import_module(f"multifinsler.{layer}")
+
+    missing = [f"{layer}.{cls}.{meth}" for layer, cls, meth in tracer.METHODS
+               if not inspect.isfunction(vars(getattr(module(layer), cls, object)).get(meth))]
+    missing += [f"{layer}.{name}" for layer, name in tracer.EXTRA_FUNCTIONS
+                if not inspect.isfunction(getattr(module(layer), name, None))]
+    run = ast.parse((PERFBENCH / "run.py").read_text())
+    expr_calls = {n.func.attr for n in ast.walk(run) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and isinstance(n.func.value, ast.Name) and n.func.value.id == "expr"}
+    assert expr_calls >= {"compile_expression", "parse_expression"}
+    missing += [f"expr.{name}" for name in sorted(expr_calls) if not inspect.isfunction(getattr(module("expr"), name, None))]
+    assert not missing, f"the benchmark names what the package lacks: {missing}"
 
 
 def test_sample_and_validate_do_not_load_scipy_integrate(tmp_path):
