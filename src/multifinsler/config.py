@@ -160,8 +160,7 @@ def parse_config(data: dict) -> SpaceConfig:
     except (ExprError, ValueError) as exc:
         raise ConfigError(f"invalid metric component: {exc}") from exc
     try:
-        for m in space.metrics:
-            m.spd_value(cfg.box_center().tolist())
+        space.metric_values(cfg.box_center())
     except (NotPositiveDefiniteError, ExprError) as exc:
         raise ConfigError(f"SPD probe failed at box center: {exc}") from exc
     return cfg

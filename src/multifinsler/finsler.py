@@ -53,8 +53,7 @@ class MultiMetricSpace:
         self.coords = coords
         self.dim = len(coords)
         self.n_metrics = len(self.metrics)
-        self._last_values: tuple[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-        self._last_point: tuple[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+        self._memo: tuple | None = None  # see metric_values
 
     def metric_values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a_mu, inv_mu, det_mu) stacked over sectors, SPD-validated.
@@ -68,47 +67,42 @@ class MultiMetricSpace:
         keeps the error it raises alone.  The distinct points are then
         validated at once by `spd_inverse_det`.
 
-        The most recent x is remembered, keyed on its shape and bytes, and so
-        is the most recent x with one distinct point, keyed on that point's
-        bytes: the many evaluations at one x (fiber differences, quadrature
-        over y, one x tiled over a batch of any size) validate it once.  The
-        returned arrays are read-only.  An x that fails the SPD check is not
-        remembered.
+        One memo holds the most recent x that passed: its shape and bytes, the
+        bytes of its distinct points, their validated data and the read-only
+        arrays returned.  An exact repeat of x returns the same arrays; an x
+        with the same distinct points (one point tiled over a batch of any
+        size, a stencil that repeats x) spreads the stored data without
+        evaluating or validating again.  An x that fails is not stored.
         """
         x = np.asarray(x, dtype=float)
-        raw = x.tobytes()
-        key = (x.shape, raw)
-        # one read each, so a concurrent caller cannot swap them in between
-        last, point = self._last_values, self._last_point
-        if last is not None and last[0] == key:
-            return last[1]
-        if point is not None and raw.startswith(point[0]) and raw == point[0] * (x.size // x.shape[-1]):
-            index = np.zeros(x.shape[:-1], dtype=int)
-            return self._remember(key, tuple(v[index] for v in point[1]))
-        names = [m.name for m in self.metrics]
+        key = (x.shape, x.tobytes())
+        memo = self._memo  # one read, so a concurrent caller cannot swap it midway
+        if memo is not None and memo[0] == key:
+            return memo[3]
         points, spread = self._points(x)
-        tables = [m.evaluator(0) for m in self.metrics]
-        shape = (len(tables), self.dim, self.dim)
-        done = []  # the flat matrices, point after point
-        for p, xp in enumerate(points.tolist()):
-            for table in tables:
-                try:
-                    done.append(table(xp))
-                except ExprError:
-                    mats = np.array(done).reshape((-1, *shape[1:]))
-                    spd_inverse_det(mats[:p * len(tables)].reshape((p, *shape)), points[:p], names)
-                    spd_inverse_det(mats[p * len(tables):], points[p], names)
-                    raise
-        mats = np.array(done).reshape((len(points), *shape))
-        invs, dets = spd_inverse_det(mats, points, names)
-        if len(points) == 1:
-            self._last_point = (points.tobytes(), (mats, invs, dets))
-        return self._remember(key, tuple(spread(v) for v in (mats, invs, dets)))
-
-    def _remember(self, key, values):
+        raw = points.tobytes()
+        if memo is not None and memo[1] == raw:
+            data = memo[2]
+        else:
+            names = [m.name for m in self.metrics]
+            tables = [m.evaluator(0) for m in self.metrics]
+            shape = (len(tables), self.dim, self.dim)
+            done = []  # the flat matrices, point after point
+            for p, xp in enumerate(points.tolist()):
+                for table in tables:
+                    try:
+                        done.append(table(xp))
+                    except ExprError:
+                        mats = np.array(done).reshape((-1, *shape[1:]))
+                        spd_inverse_det(mats[:p * len(tables)].reshape((p, *shape)), points[:p], names)
+                        spd_inverse_det(mats[p * len(tables):], points[p], names)
+                        raise
+            mats = np.array(done).reshape((len(points), *shape))
+            data = (mats, *spd_inverse_det(mats, points, names))
+        values = tuple(spread(v) for v in data)
         for v in values:
             v.flags.writeable = False
-        self._last_values = (key, values)
+        self._memo = (key, raw, data, values)
         return values
 
     def metric_derivatives(self, x, order: int) -> np.ndarray:

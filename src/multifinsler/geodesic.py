@@ -90,7 +90,7 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
         raise ValueError(f"t_end / step must be finite, got t_end={t_end} and step={step}")
     x = np.asarray(x0, dtype=float)
     y = np.asarray(y0, dtype=float)
-    if y.ndim not in (1, 2) or x.ndim not in (1, y.ndim):
+    if y.ndim not in (1, 2) or x.ndim not in (1, y.ndim) or x.shape[:-1] not in ((), y.shape[:-1]):
         raise ValueError(f"y0 must have shape (n,) or (B, n) and x0 shape (n,) or that of y0, "
                          f"got {y.shape} and {x.shape}")
     batched = y.ndim == 2

@@ -46,8 +46,9 @@ class MetricField:
         self.components: tuple[tuple[ScalarExpr, ...], ...] = tuple(
             tuple(components[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
         )
-        self._tables: list[list[tuple]] = []  # see _table
-        self._evaluators: list = []  # see evaluator
+        # the expressions of the highest order built so far, flat in C order; see evaluator
+        self._exprs: list[ScalarExpr] = [e for row in self.components for e in row]
+        self._evaluators: list = []
 
     @classmethod
     def from_strings(cls, name: str, rows: Sequence[Sequence[str]], coords: Sequence[str],
@@ -76,43 +77,30 @@ class MetricField:
         if len(x) != self.dim:
             raise ValueError(f"metric '{self.name}': point of length {len(x)}, expected {self.dim}")
 
-    def _table(self, order: int) -> list[tuple]:
-        """(expression, flat slot, mirrored slot) per upper-triangle entry of the order-th
-        derivative array in the order (s, t, ..., i, j >= i); built on first use, each
-        order by differentiating the one below once per coordinate."""
-        n, nn = self.dim, self.dim * self.dim
-        while len(self._tables) <= order:
-            if not self._tables:
-                entries = [(self.components[i][j], i * n + j, j * n + i) for i in range(n) for j in range(i, n)]
-            else:
-                # entry (p..., i, j) of the order below, differentiated in x_t, fills (p..., t, i, j)
-                prev, per_index = self._tables[-1], n * (n + 1) // 2
-                entries = [
-                    (differentiate(e, t, n), (a // nn * n + t) * nn + a % nn, (b // nn * n + t) * nn + b % nn)
-                    for g in range(0, len(prev), per_index)
-                    for t in range(n)
-                    for e, a, b in prev[g:g + per_index]
-                ]
-            self._tables.append(entries)
-        return self._tables[order]
-
     def evaluator(self, order: int) -> Callable[[Sequence[float]], list[float]]:
         """The generated function giving the order-th derivative array at a point x, flat
         in C order: a_ij for order 0, d a_ij / d x_s for 1, d^2 a_ij / (d x_s d x_t)
-        for 2.  Each distinct subexpression of the table is computed once, and the
-        values keep the element type of x.  Built on first use."""
+        for 2.  Each order's expressions are the order below's, differentiated once
+        per coordinate; each distinct subexpression is computed once, and the values
+        keep the element type of x.  Built on first use."""
+        n = self.dim
         while len(self._evaluators) <= order:
-            k = len(self._evaluators)
-            flat = [None] * self.dim ** (k + 2)
-            for e, a, b in self._table(k):
-                flat[a] = flat[b] = e
-            self._evaluators.append(compile_table(flat))
+            if self._evaluators:
+                # entry (p..., i, j) of the order below, differentiated in x_t, is (p..., t, i, j)
+                prev = self._exprs
+                self._exprs = [differentiate(e, t, n) for g in range(0, len(prev), n * n)
+                               for t in range(n) for e in prev[g:g + n * n]]
+            self._evaluators.append(compile_table(self._exprs))
         return self._evaluators[order]
 
     def _evaluate(self, order: int, x) -> np.ndarray:
         self._check_point(x)
+        x = np.asarray(x)
+        # a float64 point as Python floats, so an overflow raises its EvalDomainError and
+        # not a numpy warning; a long-double point keeps its type, and the values their bits
+        values = self.evaluator(order)(x if x.dtype == np.longdouble else x.tolist())
         # float64 whatever the element type of x: long-double points round here
-        return np.array(self.evaluator(order)(x), dtype=float).reshape((self.dim,) * (order + 2))
+        return np.array(values, dtype=float).reshape((self.dim,) * (order + 2))
 
     def value(self, x) -> np.ndarray:
         return self._evaluate(0, x)

@@ -274,6 +274,34 @@ class TestPointwiseEvaluation:
         sp.metric_values(np.vstack([np.tile(x, (20, 1)), [[0.3, np.nextafter(-0.5, 0.0)]]]))
         assert sum(map(len, evaluations.values())) == 3 * sp.n_metrics
 
+    def test_a_batch_with_the_same_distinct_points_is_spread_from_the_memo(self, monkeypatch):
+        # the FD stencils of the oracles repeat the rows of the x before them
+        sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
+        x = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
+        first = sp.metric_values(x)
+        evaluations = record_evaluations(monkeypatch)
+        spd = count_spd_validations(monkeypatch)
+        repeated = sp.metric_values(np.repeat(x, 4, axis=0))
+        assert not evaluations and spd[0] == 0
+        for arr, one in zip(repeated, first):
+            assert np.array_equal(arr, np.repeat(one, 4, axis=0)) and not arr.flags.writeable
+
+    def test_a_failing_point_is_not_stored(self, monkeypatch):
+        sp = space_of(field("alpha", [["1-x1^2", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "log(x2)"]]))
+        good = np.array([[0.1, 2.0], [0.2, 3.0]])
+        first = sp.metric_values(good)
+        evaluations = record_evaluations(monkeypatch)
+        spd = count_spd_validations(monkeypatch)
+        for bad in ([[0.1, 2.0], [2.0, 2.0]], [[0.1, 2.0], [0.2, -1.0]]):
+            with pytest.raises((NotPositiveDefiniteError, EvalDomainError)):
+                sp.metric_values(np.array(bad))
+        done = sum(map(len, evaluations.values())), spd[0]
+        again, tiled = sp.metric_values(good.copy()), sp.metric_values(np.tile(good, (3, 1)))
+        assert (sum(map(len, evaluations.values())), spd[0]) == done
+        assert all(a is b for a, b in zip(again, first))
+        for arr, one in zip(tiled, first):
+            assert np.array_equal(arr, np.tile(one, (3,) + (1,) * (one.ndim - 1)))
+
     @pytest.mark.parametrize("point", [[0.3], [0.3, -0.5, 0.1]])
     def test_a_point_of_the_wrong_length_is_rejected(self, point):
         # the generated tables alone would raise DimensionMismatchError for the short point

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -85,6 +86,13 @@ class TestIntegration:
         # both times are finite, but their ratio, the step count, overflows
         with pytest.raises(ValueError, match=r"^t_end / step must be finite, got t_end=1e\+300 and step=1e-300"):
             integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], 1e300, 1e-300)
+
+    @pytest.mark.parametrize("rays_x, rays_y", [(3, 2), (1, 3)])
+    def test_mismatched_ray_counts_are_rejected(self, bi_const, rays_x, rays_y):
+        x0, y0 = np.zeros((rays_x, 2)), np.tile([1.0, 0.0], (rays_y, 1))
+        message = f"got {y0.shape} and {x0.shape}"
+        with pytest.raises(ValueError, match=r"^y0 must have shape \(n,\) or \(B, n\).*" + re.escape(message)):
+            integrate_geodesic(bi_const, x0, y0, 0.1, 0.1)
 
 
 def edge_space():

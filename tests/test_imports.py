@@ -134,13 +134,12 @@ def test_every_public_function_is_reached():
 
 
 # The functions outside MetricField that evaluate its component tables: the sector data of
-# the routes, the variational oracle's own stencil, a test-only oracle and the SPD probe
+# the routes, the variational oracle's own stencil and a test-only oracle
 COMPONENT_READERS = {
     "finsler.MultiMetricSpace.metric_values",
     "finsler.MultiMetricSpace.metric_derivatives",
     "connection._variational_spray_rows",
     "riemann.christoffels_and_spray",
-    "config.parse_config",
 }
 COMPONENT_METHODS = {"evaluator", "value", "derivative", "second_derivative", "_evaluate", "spd_value"}
 

@@ -5,7 +5,7 @@ import pytest
 
 from multifinsler.config import load_config
 from multifinsler.dim2 import gauss_curvature
-from multifinsler.expr import EvalDomainError, compile_expression, differentiate
+from multifinsler.expr import EvalDomainError, differentiate
 from multifinsler.riemann import (
     MetricField,
     NotPositiveDefiniteError,
@@ -14,6 +14,7 @@ from multifinsler.riemann import (
 )
 
 from conftest import const_field, field, random_spd, space_of
+from expr_reference import evaluate
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -44,6 +45,14 @@ class TestEvaluateMetric:
         f = field("bad", [["1", "0"], ["0", "0-1"]])
         with pytest.raises(NotPositiveDefiniteError):
             f.spd_value([0.0, 0.0])
+
+    @pytest.mark.parametrize("method", ["value", "derivative", "second_derivative", "spd_value"])
+    def test_a_float64_point_overflows_as_a_list_does(self, method):
+        # on numpy scalars the power would overflow with a RuntimeWarning, not an EvalDomainError
+        f = field("steep", [["1+x1^400", "0"], ["0", "1"]])
+        for x in ([100.0, 0.0], np.array([100.0, 0.0])):
+            with pytest.raises(EvalDomainError, match=r"^overflow in 'x1\^"):
+                getattr(f, method)(x)
 
     def test_asymmetric_components_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -175,36 +184,36 @@ class TestSymmetricPolynomials:
 
 def _loop_reference(f: MetricField):
     """The component loops of value, derivative and second_derivative as written
-    before they shared one table: the reference the table must reproduce bit for bit."""
+    before they shared one table, each entry walked by the tree evaluator of
+    expr_reference at the point as Python floats: the reference the table must
+    reproduce bit for bit."""
     n = f.dim
-    fns = [[compile_expression(f.components[i][j]) for j in range(n)] for i in range(n)]
     dex = [[[differentiate(f.components[i][j], s, n) for j in range(n)] for i in range(n)] for s in range(n)]
-    dfns = [[[compile_expression(dex[s][i][j]) for j in range(n)] for i in range(n)] for s in range(n)]
-    d2fns = [[[[compile_expression(differentiate(dex[s][i][j], t, n)) for j in range(n)] for i in range(n)]
-              for t in range(n)] for s in range(n)]
+    d2ex = [[[[differentiate(dex[s][i][j], t, n) for j in range(n)] for i in range(n)] for t in range(n)]
+            for s in range(n)]
 
     def value(x):
-        out = np.empty((n, n))
+        x, out = np.asarray(x).tolist(), np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                out[i, j] = out[j, i] = fns[i][j](x)
+                out[i, j] = out[j, i] = evaluate(f.components[i][j], x)
         return out
 
     def derivative(x):
-        out = np.empty((n, n, n))
+        x, out = np.asarray(x).tolist(), np.empty((n, n, n))
         for s in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    out[s, i, j] = out[s, j, i] = dfns[s][i][j](x)
+                    out[s, i, j] = out[s, j, i] = evaluate(dex[s][i][j], x)
         return out
 
     def second_derivative(x):
-        out = np.empty((n, n, n, n))
+        x, out = np.asarray(x).tolist(), np.empty((n, n, n, n))
         for s in range(n):
             for t in range(n):
                 for i in range(n):
                     for j in range(i, n):
-                        out[s, t, i, j] = out[s, t, j, i] = d2fns[s][t][i][j](x)
+                        out[s, t, i, j] = out[s, t, j, i] = evaluate(d2ex[s][t][i][j], x)
         return out
 
     return {"value": value, "derivative": derivative, "second_derivative": second_derivative}
