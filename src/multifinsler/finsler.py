@@ -53,76 +53,68 @@ class MultiMetricSpace:
         self.coords = coords
         self.dim = len(coords)
         self.n_metrics = len(self.metrics)
-        self._memo: tuple | None = None  # see metric_values
+        self._memos: dict[int, tuple] = {}  # see _sector_data
 
     def metric_values(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a_mu, inv_mu, det_mu) stacked over sectors, SPD-validated.
+        """(a_mu, inv_mu, det_mu) stacked over sectors at one point x (n,) or a batch
+        (B, n), SPD-validated; for a batch every array gains a leading batch axis."""
+        return self._sector_data(x, 0)
 
-        x is one point (n,) or a batch (B, n); for a batch every array gains a
-        leading batch axis.  Components are evaluated by one generated call per
-        distinct point and metric, in the order the points first occur, on the
-        point as Python floats (so an overflow raises an EvalDomainError and
-        prints no numpy warning), and an evaluation error is raised
-        only if no earlier (point, metric) fails the SPD check, so each point
-        keeps the error it raises alone.  The distinct points are then
-        validated at once by `spd_inverse_det`.
+    def metric_derivatives(self, x, order: int) -> np.ndarray:
+        """The exact x-derivatives of the sector metrics at one point (n,) or a batch
+        (B, n): order 1 gives dA[..., mu, s, i, j] = d a^mu_ij / d x_s, order 2 gives
+        d2A[..., mu, s, t, i, j] = d^2 a^mu_ij / (d x_s d x_t)."""
+        return self._sector_data(x, order)[0]
 
-        One memo holds the most recent x that passed: its shape and bytes, the
-        bytes of its distinct points, their validated data and the read-only
-        arrays returned.  An exact repeat of x returns the same arrays; an x
-        with the same distinct points (one point tiled over a batch of any
-        size, a stencil that repeats x) spreads the stored data without
-        evaluating or validating again.  An x that fails is not stored.
+    def _sector_data(self, x, order: int) -> tuple[np.ndarray, ...]:
+        """The read-only order-th derivative arrays of the sector metrics at x, and for
+        order 0 their inverses and determinants, by one generated call per distinct
+        point and metric in the order the points first occur, on the point as Python
+        floats (an overflow raises an EvalDomainError, with no numpy warning).
+
+        Order 0 validates the distinct points at once by `spd_inverse_det`.  If an
+        evaluation fails, it replays the (point, metric) pairs in C order through
+        `MetricField.spd_value`, so an earlier SPD failure is raised first and each
+        point keeps the error it raises alone.
+
+        One memo per order holds the most recent x that passed: its shape and bytes,
+        the bytes of its distinct points, their data and the arrays returned.  An exact
+        repeat of x returns the same arrays; an x with the same distinct points (a tile,
+        a stencil that repeats x) spreads the stored data without evaluating again.  An
+        x that fails is not stored.
         """
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
-        memo = self._memo  # one read, so a concurrent caller cannot swap it midway
+        memo = self._memos.get(order)  # one read, so a concurrent caller cannot swap it midway
         if memo is not None and memo[0] == key:
             return memo[3]
-        points, spread = self._points(x)
+        points, spread = _distinct_points(x)
+        if len(points):
+            self.metrics[0]._check_point(points[0])
         raw = points.tobytes()
         if memo is not None and memo[1] == raw:
             data = memo[2]
         else:
-            names = [m.name for m in self.metrics]
-            tables = [m.evaluator(0) for m in self.metrics]
-            shape = (len(tables), self.dim, self.dim)
-            done = []  # the flat matrices, point after point
-            for p, xp in enumerate(points.tolist()):
+            tables = [m.evaluator(order) for m in self.metrics]
+            done = []  # the flat arrays, point after point
+            for xp in points.tolist():
                 for table in tables:
                     try:
                         done.append(table(xp))
                     except ExprError:
-                        mats = np.array(done).reshape((-1, *shape[1:]))
-                        spd_inverse_det(mats[:p * len(tables)].reshape((p, *shape)), points[:p], names)
-                        spd_inverse_det(mats[p * len(tables):], points[p], names)
+                        if order == 0:  # raises an earlier pair's SPD failure, else this error
+                            for xq in points.tolist():
+                                for m in self.metrics:
+                                    m.spd_value(xq)
                         raise
-            mats = np.array(done).reshape((len(points), *shape))
-            data = (mats, *spd_inverse_det(mats, points, names))
+            data = (np.array(done).reshape((len(points), len(tables)) + (self.dim,) * (order + 2)),)
+            if order == 0:
+                data += spd_inverse_det(data[0], points, [m.name for m in self.metrics])
         values = tuple(spread(v) for v in data)
         for v in values:
             v.flags.writeable = False
-        self._memo = (key, raw, data, values)
+        self._memos[order] = (key, raw, data, values)
         return values
-
-    def metric_derivatives(self, x, order: int) -> np.ndarray:
-        """The exact x-derivatives of the sector metrics at one point (n,) or a batch
-        (B, n), evaluated by one generated call per distinct point and metric, as
-        in metric_values: order 1 gives
-        dA[..., mu, s, i, j] = d a^mu_ij / d x_s, order 2 gives
-        d2A[..., mu, s, t, i, j] = d^2 a^mu_ij / (d x_s d x_t)."""
-        points, spread = self._points(np.asarray(x, dtype=float))
-        tables = [m.evaluator(order) for m in self.metrics]
-        values = np.array([[table(xp) for table in tables] for xp in points.tolist()])
-        return spread(values.reshape((len(points), len(tables)) + (self.dim,) * (order + 2)))
-
-    def _points(self, x: np.ndarray):
-        """The distinct points of x and their spread (see _distinct_points); a point of
-        the wrong length raises what MetricField.value raises."""
-        points, spread = _distinct_points(x)
-        if len(points):
-            self.metrics[0]._check_point(points[0])
-        return points, spread
 
     def check_sample(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """x and y as float arrays, a sample (n,) of the slit tangent bundle or a

@@ -302,6 +302,38 @@ class TestPointwiseEvaluation:
         for arr, one in zip(tiled, first):
             assert np.array_equal(arr, np.tile(one, (3,) + (1,) * (one.ndim - 1)))
 
+    def test_derivatives_at_the_same_distinct_points_are_spread_from_the_memo(self, monkeypatch):
+        sp = space_of(field("alpha", [["2+x1^2", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x1*x2"]]))
+        x = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
+        first = sp.metric_derivatives(x, 1)
+        evaluations = record_evaluations(monkeypatch)
+        repeated = sp.metric_derivatives(np.repeat(x, 4, axis=0), 1)
+        assert not evaluations
+        assert np.array_equal(repeated, np.repeat(first, 4, axis=0)) and not repeated.flags.writeable
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_an_exact_repeat_returns_the_same_read_only_derivatives(self, monkeypatch, order):
+        sp = space_of(field("alpha", [["2+x1^2", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x1*x2"]]))
+        first = sp.metric_derivatives(np.array([0.3, -0.5]), order)
+        evaluations = record_evaluations(monkeypatch)
+        again = sp.metric_derivatives([0.3, -0.5], order)
+        assert again is first and not evaluations
+        with pytest.raises(ValueError):
+            again[...] = 0.0
+
+    def test_a_derivative_that_fails_is_not_stored(self, monkeypatch):
+        # sqrt(x2) evaluates at x2 = 0, but its x2-derivative 1 / (2 sqrt(x2)) does not
+        sp = space_of(field("alpha", [["2+sqrt(x2)", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3"]]))
+        good, bad = np.array([[0.1, 0.5], [0.2, 1.0]]), np.array([[0.1, 0.5], [0.2, 0.0]])
+        first = sp.metric_derivatives(good, 1)
+        sp.metric_values(bad)
+        with pytest.raises(EvalDomainError):
+            sp.metric_derivatives(bad, 1)
+        evaluations = record_evaluations(monkeypatch)
+        assert sp.metric_derivatives(good.copy(), 1) is first
+        assert np.array_equal(sp.metric_derivatives(np.tile(good, (3, 1)), 1), np.tile(first, (3, 1, 1, 1, 1)))
+        assert not evaluations
+
     @pytest.mark.parametrize("point", [[0.3], [0.3, -0.5, 0.1]])
     def test_a_point_of_the_wrong_length_is_rejected(self, point):
         # the generated tables alone would raise DimensionMismatchError for the short point

@@ -136,8 +136,7 @@ def test_every_public_function_is_reached():
 # The functions outside MetricField that evaluate its component tables: the sector data of
 # the routes, the variational oracle's own stencil and a test-only oracle
 COMPONENT_READERS = {
-    "finsler.MultiMetricSpace.metric_values",
-    "finsler.MultiMetricSpace.metric_derivatives",
+    "finsler.MultiMetricSpace._sector_data",
     "connection._variational_spray_rows",
     "riemann.christoffels_and_spray",
 }
