@@ -383,6 +383,7 @@ class RiemannianVerdict:
     riemannian: bool
     factors: np.ndarray | None          # (P, N) ratios per point and sector when riemannian
     counterexample: tuple[int, int, int, np.ndarray] | None  # (mu, i, j, point)
+    misfit: float                       # largest |a_mu - phi_mu a_1| / scale over all points
 
     def effective_metric(self, space: MultiMetricSpace, x) -> np.ndarray:
         """(sum_mu sqrt(phi_mu))^2 a_1(x) for a proportional family."""
@@ -404,15 +405,24 @@ def _sector_ratios(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def riemannian_detect(space: MultiMetricSpace, sample_points) -> RiemannianVerdict:
     """Decide whether all sector metrics are pointwise proportional to the first, from
-    the sector matrices that metric_values validates at the sample points."""
+    the sector matrices that metric_values validates at the sample points.
+
+    The relative misfit of a sector at a point is max|a_mu - phi_mu a_1| over
+    max|a_mu| + max|a_1|; a family is proportional if no misfit exceeds
+    PROPORTIONALITY_RTOL.  The verdict reports the largest misfit over all points,
+    and the first point, sector and component that exceed the tolerance.
+    """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     factors = np.empty((len(pts), space.n_metrics))
+    misfit, counterexample = 0.0, None
     for p, (x, a) in enumerate(zip(pts, space.metric_values(pts)[0])):
         factors[p] = phi = _sector_ratios(a, x)
         for k in range(space.n_metrics):
             scale = np.max(np.abs(a[k])) + np.max(np.abs(a[0]))
             resid = np.abs(a[k] - phi[k] * a[0])
-            if np.any(resid > PROPORTIONALITY_RTOL * scale):
+            misfit = max(misfit, float(np.max(resid) / scale))
+            if counterexample is None and np.any(resid > PROPORTIONALITY_RTOL * scale):
                 i, j = np.unravel_index(np.argmax(resid), resid.shape)
-                return RiemannianVerdict(False, None, (k, int(i), int(j), x))
-    return RiemannianVerdict(True, factors, None)
+                counterexample = (k, int(i), int(j), x)
+    riemannian = counterexample is None
+    return RiemannianVerdict(riemannian, factors if riemannian else None, counterexample, misfit)

@@ -380,7 +380,7 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
             for u, end, known in zip(units, r_max, first)
         ])
 
-    disc = _quad_in_batches(radial_integrals, 0.0, 2.0 * math.pi, **radial)
+    disc = _quad_in_batches(radial_integrals, 0.0, 2.0 * math.pi, limit=400, **radial)
 
     circ = _circle_integral(space, x, weight) * 0.5
     return {

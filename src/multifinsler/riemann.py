@@ -83,6 +83,8 @@ class MetricField:
         for 2.  Each order's expressions are the order below's, differentiated once
         per coordinate; each distinct subexpression is computed once, and the values
         keep the element type of x.  Built on first use."""
+        if order < 0:
+            raise ValueError(f"metric '{self.name}': derivative order {order} is below 0")
         n = self.dim
         while len(self._evaluators) <= order:
             if self._evaluators:

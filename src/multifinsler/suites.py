@@ -218,8 +218,11 @@ def _identity_checks(cfg: SpaceConfig, space: MultiMetricSpace, rng, tol_scale) 
     c_max = float(worst.pop("max_cartan_component"))
     out += [_check(name, r, n_fd, tol_scale) for name, r in worst.items()]
     if space.dim == 2:
+        # C grows as the square of the sectors' relative misfit, so a misfit below 1e-5
+        # may read as "not Riemannian" while C is below 1e-10
         verdict = riemannian_detect(space, x_fd)
-        consistent = (c_max <= 1e-10) == verdict.riemannian
+        cartan_zero = c_max <= 1e-10
+        consistent = cartan_zero == verdict.riemannian or (cartan_zero and verdict.misfit ** 2 <= 1e-10)
         out.append(_check("riemannian-detection-vs-cartan", 0.0 if consistent else 1.0, n_fd, tol_scale,
                           info={"riemannian": verdict.riemannian, "max_cartan_component": c_max}))
     return out

@@ -13,7 +13,7 @@ import pytest
 from multifinsler.cli import dumps_stable, main
 from multifinsler.config import ConfigError, load_config, parse_config
 from multifinsler.riemann import NotPositiveDefiniteError
-from multifinsler.suites import CHECKS, TOLERANCES
+from multifinsler.suites import CHECKS, TOLERANCES, run_suite
 
 from conftest import count_calls, record_evaluations
 
@@ -624,6 +624,18 @@ def test_geodesics_reports_match_stored_bytes(name, tmp_path):
     config = REPO / ("tests/data" if name == "bimetric3d" else "configs") / f"{name}.json"
     assert main(["check", "--config", str(config), "--suite", "geodesics", "--out", str(out)]) == 0
     assert out.read_bytes() == (REPO / "tests" / "data" / f"check-{name}-geodesics.json").read_bytes()
+
+
+@pytest.mark.parametrize("eps", ["1e-4", "1e-6", "1e-8", "1e-11"])
+def test_near_proportional_pencils_pass_the_identities_suite(eps):
+    """A pencil beta = 3 (1 + eps x2) alpha in its (0, 0) entry: detection reads a
+    relative misfit of order eps, the Cartan tensor grows as eps^2, and between about
+    1e-10 and 1e-5 the two verdicts disagree, which the check allows."""
+    data = json.loads((REPO / "tests" / "data" / "near-proportional.json").read_text())
+    beta = data["metrics"][1]["components"]
+    beta[0][0] = beta[0][0].replace("1e-6", eps)
+    report = run_suite(parse_config(data), "identities")
+    assert [c["check"] for c in report["checks"] if not c["pass"]] == []
 
 
 def test_check_table_names_the_checks_of_the_stored_reports():

@@ -496,6 +496,16 @@ class TestRiemannianDetect:
         with pytest.raises(NotPositiveDefiniteError):
             verdict.effective_metric(sp, [-1.0, 0.0])
 
+    def test_the_misfit_is_the_largest_over_all_points(self):
+        # b = (1 + x1) a in its (1, 1) entry: the misfit is |x1| / (2 + |x1|) at each point,
+        # and the first point already fails
+        sp = space_of(const_field("a", np.eye(2)), field("b", [["1", "0"], ["0", "1+x1"]]))
+        verdict = riemannian_detect(sp, [[0.1, 0.0], [0.0, 0.5], [0.5, 0.0]])
+        assert not verdict.riemannian and verdict.counterexample[:3] == (1, 1, 1)
+        assert verdict.counterexample[3].tolist() == [0.1, 0.0]
+        assert verdict.misfit == pytest.approx(0.5 / 2.5, rel=1e-14)
+        assert riemannian_detect(sp, [[0.0, 0.3]]).misfit == 0.0
+
     def test_riemannian_implies_cartan_vanishes(self, prop_space):
         rng = np.random.default_rng(8)
         assert riemannian_detect(prop_space, [x for x, _ in random_samples(rng, 5)]).riemannian

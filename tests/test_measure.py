@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -394,6 +395,16 @@ class TestIndicatrixReduction:
     def test_bimetric(self, bi_const, weight):
         r = indicatrix_reduction_check(bi_const, ORIGIN, weight)
         assert r["residual"] <= 1e-8 * (1.0 + abs(r["circle"]))
+
+    def test_anisotropic_sectors_stay_within_the_subdivision_limit(self):
+        # sector eigenvalue ratios of 1e-4: QUADPACK's default of 50 angular
+        # subdivisions is not enough for the det g weight
+        sp = space_of(field("alpha", [["1", "0"], ["0", "1e-4*(1+x1^2)"]]),
+                      field("beta", [["1e-4*(2+sin(x2))", "0"], ["0", "1"]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            r = indicatrix_reduction_check(sp, ORIGIN, "det")
+        assert r["residual"] <= 1e-6 * (1.0 + abs(r["circle"]))
 
     def test_unit_circle_norm_identity(self, bi_const):
         # per-sector circle integral of 1/F_mu^2 equals pi / sqrt(det a_mu)

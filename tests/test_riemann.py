@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,21 @@ class TestEvaluateMetric:
         for x in ([100.0, 0.0], np.array([100.0, 0.0])):
             with pytest.raises(EvalDomainError, match=r"^overflow in 'x1\^"):
                 getattr(f, method)(x)
+
+    def test_a_negative_derivative_order_is_rejected(self):
+        # a list index of -1 would return the highest order built so far, or fail on a fresh field
+        message = re.escape("metric 'beta': derivative order -1 is below 0")
+        fresh = field("beta", [["4", "0"], ["0", "1+x1^2"]])
+        with pytest.raises(ValueError, match=message):
+            fresh.evaluator(-1)
+        built = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
+        built.metric_derivatives([0.1, 0.2], 2)
+        with pytest.raises(ValueError, match=re.escape("metric 'alpha': derivative order -1 is below 0")):
+            built.metrics[0].evaluator(-1)
+        with pytest.raises(ValueError, match=re.escape("metric 'alpha': derivative order -2 is below 0")):
+            built.metric_derivatives([0.1, 0.2], -2)
+        with pytest.raises(ValueError, match=message):
+            space_of(fresh).metric_derivatives(np.zeros((3, 2)), -1)
 
     def test_asymmetric_components_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
