@@ -45,7 +45,7 @@ def main():
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         sys.exit(2)
-    space = cfg.build_space()
+    space = cfg.space
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -133,6 +133,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
+    if args.suite in ("measures", "all") and cfg.dimension != 2:
+        raise UsageError(f"--suite {args.suite} needs a 2D config, got dimension {cfg.dimension}")
     report = run_suite(cfg, args.suite, tol_scale=args.tol_scale, seed=args.seed)
     emit(report, args.out)
     return 0 if report["passed"] else 1
@@ -140,11 +142,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_measure(args) -> int:
     cfg = load_config(args.config)
-    space = cfg.build_space()
+    if cfg.dimension != 2:
+        raise UsageError(f"measure needs a 2D config, got dimension {cfg.dimension}")
     x = cfg.box_center() if args.at is None else parse_point(args.at, "--at", cfg.dimension)
-    ht_closed = holmes_thompson(space, x)
-    ht_disc = holmes_thompson_disc_oracle(space, x)
-    bh = busemann_hausdorff(space, x)
+    ht_closed = holmes_thompson(cfg.space, x)
+    ht_disc = holmes_thompson_disc_oracle(cfg.space, x)
+    bh = busemann_hausdorff(cfg.space, x)
     report = {
         "point": [float(v) for v in x],
         "holmes_thompson": {
@@ -168,18 +171,17 @@ def _cmd_measure(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     cfg = load_config(args.config)
-    space = cfg.build_space()
     x0 = cfg.box_center() if args.x0 is None else parse_point(args.x0, "--x0", cfg.dimension)
     if args.y0 is None:
         y0 = np.zeros(cfg.dimension)
         y0[0] = 1.0
     else:
         y0 = parse_point(args.y0, "--y0", cfg.dimension)
-    path = integrate_geodesic(space, x0, y0, args.t_end, args.step)
+    path = integrate_geodesic(cfg.space, x0, y0, args.t_end, args.step)
     if args.format == "csv":
         path_to_csv(path, args.out, cfg.coordinates)
     else:
-        act = action_of_path(space, path.t, path.x, path.y)
+        act = action_of_path(cfg.space, path.t, path.x, path.y)
         emit({
             "t_end": args.t_end, "step": path.step,
             "start": {"x": list(map(float, path.x[0])), "y": list(map(float, path.y[0]))},
@@ -194,7 +196,6 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = load_config(args.config)
-    space = cfg.build_space()
     lo = np.array([b[0] for b in cfg.sampling.box])
     hi = np.array([b[1] for b in cfg.sampling.box])
     grid = [np.linspace(lo[i], hi[i], args.grid) for i in range(cfg.dimension)]
@@ -209,11 +210,11 @@ def _cmd_sample(args) -> int:
     def values(x, y):
         """F, det_g and, in 2D, I, J and K at the samples x and y, one row each."""
         if not is2d:
-            st = finsler_state(space, x, y)
+            st = finsler_state(cfg.space, x, y)
             return np.stack([st.F, st.det_g], axis=-1)
-        cs = connection_state(space, x, y)
+        cs = connection_state(cfg.space, x, y)
         return np.stack([cs.state.F, cs.state.det_g, frame_from_state(cs.state).I,
-                         *invariants_JK(space, cs)], axis=-1)
+                         *invariants_JK(cfg.space, cs)], axis=-1)
 
     # one batch; if it raises a per-sample error, the first failing row raises its own
     xs, ys = np.repeat(points, len(thetas), axis=0), np.tile(directions, (len(points), 1))

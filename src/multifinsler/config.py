@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,23 +33,14 @@ class SamplingPolicy:
 
 @dataclass(frozen=True)
 class SpaceConfig:
-    """Validated space description; a fixed seed makes every run deterministic."""
+    """Validated space description and its space, SPD-probed at the box center, which takes
+    no part in equality, hashing or repr; a fixed seed makes every run deterministic."""
 
     dimension: int
     coordinates: tuple[str, ...]
     metrics: tuple[MetricSpec, ...]
     sampling: SamplingPolicy
-
-    def build_space(self) -> MultiMetricSpace:
-        lo, hi = np.array(self.sampling.box).T
-        t = np.linspace(0.25, 0.75, self.dimension)  # symmetry probes: the centre, two points inside
-        # as Python floats, so an overflowing component raises its EvalDomainError without a numpy warning
-        probes = [p.tolist() for p in (self.box_center(), lo + t * (hi - lo), lo + t[::-1] * (hi - lo))]
-        fields = [
-            MetricField.from_strings(m.name, [list(r) for r in m.components], self.coordinates, probes)
-            for m in self.metrics
-        ]
-        return MultiMetricSpace(fields)
+    space: MultiMetricSpace = field(compare=False, repr=False)
 
     def box_center(self) -> np.ndarray:
         return np.array([(lo + hi) / 2.0 for lo, hi in self.sampling.box])
@@ -147,23 +138,25 @@ def parse_config(data: dict) -> SpaceConfig:
         _expect(isinstance(b, list) and len(b) == 2 and all(_is_finite_number(v) for v in b)
                 and b[0] < b[1], f"invalid box interval {b!r}: needs two finite numbers, low < high")
 
-    cfg = SpaceConfig(
-        dimension=dim,
-        coordinates=tuple(coords),
-        metrics=tuple(metrics),
-        sampling=SamplingPolicy(seed=seed, count=count, box=tuple(tuple(map(float, b)) for b in box)),
-    )
+    policy = SamplingPolicy(seed=seed, count=count, box=tuple(tuple(map(float, b)) for b in box))
 
     # parse all expressions, then probe SPD at the box center
+    lo, hi = np.array(policy.box).T
+    center = (lo + hi) / 2.0
+    t = np.linspace(0.25, 0.75, dim)  # symmetry probes: the center, two points inside
+    # as Python floats, so an overflowing component raises its EvalDomainError without a numpy warning
+    probes = [p.tolist() for p in (center, lo + t * (hi - lo), lo + t[::-1] * (hi - lo))]
     try:
-        space = cfg.build_space()
+        space = MultiMetricSpace([MetricField.from_strings(m.name, m.components, coords, probes)
+                                  for m in metrics])
     except (ExprError, ValueError) as exc:
         raise ConfigError(f"invalid metric component: {exc}") from exc
     try:
-        space.metric_values(cfg.box_center())
+        space.metric_values(center)
     except (NotPositiveDefiniteError, ExprError) as exc:
         raise ConfigError(f"SPD probe failed at box center: {exc}") from exc
-    return cfg
+    return SpaceConfig(dimension=dim, coordinates=tuple(coords), metrics=tuple(metrics),
+                       sampling=policy, space=space)
 
 
 def load_config(path) -> SpaceConfig:

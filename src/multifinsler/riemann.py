@@ -24,8 +24,8 @@ SPD_EIG_RATIO = 1e-10
 
 
 class NotPositiveDefiniteError(Exception):
-    """An evaluated metric matrix failed the positive-definiteness check: an eigenvalue
-    is not positive, or the smallest is at most SPD_EIG_RATIO times the largest."""
+    """An evaluated metric matrix failed the SPD check: an entry is not finite, an
+    eigenvalue is not positive, or the smallest is at most SPD_EIG_RATIO times the largest."""
 
 
 class MetricField:
@@ -126,16 +126,20 @@ def spd_inverse_det(a: np.ndarray, x, names: Sequence[str]) -> tuple[np.ndarray,
     """Validate the matrices a[..., mu, :, :] of the metrics `names` at the points
     x[..., :] as SPD; returns their inverses and determinants.
 
-    A matrix passes if its smallest eigenvalue is positive and above
-    SPD_EIG_RATIO times its largest.  The first failing (point, metric) in
-    C order raises.  The stack is decomposed by one eigvalsh, one inv and one
-    det call; each equals the per-matrix call bit for bit.
+    A matrix passes if its entries are finite and its smallest eigenvalue is
+    positive and above SPD_EIG_RATIO times its largest.  The first failing
+    (point, metric) in C order raises.  The stack is decomposed by one eigvalsh,
+    one inv and one det call; each equals the per-matrix call bit for bit.
     """
     w = np.linalg.eigvalsh(a)
-    bad = (w[..., 0] <= 0.0) | (w[..., 0] <= SPD_EIG_RATIO * w[..., -1])
-    if bad.any():
-        *point, mu = np.unravel_index(np.argmax(bad), bad.shape)
-        at, eig = np.asarray(x)[tuple(point)].tolist(), w[(*point, mu)].tolist()
+    # the passing condition, so that the NaN eigenvalues of an infinite entry fail it
+    ok = np.isfinite(a).all(axis=(-2, -1)) & (w[..., 0] > 0.0) & (w[..., 0] > SPD_EIG_RATIO * w[..., -1])
+    if not ok.all():
+        *point, mu = np.unravel_index(np.argmin(ok), ok.shape)
+        at, mat, eig = np.asarray(x)[tuple(point)].tolist(), a[(*point, mu)].tolist(), w[(*point, mu)].tolist()
+        if not np.isfinite([*mat, eig]).all():
+            raise NotPositiveDefiniteError(f"metric '{names[mu]}' is not finite at x={at} "
+                                           f"(matrix {mat}, eigenvalues {eig})")
         if eig[0] <= 0.0:
             raise NotPositiveDefiniteError(f"metric '{names[mu]}' is not positive definite at x={at} "
                                            f"(eigenvalues {eig})")

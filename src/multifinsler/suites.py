@@ -286,7 +286,9 @@ def run_suite(cfg: SpaceConfig, suite: str, tol_scale: float = 1.0, seed: int | 
     """Run a named check suite and return the machine-readable report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite '{suite}'")
-    space = cfg.build_space()
+    if suite in ("measures", "all") and cfg.dimension != 2:
+        raise ValueError("measure checks require a 2D space")
+    space = cfg.space
     use_seed = cfg.sampling.seed if seed is None else seed
     rng = np.random.default_rng(use_seed)
 
@@ -294,8 +296,6 @@ def run_suite(cfg: SpaceConfig, suite: str, tol_scale: float = 1.0, seed: int | 
     if suite in ("identities", "all"):
         checks += _identity_checks(cfg, space, rng, tol_scale)
     if suite in ("measures", "all"):
-        if space.dim != 2:
-            raise ValueError("measure checks require a 2D space")
         checks += _measure_checks(cfg, space, rng, tol_scale)
     if suite in ("geodesics", "all"):
         checks += _geodesic_checks(cfg, space, tol_scale)

@@ -283,7 +283,7 @@ def test_identity_residual_rows_match_recorded_values(name):
     # the unit sphere) as the identities suite computed them one sample at a time; its reports
     # keep only maxima, which could hide a drift in one row
     path = REPO / ("tests/data" if name == "bimetric3d" else "configs") / f"{name}.json"
-    space = load_config(path).build_space()
+    space = load_config(path).space
     recorded = json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())[name]
     x, y = np.hsplit(np.array(recorded["rows"]), 2)
     assert stacked(pointwise_residuals(space, x, y)).tolist() == recorded["pointwise"]
@@ -406,7 +406,7 @@ def test_gauss_curvature_of_all_sectors_raises_the_first_failing_rows_own_error(
 
 
 def test_fd_residuals_calls_each_oracle_once_per_batch(monkeypatch):
-    space = load_config(REPO / "configs" / "trimetric.json").build_space()
+    space = load_config(REPO / "configs" / "trimetric.json").space
     rows = json.loads((REPO / "tests" / "data" / "identity-residual-rows.json").read_text())["trimetric"]["rows"]
     x, y = np.hsplit(np.array(rows), 2)
     calls = [count_calls(monkeypatch, suites, name) for name in ("fd_fundamental_tensor", "variational_spray")]

@@ -12,10 +12,10 @@ import pytest
 
 from multifinsler.cli import dumps_stable, main
 from multifinsler.config import ConfigError, load_config, parse_config
-from multifinsler.riemann import NotPositiveDefiniteError
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 from multifinsler.suites import CHECKS, TOLERANCES, run_suite
 
-from conftest import count_calls, record_evaluations
+from conftest import count_calls, count_spd_validations, record_evaluations
 
 BIMETRIC = {
     "dimension": 2,
@@ -67,7 +67,7 @@ class TestConfig:
         cfg = load_config(config_path)
         assert cfg.dimension == 2
         assert cfg.sampling.seed == 42
-        space = cfg.build_space()
+        space = cfg.space
         assert space.n_metrics == 2
 
     def test_missing_file(self):
@@ -127,6 +127,17 @@ class TestConfig:
             with pytest.raises(ConfigError) as error:
                 parse_config(bad)
         assert str(error.value) == message and caught == []
+
+    @pytest.mark.parametrize("text", ["-1e999", "1e999"])
+    def test_a_non_finite_component_fails_the_spd_probe(self, text, tmp_path, capsys):
+        # the constant is infinite, so the eigenvalues are NaN, which fail no comparison
+        bad = json.loads(json.dumps(BIMETRIC))
+        bad["metrics"][1]["components"] = [["4", "0"], ["0", text]]
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(bad))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: SPD probe failed at box center: metric 'beta' is not finite at x=[0.0, 0.0] ")
 
     @pytest.mark.parametrize("texts", [["0.1*log(x1)", "log(x1)*0.1"], ["0.1*log(x1)", "0.1*log(x1)"]])
     def test_symmetry_probe_stays_inside_the_box(self, tmp_path, texts):
@@ -259,6 +270,31 @@ class TestCli:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert "dimension 1" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, what", [
+        (["measure"], "measure"),
+        (["measure", "--at", "0.1,0.2,0.3"], "measure"),
+        (["check", "--suite", "measures"], "--suite measures"),
+        (["check", "--suite", "all"], "--suite all"),
+    ], ids=["measure", "measure-at", "suite-measures", "suite-all"])
+    def test_2d_only_commands_reject_a_3d_config_before_any_work(self, argv, what, monkeypatch, capsys):
+        import multifinsler.cli as cli
+
+        suites = count_calls(monkeypatch, cli, "run_suite")
+        measures = count_calls(monkeypatch, cli, "holmes_thompson")
+        config = str(Path(__file__).resolve().parent.parent / "tests" / "data" / "bimetric3d.json")
+        assert main([*argv, "--config", config]) == 2
+        assert capsys.readouterr().err == f"usage error: {what} needs a 2D config, got dimension 3\n"
+        assert suites[0] == measures[0] == 0
+
+    def test_run_suite_rejects_a_3d_config_before_the_identities_run(self, monkeypatch):
+        import multifinsler.suites as suites
+
+        calls = count_calls(monkeypatch, suites, "_identity_checks")
+        cfg = load_config(Path(__file__).resolve().parent.parent / "tests" / "data" / "bimetric3d.json")
+        with pytest.raises(ValueError, match="measure checks require a 2D space"):
+            run_suite(cfg, "all")
+        assert calls[0] == 0
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -727,6 +763,57 @@ def test_fan_script_ray_failure_matches_serial_fan(tmp_path, monkeypatch, capsys
     assert sorted(p.name for p in out_dir.iterdir()) == ["ray_00.csv", "ray_01.csv"]
     for k in range(2):
         assert (out_dir / f"ray_{k:02d}.csv").read_bytes() == (stored / f"ray_{k:02d}.csv").read_bytes()
+
+
+def record_metric_builds(monkeypatch):
+    """Record each MetricField that MetricField.from_strings builds; returns the list."""
+    original = MetricField.from_strings
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(MetricField, "from_strings", recorded)
+    return built
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+def test_load_config_builds_each_metric_once_into_its_space(name, monkeypatch):
+    built = record_metric_builds(monkeypatch)
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    assert len(built) == len(cfg.metrics)
+    assert all(a is b for a, b in zip(cfg.space.metrics, built, strict=True))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "identities"],
+    ["measure", "--at", "0.3,-0.2"],
+    ["geodesic", "--t-end", "0.01", "--format", "json"],
+    ["sample", "--grid", "1", "--directions", "1"],
+], ids=lambda argv: argv[0])
+def test_each_command_builds_each_metric_once(argv, tmp_path, monkeypatch):
+    built = record_metric_builds(monkeypatch)
+    assert main([*argv, "--config", str(REPO / "configs" / "trimetric.json"), "--out", str(tmp_path / "out")]) == 0
+    assert [m.name for m in built] == ["alpha", "beta", "gamma"]
+
+
+def test_the_fan_script_builds_each_metric_once(tmp_path, monkeypatch, capsys):
+    built = record_metric_builds(monkeypatch)
+    _, error = run_fan([str(REPO / "configs" / "trimetric.json"), "--rays", "2", "--t-end", "0.01"],
+                       tmp_path, monkeypatch, capsys)
+    assert error is None
+    assert [m.name for m in built] == ["alpha", "beta", "gamma"]
+
+
+def test_the_config_space_holds_its_box_center_probe(monkeypatch):
+    """cfg.space is the space parse_config probed, so the box center is in its memo."""
+    cfg = load_config(REPO / "configs" / "bimetric.json")
+    evaluations = record_evaluations(monkeypatch)
+    spd = count_spd_validations(monkeypatch)
+    a, _, det = cfg.space.metric_values(cfg.box_center())
+    assert evaluations == {} and spd[0] == 0
+    assert a.shape == (2, 2, 2) and np.all(det > 0)
 
 
 @pytest.mark.parametrize("workload, seed", [

@@ -230,7 +230,7 @@ class TestLazyConnection:
 
     @pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
     def test_lazy_connection_equals_eager_formula_bitwise(self, name):
-        sp = load_config(CONFIGS / f"{name}.json").build_space()
+        sp = load_config(CONFIGS / f"{name}.json").space
         rng = np.random.default_rng(31)
         for x, y in random_samples(rng, 8, box=0.7):
             N, dN_mu = _eager_nonlinear_connection(connection_state(sp, x, y))
@@ -348,7 +348,7 @@ class TestLandsbergBerwald:
     def test_matches_recorded_values(self, name):
         # tests/data/landsberg-berwald.json holds 5 samples per config, recorded
         # while the pair residual still ran its own difference loops
-        space = load_config(CONFIGS / f"{name}.json").build_space()
+        space = load_config(CONFIGS / f"{name}.json").space
         for row in json.loads((CONFIGS.parent / "tests" / "data" / "landsberg-berwald.json").read_text())[name]:
             lb = landsberg_berwald(space, row["x"], row["y"])
             assert np.array_equal(lb.C_dot, row["C_dot"])

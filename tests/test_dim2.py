@@ -59,7 +59,7 @@ class TestFrame:
     @pytest.mark.parametrize("name, power", [("I", 4), ("det_identity_residual", 3)])
     def test_overflowing_power_of_the_norm_is_a_sample_error(self, name, power):
         # F = 3e103 at y = (1e103, 1): F^3 and F^4 overflow, and the batch names that row alone
-        space = load_config(REPO / "configs" / "bimetric.json").build_space()
+        space = load_config(REPO / "configs" / "bimetric.json").space
         message = f"power 3e+103 ** {power} is not finite"
         with pytest.raises(NonFiniteSampleError, match=re.escape(message)):
             getattr(frame_from_state(finsler_state(space, [0.1, 0.1], [1e103, 1.0])), name)
@@ -340,7 +340,7 @@ def test_matches_recorded_values(name):
     # J and K differenced N over a stencil of their own and the log-gradient
     # residual differenced each sector alone; the reports keep only maxima,
     # which could hide a drift in one value
-    space = load_config(REPO / "configs" / f"{name}.json").build_space()
+    space = load_config(REPO / "configs" / f"{name}.json").space
     for row in json.loads((REPO / "tests" / "data" / "structure-values.json").read_text())[name]:
         s = (row["x"], row["y"])
         cs = connection_state(space, *s)

@@ -99,7 +99,7 @@ class TestNorm:
     ])
     def test_overflowing_fiber_vector_is_rejected_without_a_warning(self, name, message):
         # the slit norm, and on single the one-sector product, overflow before the form is rejected
-        space = load_config(REPO / "configs" / f"{name}.json").build_space()
+        space = load_config(REPO / "configs" / f"{name}.json").space
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for fn in (finsler_state, finsler_norm):

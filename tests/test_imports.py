@@ -161,6 +161,31 @@ def test_metric_components_are_read_through_the_space():
         f"new readers: {sorted(readers - COMPONENT_READERS)}; listed but gone: {sorted(COMPONENT_READERS - readers)}")
 
 
+def _callers(attr, paths):
+    """Each scope ('module.function', 'module.Class.method', or 'module' at its top level)
+    of the files paths that calls an attribute named attr."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == attr:
+                callers.add(scope)
+            visit(child, scope)
+
+    for path in paths:
+        visit(ast.parse(path.read_text()), path.stem)
+    return callers
+
+
+def test_metric_fields_are_built_by_parse_config_alone():
+    """A config's metrics are parsed and symmetry-probed once, by parse_config, into the
+    space the config carries; no other function of the package or a script builds them."""
+    assert _callers("from_strings", [*MODULES, *sorted(SCRIPTS.glob("*.py"))]) == {"config.parse_config"}
+
+
 def test_the_benchmark_names_resolve_in_the_package():
     """The methods and functions perfbench/tracer.py wraps by name (METHODS and
     EXTRA_FUNCTIONS), and the expr functions perfbench/run.py calls, exist in the

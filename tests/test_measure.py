@@ -448,7 +448,7 @@ def test_oracles_match_recorded_values(name):
     # measures` points and 2 off-centre points, recorded while the oracles
     # called finsler_state and fd_fundamental_tensor once per node; the
     # report keeps only a max, which could hide a drift in one value
-    space = load_config(REPO / "configs" / f"{name}.json").build_space()
+    space = load_config(REPO / "configs" / f"{name}.json").space
     for row in json.loads((REPO / "tests" / "data" / "measure-oracles.json").read_text())[name]:
         x = np.array(row["x"])
         for w in ("one", "det"):
@@ -464,7 +464,7 @@ QUAD = {"epsabs": measure.QUAD_ABS, "epsrel": measure.QUAD_ABS, "limit": 400}  #
 def committed_points(name):
     """A committed config's space, and its box centre and (0.3, -0.2)."""
     cfg = load_config(REPO / "configs" / f"{name}.json")
-    return cfg.build_space(), [np.asarray(cfg.box_center(), dtype=float), np.array([0.3, -0.2])]
+    return cfg.space, [np.asarray(cfg.box_center(), dtype=float), np.array([0.3, -0.2])]
 
 
 def record_shapes(monkeypatch, wrap=None):

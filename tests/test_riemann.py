@@ -11,6 +11,7 @@ from multifinsler.riemann import (
     MetricField,
     NotPositiveDefiniteError,
     christoffels_and_spray,
+    spd_inverse_det,
     symmetric_polynomials,
 )
 
@@ -46,6 +47,20 @@ class TestEvaluateMetric:
         f = field("bad", [["1", "0"], ["0", "0-1"]])
         with pytest.raises(NotPositiveDefiniteError):
             f.spd_value([0.0, 0.0])
+
+    @pytest.mark.parametrize("entry", [-np.inf, np.inf, np.nan])
+    def test_a_non_finite_matrix_is_rejected_at_the_first_failing_pair(self, entry):
+        # an infinite entry makes every eigenvalue NaN, which fails no comparison, and a NaN
+        # entry can give finite eigenvalues; the later not-positive-definite pair comes second
+        a = np.array([[np.eye(2), np.eye(2)],
+                      [np.eye(2), np.diag([entry, 1.0])],
+                      [np.diag([-1.0, 1.0]), np.eye(2)]])
+        x = np.array([[0.0, 0.0], [0.5, -0.5], [1.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=re.escape("metric 'beta' is not finite at x=[0.5, -0.5] (matrix [[")):
+            spd_inverse_det(a, x, ("alpha", "beta"))
+        with pytest.raises(NotPositiveDefiniteError, match=re.escape("metric 'alpha' is not positive definite")):
+            spd_inverse_det(a[::2], x[::2], ("alpha", "beta"))
 
     @pytest.mark.parametrize("method", ["value", "derivative", "second_derivative", "spd_value"])
     def test_a_float64_point_overflows_as_a_list_does(self, method):
@@ -238,7 +253,7 @@ def _loop_reference(f: MetricField):
 def _parity_fields():
     fields = []
     for name in ("single", "bimetric", "trimetric"):
-        fields += load_config(REPO / "configs" / f"{name}.json").build_space().metrics
+        fields += load_config(REPO / "configs" / f"{name}.json").space.metrics
     xyz = ("x1", "x2", "x3")
     fields.append(field("cubic", [["2+x1^2*x3", "sin(x2)*x1", "0.1*x3"],
                                   ["sin(x2)*x1", "3+exp(x1*x2)", "x1*x2*x3"],
