@@ -22,7 +22,7 @@ from .dim2 import frame_from_state, invariants_JK
 from .finsler import finsler_state, rows_or_first_error
 from .geodesic import action_of_path, integrate_geodesic, path_to_csv, write_csv
 from .measure import busemann_hausdorff, holmes_thompson, holmes_thompson_disc_oracle
-from .suites import SUITES, run_suite
+from .suites import SUITES, SUITES_2D_ONLY, run_suite
 
 
 def _fmt_float(v: float) -> str:
@@ -133,7 +133,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
-    if args.suite in ("measures", "all") and cfg.dimension != 2:
+    if args.suite in SUITES_2D_ONLY and cfg.dimension != 2:
         raise UsageError(f"--suite {args.suite} needs a 2D config, got dimension {cfg.dimension}")
     report = run_suite(cfg, args.suite, tol_scale=args.tol_scale, seed=args.seed)
     emit(report, args.out)

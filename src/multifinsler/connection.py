@@ -216,7 +216,7 @@ def connection_state(space: MultiMetricSpace, x, y) -> ConnectionState:
     ratio = np.asarray(state.F)[..., None] / state.F_mu
 
     # P_mu[r, j] = d(F l^mu_j)/dy_r = l_r l^mu_j + (F/F_mu) h^mu_rj
-    P = np.einsum("...r,...kj->...krj", state.l, state.l_mu) + ratio[..., None, None] * state.h_mu
+    P = state.l[..., None, :, None] * state.l_mu[..., :, None, :] + ratio[..., None, None] * state.h_mu
     b = np.einsum("...krj,...kj->...r", P, G_mu)
     G = np.matvec(state.g_inv, b)
 

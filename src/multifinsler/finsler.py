@@ -78,29 +78,35 @@ class MultiMetricSpace:
         point keeps the error it raises alone.
 
         One memo per order holds the most recent x that passed: its shape and bytes,
-        the bytes of its distinct points, their data and the arrays returned.  An exact
-        repeat of x returns the same arrays; an x with the same distinct points (a tile,
-        a stencil that repeats x) spreads the stored data without evaluating again.  An
-        x that fails is not stored.
+        the bytes of its distinct points, their data, the arrays returned, and the
+        distinct points with their spread.  An exact repeat of x returns the same
+        arrays; an x with the same distinct points (a tile, a stencil that repeats x)
+        spreads the stored data without evaluating again.  A higher order at the x
+        that order 0 holds takes its distinct points without walking x again.  An x
+        that fails is not stored.
         """
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
-        memo = self._memos.get(order)  # one read, so a concurrent caller cannot swap it midway
+        # one read each, so a concurrent caller cannot swap a memo midway
+        memo, base = self._memos.get(order), self._memos.get(0)
         if memo is not None and memo[0] == key:
             return memo[3]
-        points, spread = _distinct_points(x)
-        if len(points):
-            self.metrics[0]._check_point(points[0])
-        raw = points.tobytes()
+        if base is not None and base[0] == key:
+            raw, points, spread = base[1], base[4], base[5]
+        else:
+            points, spread = _distinct_points(x, None if memo is None else memo[4])
+            if len(points):
+                self.metrics[0]._check_point(points[0])
+            raw = points.tobytes()
         if memo is not None and memo[1] == raw:
             data = memo[2]
         else:
             tables = [m.evaluator(order) for m in self.metrics]
-            done = []  # the flat arrays, point after point
+            done = []  # the flat arrays, point after point, as one list
             for xp in points.tolist():
                 for table in tables:
                     try:
-                        done.append(table(xp))
+                        done += table(xp)
                     except ExprError:
                         if order == 0:  # raises an earlier pair's SPD failure, else this error
                             for xq in points.tolist():
@@ -110,10 +116,11 @@ class MultiMetricSpace:
             data = (np.array(done).reshape((len(points), len(tables)) + (self.dim,) * (order + 2)),)
             if order == 0:
                 data += spd_inverse_det(data[0], points, [m.name for m in self.metrics])
-        values = tuple(spread(v) for v in data)
+        values = tuple(map(spread, data))
         for v in values:
             v.flags.writeable = False
-        self._memos[order] = (key, raw, data, values)
+        # the points as a copy (raw), never as a view of the caller's x
+        self._memos[order] = (key, raw, data, values, np.frombuffer(raw).reshape(points.shape), spread)
         return values
 
     def check_sample(self, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -129,24 +136,35 @@ class MultiMetricSpace:
             raise ValueError(f"fiber vector of length {y.shape[-1]}, expected {self.dim}")
         if x.shape != y.shape or y.ndim > 2:
             raise ValueError(f"x and y must both have shape (n,) or (B, n), got {x.shape} and {y.shape}")
-        for name, v in (("x", x), ("y", y)):
-            rows = v.reshape(-1, self.dim)
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():
-                raise NonFiniteSampleError(f"{name} = {rows[np.argmin(finite)].tolist()} is not finite")
-        with np.errstate(over="ignore"):  # sector_norms rejects a y whose forms overflow
-            norms = np.linalg.norm(y, axis=-1).reshape(-1)
-        if (norms < EPS_SLIT).any():
-            norm = float(norms[np.argmax(norms < EPS_SLIT)])
-            raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            for name, v in (("x", x), ("y", y)):
+                rows = v.reshape(-1, self.dim)
+                finite = np.isfinite(rows).all(axis=1)
+                if not finite.all():
+                    raise NonFiniteSampleError(f"{name} = {rows[np.argmin(finite)].tolist()} is not finite")
+        # a norm is at least its largest |y_i|, also in floating point, so a row with a
+        # component at EPS_SLIT or above is off the slit; the norms run only otherwise
+        if not (np.abs(y) >= EPS_SLIT).any(axis=-1).all():
+            with np.errstate(over="ignore"):  # sector_norms rejects a y whose forms overflow
+                norms = np.linalg.norm(y, axis=-1).reshape(-1)
+            if (norms < EPS_SLIT).any():
+                norm = float(norms[np.argmax(norms < EPS_SLIT)])
+                raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
         return x, y
 
 
-def _distinct_points(x: np.ndarray):
+def _distinct_points(x: np.ndarray, known: np.ndarray | None = None):
     """The distinct points of x (n,) or (B, n), compared bit for bit and in the
     order they first occur, and a function that spreads an array of values at
-    them, one per distinct point, back over the points of x."""
+    them, one per distinct point, back over the points of x.
+
+    If known holds one point (1, n), a tile of it is recognised by one bitwise
+    comparison of the whole array, before any walk over the rows."""
     flat = x.reshape(-1, x.shape[-1])
+    if (known is not None and len(known) == 1 and flat.shape[0] > 1 and known.shape[-1] == flat.shape[-1]
+            and (flat.view(np.uint64) == known.view(np.uint64)).all()):
+        index = np.zeros(x.shape[:-1], dtype=int)
+        return known, lambda v: v[index]
     raw, width = flat.tobytes(), flat.shape[-1] * flat.itemsize
     ids: dict[bytes, int] = {}
     rows = [ids.setdefault(raw[i:i + width], len(ids)) for i in range(0, len(raw), width)]
@@ -212,12 +230,11 @@ def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
                  + (a[..., 1, 0] * y1 * y0 + a[..., 1, 1] * y1 * y1))[..., None]
     else:
         q = np.einsum("...kij,...i,...j->...k", a_mu, y, y)
-    if (q <= 0.0).any():
+    if not ((q > 0.0) & (q < np.inf)).all():
         rows = q.reshape(-1, q.shape[-1])
-        first = rows[np.argmax((rows <= 0.0).any(axis=1))]
-        raise NotPositiveDefiniteError(f"degenerate quadratic form y' a_mu y = {first.tolist()}")
-    if not np.isfinite(q).all():
-        rows = q.reshape(-1, q.shape[-1])
+        if (q <= 0.0).any():
+            first = rows[np.argmax((rows <= 0.0).any(axis=1))]
+            raise NotPositiveDefiniteError(f"degenerate quadratic form y' a_mu y = {first.tolist()}")
         first = rows[np.argmin(np.isfinite(rows).all(axis=1))]
         raise NonFiniteSampleError(f"quadratic form y' a_mu y = {first.tolist()} is not finite")
     return np.sqrt(q)
@@ -227,8 +244,9 @@ def sector_norms(a_mu: np.ndarray, y: np.ndarray) -> np.ndarray:
 class FinslerState:
     """All pointwise data of the norm at one tangent-bundle sample.
 
-    For a batch of samples every field gains a leading batch axis (F and
-    det_g become arrays of shape (B,)).
+    l_up, h, det_g, g_inv and C are computed on first access, so the spray
+    builds only the g_inv it reads.  For a batch of samples every field gains
+    a leading batch axis (F and det_g become arrays of shape (B,)).
     """
 
     x: np.ndarray
@@ -236,15 +254,27 @@ class FinslerState:
     F: float
     F_mu: np.ndarray          # (N,)
     l: np.ndarray             # (n,) covector dF/dy
-    l_up: np.ndarray          # (n,) = y / F
     l_mu: np.ndarray          # (N, n) per-sector covectors
-    h: np.ndarray             # (n, n) angular part, g - l (x) l
     h_mu: np.ndarray          # (N, n, n)
     g: np.ndarray             # (n, n) fundamental tensor
-    det_g: float
     a_mu: np.ndarray          # (N, n, n) sector metrics at x
     a_inv: np.ndarray
     a_det: np.ndarray
+
+    @functools.cached_property
+    def l_up(self) -> np.ndarray:
+        """(n,) y / F, computed on first access."""
+        return self.y / np.asarray(self.F)[..., None]
+
+    @functools.cached_property
+    def h(self) -> np.ndarray:
+        """(n, n) angular part g - l (x) l, computed on first access."""
+        return self.g - self.l[..., :, None] * self.l[..., None, :]
+
+    @functools.cached_property
+    def det_g(self):
+        """det g, a float for one sample and (B,) for a batch, computed on first access."""
+        return _scalar(np.linalg.det(self.g))
 
     @functools.cached_property
     def g_inv(self) -> np.ndarray:
@@ -279,7 +309,7 @@ def _sym3(v: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 def finsler_state(space: MultiMetricSpace, x, y) -> FinslerState:
     """Evaluate the norm and fundamental tensor at a sample (x, y), or at a batch of
-    samples with x and y of shape (B, n); C and g_inv follow on access.
+    samples with x and y of shape (B, n); the lazy fields follow on access.
 
     A batch raises the error of its first failing sample for each check in
     turn: finiteness, slit, SPD, degenerate or non-finite sector norm.  g is
@@ -295,18 +325,9 @@ def finsler_state(space: MultiMetricSpace, x, y) -> FinslerState:
     l = l_mu.sum(axis=-2)
     h_mu = a_mu - l_mu[..., :, None] * l_mu[..., None, :]
 
-    ll = l[..., :, None] * l[..., None, :]
-    g = ll + np.einsum("...k,...kij->...ij", F_col / F_mu, h_mu)
-    det_g = np.linalg.det(g)
-    h = g - ll
-    l_up = y / F_col
-    if F.ndim == 0:
-        F, det_g = float(F), float(det_g)
-
-    return FinslerState(
-        x=x, y=y, F=F, F_mu=F_mu, l=l, l_up=l_up, l_mu=l_mu, h=h, h_mu=h_mu,
-        g=g, det_g=det_g, a_mu=a_mu, a_inv=a_inv, a_det=a_det,
-    )
+    g = l[..., :, None] * l[..., None, :] + np.einsum("...k,...kij->...ij", F_col / F_mu, h_mu)
+    return FinslerState(x=x, y=y, F=_scalar(F), F_mu=F_mu, l=l, l_mu=l_mu, h_mu=h_mu, g=g,
+                        a_mu=a_mu, a_inv=a_inv, a_det=a_det)
 
 
 def finsler_norm(space: MultiMetricSpace, x, y) -> tuple[float, np.ndarray]:
@@ -396,11 +417,16 @@ class RiemannianVerdict:
 
 def _sector_ratios(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """phi_mu = a_mu / a_1 at the pivot, the largest-magnitude component of a_1, for the
-    sector matrices a (N, n, n) at the point x."""
-    piv = np.unravel_index(np.argmax(np.abs(a[0])), a.shape[1:])
-    if abs(a[(0, *piv)]) < PIVOT_FLOOR:
-        raise NotPositiveDefiniteError(f"first metric vanishes at x={x.tolist()}")
-    return a[(slice(None), *piv)] / a[(0, *piv)]
+    sector matrices a (..., N, n, n) at the points x (..., n): (..., N).  A pivot below
+    PIVOT_FLOOR raises at the first point in C order."""
+    a1 = a[..., 0, :, :].reshape(a.shape[:-3] + (-1,))
+    piv = np.argmax(np.abs(a1), axis=-1)[..., None]
+    pivot = np.take_along_axis(a1, piv, axis=-1)
+    small = np.abs(pivot[..., 0]) < PIVOT_FLOOR
+    if small.any():
+        at = np.asarray(x)[np.unravel_index(np.argmax(small), small.shape)]
+        raise NotPositiveDefiniteError(f"first metric vanishes at x={at.tolist()}")
+    return np.take_along_axis(a.reshape(a.shape[:-2] + (-1,)), piv[..., None], axis=-1)[..., 0] / pivot
 
 
 def riemannian_detect(space: MultiMetricSpace, sample_points) -> RiemannianVerdict:
@@ -413,16 +439,18 @@ def riemannian_detect(space: MultiMetricSpace, sample_points) -> RiemannianVerdi
     and the first point, sector and component that exceed the tolerance.
     """
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    factors = np.empty((len(pts), space.n_metrics))
-    misfit, counterexample = 0.0, None
-    for p, (x, a) in enumerate(zip(pts, space.metric_values(pts)[0])):
-        factors[p] = phi = _sector_ratios(a, x)
-        for k in range(space.n_metrics):
-            scale = np.max(np.abs(a[k])) + np.max(np.abs(a[0]))
-            resid = np.abs(a[k] - phi[k] * a[0])
-            misfit = max(misfit, float(np.max(resid) / scale))
-            if counterexample is None and np.any(resid > PROPORTIONALITY_RTOL * scale):
-                i, j = np.unravel_index(np.argmax(resid), resid.shape)
-                counterexample = (k, int(i), int(j), x)
+    a = space.metric_values(pts)[0]  # (P, N, n, n)
+    factors = _sector_ratios(a, pts)
+    peak = np.max(np.abs(a), axis=(-2, -1))
+    scale = peak + peak[:, :1]
+    resid = np.abs(a - factors[..., None, None] * a[:, :1])
+    # the largest misfit, passing over a NaN as a running max() over the points would
+    misfit = float(np.fmax.reduce(np.max(resid, axis=(-2, -1)) / scale, axis=None, initial=0.0))
+    failing = (resid > (PROPORTIONALITY_RTOL * scale)[..., None, None]).any(axis=(-2, -1))
+    counterexample = None
+    if failing.any():
+        p, k = np.unravel_index(np.argmax(failing), failing.shape)
+        i, j = np.unravel_index(np.argmax(resid[p, k]), resid.shape[-2:])
+        counterexample = (int(k), int(i), int(j), pts[p])
     riemannian = counterexample is None
     return RiemannianVerdict(riemannian, factors if riemannian else None, counterexample, misfit)

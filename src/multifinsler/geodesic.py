@@ -126,7 +126,8 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
         values, failed = _by_row(rk4 if k else start, x, y)
         for i, exc in failed.items():
             errors[live[i]] = exc
-        live = np.delete(live, list(failed))
+        if failed:
+            live = np.delete(live, list(failed))
         if not len(live):
             break
         x, y, F = values
@@ -176,9 +177,12 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
         raise ValueError(f"zero-velocity segment at t={t[stop]}")
     from scipy.integrate import simpson  # here: commands that compute no action do not load scipy
 
-    sectors = np.array([float(simpson(f_mu[:, m], x=t)) for m in range(space.n_metrics)])
-    total = float(simpson(f_mu.sum(axis=1), x=t))
-    return ActionResult(total=total, sector_totals=sectors)
+    # one rule over the rows [f_1, ..., f_N, sum_mu f_mu], each contiguous, so that each
+    # row's value is the bits of a call on that row alone
+    rows = np.empty((space.n_metrics + 1, len(t)))
+    rows[:-1], rows[-1] = f_mu.T, f_mu.sum(axis=1)
+    values = simpson(rows, x=t, axis=-1)
+    return ActionResult(total=float(values[-1]), sector_totals=values[:-1])
 
 
 def write_csv(header, rows, dest) -> None:

@@ -46,6 +46,7 @@ from .measure import (
 
 TOLERANCES = {"analytic": 1e-10, "fd": 1e-6, "nested-fd": 1e-4}
 SUITES = ("identities", "measures", "geodesics", "all")
+SUITES_2D_ONLY = ("measures", "all")  # the suites that run the 2D measures
 
 # check -> (tolerance class, tolerance or None for the class's)
 CHECKS = {
@@ -286,7 +287,7 @@ def run_suite(cfg: SpaceConfig, suite: str, tol_scale: float = 1.0, seed: int | 
     """Run a named check suite and return the machine-readable report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite '{suite}'")
-    if suite in ("measures", "all") and cfg.dimension != 2:
+    if suite in SUITES_2D_ONLY and cfg.dimension != 2:
         raise ValueError("measure checks require a 2D space")
     space = cfg.space
     use_seed = cfg.sampling.seed if seed is None else seed

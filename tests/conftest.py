@@ -140,16 +140,32 @@ def record_evaluations(monkeypatch):
     return points
 
 
+def count_matrices(monkeypatch, owners, name):
+    """Replace owner.name, on each of the owners, by one wrapper of the function that
+    counts the matrices of the stack it takes first and its calls; returns the live
+    counter [matrices, calls]."""
+    original = getattr(owners[0], name)
+    counter = [0, 0]
+
+    def counted(a, *args, **kwargs):
+        counter[0] += int(np.prod(np.shape(a)[:-2]))
+        counter[1] += 1
+        return original(a, *args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return counter
+
+
 def count_spd_validations(monkeypatch):
     """Count the metric matrices that go through the SPD check (`spd_inverse_det`,
-    which both `MetricField.spd_value` and `metric_values` call); returns the counter."""
-    original = riemann_module.spd_inverse_det
-    matrices = [0]
+    which both `MetricField.spd_value` and `metric_values` call); returns the counter,
+    whose first entry is the matrix count."""
+    return count_matrices(monkeypatch, (riemann_module, finsler_module), "spd_inverse_det")
 
-    def counted(a, x, names):
-        matrices[0] += int(np.prod(np.shape(a)[:-2]))
-        return original(a, x, names)
 
-    for module in (riemann_module, finsler_module):
-        monkeypatch.setattr(module, "spd_inverse_det", counted)
-    return matrices
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """{name: [matrices, calls]} of `np.linalg.eigvalsh`, `inv` and `det`, counted from
+    the moment the fixture is set up."""
+    return {name: count_matrices(monkeypatch, (np.linalg,), name) for name in ("eigvalsh", "inv", "det")}

@@ -152,6 +152,55 @@ def test_connection_state_validates_each_metric_once(monkeypatch, n_metrics):
         assert np.array_equal(cs.N_mu[k], n_k)
 
 
+class TestRk4Stage:
+    """An RK4 stage, connection_state(...).G at a batch of rays, builds only what G reads."""
+
+    @staticmethod
+    def rays(seed):
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 4)
+        return rng.uniform(-0.5, 0.5, (4, 2)), np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+    def test_the_spray_leaves_the_fields_it_does_not_read_unbuilt(self, bi_x):
+        x, y = self.rays(31)
+        cs = connection_state(bi_x, x, y)
+        assert cs.G.shape == (4, 2)
+        assert {"det_g", "h", "l_up", "C"}.isdisjoint(vars(cs.state))
+        assert {"N", "dN_mu"}.isdisjoint(vars(cs))
+        # on access, the expressions finsler_state evaluated eagerly, bit for bit
+        st = cs.state
+        ll = st.l[..., :, None] * st.l[..., None, :]
+        assert np.array_equal(st.h, st.g - ll)
+        assert np.array_equal(st.det_g, np.linalg.det(st.g))
+        assert np.array_equal(st.l_up, y / st.F_mu.sum(axis=-1, keepdims=True))
+        one = finsler_state(bi_x, x[1], y[1])
+        assert type(one.det_g) is float and one.det_g == float(np.linalg.det(one.g))
+
+    def test_a_stage_makes_one_call_of_each_decomposition(self, bi_x, linalg_calls):
+        # eigvalsh, inv and det validate the sector matrices at the new points; the one
+        # other call is inv(g) for G = g^-1 b.  det g is not built.
+        x, y = self.rays(32)
+        connection_state(bi_x, x, y).G
+        n = bi_x.n_metrics
+        assert linalg_calls == {"eigvalsh": [4 * n, 1], "inv": [4 * n + 4, 2], "det": [4 * n, 1]}
+
+    def test_an_rk4_step_walks_each_new_point_once(self, monkeypatch):
+        # a fresh space, so no memo holds a point; each step walks the x of stages 2-4
+        # and of its end point once, and stage 1 and the derivatives reuse a walk
+        sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
+        original, walked = finsler._distinct_points, []
+
+        def recorded(x, *args):
+            walked.append(x.tobytes())
+            return original(x, *args)
+
+        monkeypatch.setattr(finsler, "_distinct_points", recorded)
+        _, y = self.rays(33)
+        fan = integrate_geodesic(sp, np.array([0.1, -0.2]), y, 2e-3, 1e-3)
+        assert len(fan.t) == 3 and fan.errors == (None,) * 4
+        assert len(walked) == 1 + 2 * 4 and len(set(walked)) == len(walked)
+
+
 class TestNonlinearConnection:
     def test_constant_metrics_vanish(self, bi_const):
         assert np.max(np.abs(connection_state(bi_const, *S).N)) < 1e-14

@@ -52,6 +52,19 @@ class TestNorm:
         with pytest.raises(SlitViolationError):
             finsler_norm(bi_const, [0.0, 0.0], [0.0, 1e-12])
 
+    @pytest.mark.parametrize("y", [[1e-8, 0.0], [0.0, -1e-8], [7.5e-9, 7.5e-9], [6e-9, -6e-9],
+                                   [np.nextafter(1e-8, 0.0), 0.0], [1e-300, 0.0]])
+    def test_the_slit_is_where_the_norm_is_below_eps(self, bi_const, y):
+        # the test by components decides a row with a component at EPS_SLIT or above; the
+        # others, here [7.5e-9, 7.5e-9] with its norm 1.06e-8, are decided by the norm
+        on_slit = np.linalg.norm(y) < finsler_mod.EPS_SLIT
+        for x_b, y_b in (([0.0, 0.0], y), (np.zeros((3, 2)), [[0.6, 0.8], y, [1.0, 0.0]])):
+            if on_slit:
+                with pytest.raises(SlitViolationError, match=re.escape(f"|y| = {np.linalg.norm(y):.3e} below")):
+                    bi_const.check_sample(x_b, y_b)
+            else:
+                assert np.array_equal(bi_const.check_sample(x_b, y_b)[1], y_b)
+
     def test_first_slit_row_of_a_batch_raises_its_own_message(self, bi_const):
         x = np.zeros((4, 2))
         y = np.array([[1.0, 0.0], [0.6, 0.8], [3e-9, 4e-9], [0.0, 1e-12]])
@@ -273,6 +286,23 @@ class TestPointwiseEvaluation:
         assert sum(map(len, evaluations.values())) == sp.n_metrics
         sp.metric_values(np.vstack([np.tile(x, (20, 1)), [[0.3, np.nextafter(-0.5, 0.0)]]]))
         assert sum(map(len, evaluations.values())) == 3 * sp.n_metrics
+
+    def test_a_tile_of_the_remembered_point_is_recognised_without_a_walk(self):
+        # the measure oracles tile one x over 21, 42 and 441 fiber vectors; a tile of the one
+        # point the memo holds comes back as the memo's own points, found by one comparison
+        sp = space_of(field("alpha", [["2+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
+        x = np.array([0.0, -0.5])
+        single = sp.metric_values(x)
+        known = sp._memos[0][4]
+        for rows in (2, 21, 441):
+            points, spread = finsler_mod._distinct_points(np.tile(x, (rows, 1)), known)
+            assert points is known
+            assert np.array_equal(spread(single[0][None]), np.tile(single[0], (rows, 1, 1, 1)))
+        # one ulp off, or -0.0 for 0.0, is another point, found by the walk
+        for near in ([0.0, np.nextafter(-0.5, 0.0)], [-0.0, -0.5]):
+            points, spread = finsler_mod._distinct_points(np.vstack([np.tile(x, (20, 1)), [near]]), known)
+            assert points is not known and points.tobytes() == np.array([x, near]).tobytes()
+            assert spread(np.arange(2.0)).tolist() == [0.0] * 20 + [1.0]
 
     def test_a_batch_with_the_same_distinct_points_is_spread_from_the_memo(self, monkeypatch):
         # the FD stencils of the oracles repeat the rows of the x before them
@@ -505,6 +535,60 @@ class TestRiemannianDetect:
         assert verdict.counterexample[3].tolist() == [0.1, 0.0]
         assert verdict.misfit == pytest.approx(0.5 / 2.5, rel=1e-14)
         assert riemannian_detect(sp, [[0.0, 0.3]]).misfit == 0.0
+
+    @staticmethod
+    def point_by_point(space, sample_points):
+        """The verdict as a loop over the points and sectors finds it: the first failing
+        pivot raises, the first point, then sector, that exceeds the tolerance is the
+        counterexample at the argmax component, and the misfit is a running max()."""
+        pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+        factors = np.empty((len(pts), space.n_metrics))
+        misfit, counterexample = 0.0, None
+        for p, (x, a) in enumerate(zip(pts, space.metric_values(pts)[0])):
+            piv = np.unravel_index(np.argmax(np.abs(a[0])), a.shape[1:])
+            if abs(a[(0, *piv)]) < finsler_mod.PIVOT_FLOOR:
+                raise NotPositiveDefiniteError(f"first metric vanishes at x={x.tolist()}")
+            factors[p] = phi = a[(slice(None), *piv)] / a[(0, *piv)]
+            for k in range(space.n_metrics):
+                scale = np.max(np.abs(a[k])) + np.max(np.abs(a[0]))
+                resid = np.abs(a[k] - phi[k] * a[0])
+                misfit = max(misfit, float(np.max(resid) / scale))
+                if counterexample is None and np.any(resid > finsler_mod.PROPORTIONALITY_RTOL * scale):
+                    i, j = np.unravel_index(np.argmax(resid), resid.shape)
+                    counterexample = (k, int(i), int(j), x)
+        riemannian = counterexample is None
+        return riemannian, (factors if riemannian else None), counterexample, misfit
+
+    @pytest.mark.parametrize("points", [
+        # proportional at the first two points (x2 = 0); gamma fails first at the third
+        [[0.1, 0.0], [-0.6, 0.0], [0.2, 0.4], [0.3, -0.5], [0.7, 0.0]],
+        # proportional everywhere sampled
+        [[0.1, 0.0], [-0.6, 0.0], [0.7, 0.0]],
+    ])
+    def test_the_verdict_is_the_point_by_point_loop_s(self, points):
+        sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["1+x1^2", "0"], ["0", "1+x1^2"]]),
+                      field("gamma", [["2-x1", "0.3*x2"], ["0.3*x2", "2-x1+x2^2"]]))
+        verdict = riemannian_detect(sp, points)
+        riemannian, factors, counterexample, misfit = self.point_by_point(sp, points)
+        assert verdict.riemannian == riemannian == (len(points) == 3)
+        assert np.float64(verdict.misfit).tobytes() == np.float64(misfit).tobytes()
+        if riemannian:
+            assert verdict.factors.tobytes() == factors.tobytes() and verdict.counterexample is None
+        else:
+            assert verdict.factors is None
+            assert verdict.counterexample[:3] == counterexample[:3] == (2, 1, 1)
+            assert verdict.counterexample[3].tolist() == counterexample[3].tolist() == points[2]
+            assert all(type(v) is int for v in verdict.counterexample[:3])
+
+    def test_the_first_vanishing_pivot_raises_as_the_loop_s(self):
+        sp = space_of(field("alpha", [["x1^2", "0"], ["0", "x1^2"]]), const_field("beta", np.eye(2)))
+        # the pivot check is ahead of SPD only where a_1 is SPD but tiny: 1e-13 I passes the ratio
+        points = [[1.0, 0.0], [3e-7, 0.0], [2e-7, 0.0]]
+        with pytest.raises(NotPositiveDefiniteError) as loop:
+            self.point_by_point(sp, points)
+        with pytest.raises(NotPositiveDefiniteError) as batch:
+            riemannian_detect(sp, points)
+        assert str(batch.value) == str(loop.value) == "first metric vanishes at x=[3e-07, 0.0]"
 
     def test_riemannian_implies_cartan_vanishes(self, prop_space):
         rng = np.random.default_rng(8)

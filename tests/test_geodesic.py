@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import multifinsler.geodesic as geodesic
 
-from multifinsler.finsler import SAMPLE_ERRORS, NonFiniteSampleError, SlitViolationError
+from multifinsler.finsler import SAMPLE_ERRORS, NonFiniteSampleError, SlitViolationError, finsler_norm
 from multifinsler.riemann import NotPositiveDefiniteError
 from multifinsler.geodesic import (
     GeodesicPath,
@@ -320,6 +320,28 @@ class TestAction:
         xs = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             action_of_path(bi_const, ts, xs, ys=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("samples", [1001, 1000])
+    @pytest.mark.parametrize("n_metrics", [1, 2, 3])
+    def test_one_simpson_rule_has_the_bits_of_one_per_sector(self, monkeypatch, n_metrics, samples):
+        from scipy import integrate
+
+        sp = space_of(*[
+            field("alpha", [["1+x2^2", "0"], ["0", "1"]]),
+            field("beta", [["4", "0"], ["0", "1+x1^2"]]),
+            field("gamma", [["2+x2^2", "0.3"], ["0.3", "3"]]),
+        ][:n_metrics])
+        t = np.linspace(0.0, 1.0, samples)
+        xs = 0.4 * np.stack([np.sin(2.0 * t), np.cos(3.0 * t)], axis=1)
+        ys = 0.4 * np.stack([2.0 * np.cos(2.0 * t), -3.0 * np.sin(3.0 * t)], axis=1)
+        f_mu = finsler_norm(sp, xs, ys)[1]
+        sectors = np.array([float(integrate.simpson(f_mu[:, m], x=t)) for m in range(n_metrics)])
+        total = float(integrate.simpson(f_mu.sum(axis=1), x=t))
+        calls = count_calls(monkeypatch, integrate, "simpson")
+        act = action_of_path(sp, t, xs, ys)
+        assert calls[0] == 1
+        assert act.sector_totals.tobytes() == sectors.tobytes()
+        assert np.float64(act.total).tobytes() == np.float64(total).tobytes()
 
     def test_samples_are_evaluated_in_one_call(self, monkeypatch, bi_x):
         p = integrate_geodesic(bi_x, [0.1, 0.1], [1.0, 0.3], 0.1, 0.01)
