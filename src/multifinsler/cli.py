@@ -125,14 +125,12 @@ def emit(obj, dest) -> None:
         Path(dest).write_text(text)
 
 
-def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_validate(cfg, args) -> int:
     emit({"valid": True, "config": cfg.to_dict()}, args.out)
     return 0
 
 
-def _cmd_check(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_check(cfg, args) -> int:
     if args.suite in SUITES_2D_ONLY and cfg.dimension != 2:
         raise UsageError(f"--suite {args.suite} needs a 2D config, got dimension {cfg.dimension}")
     report = run_suite(cfg, args.suite, tol_scale=args.tol_scale, seed=args.seed)
@@ -140,8 +138,7 @@ def _cmd_check(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _cmd_measure(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_measure(cfg, args) -> int:
     if cfg.dimension != 2:
         raise UsageError(f"measure needs a 2D config, got dimension {cfg.dimension}")
     x = cfg.box_center() if args.at is None else parse_point(args.at, "--at", cfg.dimension)
@@ -169,8 +166,7 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _cmd_geodesic(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_geodesic(cfg, args) -> int:
     x0 = cfg.box_center() if args.x0 is None else parse_point(args.x0, "--x0", cfg.dimension)
     if args.y0 is None:
         y0 = np.zeros(cfg.dimension)
@@ -194,8 +190,7 @@ def _cmd_geodesic(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_sample(cfg, args) -> int:
     lo = np.array([b[0] for b in cfg.sampling.box])
     hi = np.array([b[1] for b in cfg.sampling.box])
     grid = [np.linspace(lo[i], hi[i], args.grid) for i in range(cfg.dimension)]
@@ -276,7 +271,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ from .finsler import (
     _fd_hessian,
     _sym3,
     finsler_state,
+    row_norm,
     rows_or_first_error,
     sector_norms,
 )
@@ -32,6 +33,21 @@ from .riemann import _christoffel
 
 FD_STEP = 1e-5
 MIXED_FD_STEP = 1e-4
+
+
+def fd_step(v: np.ndarray, base=FD_STEP):
+    """The central-difference step base * (1 + |v|) at each row of v (..., n), |v| by
+    row_norm; the dtype follows base, so a long double base gives long double steps."""
+    return base * (1.0 + row_norm(v))
+
+
+def _stencil(v: np.ndarray, steps) -> np.ndarray:
+    """[..., i, 0, :] = v + steps_i e_i and [..., i, 1, :] = v - steps_i e_i for each
+    coordinate i of v (..., n), with one step per coordinate (..., n), in the dtype of v."""
+    n = v.shape[-1]
+    e = np.zeros(v.shape + (n,), dtype=v.dtype)
+    e[..., range(n), range(n)] = steps
+    return np.stack([v[..., None, :] + e, v[..., None, :] - e], axis=-2)
 
 
 def central_difference(f, v: np.ndarray, h, at=None) -> np.ndarray:
@@ -50,9 +66,7 @@ def central_difference(f, v: np.ndarray, h, at=None) -> np.ndarray:
     n = v.shape[-1]
     h = np.asarray(h)
     steps = np.broadcast_to(h if h.shape == v.shape else h[..., None], v.shape)
-    e = np.zeros(v.shape + (n,), dtype=v.dtype)
-    e[..., range(n), range(n)] = steps
-    shifted = np.stack([v[..., None, :] + e, v[..., None, :] - e], axis=-2)  # (..., n, 2, n)
+    shifted = _stencil(v, steps)  # (..., n, 2, n)
     if at is None:
         out = rows_or_first_error(f, shifted.reshape(-1, n))
     else:
@@ -244,18 +258,11 @@ def _variational_spray_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarra
     space.check_sample(x, y)
     n = x.shape[-1]
     ld = np.longdouble
-    # steps with the bits of np.linalg.norm of one row
-    hy = ld(MIXED_FD_STEP) * (1.0 + np.sqrt(np.vecdot(y, y)))
-    hx = ld(MIXED_FD_STEP) * (1.0 + np.sqrt(np.vecdot(x, x)))
+    hy, hx = fd_step(y, ld(MIXED_FD_STEP)), fd_step(x, ld(MIXED_FD_STEP))
     g_inv = np.linalg.inv(_fd_hessian(space, x, y))
 
-    def shifted(v, h):
-        """[b, k, s] = v_b + h_b e_k (s = 0) and v_b - h_b e_k (s = 1), in long double."""
-        e = np.eye(n, dtype=ld) * h[:, None, None]
-        v = v.astype(ld)[:, None, :]
-        return np.stack([v + e, v - e], axis=2)
-
-    xs, ys = shifted(x, hx), shifted(y, hy)
+    # the stencils [b, k, s] of x and y in long double
+    xs, ys = _stencil(x.astype(ld), hx[:, None]), _stencil(y.astype(ld), hy[:, None])
     # the sector matrices at each stencil x, in the order a single sample meets them; the
     # points x +- h e_k of one sample are distinct, so each is evaluated once
     a = np.array([[m.value(xx) for m in space.metrics] for xx in xs.reshape(-1, n)]).astype(ld)
@@ -282,8 +289,7 @@ def nonlinear_connection_fd(space: MultiMetricSpace, x, y) -> np.ndarray:
     """Oracle N = (1/2) dG/dy by central differences of the factorized spray, at a
     sample (x, y) or at a batch of samples, each with its own step."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    h = FD_STEP * np.sqrt(np.vecdot(y, y))  # the bits of np.linalg.norm of one point
-    dG = central_difference(lambda xs, ys: connection_state(space, xs, ys).G, y, h, at=x)
+    dG = central_difference(lambda xs, ys: connection_state(space, xs, ys).G, y, FD_STEP * row_norm(y), at=x)
     return 0.5 * np.swapaxes(dG, -1, -2)
 
 
@@ -371,10 +377,8 @@ def _pair_cubic_tensor(space: MultiMetricSpace, x, y, mu: int, nu: int) -> np.nd
 def _pair_cubic_residual(space, state, cs, chern_y, mu, nu) -> float:
     """Max-abs of the horizontal spray derivative of the pair cubic tensor."""
     x, y = state.x, state.y
-    hx = FD_STEP * (1.0 + float(np.linalg.norm(x)))
-    hy = FD_STEP * (1.0 + float(np.linalg.norm(y)))
-    dx = central_difference(lambda ys, xs: _pair_cubic_tensor(space, xs, ys, mu, nu), x, hx, at=y)
-    dy = central_difference(lambda xs, ys: _pair_cubic_tensor(space, xs, ys, mu, nu), y, hy, at=x)
+    dx = central_difference(lambda ys, xs: _pair_cubic_tensor(space, xs, ys, mu, nu), x, fd_step(x), at=y)
+    dy = central_difference(lambda xs, ys: _pair_cubic_tensor(space, xs, ys, mu, nu), y, fd_step(y), at=x)
     acc = np.einsum("s,s...->...", y, dx) - np.einsum("a,a...->...", cs.G, dy)
 
     t0 = _pair_cubic_tensor(space, x, y, mu, nu)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connection import FD_STEP, ConnectionState, central_difference, connection_state
+from .connection import ConnectionState, central_difference, connection_state, fd_step
 from .finsler import (
     FinslerState,
     MultiMetricSpace,
@@ -93,8 +93,7 @@ def invariant_I_oracle(space: MultiMetricSpace, fr: Frame2D) -> float | np.ndarr
     differences of the assembled determinant.
     """
     x, y = fr.state.x, fr.state.y
-    h = FD_STEP * (1.0 + np.sqrt(np.vecdot(y, y)))  # the bits of np.linalg.norm of one point
-    grad = central_difference(lambda xs, ys: finsler_state(space, xs, ys).det_g, y, h, at=x)
+    grad = central_difference(lambda xs, ys: finsler_state(space, xs, ys).det_g, y, fd_step(y), at=x)
     scale = np.asarray(fr.state.F / (2.0 * fr.state.det_g))[..., None]
     return _scalar(np.vecdot(scale * fr.m_up, grad))
 
@@ -106,9 +105,8 @@ def _horizontal_derivative(cs: ConnectionState, field: Callable) -> tuple[np.nda
     results are (..., 2) or (..., 2, k)."""
     x, y = cs.state.x, cs.state.y
     n = x.shape[-1]
-    hx = FD_STEP * (1.0 + np.sqrt(np.vecdot(x, x)))  # the bits of np.linalg.norm of one point
-    hy = FD_STEP * (1.0 + np.sqrt(np.vecdot(y, y)))
-    steps = np.repeat(np.stack([hx, hy], axis=-1), n, axis=-1)  # hx for each x_i, then hy for each y_i
+    # the x step for each x_i, then the y step for each y_i
+    steps = np.repeat(np.stack([fd_step(x), fd_step(y)], axis=-1), n, axis=-1)
     d = central_difference(lambda v: field(v[:, :n].copy(), v[:, n:].copy()), np.concatenate([x, y], axis=-1), steps)
     dx, dy = np.split(d, 2, axis=x.ndim - 1)
     if dy.ndim == x.ndim:
@@ -376,8 +374,8 @@ def cartan_structure_residuals(space: MultiMetricSpace, cs: ConnectionState) -> 
         f_mu = sector_norms(a_mu.reshape((-1,) + a_shape), ys)
         return np.log(f_mu.sum(axis=-1, keepdims=True) / f_mu)
 
-    hy = FD_STEP * (1.0 + np.sqrt(np.vecdot(st.y, st.y)))  # the bits of np.linalg.norm of one point
-    rhs = central_difference(log_ratios, st.y, hy, at=st.a_mu.reshape(st.a_mu.shape[:-3] + (-1,)))  # [..., i, nu]
+    a_rows = st.a_mu.reshape(st.a_mu.shape[:-3] + (-1,))
+    rhs = central_difference(log_ratios, st.y, fd_step(st.y), at=a_rows)  # [..., i, nu]
     a_rel = []
     for nu in range(space.n_metrics):
         lhs_vec = (fr.cross[..., :, nu].sum(axis=-1) / F_mu[..., nu])[..., None] * fr.m

@@ -51,8 +51,6 @@ class DimensionMismatchError(ExprError):
     """Coordinate vector length does not match the declared dimension."""
 
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh")
-
 # Precedence levels used by the pretty printer.
 _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
 
@@ -196,15 +194,18 @@ class Pow(ScalarExpr):
         return f"{_wrap(self.base, _ATOM)}^{self.exponent!r}", _POW
 
 
-_FN_EVAL: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "tanh": math.tanh,
+# The unary functions: name -> (evaluation, derivative rule d f(u) from u and du).  The
+# rules run only when a tree is differentiated, after the constructors below exist.
+_FUNCTIONS: dict[str, tuple[Callable[[float], float], Callable[[ScalarExpr, ScalarExpr], ScalarExpr]]] = {
+    "sin": (math.sin, lambda u, du: mul(Call("cos", u), du)),
+    "cos": (math.cos, lambda u, du: mul(neg(Call("sin", u)), du)),
+    "tan": (math.tan, lambda u, du: div(du, power(Call("cos", u), 2.0))),
+    "exp": (math.exp, lambda u, du: mul(Call("exp", u), du)),
+    "log": (math.log, lambda u, du: div(du, u)),
+    "sqrt": (math.sqrt, lambda u, du: div(du, mul(Const(2.0), Call("sqrt", u)))),
+    "tanh": (math.tanh, lambda u, du: mul(sub(Const(1.0), power(Call("tanh", u), 2.0)), du)),
 }
+FUNCTIONS = tuple(_FUNCTIONS)
 
 
 def _fn_value(name: str, v: float, node: ScalarExpr) -> float:
@@ -213,7 +214,7 @@ def _fn_value(name: str, v: float, node: ScalarExpr) -> float:
     if name == "sqrt" and v < 0.0:
         raise EvalDomainError("sqrt of a negative value", node)
     try:
-        out = _FN_EVAL[name](v)
+        out = _FUNCTIONS[name][0](v)
     except (ValueError, OverflowError):
         raise EvalDomainError(f"{name} out of domain", node) from None
     return _finite(out, node)
@@ -225,22 +226,7 @@ class Call(ScalarExpr):
     arg: ScalarExpr
 
     def diff(self, coord):
-        u, du = self.arg, self.arg.diff(coord)
-        if self.name == "sin":
-            return mul(Call("cos", u), du)
-        if self.name == "cos":
-            return mul(neg(Call("sin", u)), du)
-        if self.name == "tan":
-            return div(du, power(Call("cos", u), 2.0))
-        if self.name == "exp":
-            return mul(Call("exp", u), du)
-        if self.name == "log":
-            return div(du, u)
-        if self.name == "sqrt":
-            return div(du, mul(Const(2.0), Call("sqrt", u)))
-        if self.name == "tanh":
-            return mul(sub(Const(1.0), power(Call("tanh", u), 2.0)), du)
-        raise ExprError(f"no derivative rule for '{self.name}'")
+        return _FUNCTIONS[self.name][1](self.arg, self.arg.diff(coord))
 
     def _text(self):
         return f"{self.name}({self.arg})", _ATOM

@@ -146,11 +146,18 @@ class MultiMetricSpace:
         # component at EPS_SLIT or above is off the slit; the norms run only otherwise
         if not (np.abs(y) >= EPS_SLIT).any(axis=-1).all():
             with np.errstate(over="ignore"):  # sector_norms rejects a y whose forms overflow
-                norms = np.linalg.norm(y, axis=-1).reshape(-1)
+                norms = row_norm(y).reshape(-1)
             if (norms < EPS_SLIT).any():
                 norm = float(norms[np.argmax(norms < EPS_SLIT)])
                 raise SlitViolationError(f"|y| = {norm:.3e} below slit tolerance {EPS_SLIT:.3e}")
         return x, y
+
+
+def row_norm(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm |v| of each row of v (..., n), each row of a batch with the
+    bits it has alone.  The package's one |v|: a fiber vector y is on the slit where
+    |y| < EPS_SLIT, and every finite-difference step is sized by it."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _distinct_points(x: np.ndarray, known: np.ndarray | None = None):
@@ -360,8 +367,8 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
 def _fd_hessian(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fd_fundamental_tensor at the rows of x and y (B, n): (B, n, n)."""
     n = y.shape[-1]
-    # the bits of np.linalg.norm of one row; a long double squares as exactly in an array
-    h = (HESSIAN_REL_STEP * np.sqrt(np.vecdot(y, y))).astype(np.longdouble)
+    # a long double squares as exactly in an array
+    h = (HESSIAN_REL_STEP * row_norm(y)).astype(np.longdouble)
     h2 = np.square(h)
     a_ld = space.metric_values(x)[0].astype(np.longdouble)
 

@@ -22,6 +22,7 @@ from .finsler import (
     SAMPLE_ERRORS,
     MultiMetricSpace,
     finsler_norm,
+    row_norm,
     rows_or_first_error,
 )
 
@@ -167,10 +168,11 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
     else:
         v = np.gradient(xs, t, axis=0, edge_order=2 if len(t) > 2 else 1)
 
-    # every sample before the first zero velocity is evaluated, in one call,
-    # so a failing earlier sample raises first, as in sample order
-    slow = [float(np.linalg.norm(vk)) < EPS_SLIT for vk in v]
-    stop = slow.index(True) if any(slow) else len(t)
+    # every sample before the first zero velocity, |v| < EPS_SLIT as on the slit of
+    # check_sample, is evaluated, in one call, so a failing earlier sample raises first,
+    # as in sample order
+    slow = row_norm(v) < EPS_SLIT
+    stop = int(np.argmax(slow)) if slow.any() else len(t)
     if stop:
         f_mu = rows_or_first_error(lambda x, y: finsler_norm(space, x, y)[1], xs[:stop], v[:stop])
     if stop < len(t):

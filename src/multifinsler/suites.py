@@ -30,6 +30,7 @@ from .finsler import (
     finsler_norm,
     finsler_state,
     riemannian_detect,
+    row_norm,
     rows_or_first_error,
 )
 from .geodesic import action_of_path, integrate_geodesic
@@ -112,7 +113,7 @@ def draw_samples(cfg: SpaceConfig, rng: np.random.Generator, count: int) -> tupl
     for _ in range(count):
         xs.append(lo + (hi - lo) * rng.random(cfg.dimension))
         y = rng.normal(size=cfg.dimension)
-        ys.append(y / np.linalg.norm(y))
+        ys.append(y / row_norm(y))
     return np.array(xs), np.array(ys)
 
 

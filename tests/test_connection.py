@@ -8,10 +8,13 @@ import pytest
 import multifinsler.finsler as finsler
 from multifinsler.config import load_config
 from multifinsler.connection import (
+    FD_STEP,
+    MIXED_FD_STEP,
     cartan_y_derivative,
     central_difference,
     chern_connection,
     connection_state,
+    fd_step,
     horizontal_compatibility_residual,
     landsberg_berwald,
     nonlinear_connection_fd,
@@ -84,6 +87,13 @@ class TestSpray:
 
 
 class TestCentralDifference:
+    def test_the_step_is_base_times_one_plus_the_row_norm(self):
+        v = np.array([[3.0, 4.0], [0.0, 0.0], [-1.0, 0.0]])
+        assert np.array_equal(fd_step(v), FD_STEP * (1.0 + np.array([5.0, 0.0, 1.0])))
+        assert fd_step(v[0]) == FD_STEP * 6.0
+        wide = fd_step(v, np.longdouble(MIXED_FD_STEP))
+        assert wide.dtype == np.longdouble and np.array_equal(wide, np.longdouble(MIXED_FD_STEP) * np.array([6.0, 1.0, 2.0]))
+
     def test_rows_of_a_batch_take_their_own_steps(self):
         v = np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
         h = np.array([1e-3, 2e-3, 5e-4])

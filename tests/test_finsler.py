@@ -19,6 +19,7 @@ from multifinsler.finsler import (
     finsler_norm,
     finsler_state,
     riemannian_detect,
+    row_norm,
     rows_or_first_error,
     sector_norms,
 )
@@ -64,6 +65,16 @@ class TestNorm:
                     bi_const.check_sample(x_b, y_b)
             else:
                 assert np.array_equal(bi_const.check_sample(x_b, y_b)[1], y_b)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_row_norm_gives_each_row_of_a_batch_its_bits_alone(self, n):
+        # numpy's norm over an axis rounds about one row in twelve apart from the norm of
+        # that row alone; row_norm does not
+        v = np.random.default_rng(n).normal(size=(500, n))
+        alone = np.array([np.linalg.norm(row) for row in v])
+        assert row_norm(v).tobytes() == alone.tobytes()
+        assert row_norm(v.reshape(5, 100, n)).tobytes() == alone.tobytes()
+        assert not np.array_equal(np.linalg.norm(v, axis=-1), alone)
 
     def test_first_slit_row_of_a_batch_raises_its_own_message(self, bi_const):
         x = np.zeros((4, 2))

@@ -1,15 +1,18 @@
+import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multifinsler.geodesic as geodesic
 
-from multifinsler.finsler import SAMPLE_ERRORS, NonFiniteSampleError, SlitViolationError, finsler_norm
+from multifinsler.config import load_config
+from multifinsler.finsler import EPS_SLIT, SAMPLE_ERRORS, NonFiniteSampleError, SlitViolationError, finsler_norm
 from multifinsler.riemann import NotPositiveDefiniteError
 from multifinsler.geodesic import (
     GeodesicPath,
@@ -360,6 +363,48 @@ class TestAction:
             action_of_path(sp, ts, xs, ys)
         with pytest.raises(ValueError, match="zero-velocity segment at t=2.0"):
             action_of_path(sp, ts, np.zeros((4, 2)), ys)
+
+
+@pytest.fixture(scope="module")
+def bimetric():
+    return load_config(Path(__file__).resolve().parents[1] / "configs" / "bimetric.json").space
+
+
+# Fiber vectors at (0.1, 0.2) of configs/bimetric.json whose |y| is within an ulp of EPS_SLIT,
+# where numpy's norm over an axis and the norm of one row round apart: the first is on the
+# slit by the norm of one row, the second off it
+BELOW_EPS = (4.854268277352063e-10, -9.988211090826771e-09)
+ABOVE_EPS = (5.1689748651051535e-09, 8.560473050241508e-09)
+
+
+def _slit_rules_agree(space, y) -> bool:
+    """Whether check_sample puts y on the slit at (0.1, 0.2), after checking that
+    action_of_path over the velocities (1, 0) then y there reports a zero velocity
+    exactly then, and evaluates y otherwise."""
+    x = np.array([0.1, 0.2])
+    try:
+        space.check_sample(x, y)
+    except SlitViolationError:
+        with pytest.raises(ValueError, match=re.escape("zero-velocity segment at t=1.0")):
+            action_of_path(space, [0.0, 1.0], [x, x], [[1.0, 0.0], y])
+        return True
+    assert action_of_path(space, [0.0, 1.0], [x, x], [[1.0, 0.0], y]).total > 0.0
+    return False
+
+
+class TestSlitRule:
+    @pytest.mark.parametrize("y, on_slit", [(BELOW_EPS, True), (ABOVE_EPS, False)])
+    def test_a_row_within_an_ulp_of_eps_is_decided_once(self, bimetric, y, on_slit):
+        assert _slit_rules_agree(bimetric, y) == on_slit
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(y=st.builds(lambda theta, k: EPS_SLIT * (1.0 + k * 2.0 ** -52) * np.array([math.cos(theta), math.sin(theta)]),
+                       st.floats(0.0, 2.0 * math.pi), st.integers(-4, 4)))
+    @example(y=BELOW_EPS)
+    @example(y=ABOVE_EPS)
+    def test_check_sample_and_the_action_share_the_slit(self, bimetric, y):
+        # |y| = EPS_SLIT (1 + k 2^-52), where the rounding of |y| decides the slit
+        _slit_rules_agree(bimetric, y)
 
 
 class TestExport:

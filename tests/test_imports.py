@@ -161,29 +161,77 @@ def test_metric_components_are_read_through_the_space():
         f"new readers: {sorted(readers - COMPONENT_READERS)}; listed but gone: {sorted(COMPONENT_READERS - readers)}")
 
 
-def _callers(attr, paths):
+def _scopes(match, paths):
     """Each scope ('module.function', 'module.Class.method', or 'module' at its top level)
-    of the files paths that calls an attribute named attr."""
-    callers = set()
+    of the files paths that holds a node for which match is true."""
+    scopes = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == attr:
-                callers.add(scope)
+            if match(child):
+                scopes.add(scope)
             visit(child, scope)
 
     for path in paths:
         visit(ast.parse(path.read_text()), path.stem)
-    return callers
+    return scopes
+
+
+def _callers(attr, paths):
+    """Each scope of the files paths that calls an attribute named attr."""
+    return _scopes(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == attr,
+                   paths)
 
 
 def test_metric_fields_are_built_by_parse_config_alone():
     """A config's metrics are parsed and symmetry-probed once, by parse_config, into the
     space the config carries; no other function of the package or a script builds them."""
     assert _callers("from_strings", [*MODULES, *sorted(SCRIPTS.glob("*.py"))]) == {"config.parse_config"}
+
+
+def test_the_norm_of_a_vector_is_written_once():
+    """|v| comes from finsler.row_norm alone: no module calls numpy's norm, and only
+    row_norm takes a dot product of a vector with itself."""
+    norm_calls = {f"{path.stem}: {line.strip()}" for path in MODULES for line in path.read_text().splitlines()
+                  if "linalg.norm" in line}
+    assert not norm_calls, f"numpy norms outside row_norm: {sorted(norm_calls)}"
+
+    def self_dot(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ("vecdot", "dot", "vdot", "inner") and len(n.args) == 2
+                and ast.dump(n.args[0]) == ast.dump(n.args[1]))
+
+    assert _scopes(self_dot, MODULES) == {"finsler.row_norm"}
+
+
+def test_the_finite_difference_step_is_written_once():
+    """The step base * (1 + |v|) comes from connection.fd_step alone, and dim2 imports no
+    step constant, so its oracles take their steps from fd_step."""
+    def one_plus_norm(n):
+        return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+                and any(isinstance(a, ast.Call) and isinstance(a.func, ast.Name) and a.func.id == "row_norm"
+                        for a in (n.left, n.right)))
+
+    assert _scopes(one_plus_norm, MODULES) == {"connection.fd_step"}
+    dim2 = ast.parse((PACKAGE / "dim2.py").read_text())
+    constants = sorted(alias.name for node in ast.walk(dim2) if isinstance(node, ast.ImportFrom)
+                       for alias in node.names if alias.name.endswith("_STEP"))
+    assert not constants, f"dim2 imports step constants: {constants}"
+
+
+def test_the_central_stencil_is_built_once():
+    """The points v + h e_i and v - h e_i are stacked by connection._stencil alone, which
+    central_difference and the variational spray oracle share."""
+    def plus_minus_stack(n):
+        if not (isinstance(n, ast.Call) and n.args and isinstance(n.args[0], (ast.List, ast.Tuple))):
+            return False
+        terms = [(type(e.op), ast.dump(e.left), ast.dump(e.right)) for e in n.args[0].elts if isinstance(e, ast.BinOp)]
+        return any((ast.Sub, left, right) in terms for op, left, right in terms if op is ast.Add)
+
+    assert _scopes(plus_minus_stack, MODULES) == {"connection._stencil"}
 
 
 def test_the_benchmark_names_resolve_in_the_package():
