@@ -171,7 +171,8 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
     # every sample before the first zero velocity, |v| < EPS_SLIT as on the slit of
     # check_sample, is evaluated, in one call, so a failing earlier sample raises first,
     # as in sample order
-    slow = row_norm(v) < EPS_SLIT
+    with np.errstate(over="ignore"):  # sector_norms rejects a v whose forms overflow
+        slow = row_norm(v) < EPS_SLIT
     stop = int(np.argmax(slow)) if slow.any() else len(t)
     if stop:
         f_mu = rows_or_first_error(lambda x, y: finsler_norm(space, x, y)[1], xs[:stop], v[:stop])

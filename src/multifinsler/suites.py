@@ -85,6 +85,7 @@ CHECKS = {
     "geodesic-time-reversal": ("fd", None),
     "rk4-order-ratio": ("fd", 4.0),
     "action-sector-decomposition": ("analytic", 1e-12),
+    "action-vs-conserved-norm": ("analytic", 1e-8),  # the drift's bound: |action - F0 T| <= drift F0 T
 }
 
 
@@ -270,17 +271,19 @@ def _geodesic_checks(cfg: SpaceConfig, space: MultiMetricSpace, tol_scale) -> li
     back = integrate_geodesic(space, path.x[-1], -path.y[-1], 1.0, 1e-3)
     rev = float(np.max(np.abs(back.x[-1] - x0)))
 
-    ref = integrate_geodesic(space, x0, y0, 1.0, 1.0 / 1024)
-    e1 = np.max(np.abs(integrate_geodesic(space, x0, y0, 1.0, 1.0 / 32).x[-1] - ref.x[-1]))
-    e2 = np.max(np.abs(integrate_geodesic(space, x0, y0, 1.0, 1.0 / 64).x[-1] - ref.x[-1]))
+    # the reference is the forward run's end: within 2.8e-13 of a 1/1024 run's, 3.4+ orders below e2
+    e1 = np.max(np.abs(integrate_geodesic(space, x0, y0, 1.0, 1.0 / 32).x[-1] - path.x[-1]))
+    e2 = np.max(np.abs(integrate_geodesic(space, x0, y0, 1.0, 1.0 / 64).x[-1] - path.x[-1]))
     ratio = float(e1 / e2) if e2 > 0 else 16.0
     act = action_of_path(space, path.t, path.x, path.y)
+    f0_t = path.F[0] * path.t[-1]  # F is conserved on a geodesic, so its action is F0 T
     return [
         _check("geodesic-norm-drift", drift, len(path.t), tol_scale),
         _check("geodesic-time-reversal", rev, 2, tol_scale),
         _check("rk4-order-ratio", 0.0 if 12.0 <= ratio <= 20.0 else abs(ratio - 16.0), 3, tol_scale,
                info={"ratio": ratio}),
         _check("action-sector-decomposition", act.decomposition_residual, len(path.t), tol_scale),
+        _check("action-vs-conserved-norm", abs(act.total - f0_t) / f0_t, len(path.t), tol_scale),
     ]
 
 

@@ -662,6 +662,137 @@ def test_geodesics_reports_match_stored_bytes(name, tmp_path):
     assert out.read_bytes() == (REPO / "tests" / "data" / f"check-{name}-geodesics.json").read_bytes()
 
 
+def test_geodesics_suite_makes_four_runs_of_2096_steps(monkeypatch):
+    """The forward run, its time reversal and the 1/32 and 1/64 runs of the order ratio,
+    whose reference is the forward run's end: no run is made twice."""
+    import multifinsler.suites as suites
+
+    original, steps = suites.integrate_geodesic, []
+
+    def counted(*args):
+        path = original(*args)
+        steps.append(len(path.t) - 1)
+        return path
+
+    monkeypatch.setattr(suites, "integrate_geodesic", counted)
+    run_suite(load_config(REPO / "configs" / "bimetric.json"), "geodesics")
+    assert (len(steps), sum(steps)) == (4, 2096)
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric", "bimetric3d"])
+def test_action_vs_conserved_norm_fails_on_a_scaled_action(name, monkeypatch):
+    """An action 1e-5 too large in total and in every sector fails the conserved-norm
+    check, while the sector decomposition, which compares the action with itself,
+    still passes."""
+    import multifinsler.suites as suites
+    from multifinsler.geodesic import ActionResult
+
+    original = suites.action_of_path
+
+    def scaled(*args):
+        act = original(*args)
+        return ActionResult(total=act.total * (1.0 + 1e-5), sector_totals=act.sector_totals * (1.0 + 1e-5))
+
+    monkeypatch.setattr(suites, "action_of_path", scaled)
+    config = REPO / ("tests/data" if name == "bimetric3d" else "configs") / f"{name}.json"
+    checks = {c["check"]: c for c in run_suite(load_config(config), "geodesics")["checks"]}
+    assert not checks["action-vs-conserved-norm"]["pass"]
+    assert checks["action-vs-conserved-norm"]["residual"] == pytest.approx(1e-5, rel=1e-6)
+    assert checks["action-sector-decomposition"]["pass"]
+
+
+# Every value a command prints on configs/bimetric.json, as "command: field", a JSON field
+# by its dotted path (name[] for the items of a list of objects) and the Busemann-Hausdorff
+# fields under the route that computed them.  The values a command is given, or that
+# name a row or a sector:
+PRINTED_INPUTS = {
+    "sample: x1", "sample: x2", "sample: theta",
+    "measure: point", "measure: holmes_thompson.cross_terms[].mu", "measure: holmes_thompson.cross_terms[].nu",
+    "geodesic csv: t",  # the step grid of t_end and step
+    "geodesic json: t_end", "geodesic json: step", "geodesic json: start.x", "geodesic json: start.y",
+}
+# the computed values, each with the suites.CHECKS names whose oracles cover it
+PRINTED_CHECKS = {
+    "sample: F": ("norm-homogeneity",),
+    "sample: det_g": ("determinant-identity", "fundamental-tensor-vs-hessian-oracle"),
+    "sample: I": ("invariant-I-compact-vs-oracle", "cartan-frame-factorization"),
+    "sample: J": ("landsberg-scalar-vs-directional-derivative",),
+    "measure: holmes_thompson.value": ("holmes-thompson-three-modes", "measure-positivity"),
+    "measure: holmes_thompson.diagonal_terms": ("holmes-thompson-three-modes",),
+    **{f"measure: holmes_thompson.cross_terms[].{k}": ("holmes-thompson-three-modes",)
+       for k in ("E", "lam_minus", "lam_plus", "modulus", "term")},
+    "measure: holmes_thompson.disc_oracle": ("holmes-thompson-three-modes",),
+    "measure: holmes_thompson.abs_deviation": ("holmes-thompson-three-modes",),
+    "measure: holmes_thompson.rel_deviation": ("holmes-thompson-three-modes",),
+    "measure: busemann_hausdorff[closed_bimetric].value": ("busemann-hausdorff-vs-quadrature", "measure-positivity"),
+    **{f"measure: busemann_hausdorff[closed_bimetric].parts.{k}": ("busemann-hausdorff-vs-quadrature",)
+       for k in ("trace_part", "elliptic_part", "indicatrix_area_over_pi")},
+    "geodesic csv: F": ("geodesic-norm-drift",),
+    "geodesic json: norm_initial": ("norm-homogeneity",),
+    "geodesic json: norm_drift": ("geodesic-norm-drift",),
+    "geodesic json: action": ("action-vs-conserved-norm",),
+}
+# the computed values no check covers with an oracle independent of their route; an
+# entry leaves when a check covers it, and none is added
+PRINTED_UNCHECKED = {
+    "sample: K": "no curvature oracle",
+    # the quadrature route's value is its own reference in busemann-hausdorff-vs-quadrature
+    "measure: busemann_hausdorff[quadrature].value": "the quadrature checks itself",
+    "measure: busemann_hausdorff[quadrature].parts.indicatrix_area_over_pi": "pi / the quadrature's value",
+    **{f"geodesic csv: {k}": "the path checks only itself" for k in ("x1", "x2", "y1", "y2")},
+    "geodesic json: end.x": "the path checks only itself",
+    "geodesic json: end.y": "the path checks only itself",
+    "geodesic json: action_per_sector": "action-sector-decomposition cannot fail",
+}
+PRINTED_UNCHECKED_MOST = 10  # lower it as entries leave; never raise it
+
+
+def _numeric_leaves(obj, name=""):
+    """The dotted names of the numeric leaves of a JSON value: a list of numbers is one
+    leaf, and the leaves of the objects of a list are named name[].key."""
+    if isinstance(obj, dict):
+        return set().union(*(_numeric_leaves(v, f"{name}.{k}" if name else k) for k, v in obj.items()))
+    if isinstance(obj, list) and all(isinstance(v, dict) for v in obj):
+        return set().union(*(_numeric_leaves(v, f"{name}[]") for v in obj))
+    values = obj if isinstance(obj, list) else [obj]
+    return {name} if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values) else set()
+
+
+def _printed_fields(tmp_path) -> set:
+    config, out = str(REPO / "configs" / "bimetric.json"), tmp_path / "out"
+    fields = set()
+
+    def run(*argv):
+        assert main([argv[0], "--config", config, *argv[1:], "--out", str(out)]) == 0
+        return out.read_text()
+
+    header = run("sample", "--grid", "2", "--directions", "2").splitlines()[0]
+    fields |= {f"sample: {c}" for c in header.split(",")}
+    for at in ([], ["--at", "0.3,-0.2"]):  # the centre falls back to the quadrature, 0.3,-0.2 does not
+        report = json.loads(run("measure", *at))
+        bh = report.pop("busemann_hausdorff")
+        report[f"busemann_hausdorff[{bh['method']}]"] = bh
+        fields |= {f"measure: {f}" for f in _numeric_leaves(report)}
+    header = run("geodesic", "--t-end", "0.01", "--step", "0.005").splitlines()[0]
+    fields |= {f"geodesic csv: {c}" for c in header.split(",")}
+    report = json.loads(run("geodesic", "--t-end", "0.01", "--step", "0.005", "--format", "json"))
+    return fields | {f"geodesic json: {f}" for f in _numeric_leaves(report)}
+
+
+def test_every_printed_value_is_an_input_checked_or_listed_as_unchecked(tmp_path):
+    """Each value that sample, measure and geodesic print is an input, maps to checks of
+    suites.CHECKS, or sits on the unchecked list, which may only shrink: a new printed
+    field fails until it is placed."""
+    tables = (PRINTED_INPUTS, set(PRINTED_CHECKS), set(PRINTED_UNCHECKED))
+    assert sum(map(len, tables)) == len(set().union(*tables)), "a field is in two tables"
+    placed = set().union(*tables)
+    printed = _printed_fields(tmp_path)
+    assert printed == placed, f"not placed: {sorted(printed - placed)}; not printed: {sorted(placed - printed)}"
+    assert {c for checks in PRINTED_CHECKS.values() for c in checks} <= set(CHECKS)
+    assert all(PRINTED_CHECKS.values())
+    assert len(PRINTED_UNCHECKED) <= PRINTED_UNCHECKED_MOST
+
+
 @pytest.mark.parametrize("eps", ["1e-4", "1e-6", "1e-8", "1e-11"])
 def test_near_proportional_pencils_pass_the_identities_suite(eps):
     """A pencil beta = 3 (1 + eps x2) alpha in its (0, 0) entry: detection reads a
@@ -681,7 +812,7 @@ def test_check_table_names_the_checks_of_the_stored_reports():
     paths = [*(REPO / "perfbench" / "reference").glob("check-*.json"), *(REPO / "tests" / "data").glob("check-*.json")]
     entries = [c for p in paths for c in json.loads(p.read_text())["checks"]]
     assert set(CHECKS) == {c["check"] for c in entries}
-    assert len(CHECKS) == 30
+    assert len(CHECKS) == 31
     for c in entries:
         tol_class, tol = CHECKS[c["check"]]
         assert (c["tolerance_class"], c["tolerance"]) == (tol_class, TOLERANCES[tol_class] if tol is None else tol)

@@ -353,6 +353,14 @@ class TestAction:
         assert calls[0] == 1
         assert act.decomposition_residual <= 1e-12
 
+    @pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+    def test_an_overflowing_velocity_is_a_non_finite_sample_without_a_warning(self, name):
+        # |v|^2 of a velocity of 1e200 overflows; the sector forms reject it, and the slit
+        # test before them warns of nothing
+        space = load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").space
+        with pytest.raises(NonFiniteSampleError, match="is not finite"):
+            action_of_path(space, [0.0, 1.0], [[0.1, 0.2], [0.2, 0.2]], [[1e200, 0.0], [1.0, 0.0]])
+
     def test_first_failing_sample_raises_its_own_error(self):
         # sample 1 leaves the SPD region before sample 2 stops: the SPD error comes first
         sp = edge_space()
