@@ -24,6 +24,7 @@ from .finsler import (
     _scalar,
     _fd_hessian,
     _sym3,
+    finsler_norm,
     finsler_state,
     row_norm,
     rows_or_first_error,
@@ -254,12 +255,12 @@ def variational_spray(space: MultiMetricSpace, x, y) -> np.ndarray:
 
 
 def _variational_spray_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """variational_spray at the rows of x and y (B, n)."""
-    space.check_sample(x, y)
+    """variational_spray at the rows of x and y (B, n).  The FD Hessian comes first: it
+    validates the samples (finsler_norm) before |x| and |y| size the steps."""
+    g_inv = np.linalg.inv(_fd_hessian(space, x, y))
     n = x.shape[-1]
     ld = np.longdouble
     hy, hx = fd_step(y, ld(MIXED_FD_STEP)), fd_step(x, ld(MIXED_FD_STEP))
-    g_inv = np.linalg.inv(_fd_hessian(space, x, y))
 
     # the stencils [b, k, s] of x and y in long double
     xs, ys = _stencil(x.astype(ld), hx[:, None]), _stencil(y.astype(ld), hy[:, None])
@@ -287,8 +288,21 @@ def _variational_spray_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarra
 
 def nonlinear_connection_fd(space: MultiMetricSpace, x, y) -> np.ndarray:
     """Oracle N = (1/2) dG/dy by central differences of the factorized spray, at a
-    sample (x, y) or at a batch of samples, each with its own step."""
+    sample (x, y) or at a batch of samples, each with its own step.  Each row is the
+    single call's bits, and the first failing row raises its own error (see
+    rows_or_first_error)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    rows = y.reshape(-1, y.shape[-1])
+    xs = np.broadcast_to(x, y.shape).reshape(rows.shape)
+    return rows_or_first_error(functools.partial(_nonlinear_connection_rows, space), xs, rows).reshape(
+        y.shape + y.shape[-1:])
+
+
+def _nonlinear_connection_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """nonlinear_connection_fd at the rows of x and y (B, n).  The samples first pass
+    finsler_norm's checks, so a y whose quadratic forms overflow raises its
+    NonFiniteSampleError before |y| sizes the step."""
+    finsler_norm(space, x, y)
     dG = central_difference(lambda xs, ys: connection_state(space, xs, ys).G, y, FD_STEP * row_norm(y), at=x)
     return 0.5 * np.swapaxes(dG, -1, -2)
 

@@ -365,7 +365,10 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
 
 
 def _fd_hessian(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """fd_fundamental_tensor at the rows of x and y (B, n): (B, n, n)."""
+    """fd_fundamental_tensor at the rows of x and y (B, n): (B, n, n).  The samples
+    first pass finsler_norm's checks, so a y whose quadratic forms overflow raises its
+    NonFiniteSampleError before |y| sizes the step."""
+    finsler_norm(space, x, y)
     n = y.shape[-1]
     # a long double squares as exactly in an array
     h = (HESSIAN_REL_STEP * row_norm(y)).astype(np.longdouble)

@@ -10,8 +10,12 @@ nested adaptive quadrature in polar coordinates.
 The adaptive circle and disc oracles run QUADPACK through _quad_in_batches,
 which evaluates the nodes of each Gauss-Kronrod rule, or of the two rules of
 a bisection, in one batched call and gives QUADPACK each node's value bit for
-bit as one call per node gives it.  scipy is imported where a
-quadrature runs, so commands that take none do not load it.
+bit as one call per node gives it.  QUADPACK is called only where its first
+rule does not settle the integral: _first_rule repeats that first step, the
+21-point rule and the first acceptance test, for a stack of integrals at once,
+with quad's bits, so the disc oracle's radial integrals of 21 or 42 rays are
+one pass.  scipy is imported where a quadrature runs, so commands that take
+none do not load it.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ def _quad(f, a: float, b: float, **quad_kwargs):
     return integrate.quad(f, a, b, **quad_kwargs)
 
 
-# QUADPACK's 21-point Kronrod abscissae (qk21's xgk), the Gauss nodes at odd k
+# QUADPACK's 21-point Kronrod abscissae (qk21's xgk), the Gauss nodes at odd k, and
+# the order qk21 takes them in: the Gauss nodes, then the Kronrod nodes
 _XGK = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
@@ -150,35 +155,116 @@ _XGK = (
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
 )
+_XGK_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+# qk21's weights: wg of the 10-point Gauss rule at xgk[1], xgk[3], ..., xgk[9], and
+# wgk of the 21-point Kronrod rule at xgk[0], ..., xgk[9], then at the centre
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208626368920, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG_ROW, _WGK_ROW = np.array(_WG), np.array(_WGK[:10])
+_WGK_TAKEN = np.array([_WGK[k] for k in _XGK_ORDER])
+_XGK_PLACE = [_XGK_ORDER.index(k) for k in range(10)]  # where xgk[k]'s pair sits in a row of nodes
+_EPMACH, _UFLOW = float(np.finfo(float).eps), float(np.finfo(float).tiny)  # d1mach(4), d1mach(1)
 
 
-def _rule_nodes(a: float, b: float) -> list[float]:
+def _rule_nodes(a, b) -> list:
     """The 21 nodes of QUADPACK's Gauss-Kronrod rule qk21 on [a, b], in the order it
     asks for them: the centre, then centr -/+ hlgth * xgk[k] at the Gauss nodes and
-    then at the Kronrod nodes, computed as qk21 computes them."""
+    then at the Kronrod nodes, computed as qk21 computes them.  For floats a and b
+    they are floats; where a or b is an array (R,), each node is an array (R,)."""
     centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
     nodes = [centr]
-    for k in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+    for k in _XGK_ORDER:
         absc = hlgth * _XGK[k]
         nodes += [centr - absc, centr + absc]
     return nodes
 
 
-def _quad_in_batches(values_at, a: float, b: float, first: dict | None = None, **quad_kwargs) -> float:
-    """The adaptive quad of f over [a, b], where values_at(t) gives f at an array of
-    nodes t, each node as f gives it alone; first, if given, maps the nodes of the
-    first rule to their values.
+def _in_order(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """first + terms[:, 0] + terms[:, 1] + ... at each row, added left to right as
+    qk21's loops add them (an accumulate, not a pairwise sum)."""
+    return np.add.accumulate(np.concatenate((first[:, None], terms), axis=1), axis=1)[:, -1]
 
-    QUADPACK places the nodes of a rule by its bounds alone, so _rule_nodes lists the
-    first rule's nodes.  When it bisects [lo, hi] at mid = 0.5 * (lo + hi), the first
-    node it asks for is the centre of [lo, mid], and then it takes the rules of both
-    halves.  So each evaluated interval is keyed by its left half's centre; when that
-    node is asked for, the 42 nodes of both halves are listed and evaluated in one
-    call.  The real run reads every value back, and a node that matches nothing is
+
+def _first_rule(values: np.ndarray, a, b, epsabs: float, epsrel: float) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's first step on R integrals at once: qk21 on [a_i, b_i] from the values
+    (R, 21) of f at its nodes (_rule_nodes), then dqagse's first acceptance test.
+    Returns which rows it settles (R,) and their values (R,), each settled value with
+    the bits quad returns for it.
+
+    The sums run in qk21's order with its constants, and the power in its error
+    estimate is a float's ** (finsler._power).  dqagse stops at the first rule, with
+    neval = 21 and no warning, where errbnd = max(epsabs, epsrel |result|) and abserr
+    <= errbnd and abserr != resasc, or abserr = 0.  Rows holding a non-finite value,
+    and rows whose sums overflow, are left to QUADPACK; so is the round-off case
+    (ier = 2), which this test never accepts.  The tolerances are ones quad accepts,
+    and quad's limit on subintervals is above 1.
+    """
+    b = np.asarray(b, dtype=float)
+    hlgth = 0.5 * (b - a)
+    dhlgth = np.abs(hlgth)
+    fc, fv1, fv2 = values[:, 0], values[:, 1::2], values[:, 2::2]  # f(centr), f(centr -/+ absc)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is not settled
+        fsum = fv1 + fv2
+        resg = _in_order(np.zeros(len(values)), _WG_ROW * fsum[:, :5])  # the Gauss pairs come first
+        resk = _in_order(_WGK[10] * fc, _WGK_TAKEN * fsum)
+        resabs = _in_order(np.abs(_WGK[10] * fc), _WGK_TAKEN * (np.abs(fv1) + np.abs(fv2)))
+        reskh = resk * 0.5
+        spread = np.abs(fv1 - reskh[:, None]) + np.abs(fv2 - reskh[:, None])
+        resasc = _in_order(_WGK[10] * np.abs(fc - reskh), _WGK_ROW * spread[:, _XGK_PLACE])
+        result = resk * hlgth
+        resabs = resabs * dhlgth
+        resasc = resasc * dhlgth
+        abserr = np.abs((resk - resg) * hlgth)
+        scaled = (resasc != 0.0) & (abserr != 0.0)
+        ratio = 0.2e3 * abserr[scaled] / resasc[scaled]
+        # min(1, ratio ** 1.5) is 1 where ratio >= 1, and ratio ** 1.5 elsewhere
+        factor = np.ones_like(ratio)
+        below = ratio < 1.0
+        factor[below] = _power(ratio[below], 1.5)
+        abserr[scaled] = resasc[scaled] * factor
+        large = resabs > _UFLOW / (0.5e2 * _EPMACH)
+        abserr[large] = np.maximum((_EPMACH * 0.5e2) * resabs[large], abserr[large])
+        errbnd = np.maximum(epsabs, epsrel * np.abs(result))
+        accepted = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
+    finite = np.isfinite(values).all(axis=1) & np.isfinite(result) & np.isfinite(resasc) & np.isfinite(abserr)
+    return finite & accepted, result
+
+
+def _quad_in_batches(values_at, a: float, b: float, first: np.ndarray | None = None, *,
+                     epsabs: float, epsrel: float, **quad_kwargs) -> float:
+    """The adaptive quad of f over [a, b], where values_at(t) gives f at an array of
+    nodes t, each node as f gives it alone; first, if given, holds f at the nodes of
+    the first rule (_rule_nodes(a, b)).
+
+    Where the first rule settles the integral (_first_rule), its value is returned
+    and QUADPACK is not called.  Otherwise QUADPACK runs, and its rules read their
+    values from a table.  QUADPACK places the nodes of a rule by its bounds alone.
+    When it bisects [lo, hi] at mid = 0.5 * (lo + hi), the first node it asks for
+    is the centre of [lo, mid], and then it takes the rules of both halves.  So
+    each evaluated interval is keyed by its left half's centre; when that node is
+    asked for, the 42 nodes of both halves are listed and evaluated in one call.
+    The real run reads every value back, and a node that matches nothing is
     evaluated as a batch of one.  A batch that raises a per-sample error is
     evaluated node by node in the order QUADPACK asks for them, so the first
     failing node raises what it raises alone.
     """
+    nodes = _rule_nodes(a, b)
+    if first is None:
+        first = rows_or_first_error(values_at, np.array(nodes))
+    settled, value = _first_rule(first[None], a, b, epsabs, epsrel)
+    if settled[0]:
+        return float(value[0])
     table, split = {}, {}
 
     def evaluate(intervals, known=None):
@@ -190,7 +276,7 @@ def _quad_in_batches(values_at, a: float, b: float, first: dict | None = None, *
             mid = 0.5 * (lo + hi)
             split[0.5 * (lo + mid)] = ((lo, mid), (mid, hi))
 
-    evaluate([(a, b)], first)
+    evaluate([(a, b)], zip(nodes, first))
 
     def integrand(t):
         if t in split:
@@ -198,7 +284,7 @@ def _quad_in_batches(values_at, a: float, b: float, first: dict | None = None, *
         value = table.get(t)
         return values_at(np.array([t]))[0] if value is None else value
 
-    return _quad(integrand, a, b, **quad_kwargs)[0]
+    return _quad(integrand, a, b, epsabs=epsabs, epsrel=epsrel, **quad_kwargs)[0]
 
 
 def holmes_thompson(space: MultiMetricSpace, x) -> MeasureReport:
@@ -365,20 +451,24 @@ def indicatrix_reduction_check(space: MultiMetricSpace, x, weight: str = "one") 
             return np.ones(len(y))
         return finsler_state(space, np.tile(x, (len(y), 1)), y).det_g
 
+    def ray(u):
+        """w(r) r at the radii r along the unit vector u."""
+        return lambda r: weight_at(r[:, None] * u) * r
+
     def radial_integrals(thetas):
         """integral_0^r_max w(r) r dr along each ray, r_max = 1 / F on the unit circle."""
         units = _unit_vectors(thetas)
-        r_max = (1.0 / _circle_norms(a_mu, units)).tolist()
-        radii = [np.array(_rule_nodes(0.0, r)) for r in r_max]
+        r_max = 1.0 / _circle_norms(a_mu, units)
+        radii = np.stack(_rule_nodes(0.0, r_max), axis=-1)  # (rays, 21)
         try:
-            weights = weight_at(np.concatenate([r[:, None] * u for r, u in zip(radii, units)]))
-            first = [dict(zip(r.tolist(), w * r)) for r, w in zip(radii, np.split(weights, len(thetas)))]
+            values = weight_at((radii[..., None] * units[:, None, :]).reshape(-1, 2)).reshape(radii.shape) * radii
         except SAMPLE_ERRORS:  # each ray alone, in order, raises what the scalar run raises
-            first = [None] * len(thetas)
-        return np.array([
-            _quad_in_batches(lambda r, u=u: weight_at(r[:, None] * u) * r, 0.0, end, known, **radial)
-            for u, end, known in zip(units, r_max, first)
-        ])
+            return np.array([_quad_in_batches(ray(u), 0.0, end, **radial) for u, end in zip(units, r_max.tolist())])
+        # QUADPACK runs only on the rays whose first rule does not settle
+        settled, result = _first_rule(values, 0.0, r_max, **radial)
+        for k in np.flatnonzero(~settled).tolist():
+            result[k] = _quad_in_batches(ray(units[k]), 0.0, float(r_max[k]), values[k], **radial)
+        return result
 
     disc = _quad_in_batches(radial_integrals, 0.0, 2.0 * math.pi, limit=400, **radial)
 

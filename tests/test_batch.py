@@ -363,9 +363,9 @@ def test_rows_or_first_error_slices_every_array_at_the_same_row():
 
 
 def test_fd_oracles_raise_the_first_failing_rows_own_error():
-    # alpha is not SPD at x1 < -1; a zero y is on the slit for the spray and a degenerate
-    # stencil for the Hessian.  The batch checks each in turn over all rows, so without
-    # the row-order fallback one order of the rows would raise the other row's error
+    # alpha is not SPD at x1 < -1; a zero y is on the slit.  The batch checks each in
+    # turn over all rows, so without the row-order fallback one order of the rows would
+    # raise the other row's error
     sp = space_of(field("alpha", [["1+x1", "0"], ["0", "1"]]), field("beta", [["1", "0"], ["0", "3+x2"]]))
     good, zero_y, not_spd = ([0.2, 0.1], [1.0, 0.5]), ([0.3, 0.0], [0.0, 0.0]), ([-2.0, 0.0], [1.0, 0.0])
     for rows in ([good, zero_y, not_spd], [good, not_spd, zero_y]):

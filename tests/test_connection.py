@@ -21,7 +21,7 @@ from multifinsler.connection import (
     variational_spray,
     x_derivatives,
 )
-from multifinsler.finsler import finsler_norm, finsler_state
+from multifinsler.finsler import NonFiniteSampleError, fd_fundamental_tensor, finsler_norm, finsler_state
 from multifinsler.geodesic import integrate_geodesic
 from multifinsler.riemann import NotPositiveDefiniteError, christoffels_and_spray
 
@@ -457,3 +457,20 @@ def test_routes_take_python_lists_of_ints(bi_x, route):
         assert same_bits(from_lists, from_arrays)
         if route is connection_state:
             assert same_bits(from_lists.N, from_arrays.N)
+
+
+@pytest.mark.parametrize("name", ["single", "bimetric", "trimetric"])
+@pytest.mark.parametrize("oracle", [fd_fundamental_tensor, variational_spray, nonlinear_connection_fd],
+                         ids=lambda f: f.__name__)
+def test_fd_oracles_raise_the_norms_error_at_an_overflowing_fiber_vector(name, oracle):
+    # |y|^2 of y = (1e200, 0) overflows, and so do the sector forms; each oracle checks the
+    # sample as finsler_norm does before |y| sizes its step, so it raises the norm's error
+    # and warns of nothing, alone and as the second row of a batch
+    space = load_config(CONFIGS / f"{name}.json").space
+    x, y = [0.1, 0.2], [1e200, 0.0]
+    with pytest.raises(NonFiniteSampleError, match="is not finite") as norm:
+        finsler_norm(space, x, y)
+    for xs, ys in ((x, y), ([x, x], [[1.0, 0.0], y])):
+        with pytest.raises(NonFiniteSampleError) as raised:
+            oracle(space, xs, ys)
+        assert str(raised.value) == str(norm.value)
