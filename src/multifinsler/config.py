@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -159,13 +160,37 @@ def parse_config(data: dict) -> SpaceConfig:
                        sampling=policy, space=space)
 
 
+# How many validated configs a process keeps, one per distinct file content
+CONFIG_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
+def _config_of_bytes(raw: bytes) -> SpaceConfig:
+    """The validated config of a file's bytes, kept per distinct content; a text that
+    fails raises again on every call and is never stored."""
+    # newlines translated as a text-mode read does, so a JSON error names the line an editor shows
+    return parse_config(json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")))
+
+
 def load_config(path) -> SpaceConfig:
-    """Read and validate a JSON space configuration file."""
+    """Read and validate a JSON space configuration file.
+
+    The file is read on every call, and its bytes are the key of the validated
+    config: the same content gives the same `SpaceConfig`, whose space keeps its
+    generated tables and memos, so a repeat load parses, probes and emits nothing.
+    An edited file is parsed and probed again.  The process keeps the configs of the
+    CONFIG_CACHE_SIZE contents used most recently.
+    """
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
+        raw = p.read_bytes()
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise ConfigError(f"config file not found: {p}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{p}: cannot read the file: {exc.strerror}") from exc
+    try:
+        return _config_of_bytes(raw)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return parse_config(data)

@@ -26,9 +26,9 @@ from .finsler import (
     _sym3,
     finsler_norm,
     finsler_state,
-    row_norm,
     rows_or_first_error,
     sector_norms,
+    step_norm,
 )
 from .riemann import _christoffel
 
@@ -38,8 +38,8 @@ MIXED_FD_STEP = 1e-4
 
 def fd_step(v: np.ndarray, base=FD_STEP):
     """The central-difference step base * (1 + |v|) at each row of v (..., n), |v| by
-    row_norm; the dtype follows base, so a long double base gives long double steps."""
-    return base * (1.0 + row_norm(v))
+    step_norm; the dtype follows base, so a long double base gives long double steps."""
+    return base * (1.0 + step_norm(v))
 
 
 def _stencil(v: np.ndarray, steps) -> np.ndarray:
@@ -301,9 +301,10 @@ def nonlinear_connection_fd(space: MultiMetricSpace, x, y) -> np.ndarray:
 def _nonlinear_connection_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """nonlinear_connection_fd at the rows of x and y (B, n).  The samples first pass
     finsler_norm's checks, so a y whose quadratic forms overflow raises its
-    NonFiniteSampleError before |y| sizes the step."""
+    NonFiniteSampleError before |y| sizes the step; a |y| that overflows raises
+    step_norm's."""
     finsler_norm(space, x, y)
-    dG = central_difference(lambda xs, ys: connection_state(space, xs, ys).G, y, FD_STEP * row_norm(y), at=x)
+    dG = central_difference(lambda xs, ys: connection_state(space, xs, ys).G, y, FD_STEP * step_norm(y), at=x)
     return 0.5 * np.swapaxes(dG, -1, -2)
 
 

@@ -160,6 +160,18 @@ def row_norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+def step_norm(v: np.ndarray) -> np.ndarray:
+    """row_norm(v) where it sizes a finite-difference step: the first row of v whose |v|
+    overflows raises NonFiniteSampleError, and numpy warns of nothing."""
+    with np.errstate(over="ignore"):
+        norms = row_norm(v)
+    finite = np.isfinite(norms)
+    if not finite.all():
+        rows = v.reshape(-1, v.shape[-1])
+        raise NonFiniteSampleError(f"|v| of v = {rows[np.argmin(finite.reshape(-1))].tolist()} is not finite")
+    return norms
+
+
 def _distinct_points(x: np.ndarray, known: np.ndarray | None = None):
     """The distinct points of x (n,) or (B, n), compared bit for bit and in the
     order they first occur, and a function that spreads an array of values at
@@ -367,11 +379,12 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
 def _fd_hessian(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fd_fundamental_tensor at the rows of x and y (B, n): (B, n, n).  The samples
     first pass finsler_norm's checks, so a y whose quadratic forms overflow raises its
-    NonFiniteSampleError before |y| sizes the step."""
+    NonFiniteSampleError before |y| sizes the step; a |y| that overflows raises
+    step_norm's."""
     finsler_norm(space, x, y)
     n = y.shape[-1]
     # a long double squares as exactly in an array
-    h = (HESSIAN_REL_STEP * row_norm(y)).astype(np.longdouble)
+    h = (HESSIAN_REL_STEP * step_norm(y)).astype(np.longdouble)
     h2 = np.square(h)
     a_ld = space.metric_values(x)[0].astype(np.longdouble)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import multifinsler.config as config_module
 import multifinsler.finsler as finsler_module
 import multifinsler.riemann as riemann_module
 from multifinsler.finsler import MultiMetricSpace
@@ -28,6 +29,13 @@ def field(name: str, rows, coords=COORDS) -> MetricField:
 
 def space_of(*fields) -> MultiMetricSpace:
     return MultiMetricSpace(list(fields))
+
+
+@pytest.fixture(autouse=True)
+def cold_config_cache():
+    """Each test starts with no config kept, so its first load_config of a file parses,
+    probes and builds, as the first command of a process does."""
+    config_module._config_of_bytes.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import errno
 import importlib
 import json
 import os
@@ -10,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import multifinsler.config as config_module
+import multifinsler.riemann as riemann_module
 from multifinsler.cli import dumps_stable, main
-from multifinsler.config import ConfigError, load_config, parse_config
+from multifinsler.config import CONFIG_CACHE_SIZE, ConfigError, load_config, parse_config
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 from multifinsler.suites import CHECKS, TOLERANCES, run_suite
 
@@ -73,6 +76,24 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/space.json")
+
+    def test_a_directory_is_a_config_error(self, tmp_path, capsys):
+        assert main(["validate", "--config", str(tmp_path)]) == 2
+        reason = os.strerror(errno.EISDIR)
+        assert capsys.readouterr().err == f"config error: {tmp_path}: cannot read the file: {reason}\n"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_a_json_error_names_the_line_of_a_text_read(self, newline, tmp_path):
+        p = tmp_path / "space.json"
+        p.write_bytes(newline.join([b"{", b'"dimension": 2,', b'"x": }']))
+        with pytest.raises(ConfigError, match="invalid JSON at line 3, column 6: Expecting value"):
+            load_config(p)
+
+    def test_a_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        p = tmp_path / "space.json"
+        p.write_bytes(b"\xff\xfe{")
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"config error: {p}: not UTF-8 text: invalid start byte at byte 0\n"
 
     def test_dimension_mismatch(self):
         bad = json.loads(json.dumps(BIMETRIC))
@@ -945,6 +966,86 @@ def test_the_config_space_holds_its_box_center_probe(monkeypatch):
     a, _, det = cfg.space.metric_values(cfg.box_center())
     assert evaluations == {} and spd[0] == 0
     assert a.shape == (2, 2, 2) and np.all(det > 0)
+
+
+def test_a_second_sample_in_one_process_parses_probes_and_emits_nothing(tmp_path, monkeypatch):
+    """The same bytes give the same SpaceConfig, whatever the path, so a second command
+    on a config builds no metric, parses no component and generates no table."""
+    config = REPO / "configs" / "trimetric.json"
+    argv = ["sample", "--config", str(config), "--grid", "2", "--directions", "3"]
+    assert main([*argv, "--out", str(tmp_path / "first.csv")]) == 0
+    cfg = load_config(config)
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(config.read_bytes())
+    assert load_config(str(config)) is cfg and load_config(copy) is cfg
+    built = record_metric_builds(monkeypatch)
+    parsed = count_calls(monkeypatch, riemann_module, "parse_expression")
+    tables = count_calls(monkeypatch, riemann_module, "compile_table")
+    assert main([*argv, "--out", str(tmp_path / "second.csv")]) == 0
+    assert (built, parsed[0], tables[0]) == ([], 0, 0)
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+
+def test_an_edited_config_is_read_and_built_again(tmp_path):
+    p = tmp_path / "space.json"
+    p.write_text(json.dumps(BIMETRIC))
+    first = load_config(p)
+    edited = json.loads(json.dumps(BIMETRIC))
+    edited["metrics"][1]["components"][0][0] = "9"
+    p.write_text(json.dumps(edited))
+    second = load_config(p)
+    assert second.space is not first.space
+    assert second.space.metric_values([0.5, 0.5])[0][1].tolist() == [[9.0, 0.0], [0.0, 1.25]]
+    assert first.space.metric_values([0.5, 0.5])[0][1].tolist() == [[4.0, 0.0], [0.0, 1.25]]
+    # the first content is still kept
+    p.write_text(json.dumps(BIMETRIC))
+    assert load_config(p) is first
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({**BIMETRIC, "metrics": [{"name": "alpha", "components": [["1", "0"], ["0", "-1"]]}]}),
+     "SPD probe failed at box center"),
+    (json.dumps(BIMETRIC)[:-1], "invalid JSON"),
+    (b"\xff\xfe{", "not UTF-8 text"),
+], ids=["spd", "json", "utf8"])
+def test_an_invalid_config_raises_on_every_call(text, message, tmp_path, monkeypatch):
+    p = tmp_path / "space.json"
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
+    built = record_metric_builds(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(ConfigError, match=message):
+            load_config(p)
+    assert len(built) == (3 if message.startswith("SPD") else 0)
+    assert config_module._config_of_bytes.cache_info().currsize == 0
+
+
+def test_more_distinct_configs_than_the_bound_evict_the_oldest(tmp_path):
+    paths = []
+    for seed in range(CONFIG_CACHE_SIZE + 1):
+        paths.append(tmp_path / f"space-{seed}.json")
+        paths[-1].write_text(json.dumps({**BIMETRIC, "sampling": {**BIMETRIC["sampling"], "seed": seed}}))
+    loaded = [load_config(p) for p in paths]
+    assert all(load_config(p) is cfg for p, cfg in zip(paths[1:], loaded[1:]))
+    again = load_config(paths[0])
+    assert again is not loaded[0] and again == loaded[0]
+    assert config_module._config_of_bytes.cache_info().currsize == CONFIG_CACHE_SIZE
+
+
+def test_a_second_benchmark_sample_in_one_process_equals_the_reference(tmp_path, monkeypatch):
+    """The invariant_map items run twice in one process: the second run of each builds
+    no metric and writes perfbench/reference/sample-*.csv byte for byte."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    items = workloads.WORKLOADS["invariant_map"](0, tmp_path)
+    for item in items:
+        item.run(item.argv)
+    built = record_metric_builds(monkeypatch)
+    for item in items:
+        out = item.run(item.argv)
+        assert item.check(out) == [], item.label
+        reference = workloads.REFERENCE / f"sample-{item.config}.csv"
+        assert next(iter(out.files.values())) == reference.read_bytes(), item.label
+    assert built == []
 
 
 @pytest.mark.parametrize("workload, seed", [

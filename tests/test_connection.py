@@ -474,3 +474,18 @@ def test_fd_oracles_raise_the_norms_error_at_an_overflowing_fiber_vector(name, o
         with pytest.raises(NonFiniteSampleError) as raised:
             oracle(space, xs, ys)
         assert str(raised.value) == str(norm.value)
+
+
+@pytest.mark.parametrize("oracle", [fd_fundamental_tensor, variational_spray, nonlinear_connection_fd],
+                         ids=lambda f: f.__name__)
+def test_fd_oracles_raise_a_sample_error_where_the_norm_of_y_overflows(oracle):
+    # at y = (1.4e154, 0) the sector form 0.25 y1^2 is finite, so finsler_norm passes the
+    # sample, but |y|^2 overflows; the step that |y| sizes raises, alone and as the second
+    # row of a batch, and numpy warns of nothing
+    space = space_of(const_field("alpha", np.diag([0.25, 1.0])))
+    x, y = [0.1, 0.2], [1.4e154, 0.0]
+    assert finsler_norm(space, x, y)[0] == 7e153
+    for xs, ys in ((x, y), ([x, x], [[1.0, 0.0], y])):
+        with pytest.raises(NonFiniteSampleError) as raised:
+            oracle(space, xs, ys)
+        assert str(raised.value) == "|v| of v = [1.4e+154, 0.0] is not finite"

@@ -192,6 +192,18 @@ def test_metric_fields_are_built_by_parse_config_alone():
     assert _callers("from_strings", [*MODULES, *sorted(SCRIPTS.glob("*.py"))]) == {"config.parse_config"}
 
 
+def test_configs_are_parsed_by_the_cached_reader_alone():
+    """parse_config is called by config._config_of_bytes alone, so every config of the
+    package and its scripts comes through load_config's cache and no second, uncached
+    path builds a space beside it."""
+    def calls_parse_config(n):
+        return isinstance(n, ast.Call) and (
+            isinstance(n.func, ast.Name) and n.func.id == "parse_config"
+            or isinstance(n.func, ast.Attribute) and n.func.attr == "parse_config")
+
+    assert _scopes(calls_parse_config, [*MODULES, *sorted(SCRIPTS.glob("*.py"))]) == {"config._config_of_bytes"}
+
+
 def test_the_norm_of_a_vector_is_written_once():
     """|v| comes from finsler.row_norm alone: no module calls numpy's norm, and only
     row_norm takes a dot product of a vector with itself."""
@@ -212,8 +224,8 @@ def test_the_finite_difference_step_is_written_once():
     step constant, so its oracles take their steps from fd_step."""
     def one_plus_norm(n):
         return (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
-                and any(isinstance(a, ast.Call) and isinstance(a.func, ast.Name) and a.func.id == "row_norm"
-                        for a in (n.left, n.right)))
+                and any(isinstance(a, ast.Call) and isinstance(a.func, ast.Name)
+                        and a.func.id in ("row_norm", "step_norm") for a in (n.left, n.right)))
 
     assert _scopes(one_plus_norm, MODULES) == {"connection.fd_step"}
     dim2 = ast.parse((PACKAGE / "dim2.py").read_text())
