@@ -161,36 +161,35 @@ def parse_config(data: dict) -> SpaceConfig:
 
 
 # How many validated configs a process keeps, one per distinct file content
-CONFIG_CACHE_SIZE = 8
+_CONFIG_CACHE_SIZE = 8
 
 
-@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
-def _config_of_bytes(raw: bytes) -> SpaceConfig:
-    """The validated config of a file's bytes, kept per distinct content; a text that
+@functools.lru_cache(maxsize=_CONFIG_CACHE_SIZE)
+def _config_of_text(text: str) -> SpaceConfig:
+    """The validated config of a file's text, kept per distinct content; a text that
     fails raises again on every call and is never stored."""
-    # newlines translated as a text-mode read does, so a JSON error names the line an editor shows
-    return parse_config(json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")))
+    return parse_config(json.loads(text))
 
 
 def load_config(path) -> SpaceConfig:
     """Read and validate a JSON space configuration file.
 
-    The file is read on every call, and its bytes are the key of the validated
+    The file is read on every call, and its text is the key of the validated
     config: the same content gives the same `SpaceConfig`, whose space keeps its
-    generated tables and memos, so a repeat load parses, probes and emits nothing.
-    An edited file is parsed and probed again.  The process keeps the configs of the
-    CONFIG_CACHE_SIZE contents used most recently.
+    generated tables and memos, so a repeat load in one process parses, probes and
+    emits nothing.  An edited file is parsed and probed again.  The process keeps
+    the configs of the _CONFIG_CACHE_SIZE contents used most recently.
     """
     p = Path(path)
     try:
-        raw = p.read_bytes()
+        text = p.read_text(encoding="utf-8")
     except (FileNotFoundError, NotADirectoryError) as exc:
         raise ConfigError(f"config file not found: {p}") from exc
     except OSError as exc:
         raise ConfigError(f"{p}: cannot read the file: {exc.strerror}") from exc
-    try:
-        return _config_of_bytes(raw)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{p}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    try:
+        return _config_of_text(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc

@@ -35,7 +35,7 @@ def space_of(*fields) -> MultiMetricSpace:
 def cold_config_cache():
     """Each test starts with no config kept, so its first load_config of a file parses,
     probes and builds, as the first command of a process does."""
-    config_module._config_of_bytes.cache_clear()
+    config_module._config_of_text.cache_clear()
 
 
 @pytest.fixture(scope="session")

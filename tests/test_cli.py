@@ -14,7 +14,7 @@ import pytest
 import multifinsler.config as config_module
 import multifinsler.riemann as riemann_module
 from multifinsler.cli import dumps_stable, main
-from multifinsler.config import CONFIG_CACHE_SIZE, ConfigError, load_config, parse_config
+from multifinsler.config import ConfigError, load_config, parse_config
 from multifinsler.riemann import MetricField, NotPositiveDefiniteError
 from multifinsler.suites import CHECKS, TOLERANCES, run_suite
 
@@ -1016,19 +1016,19 @@ def test_an_invalid_config_raises_on_every_call(text, message, tmp_path, monkeyp
         with pytest.raises(ConfigError, match=message):
             load_config(p)
     assert len(built) == (3 if message.startswith("SPD") else 0)
-    assert config_module._config_of_bytes.cache_info().currsize == 0
+    assert config_module._config_of_text.cache_info().currsize == 0
 
 
 def test_more_distinct_configs_than_the_bound_evict_the_oldest(tmp_path):
     paths = []
-    for seed in range(CONFIG_CACHE_SIZE + 1):
+    for seed in range(config_module._CONFIG_CACHE_SIZE + 1):
         paths.append(tmp_path / f"space-{seed}.json")
         paths[-1].write_text(json.dumps({**BIMETRIC, "sampling": {**BIMETRIC["sampling"], "seed": seed}}))
     loaded = [load_config(p) for p in paths]
     assert all(load_config(p) is cfg for p, cfg in zip(paths[1:], loaded[1:]))
     again = load_config(paths[0])
     assert again is not loaded[0] and again == loaded[0]
-    assert config_module._config_of_bytes.cache_info().currsize == CONFIG_CACHE_SIZE
+    assert config_module._config_of_text.cache_info().currsize == config_module._CONFIG_CACHE_SIZE
 
 
 def test_a_second_benchmark_sample_in_one_process_equals_the_reference(tmp_path, monkeypatch):

@@ -193,7 +193,7 @@ def test_metric_fields_are_built_by_parse_config_alone():
 
 
 def test_configs_are_parsed_by_the_cached_reader_alone():
-    """parse_config is called by config._config_of_bytes alone, so every config of the
+    """parse_config is called by config._config_of_text alone, so every config of the
     package and its scripts comes through load_config's cache and no second, uncached
     path builds a space beside it."""
     def calls_parse_config(n):
@@ -201,7 +201,7 @@ def test_configs_are_parsed_by_the_cached_reader_alone():
             isinstance(n.func, ast.Name) and n.func.id == "parse_config"
             or isinstance(n.func, ast.Attribute) and n.func.attr == "parse_config")
 
-    assert _scopes(calls_parse_config, [*MODULES, *sorted(SCRIPTS.glob("*.py"))]) == {"config._config_of_bytes"}
+    assert _scopes(calls_parse_config, [*MODULES, *sorted(SCRIPTS.glob("*.py"))]) == {"config._config_of_text"}
 
 
 def test_the_norm_of_a_vector_is_written_once():
