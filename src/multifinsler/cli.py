@@ -117,12 +117,24 @@ def parse_point(text: str, flag: str, dimension: int) -> np.ndarray:
 
 
 def emit(obj, dest) -> None:
-    """Write a report as stable JSON to dest ('-' for stdout)."""
+    """Write a report as stable JSON to dest, in UTF-8 ('-' for stdout, in its own encoding)."""
     text = dumps_stable(obj) + "\n"
     if dest in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(dest).write_text(text)
+        Path(dest).write_text(text, encoding="utf-8")
+
+
+def check_out(dest) -> None:
+    """Refuse, before any work, an output path that cannot be created: a directory, or a
+    file whose directory does not exist."""
+    if dest in (None, "-"):
+        return
+    p = Path(dest)
+    if p.is_dir():
+        raise UsageError(f"--out {dest} is a directory")
+    if not p.parent.is_dir():
+        raise UsageError(f"--out {dest}: no directory {p.parent}")
 
 
 def _cmd_validate(cfg, args) -> int:
@@ -271,6 +283,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_out(args.out)
         return args.func(load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

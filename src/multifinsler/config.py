@@ -138,6 +138,9 @@ def parse_config(data: dict) -> SpaceConfig:
     for b in box:
         _expect(isinstance(b, list) and len(b) == 2 and all(_is_finite_number(v) for v in b)
                 and b[0] < b[1], f"invalid box interval {b!r}: needs two finite numbers, low < high")
+        lo, hi = map(float, b)  # the probes and the samples read the width and the centre
+        _expect(math.isfinite(hi - lo) and math.isfinite(lo + hi),
+                f"invalid box interval {b!r}: its width or its centre overflows a float")
 
     policy = SamplingPolicy(seed=seed, count=count, box=tuple(tuple(map(float, b)) for b in box))
 

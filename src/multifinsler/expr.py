@@ -16,7 +16,6 @@ evaluation is reentrant and safe to call from concurrent workers.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -115,53 +114,49 @@ class Neg(ScalarExpr):
 
 
 @dataclass(frozen=True)
-class Add(ScalarExpr):
+class _Binary(ScalarExpr):
+    """A binary operation: its operands and the one printing rule, read from each
+    subclass's printed operator `op` and precedence `level` (left-associative)."""
+
     a: ScalarExpr
     b: ScalarExpr
+
+    def _text(self):
+        return f"{_wrap(self.a, self.level)}{self.op}{_wrap(self.b, self.level + 1)}", self.level
+
+
+@dataclass(frozen=True)
+class Add(_Binary):
+    op, level = " + ", _ADD
 
     def diff(self, coord):
         return add(self.a.diff(coord), self.b.diff(coord))
 
-    def _text(self):
-        return f"{_wrap(self.a, _ADD)} + {_wrap(self.b, _ADD + 1)}", _ADD
-
 
 @dataclass(frozen=True)
-class Sub(ScalarExpr):
-    a: ScalarExpr
-    b: ScalarExpr
+class Sub(_Binary):
+    op, level = " - ", _ADD
 
     def diff(self, coord):
         return sub(self.a.diff(coord), self.b.diff(coord))
 
-    def _text(self):
-        return f"{_wrap(self.a, _ADD)} - {_wrap(self.b, _ADD + 1)}", _ADD
-
 
 @dataclass(frozen=True)
-class Mul(ScalarExpr):
-    a: ScalarExpr
-    b: ScalarExpr
+class Mul(_Binary):
+    op, level = "*", _MUL
 
     def diff(self, coord):
         da, db = self.a.diff(coord), self.b.diff(coord)
         return add(mul(da, self.b), mul(self.a, db))
 
-    def _text(self):
-        return f"{_wrap(self.a, _MUL)}*{_wrap(self.b, _MUL + 1)}", _MUL
-
 
 @dataclass(frozen=True)
-class Div(ScalarExpr):
-    a: ScalarExpr
-    b: ScalarExpr
+class Div(_Binary):
+    op, level = "/", _MUL
 
     def diff(self, coord):
         da, db = self.a.diff(coord), self.b.diff(coord)
         return div(sub(mul(da, self.b), mul(self.a, db)), power(self.b, 2.0))
-
-    def _text(self):
-        return f"{_wrap(self.a, _MUL)}/{_wrap(self.b, _MUL + 1)}", _MUL
 
 
 def _pow_value(base: float, expo: float, node: ScalarExpr) -> float:
@@ -362,27 +357,22 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {val!r}", off)
         return e
 
-    def expr(self) -> ScalarExpr:
-        e = self.term()
+    def _chain(self, operand: Callable[[], ScalarExpr], ops: dict) -> ScalarExpr:
+        """A left-associative run `operand (symbol operand)*`, each symbol of ops folded
+        by its constructor."""
+        e = operand()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                e = add(e, rhs) if val == "+" else sub(e, rhs)
-            else:
+            if kind != "op" or val not in ops:
                 return e
+            self.advance()
+            e = ops[val](e, operand())
+
+    def expr(self) -> ScalarExpr:
+        return self._chain(self.term, {"+": add, "-": sub})
 
     def term(self) -> ScalarExpr:
-        e = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.unary()
-                e = mul(e, rhs) if val == "*" else div(e, rhs)
-            else:
-                return e
+        return self._chain(self.unary, {"*": mul, "/": div})
 
     def unary(self) -> ScalarExpr:
         kind, val, _ = self.peek()
@@ -509,15 +499,14 @@ class _Emitter:
         if isinstance(node, Neg):
             a = self.emit(node.arg)
             return self.temporary(("neg", a), node, f"-{a}")
-        if isinstance(node, (Add, Sub, Mul)):
-            a, b = self.emit(node.a), self.emit(node.b)
-            op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
-            return self.temporary((op, a, b), node, f"_finite({a} {op} {b}, {{node}})")
         if isinstance(node, Div):
             b = self.emit(node.b)
             guard = (len(self.lines), f"if {b} == 0.0: raise EvalDomainError('division by zero', {{node}})")
             a = self.emit(node.a)
             return self.temporary(("/", a, b), node, f"_finite({a} / {b}, {{node}})", guard)
+        if isinstance(node, _Binary):
+            a, b, op = self.emit(node.a), self.emit(node.b), node.op.strip()
+            return self.temporary((op, a, b), node, f"_finite({a} {op} {b}, {{node}})")
         if isinstance(node, Pow):
             a, c = self.emit(node.base), self.bind(("float", node.exponent.hex()), node.exponent)
             return self.temporary(("^", a, c), node, f"_pow_value({a}, {c}, {{node}})")
@@ -534,17 +523,10 @@ class _Emitter:
             body = ["try:", *(f"    {line}" for line in body),
                     "except IndexError:", f"    raise _short_point(x, {coords}) from None"]
         source = "\n".join(["def table(x):", *(f"    {line}" for line in body), f"    return {result}", ""])
-        exec(_code(source), self.namespace)
+        exec(compile(source, "<expression table>", "exec"), self.namespace)
         # the function reads the namespace as its globals; taking it out leaves no cycle,
         # so a table is freed with its field
         return self.namespace.pop("table")
-
-
-@functools.cache
-def _code(source: str):
-    """Generated source compiled once per text; tables that differ only in their bound
-    values (constants, nodes) share it."""
-    return compile(source, "<expression table>", "exec")
 
 
 def compile_table(exprs: Sequence[ScalarExpr]) -> Callable[[Sequence[float]], list[float]]:

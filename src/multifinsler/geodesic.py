@@ -189,8 +189,9 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
 
 
 def write_csv(header, rows, dest) -> None:
-    """Write a numeric table as CSV, values at 17 significant digits; dest '-' or None is stdout."""
-    out = sys.stdout if dest in (None, "-") else open(dest, "w", newline="")
+    """Write a numeric table as UTF-8 CSV, values at 17 significant digits; dest '-' or None
+    is stdout, in its own encoding."""
+    out = sys.stdout if dest in (None, "-") else open(dest, "w", newline="", encoding="utf-8")
     try:
         writer = csv.writer(out)
         writer.writerow(header)

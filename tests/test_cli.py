@@ -245,6 +245,16 @@ class TestConfig:
         assert main(["validate", "--config", str(p)]) == 2
         assert "box" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("box", [[[-1e308, 1e308], [-1, 1]], [[1e308, 1.7e308], [-1, 1]]],
+                             ids=["width", "centre"])
+    def test_a_box_whose_width_or_centre_overflows_is_a_config_error(self, box, tmp_path, capsys):
+        # both bounds are finite, but the probes read lo + t*(hi - lo) and the centre (lo + hi)/2
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps({**BIMETRIC, "sampling": {**BIMETRIC["sampling"], "box": box}}))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid box interval {box[0]!r}: its width or its centre overflows a float\n")
+
     def test_booleans_are_not_numbers(self):
         one_d = {
             "dimension": True,
@@ -275,6 +285,48 @@ class TestCli:
         assert main(["validate", "--config", str(p), "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         assert rep["config"]["metrics"][0]["name"] == "al\npha\tone"
+
+    def test_files_are_written_in_utf8_under_an_ascii_locale(self, tmp_path):
+        """validate, sample and check write UTF-8 whatever the locale's encoding: under the C
+        locale with UTF-8 mode off they write the bytes a UTF-8 process writes."""
+        cfg = {**BIMETRIC, "coordinates": ["ξ", "η"], "metrics": [
+            {"name": "α", "components": [["1", "0"], ["0", "1"]]},
+            {"name": "β", "components": [["4", "0"], ["0", "2"]]}]}
+        config = tmp_path / "space.json"
+        config.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+        commands = {"valid.json": ["validate"], "sample.csv": ["sample", "--grid", "2", "--directions", "2"],
+                    "check.json": ["check", "--suite", "identities"]}
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = {}
+        for locale_env in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, {"PYTHONUTF8": "1"}):
+            env = {**os.environ, "PYTHONPATH": src, **locale_env}
+            encoding = subprocess.run([sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+                                      capture_output=True, text=True, env=env, check=True).stdout.strip()
+            assert (encoding.lower().replace("-", "") == "utf8") == (locale_env["PYTHONUTF8"] == "1"), encoding
+            out = tmp_path / locale_env["PYTHONUTF8"]
+            out.mkdir()
+            for name, argv in commands.items():
+                proc = subprocess.run([sys.executable, "-m", "multifinsler.cli", *argv, "--config", str(config),
+                                       "--out", str(out / name)], capture_output=True, env=env, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+            outputs[locale_env["PYTHONUTF8"]] = {name: (out / name).read_bytes() for name in commands}
+        assert outputs["0"] == outputs["1"]
+        assert "α".encode() in outputs["1"]["valid.json"] and "ξ".encode() in outputs["1"]["sample.csv"]
+
+    @pytest.mark.parametrize("argv", [["validate"], ["check", "--suite", "identities"], ["measure"],
+                                      ["geodesic"], ["sample"]], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["no-directory", "a-directory"])
+    def test_an_out_that_cannot_be_written_is_refused_before_any_work(self, argv, where, config_path, tmp_path,
+                                                                       monkeypatch, capsys):
+        import multifinsler.cli as cli
+
+        suites = count_calls(monkeypatch, cli, "run_suite")
+        loads = count_calls(monkeypatch, cli, "load_config")
+        out = tmp_path / "missing" / "report" if where == "no-directory" else tmp_path
+        assert main([*argv, "--config", config_path, "--out", str(out)]) == 2
+        reason = f": no directory {out.parent}" if where == "no-directory" else " is a directory"
+        assert capsys.readouterr().err == f"usage error: --out {out}{reason}\n"
+        assert suites[0] == loads[0] == 0
 
     def test_fiber_directions_need_2d(self, tmp_path, capsys):
         p = tmp_path / "line.json"

@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifinsler.expr import (
+    Add,
     Const,
+    Coord,
     DimensionMismatchError,
+    Div,
     EvalDomainError,
+    Mul,
     ParseError,
+    Sub,
     UnknownIdentifierError,
     compile_expression,
     differentiate,
@@ -191,6 +196,74 @@ def test_roundtrip_pretty_print_bulk():
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, size=2)
             assert compile_expression(e)(x) == compile_expression(e2)(x)
+
+
+# text -> str() of its tree: each binary operator as the left and as the right operand of
+# each precedence level, unary minus, powers and a call
+PRINTED = {
+    "x1 + x2 + x1": "x1 + x2 + x1",
+    "x1 + (x2 + x1)": "x1 + (x2 + x1)",
+    "x1 - x2 - x1": "x1 - x2 - x1",
+    "x1 - (x2 - 1.0)": "x1 - (x2 - 1.0)",
+    "x1 - (x2 + x1)": "x1 - (x2 + x1)",
+    "x1 + x2 - x1": "x1 + x2 - x1",
+    "(x1 - x2)*x1": "(x1 - x2)*x1",
+    "(x1 + x2)*x1": "(x1 + x2)*x1",
+    "x1*(x2 + x1)": "x1*(x2 + x1)",
+    "x1*x2*x1": "x1*x2*x1",
+    "x1*(x2*x1)": "x1*(x2*x1)",
+    "x1/x2/x1": "x1/x2/x1",
+    "x1/(x2*x1)": "x1/(x2*x1)",
+    "x1/(x2/x1)": "x1/(x2/x1)",
+    "x1*x2/x1": "x1*x2/x1",
+    "(x1/x2)*x1": "x1/x2*x1",
+    "x1/(x2 - x1)": "x1/(x2 - x1)",
+    "(x1 - x2)/x1": "(x1 - x2)/x1",
+    "x1 + x2*x1": "x1 + x2*x1",
+    "x1*x2 + x1/x2": "x1*x2 + x1/x2",
+    "-x1^2": "-x1^2.0",
+    "(-x1)^2": "(-x1)^2.0",
+    "x1^-2": "x1^-2.0",
+    "x1 - -x2": "x1 - -x2",
+    "x1*-x2": "x1*-x2",
+    "-x1*x2": "-x1*x2",
+    "-(x1 + x2)": "-(x1 + x2)",
+    "-(x1*x2)": "-(x1*x2)",
+    "-(x1/x2)/x1": "-(x1/x2)/x1",
+    "(x1*x2)^3": "(x1*x2)^3.0",
+    "(x1 + x2)^0.5": "(x1 + x2)^0.5",
+    "x1 - (-2)": "x1 - -2.0",
+    "2 - x1": "2.0 - x1",
+    "sin(x1 - x2)*x1": "sin(x1 - x2)*x1",
+}
+
+
+@pytest.mark.parametrize("text", PRINTED)
+def test_printed_text_of_each_parenthesisation(text):
+    e = parse(text)
+    assert str(e) == PRINTED[text]
+    assert parse(str(e)) == e
+
+
+X1, X2 = Coord(0, "x1"), Coord(1, "x2")
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("x1 - x2 - x1", Sub(Sub(X1, X2), X1)),
+    ("x1/x2/x1", Div(Div(X1, X2), X1)),
+    ("x1 - x2 + x1", Add(Sub(X1, X2), X1)),
+    ("x1*x2/x1", Div(Mul(X1, X2), X1)),
+    ("x1 + x2*x1 - x2", Sub(Add(X1, Mul(X2, X1)), X2)),
+])
+def test_binary_operators_associate_to_the_left(text, tree):
+    assert parse(text) == tree
+    assert hash(parse(text)) == hash(tree)
+
+
+def test_binary_nodes_differ_by_operator_and_print_their_fields():
+    assert Add(X1, X2) != Sub(X1, X2) and Mul(X1, X2) != Div(X1, X2)
+    assert repr(parse("x1 - 2*x2")) == (
+        "Sub(a=Coord(index=0, name='x1'), b=Mul(a=Const(value=2.0), b=Coord(index=1, name='x2')))")
 
 
 def test_compiled_matches_python_eval():

@@ -246,6 +246,39 @@ def test_the_central_stencil_is_built_once():
     assert _scopes(plus_minus_stack, MODULES) == {"connection._stencil"}
 
 
+def test_generated_code_is_compiled_by_the_emitter_alone():
+    """The builtin compile runs in expr._Emitter.function alone, once per generated table."""
+    def calls_compile(n):
+        return isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "compile"
+
+    assert _scopes(calls_compile, sorted(PACKAGE.glob("*.py"))) == {"expr._Emitter.function"}
+
+
+# The process-level caches of the package, each with the traffic it serves.  A cache pays
+# only where one process repeats a call; a new one is listed here with the repeats it
+# serves and their measured cost.
+PROCESS_CACHES = {
+    "cli.build_parser": "in-process repeats of cli.main (the benchmark harness runs its items "
+                        "in one process); a command-line run builds the parser once",
+    "config._config_of_text": "in-process repeats of load_config on one file content (the "
+                              "benchmark harness's items); a command-line run loads its config once",
+}
+
+
+def test_process_level_caches_are_the_listed_ones():
+    """The functions of src/ that functools.cache or functools.lru_cache decorate are
+    exactly the ones PROCESS_CACHES lists, and no module imports either by its bare name."""
+    def functools_cache(n):
+        return (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "functools"
+                and n.attr in ("cache", "lru_cache"))
+
+    paths = sorted(PACKAGE.glob("*.py"))
+    bare = [f"{path.stem}: {alias.name}" for path in paths for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.ImportFrom) and n.module == "functools" for alias in n.names]
+    assert not bare, f"functools names imported bare: {bare}"
+    assert _scopes(functools_cache, paths) == set(PROCESS_CACHES)
+
+
 def test_the_benchmark_names_resolve_in_the_package():
     """The methods and functions perfbench/tracer.py wraps by name (METHODS and
     EXTRA_FUNCTIONS), and the expr functions perfbench/run.py calls, exist in the
