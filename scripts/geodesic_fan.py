@@ -39,6 +39,11 @@ def main():
         thetas = [2.0 * math.pi * k / args.rays for k in range(args.rays)]
         directions = [cfg.fiber_direction(th) for th in thetas]
         x0 = cfg.box_center() if args.x0 is None else parse_point(args.x0, "--x0", cfg.dimension)
+        out_dir = Path(args.out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):  # the path, or a directory on it, is a file
+            raise UsageError(f"--out-dir {args.out_dir} is not a directory") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
@@ -46,8 +51,6 @@ def main():
         print(f"usage error: {exc}", file=sys.stderr)
         sys.exit(2)
     space = cfg.space
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     fan = integrate_geodesic(space, x0, np.array(directions), args.t_end, args.step)
     worst_drift = 0.0

@@ -81,8 +81,14 @@ def _is_int(v) -> bool:
 
 
 def _is_finite_number(v) -> bool:
-    """A finite JSON number; rejects booleans and the Infinity/NaN that json accepts."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A JSON number that is a finite float; rejects booleans, the Infinity/NaN that json
+    accepts, and integers beyond the float range, which math.isfinite cannot convert."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _expect_keys(obj: dict, allowed: tuple[str, ...], where: str):

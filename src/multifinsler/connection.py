@@ -14,6 +14,7 @@ closed-form x-derivative.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,11 @@ from .finsler import (
     _sym3,
     finsler_norm,
     finsler_state,
+    kernel_rows,
     rows_or_first_error,
     sector_norms,
     step_norm,
+    sum_in_order,
 )
 from .riemann import _christoffel
 
@@ -236,6 +239,46 @@ def connection_state(space: MultiMetricSpace, x, y) -> ConnectionState:
     G = np.matvec(state.g_inv, b)
 
     return ConnectionState(state=state, G=G, G_mu=G_mu, N_mu=N_mu, gamma_mu=gamma_mu, P=P, b=b)
+
+
+def _spray_row(y0: float, y1: float, sectors) -> tuple | None:
+    """G at one row of finsler.kernel_rows on Python floats, formed as connection_state
+    forms it: G_mu = a_mu^-1 c_mu, with c_mu the lowered Christoffels contracted twice
+    with y, then b = sum_mu P_mu G_mu and G = g^-1 b by Cramer's rule.  None where
+    det g is not positive or G is not finite, so the row takes the batched route."""
+    F = sum_in_order([s[5] for s in sectors])
+    ls = []
+    for a00, a01, a10, a11, det, f, d in sectors:
+        # m_s = (d a / d x_s) y; c_l = sum_jk (d_j a_lk - d_l a_jk / 2) y_j y_k
+        m00, m01 = d[0] * y0 + d[1] * y1, d[2] * y0 + d[3] * y1
+        m10, m11 = d[4] * y0 + d[5] * y1, d[6] * y0 + d[7] * y1
+        c0 = 0.5 * y0 * m00 + y1 * (m10 - 0.5 * m01)
+        c1 = 0.5 * y1 * m11 + y0 * (m01 - 0.5 * m10)
+        ls.append(((a00 * y0 + a01 * y1) / f, (a10 * y0 + a11 * y1) / f,
+                   (a11 * c0 - a01 * c1) / det, (a00 * c1 - a10 * c0) / det))
+    l0, l1 = sum_in_order([v[0] for v in ls]), sum_in_order([v[1] for v in ls])
+    g00, g01, g11, b0, b1 = l0 * l0, l0 * l1, l1 * l1, 0.0, 0.0
+    for (a00, a01, _, a11, _, f, _), (k0, k1, G0, G1) in zip(sectors, ls):
+        ratio = F / f
+        h00, h01, h11 = a00 - k0 * k0, a01 - k0 * k1, a11 - k1 * k1
+        g00, g01, g11 = g00 + ratio * h00, g01 + ratio * h01, g11 + ratio * h11
+        t = k0 * G0 + k1 * G1  # l_mu . G_mu
+        b0 += l0 * t + ratio * (h00 * G0 + h01 * G1)
+        b1 += l1 * t + ratio * (h01 * G0 + h11 * G1)
+    det_g = g00 * g11 - g01 * g01
+    if not det_g > 0.0:
+        return None
+    G = [(g11 * b0 - g01 * b1) / det_g, (g00 * b1 - g01 * b0) / det_g]
+    return (G,) if math.isfinite(G[0]) and math.isfinite(G[1]) else None
+
+
+def spray_rows(space: MultiMetricSpace, x, y) -> np.ndarray:
+    """connection_state(space, x, y).G, to rounding, at the rows of a batch x, y (B, n).
+    In 2D each row takes the Python-float kernel of _spray_row (see
+    finsler.kernel_rows), and a row that fails its tests takes connection_state on that
+    row, which raises what it raises today; in any other dimension this is
+    connection_state on the batch."""
+    return kernel_rows(space, x, y, 1, _spray_row, lambda a, b: (connection_state(space, a, b).G,))[0]
 
 
 def variational_spray(space: MultiMetricSpace, x, y) -> np.ndarray:

@@ -12,13 +12,14 @@ A finite-difference Hessian of F^2/2 is kept as an independent oracle.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .expr import ExprError
-from .riemann import MetricField, NotPositiveDefiniteError, spd_inverse_det
+from .riemann import MetricField, NotPositiveDefiniteError, spd_det_2x2, spd_inverse_det
 
 EPS_SLIT = 1e-8          # |y| below this is on the zero section
 HESSIAN_REL_STEP = 1e-5  # FD Hessian oracle step, relative to |y|
@@ -357,6 +358,80 @@ def finsler_norm(space: MultiMetricSpace, x, y) -> tuple[float, np.ndarray]:
     F_mu = sector_norms(a_mu, y)
     F = F_mu.sum(axis=-1)
     return (float(F) if F.ndim == 0 else F), F_mu
+
+
+def kernel_rows(space: MultiMetricSpace, x, y, order: int, row, batched) -> tuple:
+    """A per-row kernel on Python floats over a 2D batch (x, y) of shape (B, 2).
+
+    At each row that passes the tests below, row(y0, y1, sectors) gives a tuple of
+    per-row values, or None.  sectors holds per sector (a00, a01, a10, a11, det, f,
+    d): the entries of a_mu at x, its determinant, its norm f = F_mu = sqrt(q) with
+    q = y' a_mu y summed as sector_norms sums it (so f has its bits), and for order 1
+    the flat table d of the first x-derivatives, d[4 s + 2 i + j] = d a_ij / d x_s
+    (None for order 0).  A row passes if x and y are finite, some |y_i| >= EPS_SLIT,
+    every table evaluates, each sector passes riemann.spd_det_2x2, and 0 < q < inf:
+    each test at least as strict as one of check_sample, metric_values and
+    sector_norms.
+
+    Any other row, or a row whose row() is None, takes batched(x[i:i+1], y[i:i+1]),
+    the batched route on that row alone: it raises exactly what it raises today.
+    Returns the tuple of the stacked (B, ...) arrays.  A space of dimension other
+    than 2, or arrays not of shape (B, 2), take batched(x, y) on the whole batch.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if space.dim != 2 or x.shape != y.shape or x.ndim != 2 or x.shape[-1] != 2 or not len(x):
+        return batched(x, y)
+    tables = [(m.evaluator(0), m.evaluator(1) if order else None) for m in space.metrics]
+    one = len(tables) == 1  # sector_norms' summation order; see there
+    values = []
+    for i, (xr, (y0, y1)) in enumerate(zip(x.tolist(), y.tolist())):
+        value = None
+        if (math.isfinite(xr[0]) and math.isfinite(xr[1]) and math.isfinite(y0) and math.isfinite(y1)
+                and (abs(y0) >= EPS_SLIT or abs(y1) >= EPS_SLIT)):
+            sectors = []
+            for table, derivative in tables:
+                try:
+                    a00, a01, a10, a11 = table(xr)
+                    d = derivative(xr) if derivative else None
+                except ExprError:
+                    break
+                det = spd_det_2x2(a00, a01, a11)
+                if det is None:
+                    break
+                if one:
+                    q = (a00 * y0 * y0 + a01 * y0 * y1) + (a10 * y1 * y0 + a11 * y1 * y1)
+                else:
+                    q = a00 * y0 * y0 + a01 * y0 * y1 + a10 * y1 * y0 + a11 * y1 * y1
+                if not 0.0 < q < math.inf:
+                    break
+                sectors.append((a00, a01, a10, a11, det, math.sqrt(q), d))
+            else:
+                value = row(y0, y1, sectors)
+        if value is None:
+            value = [v[0] for v in batched(x[i:i + 1], y[i:i + 1])]
+        values.append(value)
+    return tuple(np.array(v, dtype=float) for v in zip(*values))
+
+
+def sum_in_order(values):
+    """values[0] + values[1] + ... from left to right, as numpy sums the few sectors of
+    a row (Python's sum may compensate)."""
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    return total
+
+
+def norm_rows(space: MultiMetricSpace, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """finsler_norm at the rows of a batch x, y (B, n): F (B,) and F_mu (B, N).  In 2D
+    each row takes the Python-float kernel of kernel_rows, with finsler_norm's bits,
+    and a row that fails its tests takes finsler_norm on that row; in any other
+    dimension this is finsler_norm on the batch."""
+    def row(_y0, _y1, sectors):
+        f_mu = [s[5] for s in sectors]
+        return sum_in_order(f_mu), f_mu
+
+    return kernel_rows(space, x, y, 0, row, lambda a, b: finsler_norm(space, a, b))
 
 
 def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:

@@ -5,6 +5,14 @@ classical fixed-step fourth-order Runge-Kutta (no adaptivity, so runs are
 reproducible bit for bit).  The norm F(x(t), x'(t)) is a first integral and
 its drift is the integrator's self-check.  A fan of rays advances in
 lockstep as one (B, n) state.
+
+Each RK4 stage takes G from connection.spray_rows and each step's end its
+norm from finsler.norm_rows.  In 2D both compute row by row on Python floats
+(finsler.kernel_rows); a row that fails the kernel's tests (a non-finite or
+slit sample, a table that does not evaluate, a sector that is not clearly SPD,
+a degenerate or overflowing form, a G that is not finite) takes
+connection_state or finsler_norm on that row, which raises its own error.  In
+any other dimension the stages are the batched numpy calls.
 """
 
 from __future__ import annotations
@@ -16,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import connection_state
+from .connection import spray_rows
 from .finsler import (
     EPS_SLIT,
     SAMPLE_ERRORS,
     MultiMetricSpace,
-    finsler_norm,
+    norm_rows,
     row_norm,
     rows_or_first_error,
 )
@@ -103,17 +111,17 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
 
     def start(a, b):
         """The sample (a, b) with its norm, which rejects a point on the slit."""
-        return a, b, finsler_norm(space, a, b)[0]
+        return a, b, norm_rows(space, a, b)[0]
 
     def rk4(a, b):
         """One RK4 step from the rows (a, b): the sample it ends at, with its norm."""
-        k1x, k1y = b, -connection_state(space, a, b).G
+        k1x, k1y = b, -spray_rows(space, a, b)
         k2x = b + 0.5 * h * k1y
-        k2y = -connection_state(space, a + 0.5 * h * k1x, k2x).G
+        k2y = -spray_rows(space, a + 0.5 * h * k1x, k2x)
         k3x = b + 0.5 * h * k2y
-        k3y = -connection_state(space, a + 0.5 * h * k2x, k3x).G
+        k3y = -spray_rows(space, a + 0.5 * h * k2x, k3x)
         k4x = b + h * k3y
-        k4y = -connection_state(space, a + h * k3x, k4x).G
+        k4y = -spray_rows(space, a + h * k3x, k4x)
         return start(a + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
                      b + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
 
@@ -175,17 +183,47 @@ def action_of_path(space: MultiMetricSpace, t, xs, ys=None) -> ActionResult:
         slow = row_norm(v) < EPS_SLIT
     stop = int(np.argmax(slow)) if slow.any() else len(t)
     if stop:
-        f_mu = rows_or_first_error(lambda x, y: finsler_norm(space, x, y)[1], xs[:stop], v[:stop])
+        f_mu = rows_or_first_error(lambda x, y: norm_rows(space, x, y)[1], xs[:stop], v[:stop])
     if stop < len(t):
         raise ValueError(f"zero-velocity segment at t={t[stop]}")
-    from scipy.integrate import simpson  # here: commands that compute no action do not load scipy
-
     # one rule over the rows [f_1, ..., f_N, sum_mu f_mu], each contiguous, so that each
     # row's value is the bits of a call on that row alone
     rows = np.empty((space.n_metrics + 1, len(t)))
     rows[:-1], rows[-1] = f_mu.T, f_mu.sum(axis=1)
-    values = simpson(rows, x=t, axis=-1)
+    values = simpson_rows(rows, t)
     return ActionResult(total=float(values[-1]), sector_totals=values[:-1])
+
+
+def _divide(a, b):
+    """a / b where b is not zero and 0 where it is, as scipy's simpson divides spacings."""
+    return np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=b != 0)
+
+
+def simpson_rows(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """scipy.integrate.simpson(y, x=t, axis=-1) bit for bit (scipy >= 1.11), for rows y
+    (k, K) at samples t (K,), K >= 2; written out so that a geodesic command does not
+    load scipy.integrate, about 50 MB resident.
+
+    Simpson's rule for uneven spacing over the pairs of intervals from the first; for
+    an even K, the last interval takes Cartwright's correction (a trapezoid for K = 2).
+    A zero spacing divides to 0, as in scipy.
+    """
+    h = np.diff(t)
+    if len(t) == 2:
+        return 0.0 + 0.5 * h[-1:] * (y[..., -1] + y[..., -2])
+    stop = len(t) - 3 + len(t) % 2  # the pairs of intervals cover the samples up to stop + 1
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod, ratio = h0 + h1, h0 * h1, _divide(h0, h1)
+    result = np.sum(hsum / 6.0 * (y[..., 0:stop:2] * (2.0 - _divide(1.0, ratio))
+                                  + y[..., 1:stop + 1:2] * (hsum * _divide(hsum, hprod))
+                                  + y[..., 2:stop + 2:2] * (2.0 - ratio)), axis=-1)
+    if len(t) % 2:
+        return result
+    h0, h1 = h[-2:-1], h[-1:]
+    alpha = _divide(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _divide(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _divide(1 * h1 ** 3, 6 * h0 * (h0 + h1))
+    return result + (alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3])
 
 
 def write_csv(header, rows, dest) -> None:

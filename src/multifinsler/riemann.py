@@ -6,6 +6,7 @@ finite differences, so downstream FD checks stay independent oracles.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,6 +148,21 @@ def spd_inverse_det(a: np.ndarray, x, names: Sequence[str]) -> tuple[np.ndarray,
             f"metric '{names[mu]}' is ill-conditioned at x={at}: eigenvalue ratio {eig[0] / eig[-1]} "
             f"at or below SPD_EIG_RATIO = {SPD_EIG_RATIO} (eigenvalues {eig})")
     return np.linalg.inv(a), np.linalg.det(a)
+
+
+def spd_det_2x2(a00: float, a01: float, a11: float) -> float | None:
+    """The determinant of the symmetric matrix [[a00, a01], [a01, a11]] of Python floats
+    if it passes a test at least as strict as spd_inverse_det's, else None.
+
+    The entries are finite, a00 > 0, det > 0, and by the closed-form eigenvalues
+    lambda_min / lambda_max = det / lambda_max^2 exceeds 2 SPD_EIG_RATIO.  Near that
+    ratio det and the eigenvalues eigvalsh returns are both within about eps / ratio
+    (1e-6) of the exact ones, so the factor 2 covers their rounding."""
+    if not (math.isfinite(a00) and math.isfinite(a01) and math.isfinite(a11) and a00 > 0.0):
+        return None
+    det = a00 * a11 - a01 * a01
+    lam_max = 0.5 * (a00 + a11 + math.sqrt((a00 - a11) * (a00 - a11) + 4.0 * a01 * a01))
+    return det if det > 0.0 and det > 2.0 * SPD_EIG_RATIO * lam_max * lam_max else None
 
 
 def _christoffel(inv: np.ndarray, dA: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from multifinsler.connection import (
     connection_state,
     horizontal_compatibility_residual,
     nonlinear_connection_fd,
+    spray_rows,
     variational_spray,
 )
 from multifinsler.dim2 import cartan_structure_residuals, frame_from_state, gauss_curvature, invariants_JK
@@ -30,11 +31,12 @@ from multifinsler.finsler import (
     fd_fundamental_tensor,
     finsler_norm,
     finsler_state,
+    norm_rows,
     rows_or_first_error,
     sector_norms,
 )
 from multifinsler.suites import fd_residuals, pointwise_residuals
-from multifinsler.riemann import MetricField, NotPositiveDefiniteError
+from multifinsler.riemann import MetricField, NotPositiveDefiniteError, spd_det_2x2, spd_inverse_det
 
 from conftest import count_calls, field, space_of
 
@@ -446,7 +448,7 @@ def test_evaluation_error_after_an_spd_failure_keeps_point_order():
         sp.metric_values(np.array([[0.0, 1.0], both]))
 
 
-@pytest.mark.parametrize("fn", [finsler_norm, finsler_state, connection_state])
+@pytest.mark.parametrize("fn", [finsler_norm, finsler_state, connection_state, norm_rows, spray_rows])
 @pytest.mark.parametrize("x, y", [
     (np.zeros((3, 2)), np.ones((2, 2))),
     (np.zeros((1, 2)), np.ones((3, 2))),
@@ -459,3 +461,96 @@ def test_batches_of_x_and_y_must_have_one_shape(fn, x, y):
                   field("beta", [["1", "0"], ["0", "3"]]))
     with pytest.raises(ValueError, match=r"shape \(n,\) or \(B, n\)"):
         fn(sp, x, y)
+
+
+# -- the 2D kernels on Python floats under integrate_geodesic ---------------------
+
+CONFIGS = ("single", "bimetric", "trimetric")
+
+
+@st.composite
+def kernel_cases(draw):
+    """A drawn space of spaces() and a batch of batches(), or a committed config with a
+    batch in its box that now and then holds a non-finite or slit row."""
+    if draw(st.booleans()):
+        return draw(spaces()), draw(batches())
+    name = draw(st.sampled_from(CONFIGS))
+    space = load_config(REPO / "configs" / f"{name}.json").space
+    box = 0.8 if name == "single" else 1.0
+    size = draw(st.integers(1, 7))
+    x = np.array([[draw(num(-box, box)), draw(num(-box, box))] for _ in range(size)])
+    y = np.array([[draw(num(-5.0, 5.0)), draw(num(-5.0, 5.0))] for _ in range(size)])
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from([[0.0, 0.0], [np.inf, 1.0], [np.nan, 0.0], [1e200, 1.0], [3e-9, -4e-9]]))
+        (x if draw(st.booleans()) else y)[draw(st.integers(0, size - 1))] = bad
+    return space, (x, y)
+
+
+def assert_kernel_rows(kernel, reference, close, space, x, y):
+    """kernel on the batch (x, y) against reference at each row alone: the error of the
+    first failing row, as a loop of single calls stops there, or each row close to its own."""
+    solo = [outcome(reference, space, x[r:r + 1], y[r:r + 1]) for r in range(len(x))]
+    batched = outcome(kernel, space, x, y)
+    failed = [o for o in solo if isinstance(o, Exception)]
+    if failed:
+        assert same_error(batched, failed[0]), (batched, failed[0])
+        return
+    assert not isinstance(batched, Exception), batched
+    for r, s in enumerate(solo):
+        close(batched, r, s)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(kernel_cases())
+def test_spray_rows_match_connection_state_row_by_row(case):
+    space, (x, y) = case
+
+    def close(G, r, ref):
+        # both routes lose up to about eps * kappa to a sector of condition number kappa:
+        # at kappa = 1e9, near the SPD limit, each is up to 3e-9 off the G of 60-digit
+        # arithmetic, and they are 1e-15 apart where every kappa < 1e3
+        w = np.linalg.eigvalsh(space.metric_values(x[r])[0])
+        kappa = np.max(w[:, -1] / w[:, 0])
+        assert G.shape == (len(x), 2)
+        assert np.max(np.abs(G[r] - ref[0])) <= (1e-14 + 1e-15 * kappa) * (1.0 + np.max(np.abs(ref[0])))
+
+    assert_kernel_rows(spray_rows, lambda sp, a, b: connection_state(sp, a, b).G, close, space, x, y)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(kernel_cases())
+def test_norm_rows_match_finsler_norm_row_by_row(case):
+    space, (x, y) = case
+
+    def close(norms, r, ref):
+        # the kernel sums each form and the norms in finsler_norm's order: the same bits
+        assert norms[0].shape == (len(x),) and norms[1].shape == (len(x), space.n_metrics)
+        assert norms[0][r] == ref[0][0] and np.array_equal(norms[1][r], ref[1][0])
+
+    assert_kernel_rows(norm_rows, finsler_norm, close, space, x, y)
+
+
+@st.composite
+def symmetric_2x2(draw):
+    """[[a00, a01], [a01, a11]]: eigenvalues lam and lam * ratio rotated by an angle, with
+    ratios of 1e-11 to 1e-9 about SPD_EIG_RATIO, zero or negative ones, or an entry
+    replaced by inf or NaN."""
+    lam = 10.0 ** draw(num(-8.0, 8.0))
+    ratio = draw(st.one_of(st.builds(lambda e: 10.0 ** e, num(-11.0, -9.0)),
+                           st.sampled_from([0.0, -1e-12, -1e-10, -0.5, 2e-10, 1.0]),
+                           num(-1.0, 1.0)))
+    theta = draw(num(0.0, np.pi))
+    c, s = np.cos(theta), np.sin(theta)
+    lo = lam * ratio
+    a = [c * c * lam + s * s * lo, c * s * (lam - lo), s * s * lam + c * c * lo]
+    if draw(st.integers(0, 4)) == 0:
+        a[draw(st.integers(0, 2))] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return [float(v) for v in a]
+
+
+@settings(SETTINGS, max_examples=2000)
+@given(symmetric_2x2())
+def test_the_kernel_spd_test_passes_no_matrix_that_spd_inverse_det_rejects(a):
+    a00, a01, a11 = a
+    if spd_det_2x2(a00, a01, a11) is not None:
+        spd_inverse_det(np.array([[[a00, a01], [a01, a11]]]), np.zeros(2), ["m"])  # raises where it rejects

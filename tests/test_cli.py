@@ -245,6 +245,16 @@ class TestConfig:
         assert main(["validate", "--config", str(p)]) == 2
         assert "box" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", [10 ** 400, -10 ** 400], ids=["high", "low"])
+    def test_an_integer_bound_beyond_the_float_range_is_a_config_error(self, bound, tmp_path, capsys):
+        # json reads the integer exactly; no float holds it, so it is not a finite number
+        box = [[0, bound], [-1, 1]] if bound > 0 else [[bound, 0], [-1, 1]]
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps({**BIMETRIC, "sampling": {**BIMETRIC["sampling"], "box": box}}))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid box interval {box[0]!r}: needs two finite numbers, low < high\n")
+
     @pytest.mark.parametrize("box", [[[-1e308, 1e308], [-1, 1]], [[1e308, 1.7e308], [-1, 1]]],
                              ids=["width", "centre"])
     def test_a_box_whose_width_or_centre_overflows_is_a_config_error(self, box, tmp_path, capsys):
@@ -670,6 +680,18 @@ class TestCli:
         expected = capsys.readouterr().out
         assert main([argv[0], "--config", config_path, *argv[1:]]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("out_dir", ["ray.csv", "ray.csv/fan"])
+    def test_fan_script_out_dir_on_a_file_is_a_usage_error(self, config_path, tmp_path, out_dir):
+        # the directory, or one on its path, is an existing file: refused before any integration
+        script = Path(__file__).resolve().parent.parent / "scripts" / "geodesic_fan.py"
+        (tmp_path / "ray.csv").write_text("kept\n")
+        proc = subprocess.run([sys.executable, str(script), config_path, "--rays", "1",
+                               "--out-dir", str(tmp_path / out_dir)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage error: --out-dir") and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and (tmp_path / "ray.csv").read_text() == "kept\n"
 
     def test_fan_script_negative_point_needs_no_equals_sign(self, config_path, tmp_path):
         script = Path(__file__).resolve().parent.parent / "scripts" / "geodesic_fan.py"

@@ -195,8 +195,10 @@ class TestRk4Stage:
         assert linalg_calls == {"eigvalsh": [4 * n, 1], "inv": [4 * n + 4, 2], "det": [4 * n, 1]}
 
     def test_an_rk4_step_walks_each_new_point_once(self, monkeypatch):
-        # a fresh space, so no memo holds a point; each step walks the x of stages 2-4
-        # and of its end point once, and stage 1 and the derivatives reuse a walk
+        # the stages and the norms of a fan whose rows all pass the 2D kernel: each ray
+        # evaluates the first-derivative tables once per stage, and the value tables once
+        # per stage and once at the start and at each step's end, where the norm is taken;
+        # no row takes the batched route, which walks the distinct points of a batch
         sp = space_of(const_field("alpha", np.eye(2)), field("beta", [["4", "0"], ["0", "1+x1^2"]]))
         original, walked = finsler._distinct_points, []
 
@@ -205,10 +207,15 @@ class TestRk4Stage:
             return original(x, *args)
 
         monkeypatch.setattr(finsler, "_distinct_points", recorded)
+        evaluations = record_evaluations(monkeypatch)
         _, y = self.rays(33)
         fan = integrate_geodesic(sp, np.array([0.1, -0.2]), y, 2e-3, 1e-3)
         assert len(fan.t) == 3 and fan.errors == (None,) * 4
-        assert len(walked) == 1 + 2 * 4 and len(set(walked)) == len(walked)
+        assert walked == []
+        steps, rays = 2, 4
+        for name in ("alpha", "beta"):
+            assert len(evaluations[name, 1]) == steps * 4 * rays
+            assert len(evaluations[name, 0]) == (1 + steps * (4 + 1)) * rays
 
 
 class TestNonlinearConnection:

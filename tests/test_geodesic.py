@@ -1,7 +1,6 @@
 import math
 import re
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import multifinsler.connection as connection
 import multifinsler.geodesic as geodesic
 
 from multifinsler.config import load_config
@@ -69,8 +69,7 @@ class TestIntegration:
 
     def test_step_onto_the_slit_raises(self, monkeypatch, bi_const):
         # a constant spray y0/h takes the velocity to zero in one RK4 step
-        spray = SimpleNamespace(G=np.array([10.0, 0.0]))
-        monkeypatch.setattr(geodesic, "connection_state", lambda space, x, y: spray)
+        monkeypatch.setattr(geodesic, "spray_rows", lambda space, x, y: np.array([10.0, 0.0]))
         with pytest.raises(SlitViolationError):
             integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], 0.3, 0.1)
 
@@ -127,7 +126,7 @@ class TestLockstep:
                 assert_same_path(fan, k, integrate_geodesic(tri_space, xk, y0[k], 0.05, 0.01))
 
     def test_one_connection_state_per_stage(self, monkeypatch, tri_space):
-        calls = count_calls(monkeypatch, geodesic, "connection_state")
+        calls = count_calls(monkeypatch, geodesic, "spray_rows")
         integrate_geodesic(tri_space, [0.1, 0.2], np.eye(2).repeat(3, axis=0), 0.03, 0.01)
         assert calls[0] == 3 * 4
 
@@ -162,8 +161,12 @@ class TestLockstep:
             path.ray(0)
 
     def test_linear_algebra_failure_retires_its_row(self, monkeypatch, bi_x):
-        # in this diagonal pair g_12 has the sign of y_1 y_2, so a stub that fails to invert
-        # a stack holding a g with g_12 < 0 (the spray's g_inv) fails the second ray's stages
+        # in this diagonal pair g_12 has the sign of y_1 y_2: the kernel declines the rows
+        # with y_1 y_2 < 0, so the second ray's stages take connection_state, where a stub
+        # that fails to invert a stack holding a g with g_12 < 0 (the spray's g_inv) fails them
+        kernel_row = connection._spray_row
+        monkeypatch.setattr(connection, "_spray_row",
+                            lambda y0, y1, sectors: None if y0 * y1 < 0.0 else kernel_row(y0, y1, sectors))
         original = np.linalg.inv
 
         def inv(a):
@@ -245,7 +248,7 @@ def test_a_fan_retires_each_failing_ray_whole_at_its_step(starts, n_steps):
     sp = edge_space()
     x0 = np.array([(x1, x2) for x1, x2, _, _ in starts])
     y0 = np.array([(v * np.cos(theta), v * np.sin(theta)) for _, _, theta, v in starts])
-    with mock.patch.object(geodesic, "connection_state", wraps=geodesic.connection_state) as spy:
+    with mock.patch.object(geodesic, "spray_rows", wraps=geodesic.spray_rows) as spy:
         fan = integrate_geodesic(sp, x0, y0, n_steps * STEP, STEP)
     if fan.errors.count(None) == len(starts):
         assert spy.call_count == 4 * n_steps
@@ -340,15 +343,28 @@ class TestAction:
         f_mu = finsler_norm(sp, xs, ys)[1]
         sectors = np.array([float(integrate.simpson(f_mu[:, m], x=t)) for m in range(n_metrics)])
         total = float(integrate.simpson(f_mu.sum(axis=1), x=t))
-        calls = count_calls(monkeypatch, integrate, "simpson")
+        calls = count_calls(monkeypatch, geodesic, "simpson_rows")
         act = action_of_path(sp, t, xs, ys)
         assert calls[0] == 1
         assert act.sector_totals.tobytes() == sectors.tobytes()
         assert np.float64(act.total).tobytes() == np.float64(total).tobytes()
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(steps=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)), min_size=1, max_size=40),
+           start=st.floats(-5.0, 5.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(steps=[0.01] * 1000, start=0.0, seed=0)
+    @example(steps=[0.01] * 999, start=0.0, seed=0)
+    def test_the_written_out_rule_is_scipys_simpson_bit_for_bit(self, steps, start, seed):
+        # even and odd sample counts, uneven spacings and repeated samples (a zero spacing)
+        from scipy import integrate
+
+        t = start + np.cumsum([0.0, *steps])
+        y = np.random.default_rng(seed).normal(size=(3, len(t)))
+        assert geodesic.simpson_rows(y, t).tobytes() == integrate.simpson(y, x=t, axis=-1).tobytes()
+
     def test_samples_are_evaluated_in_one_call(self, monkeypatch, bi_x):
         p = integrate_geodesic(bi_x, [0.1, 0.1], [1.0, 0.3], 0.1, 0.01)
-        calls = count_calls(monkeypatch, geodesic, "finsler_norm")
+        calls = count_calls(monkeypatch, geodesic, "norm_rows")
         act = action_of_path(bi_x, p.t, p.x, p.y)
         assert calls[0] == 1
         assert act.decomposition_residual <= 1e-12

@@ -134,9 +134,11 @@ def test_every_public_function_is_reached():
 
 
 # The functions outside MetricField that evaluate its component tables: the sector data of
-# the routes, the variational oracle's own stencil and a test-only oracle
+# the routes, the per-row tables of the 2D norm and spray kernels, the variational oracle's
+# own stencil and a test-only oracle
 COMPONENT_READERS = {
     "finsler.MultiMetricSpace._sector_data",
+    "finsler.kernel_rows",
     "connection._variational_spray_rows",
     "riemann.christoffels_and_spray",
 }
@@ -159,6 +161,28 @@ def test_metric_components_are_read_through_the_space():
                     readers.add(f"{path.stem}.{owner}{scope.name}")
     assert readers == COMPONENT_READERS, (
         f"new readers: {sorted(readers - COMPONENT_READERS)}; listed but gone: {sorted(COMPONENT_READERS - readers)}")
+
+
+def test_geodesics_take_the_spray_and_the_norms_from_the_row_kernels():
+    """geodesic.py takes G only through connection.spray_rows, in the RK4 stages, and the
+    sector norms only through finsler.norm_rows, at each step's end and in the action:
+    it imports nothing else from connection, no other route to the norm from finsler,
+    and reads no field of a connection or finsler state and no metric data of a space."""
+    path = PACKAGE / "geodesic.py"
+    tree = ast.parse(path.read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level and not n.module]
+    assert _imported_from(tree, "connection") == {"spray_rows"}
+    routes = {"connection_state", "finsler_state", "finsler_norm", "sector_norms", "kernel_rows"}
+    assert not _imported_from(tree, "finsler") & routes
+    reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not reads & {"G", "F_mu", "state", "metrics", "metric_values", "metric_derivatives"}
+
+    def calls(name):
+        return _scopes(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name,
+                       [path])
+
+    assert calls("spray_rows") == {"geodesic.integrate_geodesic.rk4"}
+    assert calls("norm_rows") == {"geodesic.integrate_geodesic.start", "geodesic.action_of_path"}
 
 
 def _scopes(match, paths):
@@ -316,6 +340,30 @@ def test_sample_and_validate_do_not_load_scipy_integrate(tmp_path):
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.integrate" not in loaded, loaded
+
+
+def test_geodesic_commands_do_not_load_scipy_integrate(tmp_path):
+    """The action's Simpson rule is written out (geodesic.simpson_rows), so the geodesic
+    command, the geodesics suite and the fan script, which all compute actions, never
+    load scipy.integrate, about 50 MB resident."""
+    config = str(PACKAGE.parent.parent / "configs" / "bimetric.json")
+    code = "\n".join([
+        "import json, runpy, sys",
+        "from multifinsler.cli import main",
+        f"assert main(['geodesic', '--config', {config!r}, '--t-end', '0.02', '--format', 'json',"
+        f" '--out', {str(tmp_path / 'path.json')!r}]) == 0",
+        f"assert main(['check', '--config', {config!r}, '--suite', 'geodesics',"
+        f" '--out', {str(tmp_path / 'report.json')!r}]) == 0",
+        f"sys.argv = ['geodesic_fan.py', {config!r}, '--rays', '2', '--t-end', '0.01',"
+        f" '--out-dir', {str(tmp_path / 'fan')!r}]",
+        f"runpy.run_path({str(SCRIPTS / 'geodesic_fan.py')!r}, run_name='__main__')",
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
