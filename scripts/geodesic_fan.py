@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Integrate a fan of geodesics from one point and report norm conservation.
 
-Shoots trajectories in evenly spaced directions, all rays in one lockstep
-integration, exports each as CSV, and prints the worst norm drift plus the
+Shoots trajectories in evenly spaced directions, all rays by one
+integrate_geodesic call, exports each as CSV, and prints the worst norm drift plus the
 action of every leg.  If a ray fails with a per-sample error (slit, non-finite
 value, loss of positive definiteness, expression domain, linear algebra), the
 rays before it are still written and printed, and its error is raised; any

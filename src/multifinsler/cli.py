@@ -20,7 +20,7 @@ from .config import ConfigError, load_config
 from .connection import connection_state
 from .dim2 import frame_from_state, invariants_JK
 from .finsler import finsler_state, rows_or_first_error
-from .geodesic import action_of_path, integrate_geodesic, path_to_csv, write_csv
+from .geodesic import action_of_path, integrate_geodesic, path_to_csv, write_csv, write_text
 from .measure import busemann_hausdorff, holmes_thompson, holmes_thompson_disc_oracle
 from .suites import SUITES, SUITES_2D_ONLY, run_suite
 
@@ -117,12 +117,8 @@ def parse_point(text: str, flag: str, dimension: int) -> np.ndarray:
 
 
 def emit(obj, dest) -> None:
-    """Write a report as stable JSON to dest, in UTF-8 ('-' for stdout, in its own encoding)."""
-    text = dumps_stable(obj) + "\n"
-    if dest in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+    """Write a report as stable JSON to dest, in UTF-8 ('-' for stdout, also in UTF-8)."""
+    write_text(dumps_stable(obj) + "\n", dest)
 
 
 def check_out(dest) -> None:

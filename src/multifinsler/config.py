@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import ExprError
+from .expr import IDENTIFIER, ExprError
 from .finsler import MultiMetricSpace
 from .riemann import MetricField, NotPositiveDefiniteError
 
@@ -109,6 +109,9 @@ def parse_config(data: dict) -> SpaceConfig:
     _expect(isinstance(coords, list) and len(coords) == dim,
             f"'coordinates' must list {dim} names")
     _expect(all(isinstance(c, str) and c for c in coords), "coordinate names must be strings")
+    for c in coords:
+        _expect(IDENTIFIER.fullmatch(c), f"coordinate name {c!r} is not an identifier: a letter or '_', "
+                                         f"then letters, digits or '_'")
     _expect(len(set(coords)) == dim, "coordinate names must be distinct")
 
     raw_metrics = data.get("metrics")

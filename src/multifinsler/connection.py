@@ -24,14 +24,14 @@ from .finsler import (
     MultiMetricSpace,
     _scalar,
     _fd_hessian,
+    _oracle_rows,
     _sym3,
     finsler_norm,
     finsler_state,
-    kernel_rows,
+    kernel_row,
     rows_or_first_error,
     sector_norms,
     step_norm,
-    sum_in_order,
 )
 from .riemann import _christoffel
 
@@ -241,12 +241,11 @@ def connection_state(space: MultiMetricSpace, x, y) -> ConnectionState:
     return ConnectionState(state=state, G=G, G_mu=G_mu, N_mu=N_mu, gamma_mu=gamma_mu, P=P, b=b)
 
 
-def _spray_row(y0: float, y1: float, sectors) -> tuple | None:
-    """G at one row of finsler.kernel_rows on Python floats, formed as connection_state
+def _spray_row(y0: float, y1: float, sectors) -> list | None:
+    """G at one sample of finsler.kernel_row on Python floats, formed as connection_state
     forms it: G_mu = a_mu^-1 c_mu, with c_mu the lowered Christoffels contracted twice
     with y, then b = sum_mu P_mu G_mu and G = g^-1 b by Cramer's rule.  None where
-    det g is not positive or G is not finite, so the row takes the batched route."""
-    F = sum_in_order([s[5] for s in sectors])
+    det g is not positive or G is not finite, so the sample takes the batched route."""
     ls = []
     for a00, a01, a10, a11, det, f, d in sectors:
         # m_s = (d a / d x_s) y; c_l = sum_jk (d_j a_lk - d_l a_jk / 2) y_j y_k
@@ -254,9 +253,13 @@ def _spray_row(y0: float, y1: float, sectors) -> tuple | None:
         m10, m11 = d[4] * y0 + d[5] * y1, d[6] * y0 + d[7] * y1
         c0 = 0.5 * y0 * m00 + y1 * (m10 - 0.5 * m01)
         c1 = 0.5 * y1 * m11 + y0 * (m01 - 0.5 * m10)
-        ls.append(((a00 * y0 + a01 * y1) / f, (a10 * y0 + a11 * y1) / f,
-                   (a11 * c0 - a01 * c1) / det, (a00 * c1 - a10 * c0) / det))
-    l0, l1 = sum_in_order([v[0] for v in ls]), sum_in_order([v[1] for v in ls])
+        k0, k1 = (a00 * y0 + a01 * y1) / f, (a10 * y0 + a11 * y1) / f
+        ls.append((k0, k1, (a11 * c0 - a01 * c1) / det, (a00 * c1 - a10 * c0) / det))
+        # F and l summed over the sectors from left to right, as numpy sums them
+        if len(ls) == 1:
+            F, l0, l1 = f, k0, k1
+        else:
+            F, l0, l1 = F + f, l0 + k0, l1 + k1
     g00, g01, g11, b0, b1 = l0 * l0, l0 * l1, l1 * l1, 0.0, 0.0
     for (a00, a01, _, a11, _, f, _), (k0, k1, G0, G1) in zip(sectors, ls):
         ratio = F / f
@@ -269,21 +272,22 @@ def _spray_row(y0: float, y1: float, sectors) -> tuple | None:
     if not det_g > 0.0:
         return None
     G = [(g11 * b0 - g01 * b1) / det_g, (g00 * b1 - g01 * b0) / det_g]
-    return (G,) if math.isfinite(G[0]) and math.isfinite(G[1]) else None
+    return [G] if math.isfinite(G[0]) and math.isfinite(G[1]) else None
 
 
-def spray_rows(space: MultiMetricSpace, x, y) -> np.ndarray:
-    """connection_state(space, x, y).G, to rounding, at the rows of a batch x, y (B, n).
-    In 2D each row takes the Python-float kernel of _spray_row (see
-    finsler.kernel_rows), and a row that fails its tests takes connection_state on that
-    row, which raises what it raises today; in any other dimension this is
-    connection_state on the batch."""
-    return kernel_rows(space, x, y, 1, _spray_row, lambda a, b: (connection_state(space, a, b).G,))[0]
+def spray_row(space: MultiMetricSpace, x: list, y: list) -> list:
+    """connection_state(space, x, y).G, to rounding, at one sample (x, y), two lists of
+    n floats, as a list of floats.  In 2D the sample takes the Python-float kernel of
+    _spray_row (see finsler.kernel_row); a sample that fails its tests, and a sample in
+    any other dimension, takes connection_state as a batch of one, which raises what it
+    raises."""
+    return kernel_row(space, x, y, 1, _spray_row, lambda a, b: (connection_state(space, a, b).G,))[0]
 
 
 def variational_spray(space: MultiMetricSpace, x, y) -> np.ndarray:
     """Independent spray oracle G from finite differences of F^2 alone, at a sample
-    (x, y) or at a batch of samples with x and y of shape (B, n).
+    (x, y) or at a batch y (B, n), at the one point x (n,) or at one point per row
+    (B, n).
 
     Computes 2 * (1/4) g^{il} (y^k d^2F^2/dx^k dy^l - dF^2/dx^l) with the
     Hessian g and all derivatives taken by central differences of F^2,
@@ -293,7 +297,7 @@ def variational_spray(space: MultiMetricSpace, x, y) -> np.ndarray:
     failing row raises its own error (see rows_or_first_error).
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    G = rows_or_first_error(functools.partial(_variational_spray_rows, space), np.atleast_2d(x), np.atleast_2d(y))
+    G = rows_or_first_error(functools.partial(_variational_spray_rows, space), *_oracle_rows(x, y))
     return G.reshape(y.shape)
 
 
@@ -335,10 +339,8 @@ def nonlinear_connection_fd(space: MultiMetricSpace, x, y) -> np.ndarray:
     single call's bits, and the first failing row raises its own error (see
     rows_or_first_error)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    rows = y.reshape(-1, y.shape[-1])
-    xs = np.broadcast_to(x, y.shape).reshape(rows.shape)
-    return rows_or_first_error(functools.partial(_nonlinear_connection_rows, space), xs, rows).reshape(
-        y.shape + y.shape[-1:])
+    N = rows_or_first_error(functools.partial(_nonlinear_connection_rows, space), *_oracle_rows(x, y))
+    return N.reshape(y.shape + y.shape[-1:])
 
 
 def _nonlinear_connection_rows(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:

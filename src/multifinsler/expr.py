@@ -8,10 +8,12 @@ Grammar (whitespace-insensitive)::
     power  := atom ('^' unary)?          # right-associative, binds above unary minus
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
-Identifiers are declared coordinate names or one of the unary functions
-sin, cos, tan, exp, log, sqrt, tanh.  Exponents must fold to a numeric
-constant at parse time.  Trees are immutable after construction, so
-evaluation is reentrant and safe to call from concurrent workers.
+An IDENT is a Unicode letter or '_' followed by letters, digits and '_' (so
+'ξ' and 'x_1' are identifiers); identifiers are declared coordinate names or
+one of the unary functions sin, cos, tan, exp, log, sqrt, tanh.  Exponents
+must fold to a numeric constant at parse time.  Trees are immutable after
+construction, so evaluation is reentrant and safe to call from concurrent
+workers.
 """
 
 from __future__ import annotations
@@ -311,9 +313,10 @@ def call(name: str, arg: ScalarExpr) -> ScalarExpr:
 # Parser
 
 
+IDENTIFIER = re.compile(r"[^\W\d]\w*")  # a Unicode letter or '_', then letters, digits and '_'
 _TOKEN = re.compile(
     r"(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{IDENTIFIER.pattern})"
     r"|(?P<op>[-+*/^(),]))"
 )
 

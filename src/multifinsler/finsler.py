@@ -360,39 +360,32 @@ def finsler_norm(space: MultiMetricSpace, x, y) -> tuple[float, np.ndarray]:
     return (float(F) if F.ndim == 0 else F), F_mu
 
 
-def kernel_rows(space: MultiMetricSpace, x, y, order: int, row, batched) -> tuple:
-    """A per-row kernel on Python floats over a 2D batch (x, y) of shape (B, 2).
+def kernel_row(space: MultiMetricSpace, x: list, y: list, order: int, row, batched) -> list:
+    """A kernel on Python floats at one sample (x, y), each a list of n floats.
 
-    At each row that passes the tests below, row(y0, y1, sectors) gives a tuple of
-    per-row values, or None.  sectors holds per sector (a00, a01, a10, a11, det, f,
-    d): the entries of a_mu at x, its determinant, its norm f = F_mu = sqrt(q) with
-    q = y' a_mu y summed as sector_norms sums it (so f has its bits), and for order 1
-    the flat table d of the first x-derivatives, d[4 s + 2 i + j] = d a_ij / d x_s
-    (None for order 0).  A row passes if x and y are finite, some |y_i| >= EPS_SLIT,
-    every table evaluates, each sector passes riemann.spd_det_2x2, and 0 < q < inf:
-    each test at least as strict as one of check_sample, metric_values and
-    sector_norms.
+    In 2D, where the sample passes the tests below, row(y0, y1, sectors) gives the list
+    of values, or None.  sectors holds per sector (a00, a01, a10, a11, det, f, d): the
+    entries of a_mu at x, its determinant, its norm f = F_mu = sqrt(q) with q = y' a_mu y
+    summed as sector_norms sums it (so f has its bits), and for order 1 the flat table d
+    of the first x-derivatives, d[4 s + 2 i + j] = d a_ij / d x_s (None for order 0).  A
+    sample passes if x and y are finite, some |y_i| >= EPS_SLIT, every table evaluates,
+    each sector passes riemann.spd_det_2x2, and 0 < q < inf: each test at least as strict
+    as one of check_sample, metric_values and sector_norms.
 
-    Any other row, or a row whose row() is None, takes batched(x[i:i+1], y[i:i+1]),
-    the batched route on that row alone: it raises exactly what it raises today.
-    Returns the tuple of the stacked (B, ...) arrays.  A space of dimension other
-    than 2, or arrays not of shape (B, 2), take batched(x, y) on the whole batch.
+    Any other sample, one whose row() is None, and every sample in another dimension
+    take batched(x, y), the batched route, on the sample as a batch of one (1, n), which
+    raises what it raises; the values come back as floats (.tolist() of each row).
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if space.dim != 2 or x.shape != y.shape or x.ndim != 2 or x.shape[-1] != 2 or not len(x):
-        return batched(x, y)
-    tables = [(m.evaluator(0), m.evaluator(1) if order else None) for m in space.metrics]
-    one = len(tables) == 1  # sector_norms' summation order; see there
-    values = []
-    for i, (xr, (y0, y1)) in enumerate(zip(x.tolist(), y.tolist())):
-        value = None
-        if (math.isfinite(xr[0]) and math.isfinite(xr[1]) and math.isfinite(y0) and math.isfinite(y1)
+    if space.dim == 2 and len(x) == 2 == len(y):
+        (x0, x1), (y0, y1) = x, y
+        if (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(y0) and math.isfinite(y1)
                 and (abs(y0) >= EPS_SLIT or abs(y1) >= EPS_SLIT)):
+            one = space.n_metrics == 1  # sector_norms' summation order; see there
             sectors = []
-            for table, derivative in tables:
+            for m in space.metrics:
                 try:
-                    a00, a01, a10, a11 = table(xr)
-                    d = derivative(xr) if derivative else None
+                    a00, a01, a10, a11 = m.evaluator(0)(x)
+                    d = m.evaluator(1)(x) if order else None
                 except ExprError:
                     break
                 det = spd_det_2x2(a00, a01, a11)
@@ -407,31 +400,35 @@ def kernel_rows(space: MultiMetricSpace, x, y, order: int, row, batched) -> tupl
                 sectors.append((a00, a01, a10, a11, det, math.sqrt(q), d))
             else:
                 value = row(y0, y1, sectors)
-        if value is None:
-            value = [v[0] for v in batched(x[i:i + 1], y[i:i + 1])]
-        values.append(value)
-    return tuple(np.array(v, dtype=float) for v in zip(*values))
+                if value is not None:
+                    return value
+    return [v[0].tolist() for v in batched(np.array([x], dtype=float), np.array([y], dtype=float))]
 
 
-def sum_in_order(values):
-    """values[0] + values[1] + ... from left to right, as numpy sums the few sectors of
-    a row (Python's sum may compensate)."""
-    total = values[0]
-    for v in values[1:]:
-        total += v
-    return total
+def norm_row(space: MultiMetricSpace, x: list, y: list) -> list:
+    """finsler_norm at one sample (x, y), two lists of n floats, as [F, F_mu] in Python
+    floats: in 2D by the kernel of kernel_row, with finsler_norm's bits, and by
+    finsler_norm on the sample where that declines, which raises its own error."""
+    def row(_y0, _y1, sectors):
+        f_mu = [s[5] for s in sectors]
+        F = f_mu[0]
+        for f in f_mu[1:]:  # left to right, as numpy sums the few sectors (sum may compensate)
+            F += f
+        return [F, f_mu]
+
+    return kernel_row(space, x, y, 0, row, lambda a, b: finsler_norm(space, a, b))
 
 
 def norm_rows(space: MultiMetricSpace, x, y) -> tuple[np.ndarray, np.ndarray]:
     """finsler_norm at the rows of a batch x, y (B, n): F (B,) and F_mu (B, N).  In 2D
-    each row takes the Python-float kernel of kernel_rows, with finsler_norm's bits,
-    and a row that fails its tests takes finsler_norm on that row; in any other
-    dimension this is finsler_norm on the batch."""
-    def row(_y0, _y1, sectors):
-        f_mu = [s[5] for s in sectors]
-        return sum_in_order(f_mu), f_mu
-
-    return kernel_rows(space, x, y, 0, row, lambda a, b: finsler_norm(space, a, b))
+    each row takes norm_row in turn, so the first failing row raises its own error; in
+    any other dimension, and for arrays not of one shape (B, 2), this is finsler_norm
+    on the batch."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if space.dim != 2 or x.shape != y.shape or x.shape[1:] != (2,) or not len(x):
+        return finsler_norm(space, x, y)
+    F, F_mu = zip(*(norm_row(space, a, b) for a, b in zip(x.tolist(), y.tolist())))
+    return np.array(F), np.array(F_mu)
 
 
 def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
@@ -446,9 +443,15 @@ def fd_fundamental_tensor(space: MultiMetricSpace, x, y) -> np.ndarray:
     rows_or_first_error).
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    g = rows_or_first_error(functools.partial(_fd_hessian, space), *_oracle_rows(x, y))
+    return g.reshape(y.shape + y.shape[-1:])
+
+
+def _oracle_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of an oracle call as rows (B, n) of x and of y: y one fiber vector
+    (n,) or a batch (B, n), x one point (n,) for all of them or one point per row."""
     rows = y.reshape(-1, y.shape[-1])
-    xs = np.broadcast_to(x, rows.shape[:1] + x.shape[-1:])
-    return rows_or_first_error(functools.partial(_fd_hessian, space), xs, rows).reshape(y.shape + y.shape[-1:])
+    return np.broadcast_to(x, y.shape[:-1] + x.shape[-1:]).reshape(len(rows), x.shape[-1]), rows
 
 
 def _fd_hessian(space: MultiMetricSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:

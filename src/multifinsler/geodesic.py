@@ -3,32 +3,34 @@
 The trajectory solves x'' + G(x, x') = 0 with the factorized spray, by
 classical fixed-step fourth-order Runge-Kutta (no adaptivity, so runs are
 reproducible bit for bit).  The norm F(x(t), x'(t)) is a first integral and
-its drift is the integrator's self-check.  A fan of rays advances in
-lockstep as one (B, n) state.
+its drift is the integrator's self-check.  Each ray of a fan is a loop of its
+own, with x and y held as lists of Python floats.
 
-Each RK4 stage takes G from connection.spray_rows and each step's end its
-norm from finsler.norm_rows.  In 2D both compute row by row on Python floats
-(finsler.kernel_rows); a row that fails the kernel's tests (a non-finite or
+Each RK4 stage takes G from connection.spray_row and each step's end its
+norm from finsler.norm_row.  In 2D both run a kernel on Python floats
+(finsler.kernel_row); a sample that fails the kernel's tests (a non-finite or
 slit sample, a table that does not evaluate, a sector that is not clearly SPD,
 a degenerate or overflowing form, a G that is not finite) takes
-connection_state or finsler_norm on that row, which raises its own error.  In
-any other dimension the stages are the batched numpy calls.
+connection_state or finsler_norm as a batch of one, which raises its own
+error.  In any other dimension every sample takes that batched route.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import spray_rows
+from .connection import spray_row
 from .finsler import (
     EPS_SLIT,
     SAMPLE_ERRORS,
     MultiMetricSpace,
+    norm_row,
     norm_rows,
     row_norm,
     rows_or_first_error,
@@ -60,35 +62,33 @@ class GeodesicPath:
         return GeodesicPath(t=self.t, x=self.x[k], y=self.y[k], F=self.F[k], step=self.step)
 
 
-def _by_row(fn, x: np.ndarray, y: np.ndarray):
-    """fn(x, y), a tuple of per-row arrays, on a batch of rows, and the rows that fail.
-
-    fn runs once on the whole batch.  If that raises a per-sample error, it
-    runs on each row as a batch of one, which raises exactly what that row
-    raises alone.  Returns the tuple of the stacked arrays of the rows that
-    evaluate and a dict from the index of each failing row to its exception.
-    """
-    try:
-        return fn(x, y), {}
-    except SAMPLE_ERRORS:
-        pass
-    values, failed = [], {}
-    for i in range(len(x)):
-        try:
-            values.append(fn(x[i:i + 1], y[i:i + 1]))
-        except SAMPLE_ERRORS as exc:
-            failed[i] = exc
-    return tuple(np.concatenate(rows) for rows in zip(*values)), failed
+def _rk4_step(space: MultiMetricSpace, a: list, b: list, h: float) -> tuple[list, list]:
+    """One RK4 step of length h from the sample (a, b), lists of n floats: element by
+    element, the operations of the array form k1 = (b, -G1), k2 = (b + (h/2) k1y, -G2)
+    with G2 at (a + (h/2) k1x, k2x), ..., (a, b) + (h/6) (k1 + 2 k2 + 2 k3 + k4), so
+    every element rounds as in numpy; b + c (-G) is written b - c G, which IEEE 754
+    rounds alike."""
+    half = 0.5 * h
+    g1 = spray_row(space, a, b)
+    k2x = [v - half * g for v, g in zip(b, g1)]
+    g2 = spray_row(space, [u + half * v for u, v in zip(a, b)], k2x)
+    k3x = [v - half * g for v, g in zip(b, g2)]
+    g3 = spray_row(space, [u + half * v for u, v in zip(a, k2x)], k3x)
+    k4x = [v - h * g for v, g in zip(b, g3)]
+    g4 = spray_row(space, [u + h * v for u, v in zip(a, k3x)], k4x)
+    sixth = h / 6.0
+    return ([u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(a, b, k2x, k3x, k4x)],
+            [u + sixth * (-p + 2.0 * -q + 2.0 * -r + -s) for u, p, q, r, s in zip(b, g1, g2, g3, g4)])
 
 
 def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: float) -> GeodesicPath:
     """Integrate the spray equation from (x0, y0) for parameter time t_end.
 
-    y0 of shape (B, n) shoots B rays from x0 of shape (n,) or (B, n) in one
-    RK4 loop and returns one GeodesicPath with a ray axis.  A ray that raises
-    a per-sample error (SAMPLE_ERRORS: slit, non-finite value, SPD loss,
-    expression domain, linear algebra) anywhere in a step is retired with it
-    at that step; the others go on, bit for bit as when shot alone.  Any
+    y0 of shape (B, n) shoots B rays from x0 of shape (n,) or (B, n), one
+    after the other, and returns one GeodesicPath with a ray axis.  A ray that
+    raises a per-sample error (SAMPLE_ERRORS: slit, non-finite value, SPD
+    loss, expression domain, linear algebra) anywhere in a step is retired
+    with it at that step; the others go on, each as when shot alone.  Any
     other exception ends the call for all rays.  With y0 of shape (n,) the
     path is returned, or the error raised.
     """
@@ -103,44 +103,24 @@ def integrate_geodesic(space: MultiMetricSpace, x0, y0, t_end: float, step: floa
         raise ValueError(f"y0 must have shape (n,) or (B, n) and x0 shape (n,) or that of y0, "
                          f"got {y.shape} and {x.shape}")
     batched = y.ndim == 2
-    y = np.atleast_2d(y).copy()
-    x = np.broadcast_to(x, (len(y), x.shape[-1])).copy()
+    y = np.atleast_2d(y)
+    x = np.broadcast_to(x, (len(y), x.shape[-1]))
 
     n_steps = max(1, int(round(t_end / step)))
     h = t_end / n_steps
-
-    def start(a, b):
-        """The sample (a, b) with its norm, which rejects a point on the slit."""
-        return a, b, norm_rows(space, a, b)[0]
-
-    def rk4(a, b):
-        """One RK4 step from the rows (a, b): the sample it ends at, with its norm."""
-        k1x, k1y = b, -spray_rows(space, a, b)
-        k2x = b + 0.5 * h * k1y
-        k2y = -spray_rows(space, a + 0.5 * h * k1x, k2x)
-        k3x = b + 0.5 * h * k2y
-        k3y = -spray_rows(space, a + 0.5 * h * k2x, k3x)
-        k4x = b + h * k3y
-        k4y = -spray_rows(space, a + h * k3x, k4x)
-        return start(a + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-                     b + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
-
-    rays = len(y)
-    xs = np.full((rays, n_steps + 1, space.dim), np.nan)
+    xs = np.full((len(y), n_steps + 1, space.dim), np.nan)
     ys = np.full_like(xs, np.nan)
-    fs = np.full((rays, n_steps + 1), np.nan)
-    errors = [None] * rays
-    live = np.arange(rays)  # the ray of each row of x and y
-    for k in range(n_steps + 1):
-        values, failed = _by_row(rk4 if k else start, x, y)
-        for i, exc in failed.items():
-            errors[live[i]] = exc
-        if failed:
-            live = np.delete(live, list(failed))
-        if not len(live):
-            break
-        x, y, F = values
-        xs[live, k], ys[live, k], fs[live, k] = x, y, F
+    fs = np.full((len(y), n_steps + 1), np.nan)
+    errors = [None] * len(y)
+    for r, (a, b) in enumerate(zip(x.tolist(), y.tolist())):
+        try:
+            for k in range(n_steps + 1):
+                if k:
+                    a, b = _rk4_step(space, a, b, h)
+                fs[r, k] = norm_row(space, a, b)[0]
+                xs[r, k], ys[r, k] = a, b
+        except SAMPLE_ERRORS as exc:  # retired at step k: its samples from k on stay NaN
+            errors[r] = exc
 
     path = GeodesicPath(t=h * np.arange(n_steps + 1), x=xs, y=ys, F=fs, step=h, errors=tuple(errors))
     return path if batched else path.ray(0)
@@ -226,18 +206,29 @@ def simpson_rows(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return result + (alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3])
 
 
+def write_text(text: str, dest) -> None:
+    """Write text as UTF-8 to the file dest, or to stdout where dest is '-' or None,
+    through its byte stream, so stdout takes the file's bytes whatever the locale's
+    encoding; a stdout with no byte stream (an io.StringIO) takes the text."""
+    if dest not in (None, "-"):
+        with open(dest, "w", newline="", encoding="utf-8") as out:
+            out.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:
+        sys.stdout.write(text)
+
+
 def write_csv(header, rows, dest) -> None:
-    """Write a numeric table as UTF-8 CSV, values at 17 significant digits; dest '-' or None
-    is stdout, in its own encoding."""
-    out = sys.stdout if dest in (None, "-") else open(dest, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(float(v), ".17g") for v in row])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    """Write a numeric table as UTF-8 CSV, values at 17 significant digits, to dest (see
+    write_text)."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(v), ".17g") for v in row])
+    write_text(out.getvalue(), dest)
 
 
 def path_to_csv(path: GeodesicPath, dest, coords) -> None:

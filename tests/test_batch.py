@@ -20,7 +20,7 @@ from multifinsler.connection import (
     connection_state,
     horizontal_compatibility_residual,
     nonlinear_connection_fd,
-    spray_rows,
+    spray_row,
     variational_spray,
 )
 from multifinsler.dim2 import cartan_structure_residuals, frame_from_state, gauss_curvature, invariants_JK
@@ -314,6 +314,21 @@ def test_variational_spray_rows_equal_single_calls(space, batch):
     assert all(isinstance(o, Exception) or o.shape == (2,) for o in solo)
 
 
+@settings(SETTINGS, max_examples=60)
+@given(spaces(), batches())
+def test_the_oracles_at_one_point_equal_their_rows_at_it_broadcast(space, batch):
+    # a batch y (B, n) at one x (n,) is the batch at x repeated on every row, bit for bit
+    x, y = batch
+    for oracle in (fd_fundamental_tensor, variational_spray, nonlinear_connection_fd):
+        at_one = outcome(oracle, space, x[0], y)
+        broadcast = outcome(oracle, space, np.tile(x[0], (len(y), 1)), y)
+        if isinstance(broadcast, Exception):
+            assert same_error(at_one, broadcast), (oracle.__name__, at_one, broadcast)
+        else:
+            assert not isinstance(at_one, Exception), (oracle.__name__, at_one)
+            assert at_one.tobytes() == broadcast.tobytes() and at_one.shape == broadcast.shape, oracle.__name__
+
+
 @SETTINGS
 @given(spaces(), batches())
 def test_gauss_curvature_rows_equal_single_calls(space, batch):
@@ -448,7 +463,7 @@ def test_evaluation_error_after_an_spd_failure_keeps_point_order():
         sp.metric_values(np.array([[0.0, 1.0], both]))
 
 
-@pytest.mark.parametrize("fn", [finsler_norm, finsler_state, connection_state, norm_rows, spray_rows])
+@pytest.mark.parametrize("fn", [finsler_norm, finsler_state, connection_state, norm_rows])
 @pytest.mark.parametrize("x, y", [
     (np.zeros((3, 2)), np.ones((2, 2))),
     (np.zeros((1, 2)), np.ones((3, 2))),
@@ -503,6 +518,7 @@ def assert_kernel_rows(kernel, reference, close, space, x, y):
 @settings(SETTINGS, max_examples=300)
 @given(kernel_cases())
 def test_spray_rows_match_connection_state_row_by_row(case):
+    # spray_row at each row in turn, as the rays of a fan take their RK4 stages
     space, (x, y) = case
 
     def close(G, r, ref):
@@ -514,7 +530,10 @@ def test_spray_rows_match_connection_state_row_by_row(case):
         assert G.shape == (len(x), 2)
         assert np.max(np.abs(G[r] - ref[0])) <= (1e-14 + 1e-15 * kappa) * (1.0 + np.max(np.abs(ref[0])))
 
-    assert_kernel_rows(spray_rows, lambda sp, a, b: connection_state(sp, a, b).G, close, space, x, y)
+    def spray_at_each_row(sp, a, b):
+        return np.array([spray_row(sp, xr, yr) for xr, yr in zip(a.tolist(), b.tolist())])
+
+    assert_kernel_rows(spray_at_each_row, lambda sp, a, b: connection_state(sp, a, b).G, close, space, x, y)
 
 
 @settings(SETTINGS, max_examples=300)

@@ -265,6 +265,33 @@ class TestConfig:
         assert capsys.readouterr().err == (
             f"config error: invalid box interval {box[0]!r}: its width or its centre overflows a float\n")
 
+    def test_unicode_coordinates_give_the_samples_of_their_ascii_twin(self, tmp_path):
+        # the same space written with the coordinates (ξ, η) and (x1, x2)
+        def space(u, v):
+            return {**BIMETRIC, "coordinates": [u, v], "metrics": [
+                {"name": "alpha", "components": [[f"1+{u}^2", f"0.25*{v}"], [f"0.25*{v}", "2"]]},
+                {"name": "beta", "components": [["4", "0"], ["0", f"2+{u}*{v}^2"]]}]}
+
+        tables = {}
+        for u, v in (("ξ", "η"), ("x1", "x2")):
+            p, out = tmp_path / f"{u}.json", tmp_path / f"{u}.csv"
+            p.write_text(json.dumps(space(u, v), ensure_ascii=False), encoding="utf-8")
+            assert main(["sample", "--config", str(p), "--grid", "3", "--directions", "4", "--out", str(out)]) == 0
+            header, *rows = out.read_text(encoding="utf-8").splitlines()
+            assert header.startswith(f"{u},{v},theta,")
+            tables[u] = rows
+        assert tables["ξ"] == tables["x1"] and len(tables["ξ"]) == 36
+
+    @pytest.mark.parametrize("name", ["1x", "x y", "x-1", "a.b", "x\u0301"])
+    def test_a_coordinate_that_is_not_one_identifier_is_a_config_error(self, name, tmp_path, capsys):
+        # the tokenizer could never read the name in a component, so the config is refused
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps({**BIMETRIC, "coordinates": [name, "x2"]}, ensure_ascii=False), encoding="utf-8")
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: coordinate name {name!r} is not an identifier: a letter or '_', "
+            "then letters, digits or '_'\n")
+
     def test_booleans_are_not_numbers(self):
         one_d = {
             "dimension": True,
@@ -297,15 +324,17 @@ class TestCli:
         assert rep["config"]["metrics"][0]["name"] == "al\npha\tone"
 
     def test_files_are_written_in_utf8_under_an_ascii_locale(self, tmp_path):
-        """validate, sample and check write UTF-8 whatever the locale's encoding: under the C
-        locale with UTF-8 mode off they write the bytes a UTF-8 process writes."""
+        """validate, sample, check and geodesic write UTF-8 whatever the locale's encoding:
+        under the C locale with UTF-8 mode off they write the bytes a UTF-8 process writes,
+        and validate, sample and geodesic write to stdout (--out -) the bytes of the file."""
         cfg = {**BIMETRIC, "coordinates": ["ξ", "η"], "metrics": [
             {"name": "α", "components": [["1", "0"], ["0", "1"]]},
             {"name": "β", "components": [["4", "0"], ["0", "2"]]}]}
         config = tmp_path / "space.json"
         config.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
         commands = {"valid.json": ["validate"], "sample.csv": ["sample", "--grid", "2", "--directions", "2"],
-                    "check.json": ["check", "--suite", "identities"]}
+                    "check.json": ["check", "--suite", "identities"],
+                    "geodesic.csv": ["geodesic", "--t-end", "0.01", "--step", "0.005"]}
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = {}
         for locale_env in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, {"PYTHONUTF8": "1"}):
@@ -315,11 +344,17 @@ class TestCli:
             assert (encoding.lower().replace("-", "") == "utf8") == (locale_env["PYTHONUTF8"] == "1"), encoding
             out = tmp_path / locale_env["PYTHONUTF8"]
             out.mkdir()
-            for name, argv in commands.items():
+            def run(argv, dest):
                 proc = subprocess.run([sys.executable, "-m", "multifinsler.cli", *argv, "--config", str(config),
-                                       "--out", str(out / name)], capture_output=True, env=env, timeout=120)
+                                       "--out", dest], capture_output=True, env=env, timeout=120)
                 assert proc.returncode == 0, proc.stderr
+                return proc.stdout
+
+            for name, argv in commands.items():
+                assert run(argv, str(out / name)) == b""
             outputs[locale_env["PYTHONUTF8"]] = {name: (out / name).read_bytes() for name in commands}
+            for name in ("valid.json", "sample.csv", "geodesic.csv"):
+                assert run(commands[name], "-") == outputs[locale_env["PYTHONUTF8"]][name], name
         assert outputs["0"] == outputs["1"]
         assert "α".encode() in outputs["1"]["valid.json"] and "ξ".encode() in outputs["1"]["sample.csv"]
 

@@ -69,7 +69,7 @@ class TestIntegration:
 
     def test_step_onto_the_slit_raises(self, monkeypatch, bi_const):
         # a constant spray y0/h takes the velocity to zero in one RK4 step
-        monkeypatch.setattr(geodesic, "spray_rows", lambda space, x, y: np.array([10.0, 0.0]))
+        monkeypatch.setattr(geodesic, "spray_row", lambda space, x, y: [10.0, 0.0])
         with pytest.raises(SlitViolationError):
             integrate_geodesic(bi_const, [0.0, 0.0], [1.0, 0.0], 0.3, 0.1)
 
@@ -111,24 +111,31 @@ def assert_same_path(batch, k, solo):
 
 
 class TestLockstep:
-    """A (B, n) batch of rays advances in one RK4 loop, each row as when shot alone."""
+    """A (B, n) batch of rays is integrated ray by ray, each as when shot alone."""
 
     def test_rays_equal_solo_runs_bitwise(self, tri_space):
         thetas = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)
         y0 = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         x0 = np.array([[0.1, -0.2], [0.3, 0.1], [-0.4, 0.2], [0.0, 0.5], [0.2, 0.2]])
-        for start in (x0[0], x0):
-            fan = integrate_geodesic(tri_space, start, y0, 0.05, 0.01)
-            assert fan.x.shape == (5, 6, 2) and fan.F.shape == (5, 6)
-            assert fan.errors == (None,) * 5
-            for k in range(5):
-                xk = start if start.ndim == 1 else start[k]
-                assert_same_path(fan, k, integrate_geodesic(tri_space, xk, y0[k], 0.05, 0.01))
+        # a 3D fan, whose stages take connection_state on each ray as a batch of one
+        space3d = load_config(Path(__file__).resolve().parent / "data" / "bimetric3d.json").space
+        y3d = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [-0.5, 0.5, 0.5], [0.3, -0.9, 0.1]])
+        x3d = np.array([[0.1, -0.2, 0.3], [0.0, 0.0, 0.0], [-0.3, 0.2, 0.1], [0.2, 0.2, -0.2]])
+        for space, x0, y0 in ((tri_space, x0, y0), (space3d, x3d, y3d)):
+            rays, n = y0.shape
+            for start in (x0[0], x0):
+                fan = integrate_geodesic(space, start, y0, 0.05, 0.01)
+                assert fan.x.shape == (rays, 6, n) and fan.F.shape == (rays, 6)
+                assert fan.errors == (None,) * rays
+                for k in range(rays):
+                    xk = start if start.ndim == 1 else start[k]
+                    assert_same_path(fan, k, integrate_geodesic(space, xk, y0[k], 0.05, 0.01))
 
     def test_one_connection_state_per_stage(self, monkeypatch, tri_space):
-        calls = count_calls(monkeypatch, geodesic, "spray_rows")
+        # 6 rays of 3 steps, each step four stages
+        calls = count_calls(monkeypatch, geodesic, "spray_row")
         integrate_geodesic(tri_space, [0.1, 0.2], np.eye(2).repeat(3, axis=0), 0.03, 0.01)
-        assert calls[0] == 3 * 4
+        assert calls[0] == 6 * 3 * 4
 
     def test_failing_row_is_retired_alone(self):
         sp = edge_space()
@@ -193,7 +200,7 @@ class TestLockstep:
 
     def test_lone_ray_failing_inside_a_step_raises_its_own_error(self):
         # alpha stops being SPD at x1 = -1.5, which the second RK4 stage of the first step
-        # reaches from x1 = -1.4; the third and fourth stages then have no live ray
+        # reaches from x1 = -1.4, so the ray's step stops there
         sp = space_of(field("alpha", [["1.5+x1", "0"], ["0", "1"]]), const_field("beta", np.eye(2)))
         with pytest.raises(NotPositiveDefiniteError, match=r"'alpha' .* at x=\[-1\.5, 0\.0\]"):
             integrate_geodesic(sp, [-1.4, 0.0], [-1.0, 0.0], 1.0, 0.2)
@@ -248,10 +255,10 @@ def test_a_fan_retires_each_failing_ray_whole_at_its_step(starts, n_steps):
     sp = edge_space()
     x0 = np.array([(x1, x2) for x1, x2, _, _ in starts])
     y0 = np.array([(v * np.cos(theta), v * np.sin(theta)) for _, _, theta, v in starts])
-    with mock.patch.object(geodesic, "spray_rows", wraps=geodesic.spray_rows) as spy:
+    with mock.patch.object(geodesic, "spray_row", wraps=geodesic.spray_row) as spy:
         fan = integrate_geodesic(sp, x0, y0, n_steps * STEP, STEP)
     if fan.errors.count(None) == len(starts):
-        assert spy.call_count == 4 * n_steps
+        assert spy.call_count == 4 * n_steps * len(starts)
     for k in range(len(starts)):
         try:
             solo = integrate_geodesic(sp, x0[k], y0[k], n_steps * STEP, STEP)

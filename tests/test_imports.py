@@ -138,7 +138,7 @@ def test_every_public_function_is_reached():
 # own stencil and a test-only oracle
 COMPONENT_READERS = {
     "finsler.MultiMetricSpace._sector_data",
-    "finsler.kernel_rows",
+    "finsler.kernel_row",
     "connection._variational_spray_rows",
     "riemann.christoffels_and_spray",
 }
@@ -164,15 +164,16 @@ def test_metric_components_are_read_through_the_space():
 
 
 def test_geodesics_take_the_spray_and_the_norms_from_the_row_kernels():
-    """geodesic.py takes G only through connection.spray_rows, in the RK4 stages, and the
-    sector norms only through finsler.norm_rows, at each step's end and in the action:
-    it imports nothing else from connection, no other route to the norm from finsler,
-    and reads no field of a connection or finsler state and no metric data of a space."""
+    """geodesic.py takes G only through connection.spray_row, in the RK4 step of a ray, and
+    the sector norms only through finsler.norm_row at each step's end and finsler.norm_rows
+    in the action: it imports nothing else from connection, no other route to the norm
+    from finsler, and reads no field of a connection or finsler state and no metric data
+    of a space.  Only the ray loop of integrate_geodesic catches a per-sample error."""
     path = PACKAGE / "geodesic.py"
     tree = ast.parse(path.read_text())
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level and not n.module]
-    assert _imported_from(tree, "connection") == {"spray_rows"}
-    routes = {"connection_state", "finsler_state", "finsler_norm", "sector_norms", "kernel_rows"}
+    assert _imported_from(tree, "connection") == {"spray_row"}
+    routes = {"connection_state", "finsler_state", "finsler_norm", "sector_norms", "kernel_row"}
     assert not _imported_from(tree, "finsler") & routes
     reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not reads & {"G", "F_mu", "state", "metrics", "metric_values", "metric_derivatives"}
@@ -181,8 +182,15 @@ def test_geodesics_take_the_spray_and_the_norms_from_the_row_kernels():
         return _scopes(lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name,
                        [path])
 
-    assert calls("spray_rows") == {"geodesic.integrate_geodesic.rk4"}
-    assert calls("norm_rows") == {"geodesic.integrate_geodesic.start", "geodesic.action_of_path"}
+    assert calls("spray_row") == {"geodesic._rk4_step"}
+    assert calls("norm_row") == {"geodesic.integrate_geodesic"}
+    assert calls("norm_rows") == {"geodesic.action_of_path"}
+
+    def catches_sample_errors(n):
+        return isinstance(n, ast.ExceptHandler) and any(
+            isinstance(m, ast.Name) and m.id == "SAMPLE_ERRORS" for m in ast.walk(n.type or ast.Pass()))
+
+    assert _scopes(catches_sample_errors, [path]) == {"geodesic.integrate_geodesic"}
 
 
 def _scopes(match, paths):
